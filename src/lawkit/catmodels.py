@@ -44,10 +44,12 @@ from .fincat import (
     whisker_left,
     whisker_right,
 )
+from .search import search
 from .theory import (
     Apply,
     Morphism,
     Proj,
+    compose,
     generator_morphism,
     is_inert,
     power_right,
@@ -469,7 +471,7 @@ def enumerate_homs_w(X: CatModel, Y: CatModel, weakness: str,
                     f"{total} candidate structure-cell assignments exceed bound {bound}")
         if not feasible:
             continue
-        for picks in itertools.product(*per_gen):
+        for picks in search(lambda i, a: per_gen[i], [[]] * len(per_gen)):
             hom = LaxHom(X, Y, weakness, f1,
                          tuple((g.name, nat) for g, nat in
                                zip(X.theory.base.generators, picks)))
@@ -519,10 +521,6 @@ def validate_modification(mod: Modification) -> list[ModelViolation]:
         if lhs != rhs:
             problems.append(ModelViolation("modification-structure", gen.name))
     return problems
-
-
-def _id_fun(model: CatModel, n: int) -> FinFunctor:
-    return fincat.identity_functor(model.power(n).cat)
 
 
 def enumerate_modifications(f: LaxHom, g: LaxHom) -> list[Modification]:
@@ -791,7 +789,7 @@ def rho_validates_for_convolution(rho) -> list[str]:
         out = Morphism(n, 1, (Proj(n - 1, n),))
         for i in range(n - 2, -1, -1):
             stack = Morphism(n, 2, (Proj(i, n), out.components[0]))
-            out = fincat_compose_safe(stack, generator_morphism(m))
+            out = compose(stack, generator_morphism(m))
         return out
 
     for g in rho.source.generators:
@@ -800,8 +798,3 @@ def rho_validates_for_convolution(rho) -> list[str]:
         if not isinstance(v, Equal):
             problems.append(f"image of {g.name} is not the canonical {g.arity}-fold product")
     return problems
-
-
-def fincat_compose_safe(f: Morphism, g: Morphism) -> Morphism:
-    from .theory import compose as theory_compose
-    return theory_compose(f, g)

@@ -506,10 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lawkit", description="verification toolkit for presented theories")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--no-timings", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker fan-out (reserved; execution is sequential)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; all searches are exhaustive")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, **extra):

@@ -56,6 +56,7 @@ from .cells import (
     TwoCellSymbol,
     TwoTheoryPresentation,
     Vert,
+    WEAKNESSES,
 )
 from .finset import FinSetModel, validate_model
 from .fincat import FinCategory, FinFunctor, FinNat, build_category, graded_scalar_category
@@ -69,6 +70,7 @@ from .theory import (
     TheoryPresentation,
     compose,
     identity,
+    render_term,
 )
 
 
@@ -606,6 +608,8 @@ def _parse_sigma(p: _Parser, theories: list[TwoTheoryPresentation]) -> tuple[str
         p.fail(f"sigma table references unknown theory {theory_name!r}")
     p.expect("ident", "weakness")
     weakness = p.ident()
+    if weakness not in WEAKNESSES:
+        p.fail(f"unknown weakness {weakness!r}")
     symmetric = bool(p.accept("ident", "symmetric"))
     p.expect("punct", "{")
     entries = []
@@ -837,6 +841,9 @@ def _elaborate_fincat(theory2: TwoTheoryPresentation, decl: FinCatDecl) -> CatMo
     names = [f"id{a}" for a in range(n)] + [a for a, _, _ in decl.arrows]
     if len(set(names)) != len(names):
         raise ValueError("duplicate arrow names")
+    for aname, s, d in decl.arrows:
+        if s >= n or d >= n:
+            raise ValueError(f"arrow {aname}: endpoint out of range")
     src = list(range(n)) + [s for _, s, _ in decl.arrows]
     dst = list(range(n)) + [d for _, _, d in decl.arrows]
     index = {nm: i for i, nm in enumerate(names)}
@@ -898,6 +905,8 @@ def _attach_tables(theory2: TwoTheoryPresentation, cat: FinCategory,
         dom = fincat.power(cat, op.arity)
         if len(decl.obj) != dom.n_objects:
             raise ValueError(f"functor {decl.name}: object table has the wrong size")
+        if any(o >= cat.n_objects for o in decl.obj):
+            raise ValueError(f"functor {decl.name}: object out of range")
         if decl.arr is None:
             arr = []
             for a in range(dom.n_arrows):
@@ -911,6 +920,8 @@ def _attach_tables(theory2: TwoTheoryPresentation, cat: FinCategory,
             arr = decl.arr
             if len(arr) != dom.n_arrows:
                 raise ValueError(f"functor {decl.name}: arrow table has the wrong size")
+            if any(f >= cat.n_arrows for f in arr):
+                raise ValueError(f"functor {decl.name}: arrow out of range")
         ops.append((decl.name, FinFunctor(dom.cat, cat, decl.obj, arr)))
         have.add(decl.name)
     for g in theory2.base.generators:
@@ -932,20 +943,15 @@ def _attach_tables(theory2: TwoTheoryPresentation, cat: FinCategory,
             comps = tuple(comps)
         else:
             comps = decl.components
+            if len(comps) != fsrc.source.n_objects:
+                raise ValueError(f"nat {decl.name}: component table has the wrong size")
+            if any(c >= cat.n_arrows for c in comps):
+                raise ValueError(f"nat {decl.name}: component out of range")
         cells.append((decl.name, FinNat(fsrc, ftgt, comps)))
     return CatModel(theory2, cat, tuple(ops), tuple(cells))
 
 
 # -- serializer -------------------------------------------------------------------------------
-
-def render_term(t: Term) -> str:
-    if isinstance(t, Proj):
-        return f"x{t.index + 1}"
-    assert isinstance(t, Apply)
-    if not t.args:
-        return t.op.name
-    return f"{t.op.name}({', '.join(render_term(a) for a in t.args)})"
-
 
 def render_morphism(m: Morphism) -> str:
     body = f"<{', '.join(render_term(c) for c in m.components)}>" \

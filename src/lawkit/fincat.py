@@ -9,8 +9,9 @@ indexing and never need re-bracketing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+
+from .search import search
 
 
 class CatError(Exception):
@@ -373,54 +374,49 @@ def whisker_right(nat: FinNat, fun: FinFunctor) -> FinNat:
     return FinNat(compose_functors(nat.source, fun), compose_functors(nat.target, fun), comps)
 
 
-def invert_nat(nat: FinNat) -> FinNat:
-    d = nat.source.target
-    comps = []
-    for c in nat.components:
-        inv = d.inverse(c)
-        if inv is None:
-            raise CatError("component is not invertible")
-        comps.append(inv)
-    return FinNat(nat.target, nat.source, tuple(comps))
-
-
 def enumerate_functors(c: FinCategory, d: FinCategory, bound: int = 1 << 22) -> list[FinFunctor]:
-    """All functors c -> d, ordered lexicographically by (obj_map, arr_map)."""
+    """All functors c -> d, ordered lexicographically by (obj_map, arr_map).
+
+    One search slot per object, then one per arrow; an identity arrow's only
+    candidate is forced, and f;g is checked once f, g and f;g are assigned.
+    """
     if d.n_objects ** c.n_objects > bound:
         raise CatError("functor enumeration bound exceeded")
-    out = []
-    non_identity = [f for f in c.arrows() if not c.is_identity(f)]
-    for obj_map in itertools.product(range(d.n_objects), repeat=c.n_objects):
-        choices = []
-        feasible = True
-        for f in non_identity:
-            hom = d.hom(obj_map[c.src[f]], obj_map[c.dst[f]])
-            if not hom:
-                feasible = False
-                break
-            choices.append(hom)
-        if not feasible:
-            continue
-        for picks in itertools.product(*choices):
-            arr_map = [0] * c.n_arrows
-            for a in range(c.n_objects):
-                arr_map[c.identity[a]] = d.identity[obj_map[a]]
-            for f, g in zip(non_identity, picks):
-                arr_map[f] = g
-            fun = FinFunctor(c, d, tuple(obj_map), tuple(arr_map))
-            if validate_functor(fun) is None:
-                out.append(fun)
-    return out
+    n = c.n_objects
+
+    def domain(i: int, a: list[int]):
+        f = i - n
+        if f < 0:
+            return range(d.n_objects)
+        if c.is_identity(f):
+            return (d.identity[a[c.src[f]]],)
+        return d.hom(a[c.src[f]], a[c.dst[f]])
+
+    def composition(f: int, g: int, h: int):
+        return lambda a: a[n + h] == d.then(a[n + f], a[n + g])
+
+    checks: list[list] = [[] for _ in range(n + c.n_arrows)]
+    for f in c.arrows():
+        for g in c.arrows():
+            if c.dst[f] == c.src[g] and not c.is_identity(f) and not c.is_identity(g):
+                h = c.then(f, g)
+                checks[n + max(f, g, h)].append(composition(f, g, h))
+    return [FinFunctor(c, d, a[:n], a[n:]) for a in search(domain, checks)]
 
 
 def enumerate_naturals(f: FinFunctor, g: FinFunctor) -> list[FinNat]:
+    """All transformations f => g, one search slot per object; the naturality
+    square at an arrow is checked once both of its endpoints are assigned."""
     if f.source != g.source or f.target != g.target:
         raise CatError("natural transformations need parallel functors")
     c, d = f.source, f.target
     choices = [d.hom(f.obj_map[a], g.obj_map[a]) for a in range(c.n_objects)]
-    out = []
-    for comps in itertools.product(*choices):
-        nat = FinNat(f, g, tuple(comps))
-        if validate_nat(nat) is None:
-            out.append(nat)
-    return out
+
+    def naturality(h: int):
+        x, y = c.src[h], c.dst[h]
+        return lambda a: d.then(f.arr_map[h], a[y]) == d.then(a[x], g.arr_map[h])
+
+    checks: list[list] = [[] for _ in range(c.n_objects)]
+    for h in c.arrows():
+        checks[max(c.src[h], c.dst[h])].append(naturality(h))
+    return [FinNat(f, g, comps) for comps in search(lambda i, a: choices[i], checks)]

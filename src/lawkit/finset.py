@@ -7,9 +7,11 @@ X^0 is the one-element set, so nullary tables have exactly one cell.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
+from .search import search
 from .theory import (
     Apply,
     CommutativityReport,
@@ -101,25 +103,13 @@ def separating_input(model: FinSetModel, f: Morphism, g: Morphism) -> tuple[int,
 
 # -- model enumeration (backtracking over table cells) ------------------------
 
-def _partial_eval(t: Term, env: tuple[int, ...], tables, size: int) -> int | None:
-    if isinstance(t, Proj):
-        return env[t.index]
-    assert isinstance(t, Apply)
-    args = []
-    for a in t.args:
-        v = _partial_eval(a, env, tables, size)
-        if v is None:
-            return None
-        args.append(v)
-    cell = tables[t.op.name][table_index(tuple(args), size)]
-    return cell
-
-
 def enumerate_models(theory: TheoryPresentation, size: int, cell_limit: int = 4 ** 4):
     """Yield every model of the given carrier size, in lexicographic table order.
 
-    Cells are assigned one at a time; an equation instance prunes the branch
-    as soon as both sides become defined and disagree.
+    There is one search slot per table cell, generators in order.  Each
+    component of an equation instance is first checked at the last slot among
+    its innermost cells, and prunes the branch as soon as both sides are
+    defined and disagree.
     """
     if size < 1:
         raise TheoryError("carrier size must be >= 1")
@@ -127,42 +117,48 @@ def enumerate_models(theory: TheoryPresentation, size: int, cell_limit: int = 4 
     if total_cells > cell_limit:
         raise TheoryError(f"enumeration over {total_cells} cells exceeds limit {cell_limit}")
 
-    tables: dict[str, list[int | None]] = {
-        g.name: [None] * (size ** g.arity) for g in theory.generators
-    }
-    slots = [(g.name, i) for g in theory.generators for i in range(size ** g.arity)]
-    instances = [
-        (eq, env)
-        for eq in theory.equations
-        for env in all_tuples(size, eq.lhs.source)
-    ]
+    offset, at = {}, 0
+    for g in theory.generators:
+        offset[g.name], at = at, at + size ** g.arity
 
-    def consistent() -> bool:
-        for eq, env in instances:
-            for l, r in zip(eq.lhs.components, eq.rhs.components):
-                lv = _partial_eval(l, env, tables, size)
-                if lv is None:
-                    continue
-                rv = _partial_eval(r, env, tables, size)
-                if rv is None:
-                    continue
-                if lv != rv:
-                    return False
-        return True
+    def value(t: Term, env: tuple[int, ...], a: list[int]) -> int | None:
+        """t at env, or None while a cell it reads is unassigned."""
+        if isinstance(t, Proj):
+            return env[t.index]
+        args = []
+        for s in t.args:
+            v = value(s, env, a)
+            if v is None:
+                return None
+            args.append(v)
+        cell = offset[t.op.name] + table_index(args, size)
+        return a[cell] if cell < len(a) else None
 
-    def fill(pos: int):
-        if pos == len(slots):
-            yield make_model(theory, size,
-                             {n: tuple(v for v in t) for n, t in tables.items()})  # type: ignore[misc]
-            return
-        name, i = slots[pos]
-        for v in range(size):
-            tables[name][i] = v
-            if consistent():
-                yield from fill(pos + 1)
-        tables[name][i] = None
+    def innermost_cells(t: Term, env: tuple[int, ...]):
+        if isinstance(t, Apply):
+            if all(isinstance(s, Proj) for s in t.args):
+                yield offset[t.op.name] + table_index([env[s.index] for s in t.args], size)
+            for s in t.args:
+                yield from innermost_cells(s, env)
 
-    yield from fill(0)
+    def holds(lhs: Term, rhs: Term, env: tuple[int, ...], a: list[int]) -> bool | None:
+        lv, rv = value(lhs, env, a), value(rhs, env, a)
+        return None if lv is None or rv is None else lv == rv
+
+    checks: list[list] = [[] for _ in range(total_cells)]
+    for eq in theory.equations:
+        for lhs, rhs in zip(eq.lhs.components, eq.rhs.components):
+            for env in all_tuples(size, eq.lhs.source):
+                cells = [*innermost_cells(lhs, env), *innermost_cells(rhs, env)]
+                if cells:
+                    checks[max(cells)].append(functools.partial(holds, lhs, rhs, env))
+                elif not holds(lhs, rhs, env, []):
+                    return  # an equation between projections fails at this size
+
+    for flat in search(lambda i, a: range(size), checks):
+        yield make_model(theory, size, {
+            g.name: flat[offset[g.name]:offset[g.name] + size ** g.arity]
+            for g in theory.generators})
 
 
 def canonical_filter(models: list[FinSetModel]) -> list[FinSetModel]:
@@ -211,11 +207,9 @@ def is_hom(source: FinSetModel, target: FinSetModel, mapping: tuple[int, ...]) -
 def enumerate_homs(source: FinSetModel, target: FinSetModel) -> list[ModelHom]:
     if source.theory is not target.theory and source.theory.name != target.theory.name:
         raise TheoryError("hom endpoints live over different theories")
-    out = []
-    for mapping in itertools.product(range(target.size), repeat=source.size):
-        if is_hom(source, target, mapping):
-            out.append(ModelHom(source, target, mapping))
-    return out
+    return [ModelHom(source, target, mapping)
+            for mapping in search(lambda i, a: range(target.size), [[]] * source.size)
+            if is_hom(source, target, mapping)]
 
 
 def compose_homs(f: ModelHom, g: ModelHom) -> ModelHom:
@@ -351,7 +345,7 @@ def eh_uniqueness_probe(theory: TheoryPresentation, model: FinSetModel,
         homs = enumerate_homs(powers[g.arity], model)
         candidates.append([h.mapping for h in homs])
     structures = []
-    for choice in itertools.product(*candidates):
+    for choice in search(lambda i, a: candidates[i], [[]] * len(candidates)):
         tables = {g.name: choice[i] for i, g in enumerate(theory.generators)}
         if isinstance(validate_model(theory, model.size, tables), FinSetModel):
             structures.append(tuple(sorted(tables.items())))

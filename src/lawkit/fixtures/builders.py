@@ -147,10 +147,6 @@ def _semiring() -> TheoryPresentation:
 t_semiring = _semiring()
 
 
-def bin_op(name: str) -> OpSymbol:
-    return OpSymbol(name, 2)
-
-
 # -- two-dimensional presentations ----------------------------------------------------
 
 _mor_m = generator_morphism(M)

@@ -41,6 +41,7 @@ from .cells import (
     pasting_components,
 )
 from .fincat import FinFunctor, FinNat, enumerate_functors, enumerate_naturals
+from .search import search
 from .theory import (
     generator_morphism,
     unit_insertion,
@@ -153,89 +154,69 @@ def enumerate_binary_multimaps(X: CatModel, Y: CatModel, Z: CatModel,
                                sigma: SigmaTable, weakness: str = "lax",
                                bound: int = HOM_ENUMERATION_BOUND) -> list[BinaryMultimap]:
     theory2 = X.theory
+    names = [g.name for g in theory2.base.generators]
     prod = fincat.product([X.carrier, Y.carrier])
-    ny = Y.carrier.n_objects
     out = []
     for f11 in enumerate_functors(prod.cat, Z.carrier):
-        left_candidates: list[list[tuple[int, ...]]] = []
-        right_candidates: list[list[tuple[int, ...]]] = []
-        feasible = True
-        total = 1
-        for g in theory2.base.generators:
-            n = g.arity
-            # candidate left cells: arrows Z(a)(f(x1,y)..f(xn,y)) -> f(a(xs), y)
-            slots = []
-            for xet in range(X.power(n).n_objects):
-                xs = X.power(n).decode_obj(xet)
-                for y in range(ny):
-                    zsrc = Z.op_functor(g.name).obj_map[Z.power(n).encode_obj(
-                        tuple(f11.obj_map[prod.encode_obj((x, y))] for x in xs))]
-                    ztgt = f11.obj_map[prod.encode_obj(
-                        (X.op_functor(g.name).obj_map[xet], y))]
-                    slots.append(Z.carrier.hom(zsrc, ztgt))
-            choices = _product_slots(slots, bound)
-            if choices is None:
-                feasible = False
-                break
-            left_candidates.append(choices)
-            total *= len(choices)
-            slots = []
-            for x in range(X.carrier.n_objects):
-                for yet in range(Y.power(n).n_objects):
-                    ys = Y.power(n).decode_obj(yet)
-                    zsrc = Z.op_functor(g.name).obj_map[Z.power(n).encode_obj(
-                        tuple(f11.obj_map[prod.encode_obj((x, y))] for y in ys))]
-                    ztgt = f11.obj_map[prod.encode_obj(
-                        (x, Y.op_functor(g.name).obj_map[yet]))]
-                    slots.append(Z.carrier.hom(zsrc, ztgt))
-            choices = _product_slots(slots, bound)
-            if choices is None:
-                feasible = False
-                break
-            right_candidates.append(choices)
-            total *= len(choices)
-            if total > bound:
-                raise EnumerationBound(
-                    f"{total} multimap cell assignments exceed bound {bound}")
-        if not feasible:
+        tables = _cell_candidates(X, Y, Z, f11, bound)
+        if tables is None:
             continue
-        gens = theory2.base.generators
-        for lefts in itertools.product(*left_candidates):
-            for rights in itertools.product(*right_candidates):
-                cells_left = {g.name: lefts[i] for i, g in enumerate(gens)}
-                cells_right = {g.name: rights[i] for i, g in enumerate(gens)}
-                if not _exchange_condition(theory2, sigma, X, Y, Z, f11,
-                                           cells_left, cells_right):
-                    continue
-                ok = True
-                for y in range(ny):
-                    if validate_lax_hom(_slice_left_hom(X, Y, Z, weakness, f11,
-                                                        cells_left, y)):
-                        ok = False
-                        break
-                if ok:
-                    for x in range(X.carrier.n_objects):
-                        if validate_lax_hom(_slice_right_hom(X, Y, Z, weakness, f11,
-                                                             cells_right, x)):
-                            ok = False
-                            break
-                if ok:
-                    out.append(BinaryMultimap(
-                        weakness, f11,
-                        tuple((g.name, cells_left[g.name]) for g in gens),
-                        tuple((g.name, cells_right[g.name]) for g in gens)))
+        # One search slot per cell: every left cell, generator by generator,
+        # then every right cell.
+        cells = [homs for table in tables for homs in table]
+        for picks in search(lambda i, a: cells[i], [[]] * len(cells)):
+            rest = iter(picks)
+            chunks = [tuple(itertools.islice(rest, len(table))) for table in tables]
+            cells_left = dict(zip(names, chunks[:len(names)]))
+            cells_right = dict(zip(names, chunks[len(names):]))
+            if not _exchange_condition(theory2, sigma, X, Y, Z, f11,
+                                       cells_left, cells_right):
+                continue
+            if any(validate_lax_hom(_slice_left_hom(X, Y, Z, weakness, f11, cells_left, y))
+                   for y in range(Y.carrier.n_objects)):
+                continue
+            if any(validate_lax_hom(_slice_right_hom(X, Y, Z, weakness, f11, cells_right, x))
+                   for x in range(X.carrier.n_objects)):
+                continue
+            out.append(BinaryMultimap(weakness, f11, tuple(cells_left.items()),
+                                      tuple(cells_right.items())))
     return out
 
 
-def _product_slots(slots: list[list[int]], bound: int) -> list[tuple[int, ...]] | None:
-    if any(not s for s in slots):
-        return None
-    total = 1
-    for s in slots:
-        total *= len(s)
+def _cell_candidates(X: CatModel, Y: CatModel, Z: CatModel, f11: FinFunctor,
+                     bound: int) -> list[list[list[int]]] | None:
+    """The candidate arrows of every left cell f_{a,1} at (xs, y), generator by
+    generator, then of every right cell f_{1,a} at (x, ys); None when a cell
+    has no candidate."""
+    prod = fincat.product([X.carrier, Y.carrier])
+
+    def homs(g, pairs, acted) -> list[int]:
+        # arrows Z(a)(f(p_1)..f(p_n)) -> f(acted)
+        zsrc = Z.op_functor(g.name).obj_map[Z.power(g.arity).encode_obj(
+            tuple(f11.obj_map[prod.encode_obj(p)] for p in pairs))]
+        return Z.carrier.hom(zsrc, f11.obj_map[prod.encode_obj(acted)])
+
+    lefts, rights, total = [], [], 1
+    for g in X.theory.base.generators:
+        xpow, ypow = X.power(g.arity), Y.power(g.arity)
+        xg, yg = X.op_functor(g.name).obj_map, Y.op_functor(g.name).obj_map
+        left = [homs(g, [(x, y) for x in xpow.decode_obj(xet)], (xg[xet], y))
+                for xet in range(xpow.n_objects) for y in range(Y.carrier.n_objects)]
+        right = [homs(g, [(x, y) for y in ypow.decode_obj(yet)], (x, yg[yet]))
+                 for x in range(X.carrier.n_objects) for yet in range(ypow.n_objects)]
+        for slots, side in ((left, lefts), (right, rights)):
+            if not all(slots):
+                return None
+            count = 1
+            for s in slots:
+                count *= len(s)
+                if count > bound:
+                    raise EnumerationBound(f"{count} cell assignments exceed bound {bound}")
+            side.append(slots)
+            total *= count
         if total > bound:
-            raise EnumerationBound(f"{total} cell assignments exceed bound {bound}")
-    return [tuple(pick) for pick in itertools.product(*slots)]
+            raise EnumerationBound(f"{total} multimap cell assignments exceed bound {bound}")
+    return lefts + rights
 
 
 # -- currying --------------------------------------------------------------------------
@@ -570,7 +551,7 @@ def eh_local_iso_probe(X: CatModel, Y: CatModel, sigma: SigmaTable,
                     valid.append(nat)
             per_gen_choices.append(valid)
         count_here = 0
-        for picks in itertools.product(*per_gen_choices):
+        for picks in search(lambda i, a: per_gen_choices[i], [[]] * len(per_gen_choices)):
             candidate = LaxHom(X, Y, "lax", f.f1,
                                tuple((g.name,
                                       FinNat(*hom_cell_boundary(X, Y, f.f1, g.name, "lax"),

@@ -72,6 +72,48 @@ def test_never_crashes_on_malformed_input(tmp_path):
     assert "Error" in text
 
 
+def _mutant(tmp_path, name, old, new):
+    text = Path(law(name)).read_text()
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new, 1))
+    return str(path)
+
+
+def test_out_of_range_functor_object_is_input_error(tmp_path):
+    # The mutant-fuzz workload's seed-2 mutant, which used to end in an IndexError.
+    path = _mutant(tmp_path, "t_gl2.law", "obj [1, 0]", "obj [1, 80]")
+    code, text = invoke(["check-theory", path])
+    assert code == EXIT_INPUT
+    assert "functor rho: object out of range" in text
+
+
+def test_out_of_range_arrow_endpoint_is_input_error(tmp_path):
+    # The mutant-fuzz workload's seed-21 mutant, which used to end in an IndexError.
+    path = _mutant(tmp_path, "t_inv.law", "arrow le : 0 -> 1", "arrow le :60 -> 1")
+    code, text = invoke(["check-theory", path])
+    assert code == EXIT_INPUT
+    assert "arrow le: endpoint out of range" in text
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("arr [2, 3, 0, 1]", "arr [2, 3, 0, 9]", "functor rho: arrow out of range"),
+    ("nat c11 = [1, 3]", "nat c11 = [1, 30]", "nat c11: component out of range"),
+    ("nat c11 = [1, 3]", "nat c11 = [1]", "nat c11: component table has the wrong size"),
+])
+def test_bad_model_tables_are_input_errors(tmp_path, old, new, message):
+    code, text = invoke(["check-theory", _mutant(tmp_path, "t_gl2.law", old, new)])
+    assert code == EXIT_INPUT
+    assert message in text
+
+
+def test_unknown_sigma_weakness_is_input_error(tmp_path):
+    path = _mutant(tmp_path, "t_inv.law", "weakness strict", "weakness strct")
+    code, text = invoke(["sigma-check", path])
+    assert code == EXIT_INPUT
+    assert "8:42: unknown weakness 'strct'" in text
+
+
 def test_json_reports_match_schema_and_are_deterministic():
     argv = ["--format", "json", "--no-timings", "commutative",
             "src/lawkit/fixtures/law/t_comm.law"]
@@ -154,12 +196,6 @@ def test_every_failure_report_carries_a_witness():
         assert code == EXIT_FAILED
         report = json.loads(text)
         assert report["witnesses"], argv
-
-
-def test_jobs_and_seed_flags_accepted():
-    code, _ = invoke(["--jobs", "2", "--seed", "5",
-                      "commutative", law("t_comm.law")])
-    assert code == EXIT_OK
 
 
 def test_shipped_schema_file_matches():
