@@ -76,32 +76,9 @@ def make_report(command: str, files: list[str], verdicts, witnesses, timings):
     }
 
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["command", "inputs", "verdicts", "witnesses", "timings"],
-    "properties": {
-        "command": {"type": "string"},
-        "inputs": {
-            "type": "object",
-            "required": ["files", "digest"],
-            "properties": {
-                "files": {"type": "array", "items": {"type": "string"}},
-                "digest": {"type": "string"},
-            },
-        },
-        "verdicts": {"type": "array", "items": {
-            "type": "object",
-            "required": ["name", "verdict"],
-            "properties": {"name": {"type": "string"}, "verdict": {"type": "string"}},
-        }},
-        "witnesses": {"type": "array"},
-        "timings": {"type": ["object", "null"]},
-    },
-}
-
-
 def validate_report(report) -> list[str]:
-    """Structural validation against the shipped schema subset."""
+    """Structural validation against the shipped ``report_schema.json`` (a JSON Schema subset)."""
+    schema = json.loads((Path(__file__).parent / "report_schema.json").read_text())
     problems = []
 
     def check(value, schema, path):
@@ -129,7 +106,7 @@ def validate_report(report) -> list[str]:
             for i, item in enumerate(value):
                 check(item, schema["items"], f"{path}[{i}]")
 
-    check(report, REPORT_SCHEMA, "$")
+    check(report, schema, "$")
     return problems
 
 

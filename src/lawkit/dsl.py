@@ -283,6 +283,11 @@ class _Parser:
         t = self.peek()
         raise ParseError(t.line, t.col, message)
 
+    def fail_last(self, message: str):
+        """Fail at the token consumed last, e.g. a name just read that turns out unknown."""
+        t = self.tokens[self.pos - 1]
+        raise ParseError(t.line, t.col, message)
+
     def expect(self, kind: str, value: str | None = None) -> Token:
         t = self.peek()
         if t.kind != kind or (value is not None and t.value != value):
@@ -348,7 +353,7 @@ def _parse_raw_term(p: _Parser, ops: dict[str, int]) -> _RawTerm:
     if len(name) > 1 and name[0] in "xp" and name[1:].isdigit():
         return _RawTerm(int(name[1:]) - 1)
     if name not in ops:
-        p.fail(f"unknown operation {name!r}")
+        p.fail_last(f"unknown operation {name!r}")
     args = []
     if p.accept("punct", "("):
         if not p.accept("punct", ")"):
@@ -577,7 +582,7 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
             p.expect("punct", ";")
             cell_equations.append((ce_name, lhs_p, rhs_p))
         else:
-            p.fail(f"unknown theory item {kw!r}")
+            p.fail_last(f"unknown theory item {kw!r}")
     base = TheoryPresentation(name, tuple(ops), tuple(equations), basis)
     return TwoTheoryPresentation(base, tuple(cells.values()), tuple(cell_equations))
 
@@ -605,11 +610,11 @@ def _parse_sigma(p: _Parser, theories: list[TwoTheoryPresentation]) -> tuple[str
         if t.base.name == theory_name:
             theory2 = t
     if theory2 is None:
-        p.fail(f"sigma table references unknown theory {theory_name!r}")
+        p.fail_last(f"sigma table references unknown theory {theory_name!r}")
     p.expect("ident", "weakness")
     weakness = p.ident()
     if weakness not in WEAKNESSES:
-        p.fail(f"unknown weakness {weakness!r}")
+        p.fail_last(f"unknown weakness {weakness!r}")
     symmetric = bool(p.accept("ident", "symmetric"))
     p.expect("punct", "{")
     entries = []
@@ -633,9 +638,11 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
     p.expect("ident", "of")
     theory_name = p.ident()
     if not any(t.base.name == theory_name for t in theories):
-        p.fail(f"model references unknown theory {theory_name!r}")
+        p.fail_last(f"model references unknown theory {theory_name!r}")
     p.expect("ident", "in")
     kind = p.ident()
+    if kind not in ("finset", "fincat", "moncat"):
+        p.fail_last(f"unknown model kind {kind!r}")
     p.expect("punct", "{")
     if kind == "finset":
         size = None
@@ -651,7 +658,7 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
                 tables.append((tname, p.nat_list()))
                 p.expect("punct", ";")
             else:
-                p.fail(f"unknown finset item {kw!r}")
+                p.fail_last(f"unknown finset item {kw!r}")
         if size is None:
             p.fail("finset model needs a carrier")
         return ModelDecl(name, theory_name, "finset", FinSetDecl(size, tuple(tables)))
@@ -689,48 +696,46 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
             elif kw == "nat":
                 nats.append(_parse_nat_decl(p))
             else:
-                p.fail(f"unknown fincat item {kw!r}")
+                p.fail_last(f"unknown fincat item {kw!r}")
         return ModelDecl(name, theory_name, "fincat",
                          FinCatDecl(objects, tuple(arrows), tuple(composites),
                                     tuple(functors), tuple(nats)))
-    if kind == "moncat":
-        grading = 1
-        scalars = 1
-        tensor = None
-        unit = None
-        braidings = []
-        functors = []
-        nats = []
-        while not p.accept("punct", "}"):
-            kw = p.ident()
-            if kw == "grading":
-                grading = p.nat()
-                p.expect("punct", ";")
-            elif kw == "scalars":
-                scalars = p.nat()
-                p.expect("punct", ";")
-            elif kw == "tensor":
-                tensor = p.ident()
-                p.expect("punct", ";")
-            elif kw == "unit":
-                unit = p.ident()
-                p.expect("punct", ";")
-            elif kw == "braiding":
-                bname = p.ident()
-                p.expect("punct", "=")
-                braidings.append((bname, p.nat_matrix()))
-                p.expect("punct", ";")
-            elif kw == "functor":
-                functors.append(_parse_functor_decl(p))
-            elif kw == "nat":
-                nats.append(_parse_nat_decl(p))
-            else:
-                p.fail(f"unknown moncat item {kw!r}")
-        return ModelDecl(name, theory_name, "moncat",
-                         MonCatDecl(grading, scalars, tensor, unit,
-                                    tuple(braidings), tuple(functors), tuple(nats)))
-    p.fail(f"unknown model kind {kind!r}")
-    raise AssertionError
+    # kind == "moncat"
+    grading = 1
+    scalars = 1
+    tensor = None
+    unit = None
+    braidings = []
+    functors = []
+    nats = []
+    while not p.accept("punct", "}"):
+        kw = p.ident()
+        if kw == "grading":
+            grading = p.nat()
+            p.expect("punct", ";")
+        elif kw == "scalars":
+            scalars = p.nat()
+            p.expect("punct", ";")
+        elif kw == "tensor":
+            tensor = p.ident()
+            p.expect("punct", ";")
+        elif kw == "unit":
+            unit = p.ident()
+            p.expect("punct", ";")
+        elif kw == "braiding":
+            bname = p.ident()
+            p.expect("punct", "=")
+            braidings.append((bname, p.nat_matrix()))
+            p.expect("punct", ";")
+        elif kw == "functor":
+            functors.append(_parse_functor_decl(p))
+        elif kw == "nat":
+            nats.append(_parse_nat_decl(p))
+        else:
+            p.fail_last(f"unknown moncat item {kw!r}")
+    return ModelDecl(name, theory_name, "moncat",
+                     MonCatDecl(grading, scalars, tensor, unit,
+                                tuple(braidings), tuple(functors), tuple(nats)))
 
 
 def _parse_functor_decl(p: _Parser) -> FunctorDecl:
@@ -751,7 +756,7 @@ def _parse_functor_decl(p: _Parser) -> FunctorDecl:
                 arr = p.nat_list()
             p.expect("punct", ";")
         else:
-            p.fail(f"unknown functor item {kw!r}")
+            p.fail_last(f"unknown functor item {kw!r}")
     if obj is None:
         p.fail(f"functor {fname} needs an object table")
     return FunctorDecl(fname, obj, None if auto else (arr if arr is not None else ()))
@@ -804,7 +809,7 @@ def parse(text: str, path: str = "<string>",
                 models.extend(sub_doc.models)
                 checks.extend(sub_doc.checks)
             else:
-                p.fail(f"unknown top-level keyword {kw!r}")
+                p.fail_last(f"unknown top-level keyword {kw!r}")
         return Document(tuple(theories), tuple(sigmas), tuple(models), tuple(checks)), source
     except ParseError as e:
         source.diagnostics.append(e.diagnostic)
@@ -881,6 +886,9 @@ def _elaborate_moncat(theory2: TwoTheoryPresentation, decl: MonCatDecl) -> CatMo
         sq = fincat.power(cat, 2)
         braid_cells = []
         for bname, rows in decl.braidings:
+            if len(rows) != decl.grading or any(len(r) != decl.grading for r in rows):
+                raise ValueError(f"braiding {bname}: matrix is not "
+                                 f"{decl.grading} x {decl.grading}")
             cellsym = theory2.cell(bname)
             comps = []
             for o in range(sq.n_objects):

@@ -4,9 +4,3 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
-
-LAW_DIR = ROOT / "src" / "lawkit" / "fixtures" / "law"
-
-
-def law(name: str) -> str:
-    return str(LAW_DIR / name)

@@ -38,22 +38,28 @@ from lawkit.multimaps import (
 from lawkit.theory import Equal, NotEqual, check_commutative, eh_preconditions_1d
 
 
+T_ASS = fx.theory("t_ass").base
+T_COMM = fx.theory("t_comm").base
+T_POINTED = fx.theory("t_pointed").base
+T_INV_1D = fx.theory("t_inv_1d").base
+
+
 def _report(criterion, detail):
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
 
 
 def test_criterion_01_commutativity_verdicts():
-    report = check_commutative(fx.t_comm)
+    report = check_commutative(T_COMM)
     assert report.verdict == "Commutative"
     for _, _, verdict in report.pairs:
         assert isinstance(verdict, Equal)  # rewrite traces, not model search
 
-    report = check_commutative(fx.t_ass)
+    report = check_commutative(T_ASS)
     assert report.verdict == "NotCommutative"
     witness = report.pair("m", "m")
     assert isinstance(witness, NotEqual)
     assert witness.model.size <= 4
-    revalidated = validate_model(fx.t_ass, witness.model.size,
+    revalidated = validate_model(T_ASS, witness.model.size,
                                  dict(witness.model.tables))
     assert isinstance(revalidated, FinSetModel)
 
@@ -70,7 +76,7 @@ def test_criterion_01_commutativity_verdicts():
 
 
 def test_criterion_02_syntax_semantics_agreement():
-    fixtures = [fx.t_comm, fx.t_ass, fx.t_pointed, fx.t_inv_1d,
+    fixtures = [T_COMM, T_ASS, T_POINTED, T_INV_1D,
                 fx.monoid_theory("t_z2", 2, [[0, 1], [1, 0]], 0),
                 fx.monoid_theory("t_lz", 3, [[0, 1, 2], [1, 1, 2], [2, 1, 2]], 0)]
     disagreements = 0
@@ -92,13 +98,13 @@ def test_criterion_02_syntax_semantics_agreement():
 
 
 def test_criterion_03_sigma_coherence():
-    inv = check_sigma_coherence(fx.t_inv, fx.sigma_inv,
-                                [fx.scalar_involution_model(),
-                                 fx.poset_involution_model()])
+    inv = check_sigma_coherence(fx.theory("t_inv"), fx.sigma("sigma_inv"),
+                                [fx.model("scalar_involution"),
+                                 fx.model("poset_involution")])
     assert inv.verdict == "Coherent"
 
-    braid = check_sigma_coherence(fx.t_braid, fx.sigma_braid,
-                                  [fx.graded_lines_z3()])
+    braid = check_sigma_coherence(fx.theory("t_braid"), fx.sigma("sigma_braid"),
+                                  [fx.model("graded_lines_z3")])
     assert braid.verdict == "Incoherent"
     assert any(i.check == "gray2-vertical" for i in braid.issues)
     _report(3, "t_inv coherent; t_braid incoherent at a vertical gray2 instance")
@@ -106,19 +112,20 @@ def test_criterion_03_sigma_coherence():
 
 def test_criterion_04_associativity_and_yang_baxter():
     coherent = [
-        (fx.t_inv, fx.sigma_inv, [fx.scalar_involution_model()]),
-        (fx.t_comm_flat, fx.sigma_comm_flat,
-         [fx.poset_meet_model(), fx.graded_lines()]),
-        (fx.t_gl2, fx.sigma_gl, [fx.gl2_self_action_model()]),
-        (fx.t_pointed_flat, fx.sigma_pointed_flat, [fx.pointed_poset_model()]),
+        (fx.theory("t_inv"), fx.sigma("sigma_inv"), [fx.model("scalar_involution")]),
+        (fx.theory("t_comm_flat"), fx.sigma("sigma_comm_flat"),
+         [fx.model("poset_meet"), fx.model("graded_lines")]),
+        (fx.theory("t_gl2"), fx.sigma("sigma_gl"), [fx.model("gl2_action")]),
+        (fx.theory("t_pointed_flat"), fx.sigma("sigma_pointed_flat"),
+         [fx.model("pointed_poset")]),
     ]
     for theory2, sigma, probes in coherent:
         assert check_sigma_coherence(theory2, sigma, probes).verdict == "Coherent"
         assert derived_associativity_check(theory2, sigma, probes).verdict == "Coherent"
 
-    yb = yang_baxter_check(fx.graded_lines(), "m", "c")
+    yb = yang_baxter_check(fx.model("graded_lines"), "m", "c")
     assert yb.verdict == "Holds" and yb.triples_checked == 8
-    mutant = yang_baxter_check(fx.graded_lines_mutant(), "m", "c")
+    mutant = yang_baxter_check(fx.model("graded_lines_mutant"), "m", "c")
     assert mutant.verdict == "Fails"
     named = [(i.check, i.triple) for i in mutant.issues]
     assert ("hexagon-left", (1, 1, 1)) in named
@@ -127,11 +134,11 @@ def test_criterion_04_associativity_and_yang_baxter():
 
 
 def test_criterion_05_internal_algebra_counts():
-    poset = fx.poset_meet_model()
+    poset = fx.model("poset_meet")
     assert internal_algebras(poset).cat.n_objects == 1
     assert internal_coalgebras(poset).cat.n_objects == 2
-    assert internal_algebras(fx.discrete_group_model()).cat.n_objects == 1
-    assert internal_coalgebras(fx.delooping_model()).cat.n_objects == 2
+    assert internal_algebras(fx.model("discrete_z2")).cat.n_objects == 1
+    assert internal_coalgebras(fx.model("delooping_z2")).cat.n_objects == 2
 
     # independent brute-force oracle over raw tables
     assert len(oracles.count_monoid_objects(oracles.poset2_meet())) == 1
@@ -142,7 +149,7 @@ def test_criterion_05_internal_algebra_counts():
 
 
 def test_criterion_06_convolution():
-    model = fx.delooping_model()
+    model = fx.model("delooping_z2")
     algs = internal_algebras(model).objects
     coalgs = internal_coalgebras(model).objects
     a = [h for h in algs if h.cell("m").components[0] == 1][0]
@@ -160,20 +167,20 @@ def test_criterion_06_convolution():
 
 
 def test_criterion_07_closed_structure():
-    meet = fx.poset_meet_model()
-    join = fx.poset_join_model()
-    report = closed_check(meet, meet, meet, fx.sigma_comm_flat, "lax")
+    meet = fx.model("poset_meet")
+    join = fx.model("poset_join")
+    report = closed_check(meet, meet, meet, fx.sigma("sigma_comm_flat"), "lax")
     assert report.multimap_count == report.hom_count == 2
     assert report.bijection and report.issues == ()
-    mixed = closed_check(meet, join, join, fx.sigma_comm_flat, "lax")
+    mixed = closed_check(meet, join, join, fx.sigma("sigma_comm_flat"), "lax")
     assert mixed.multimap_count == mixed.hom_count == 3
     assert mixed.bijection and mixed.issues == ()
     _report(7, "2 = 2 and 3 = 3 multimaps/homs, currying maps mutually inverse")
 
 
 def test_criterion_08_fox_comonad():
-    eh_models = [("poset", fx.sigma_comm_flat, fx.poset_meet_model()),
-                 ("pointed", fx.sigma_pointed_flat, fx.pointed_poset_model())]
+    eh_models = [("poset", fx.sigma("sigma_comm_flat"), fx.model("poset_meet")),
+                 ("pointed", fx.sigma("sigma_pointed_flat"), fx.model("pointed_poset"))]
     for name, sigma, model in eh_models:
         report = fox_comonad(sigma, [(name, model)])
         r = report.models[0]
@@ -181,7 +188,7 @@ def test_criterion_08_fox_comonad():
         assert r.counit_underlying and r.counit_functorial and r.coassociativity
         assert r.delta_is_iso, name
 
-    report = fox_comonad(fx.sigma_inv, [("inv", fx.scalar_involution_model())])
+    report = fox_comonad(fx.sigma("sigma_inv"), [("inv", fx.model("scalar_involution"))])
     r = report.models[0]
     assert r.counit_underlying and r.counit_functorial and r.coassociativity
     assert not r.delta_is_iso
@@ -191,13 +198,14 @@ def test_criterion_08_fox_comonad():
 
 
 def test_criterion_09_eckmann_hilton():
-    assert eckmann_hilton_2d(fx.t_comm_flat, fx.sigma_comm_flat).passes
-    assert eckmann_hilton_2d(fx.t_pointed_flat, fx.sigma_pointed_flat).passes
-    inv = eckmann_hilton_2d(fx.t_inv, fx.sigma_inv)
+    assert eckmann_hilton_2d(fx.theory("t_comm_flat"), fx.sigma("sigma_comm_flat")).passes
+    assert eckmann_hilton_2d(fx.theory("t_pointed_flat"),
+                             fx.sigma("sigma_pointed_flat")).passes
+    inv = eckmann_hilton_2d(fx.theory("t_inv"), fx.sigma("sigma_inv"))
     assert not inv.passes and not inv.no_unary_active
 
-    P = fx.poset_meet_model()
-    probe = eh_local_iso_probe(P, P, fx.sigma_comm_flat)
+    P = fx.model("poset_meet")
+    probe = eh_local_iso_probe(P, P, fx.sigma("sigma_comm_flat"))
     assert probe.objects_bijective and probe.arrows_bijective
     _report(9, "preconditions pass/fail as required; lifting bijection confirmed")
 

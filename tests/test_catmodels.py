@@ -29,23 +29,34 @@ from lawkit.cells import CellError, TheoryMorphism
 from lawkit.fincat import FinNat, power
 from lawkit.theory import generator_morphism
 
+# Discrete two objects swapped by the involution.
+TWO_OBJECT_INVOLUTION = """
+import "t_inv.law";
+model two_object_involution of t_inv in fincat {
+  objects 2;
+  functor inv { obj [1, 0]; arr auto; }
+  nat iota auto;
+}
+"""
+
 
 def test_validate_fixture_models():
-    for model in (fx.poset_meet_model(), fx.graded_lines(), fx.graded_lines_z3(),
-                  fx.delooping_model(), fx.discrete_group_model(),
-                  fx.pointed_poset_model(), fx.scalar_involution_model(),
-                  fx.poset_involution_model(), fx.gl2_self_action_model(),
-                  fx.two_object_involution_model()):
+    two_object = fx.parse(TWO_OBJECT_INVOLUTION).cat_model("two_object_involution")
+    for model in (fx.model("poset_meet"), fx.model("graded_lines"),
+                  fx.model("graded_lines_z3"),
+                  fx.model("delooping_z2"), fx.model("discrete_z2"),
+                  fx.model("pointed_poset"), fx.model("scalar_involution"),
+                  fx.model("poset_involution"), fx.model("gl2_action"), two_object):
         assert validate_cat_model(model) == []
 
 
 def test_mutant_fails_validation():
-    problems = validate_cat_model(fx.graded_lines_mutant())
+    problems = validate_cat_model(fx.model("graded_lines_mutant"))
     assert any(p.detail.startswith("hex") for p in problems)
 
 
 def test_identity_hom_valid_every_weakness():
-    model = fx.poset_meet_model()
+    model = fx.model("poset_meet")
     for weakness in ("strict", "pseudo", "lax", "colax"):
         assert validate_lax_hom(identity_hom(model, weakness)) == []
 
@@ -53,8 +64,8 @@ def test_identity_hom_valid_every_weakness():
 def test_wrong_direction_cell_is_rejected():
     # the coalgebra at the bottom has a genuinely one-way unit cell: re-tagging
     # the colax homomorphism as lax must fail the boundary check
-    model = fx.poset_meet_model()
-    coalgs = enumerate_homs_w(terminal_model(fx.t_comm_flat), model, "colax")
+    model = fx.model("poset_meet")
+    coalgs = enumerate_homs_w(terminal_model(fx.theory("t_comm_flat")), model, "colax")
     bottom = [h for h in coalgs if h.point() == 0][0]
     assert not model.carrier.is_identity(bottom.cell("u").components[0])
     bad = LaxHom(bottom.source, bottom.target, "lax", bottom.f1, bottom.cells)
@@ -62,29 +73,29 @@ def test_wrong_direction_cell_is_rejected():
 
 
 def test_internal_algebra_counts_match_oracle():
-    poset = fx.poset_meet_model()
+    poset = fx.model("poset_meet")
     assert internal_algebras(poset).cat.n_objects == \
         len(oracles.count_monoid_objects(oracles.poset2_meet())) == 1
     assert internal_coalgebras(poset).cat.n_objects == \
         len(oracles.count_comonoid_objects(oracles.poset2_meet())) == 2
 
-    disc = fx.discrete_group_model()
+    disc = fx.model("discrete_z2")
     assert internal_algebras(disc).cat.n_objects == \
         len(oracles.count_monoid_objects(oracles.discrete_z2())) == 1
 
-    deloop = fx.delooping_model()
+    deloop = fx.model("delooping_z2")
     assert internal_coalgebras(deloop).cat.n_objects == \
         len(oracles.count_comonoid_objects(oracles.delooped_z2())) == 2
 
 
 def test_terminal_model_has_one_algebra():
-    term = terminal_model(fx.t_comm_flat)
+    term = terminal_model(fx.theory("t_comm_flat"))
     assert internal_algebras(term).cat.n_objects == 1
     assert internal_coalgebras(term).cat.n_objects == 1
 
 
 def test_pointed_algebras_are_slices():
-    model = fx.pointed_poset_model()
+    model = fx.model("pointed_poset")
     H = internal_algebras(model)
     # point is the bottom: every object receives an arrow from it
     assert H.cat.n_objects == 2
@@ -93,14 +104,14 @@ def test_pointed_algebras_are_slices():
 
 
 def test_delooping_comonoids_pair_delta_epsilon():
-    model = fx.delooping_model()
+    model = fx.model("delooping_z2")
     C = internal_coalgebras(model)
     structures = {tuple(dict(algebra_view(h).structure).items()) for h in C.objects}
     assert structures == {(("m", 0), ("u", 0)), (("m", 1), ("u", 1))}
 
 
 def test_convolution_examples():
-    model = fx.delooping_model()
+    model = fx.model("delooping_z2")
     algs = internal_algebras(model).objects
     coalgs = internal_coalgebras(model).objects
     a1 = [h for h in algs if h.cell("m").components[0] == 1][0]
@@ -108,7 +119,7 @@ def test_convolution_examples():
     conv, hom = convolution_algebra(model, a1, c1)
     assert conv.table("m") == (0, 1, 1, 0) and conv.table("u") == (0,)
 
-    poset = fx.poset_meet_model()
+    poset = fx.model("poset_meet")
     palg = internal_algebras(poset).objects[0]        # the top object
     pcoalgs = internal_coalgebras(poset).objects
     bottom = [h for h in pcoalgs if h.point() == 0][0]
@@ -123,37 +134,37 @@ def test_convolution_examples():
 def test_convolution_validates_rho():
     from lawkit.catmodels import rho_validates_for_convolution
     rho = TheoryMorphism(
-        fx.t_ass_flat.base, fx.t_comm_flat.base,
-        (("m", generator_morphism(fx.t_comm_flat.base.op("m"))),
-         ("u", generator_morphism(fx.t_comm_flat.base.op("u")))))
+        fx.theory("t_ass_flat").base, fx.theory("t_comm_flat").base,
+        (("m", generator_morphism(fx.theory("t_comm_flat").base.op("m"))),
+         ("u", generator_morphism(fx.theory("t_comm_flat").base.op("u")))))
     assert rho_validates_for_convolution(rho) == []
     from lawkit.theory import proj_morphism
     bad = TheoryMorphism(
-        fx.t_ass_flat.base, fx.t_comm_flat.base,
+        fx.theory("t_ass_flat").base, fx.theory("t_comm_flat").base,
         (("m", proj_morphism(0, 2)),
-         ("u", generator_morphism(fx.t_comm_flat.base.op("u")))))
+         ("u", generator_morphism(fx.theory("t_comm_flat").base.op("u")))))
     assert rho_validates_for_convolution(bad) != []
 
 
 def test_lift_model_fixtures():
-    lifts = lift_model(fx.poset_meet_model(), fx.sigma_comm_flat)
+    lifts = lift_model(fx.model("poset_meet"), fx.sigma("sigma_comm_flat"))
     assert [n for n, _ in lifts] == ["m", "u"]
-    lifts = lift_model(fx.graded_lines(), fx.sigma_comm_flat)
+    lifts = lift_model(fx.model("graded_lines"), fx.sigma("sigma_comm_flat"))
     for _, hom in lifts:
         assert validate_lax_hom(hom) == []
-    lifts = lift_model(fx.poset_involution_model(), fx.sigma_inv)
+    lifts = lift_model(fx.model("poset_involution"), fx.sigma("sigma_inv"))
     assert [n for n, _ in lifts] == ["inv"]
 
 
 def test_lift_refuses_incoherent():
     with pytest.raises(CellError):
-        lift_model(fx.graded_lines_z3(), fx.sigma_braid)
+        lift_model(fx.model("graded_lines_z3"), fx.sigma("sigma_braid"))
 
 
 def test_internal_hom_matches_internal_algebras():
-    model = fx.poset_meet_model()
-    term = terminal_model(fx.t_comm_flat)
-    hom_model, homcat = internal_hom(term, model, fx.sigma_comm_flat, "lax")
+    model = fx.model("poset_meet")
+    term = terminal_model(fx.theory("t_comm_flat"))
+    hom_model, homcat = internal_hom(term, model, fx.sigma("sigma_comm_flat"), "lax")
     alg = internal_algebras(model)
     assert homcat.cat.n_objects == alg.cat.n_objects
     assert homcat.cat.n_arrows == alg.cat.n_arrows
@@ -161,8 +172,8 @@ def test_internal_hom_matches_internal_algebras():
 
 
 def test_internal_hom_contains_identity():
-    model = fx.poset_meet_model()
-    hom_model, homcat = internal_hom(model, model, fx.sigma_comm_flat, "lax")
+    model = fx.model("poset_meet")
+    hom_model, homcat = internal_hom(model, model, fx.sigma("sigma_comm_flat"), "lax")
     idx = homcat.object_index
     ident = [h for h in homcat.objects
              if h.f1.obj_map == tuple(range(model.carrier.n_objects))]
@@ -170,8 +181,8 @@ def test_internal_hom_contains_identity():
 
 
 def test_internal_hom_pointwise_tensor():
-    model = fx.poset_meet_model()
-    hom_model, homcat = internal_hom(model, model, fx.sigma_comm_flat, "lax")
+    model = fx.model("poset_meet")
+    hom_model, homcat = internal_hom(model, model, fx.sigma("sigma_comm_flat"), "lax")
     hp2 = power(homcat.cat, 2)
     mf = hom_model.op_functor("m")
     for i, f in enumerate(homcat.objects):
@@ -185,7 +196,7 @@ def test_internal_hom_pointwise_tensor():
 def test_modifications_lift_uniquely():
     # local full faithfulness: each modification between homs has exactly one
     # counterpart between the lifted homs with the same underlying component
-    X = fx.poset_meet_model()
+    X = fx.model("poset_meet")
     homs = enumerate_homs_w(X, X, "lax")
     for f in homs:
         for g in homs:
@@ -194,14 +205,14 @@ def test_modifications_lift_uniquely():
 
 
 def test_power_model_consistency():
-    model = fx.graded_lines()
+    model = fx.model("graded_lines")
     sq = power_cat_model(model, 2)
     assert validate_cat_model(sq) == []
     assert sq.carrier == model.power(2).cat
 
 
 def test_compose_homs_associative_on_algebras():
-    model = fx.poset_meet_model()
+    model = fx.model("poset_meet")
     H = build_hom_category(model, model, "lax")
     for f in H.objects:
         for g in H.objects:
@@ -211,8 +222,9 @@ def test_compose_homs_associative_on_algebras():
 
 def test_internal_hom_matches_algebras_on_more_models():
     cases = [
-        (fx.t_pointed_flat, fx.sigma_pointed_flat, fx.pointed_poset_model()),
-        (fx.t_inv, fx.sigma_inv, fx.scalar_involution_model()),
+        (fx.theory("t_pointed_flat"), fx.sigma("sigma_pointed_flat"),
+         fx.model("pointed_poset")),
+        (fx.theory("t_inv"), fx.sigma("sigma_inv"), fx.model("scalar_involution")),
     ]
     for theory2, sigma, model in cases:
         term = terminal_model(theory2)
@@ -224,7 +236,7 @@ def test_internal_hom_matches_algebras_on_more_models():
 
 
 def test_join_poset_counts_match_oracle():
-    J = fx.poset_join_model()
+    J = fx.model("poset_join")
     assert validate_cat_model(J) == []
     assert internal_algebras(J).cat.n_objects == \
         len(oracles.count_monoid_objects(oracles.poset2_join())) == 2
@@ -235,10 +247,10 @@ def test_join_poset_counts_match_oracle():
 def test_lift_cells_carry_the_braiding_sign():
     # the lifted multiplication of the sign-graded lines is a homomorphism
     # whose binary structure cell at ((a,b),(c,d)) is the middle exchange sign
-    model = fx.graded_lines()
+    model = fx.model("graded_lines")
     from lawkit.theory import generator_morphism
-    lift = lift_hom(model, fx.sigma_comm_flat,
-                    generator_morphism(fx.t_comm_flat.base.op("m")))
+    lift = lift_hom(model, fx.sigma("sigma_comm_flat"),
+                    generator_morphism(fx.theory("t_comm_flat").base.op("m")))
     assert validate_lax_hom(lift) == []
     cell = lift.cell("m")
     dom = model.power(4)

@@ -42,13 +42,13 @@ from lawkit.theory import (
 
 
 def test_two_theory_validation():
-    assert validate_two_theory(fx.t_comm_flat) == []
-    assert validate_two_theory(fx.t_braid) == []
-    assert validate_two_theory(fx.t_inv) == []
+    assert validate_two_theory(fx.theory("t_comm_flat")) == []
+    assert validate_two_theory(fx.theory("t_braid")) == []
+    assert validate_two_theory(fx.theory("t_inv")) == []
 
 
 def test_pasting_boundaries():
-    c = fx.t_comm_flat.cells[0]
+    c = fx.theory("t_comm_flat").cells[0]
     p = Gen(c)
     assert p.source() == c.source and p.target() == c.target
     assert Inverse(p).source() == c.target
@@ -57,15 +57,15 @@ def test_pasting_boundaries():
 
 
 def test_evaluate_identity_pasting():
-    model = fx.poset_meet_model()
-    m = generator_morphism(fx.t_comm_flat.base.op("m"))
+    model = fx.model("poset_meet")
+    m = generator_morphism(fx.theory("t_comm_flat").base.op("m"))
     nat = evaluate_pasting(Id(m), model)
     assert all(model.carrier.is_identity(c) for c in nat.components)
 
 
 def test_braiding_evaluates_to_signs():
-    model = fx.graded_lines()
-    comps = pasting_components(Gen(fx.t_comm_flat.cells[0]), model)
+    model = fx.model("graded_lines")
+    comps = pasting_components(Gen(fx.theory("t_comm_flat").cells[0]), model)
     # component at objects (x, y) is the scalar with exponent x*y at x+y
     sq = model.power(2)
     for o in range(sq.n_objects):
@@ -74,45 +74,46 @@ def test_braiding_evaluates_to_signs():
 
 
 def test_inert_exchange_is_identity():
-    m = generator_morphism(fx.t_comm_flat.base.op("m"))
+    m = generator_morphism(fx.theory("t_comm_flat").base.op("m"))
     ins = Morphism(2, 2, (Proj(1, 2), Proj(0, 2)))
-    cell = derive_sigma(fx.t_comm_flat, fx.sigma_comm_flat, ins, m)
+    cell = derive_sigma(fx.theory("t_comm_flat"), fx.sigma("sigma_comm_flat"), ins, m)
     assert is_identity_pasting(simplify_pasting(cell))
-    cell = derive_sigma(fx.t_comm_flat, fx.sigma_comm_flat, m, ins)
+    cell = derive_sigma(fx.theory("t_comm_flat"), fx.sigma("sigma_comm_flat"), m, ins)
     assert is_identity_pasting(simplify_pasting(cell))
 
 
 def test_pastings_equal_reflexivity():
-    p = Gen(fx.t_comm_flat.cells[0])
-    assert isinstance(pastings_equal(fx.t_comm_flat, p, p, []), SyntacticallyEqual)
+    p = Gen(fx.theory("t_comm_flat").cells[0])
+    assert isinstance(pastings_equal(fx.theory("t_comm_flat"), p, p, []), SyntacticallyEqual)
 
 
 def test_braid_sides_distinguished():
-    theory2 = fx.t_braid
+    theory2 = fx.theory("t_braid")
     b = Gen(theory2.cells[0])
     m = generator_morphism(theory2.base.op("m"))
-    lhs, rhs = gray2_column_instance(theory2, fx.sigma_braid, b, m)
-    verdict = pastings_equal(theory2, lhs, rhs, [fx.graded_lines_z3()])
+    lhs, rhs = gray2_column_instance(theory2, fx.sigma("sigma_braid"), b, m)
+    verdict = pastings_equal(theory2, lhs, rhs, [fx.model("graded_lines_z3")])
     assert isinstance(verdict, Distinguished)
 
 
 def test_inv_gray2_equal_on_probes():
-    theory2 = fx.t_inv
+    theory2 = fx.theory("t_inv")
     iota = Gen(theory2.cells[0])
     inv = generator_morphism(theory2.base.op("inv"))
-    lhs, rhs = gray2_column_instance(theory2, fx.sigma_inv, iota, inv)
-    verdict = pastings_equal(theory2, lhs, rhs, [fx.scalar_involution_model()])
+    lhs, rhs = gray2_column_instance(theory2, fx.sigma("sigma_inv"), iota, inv)
+    verdict = pastings_equal(theory2, lhs, rhs, [fx.model("scalar_involution")])
     assert isinstance(verdict, (EqualOnProbes, SyntacticallyEqual))
 
 
 def test_sigma_coherence_fixtures():
     assert check_sigma_coherence(
-        fx.t_inv, fx.sigma_inv,
-        [fx.scalar_involution_model(), fx.poset_involution_model()]).verdict == "Coherent"
+        fx.theory("t_inv"), fx.sigma("sigma_inv"),
+        [fx.model("scalar_involution"), fx.model("poset_involution")]).verdict == "Coherent"
     assert check_sigma_coherence(
-        fx.t_comm_flat, fx.sigma_comm_flat,
-        [fx.poset_meet_model(), fx.graded_lines()]).verdict == "Coherent"
-    report = check_sigma_coherence(fx.t_braid, fx.sigma_braid, [fx.graded_lines_z3()])
+        fx.theory("t_comm_flat"), fx.sigma("sigma_comm_flat"),
+        [fx.model("poset_meet"), fx.model("graded_lines")]).verdict == "Coherent"
+    report = check_sigma_coherence(fx.theory("t_braid"), fx.sigma("sigma_braid"),
+                                   [fx.model("graded_lines_z3")])
     assert report.verdict == "Incoherent"
     assert any(i.check == "gray2-vertical" for i in report.issues)
 
@@ -125,83 +126,86 @@ def test_sigma_coherence_empty_basis():
 
 
 def test_strictness_flags():
-    bad = SigmaTable("bad", "strict", ((("m", "m"), Gen(fx.t_comm_flat.cells[0])),))
-    report = check_sigma_coherence(fx.t_comm_flat, bad, [fx.poset_meet_model()])
+    bad = SigmaTable("bad", "strict", ((("m", "m"), Gen(fx.theory("t_comm_flat").cells[0])),))
+    report = check_sigma_coherence(fx.theory("t_comm_flat"), bad, [fx.model("poset_meet")])
     assert any(i.check == "strict-entry" for i in report.issues)
 
 
 def test_derived_associativity():
     assert derived_associativity_check(
-        fx.t_inv, fx.sigma_inv, [fx.scalar_involution_model()]).verdict == "Coherent"
+        fx.theory("t_inv"), fx.sigma("sigma_inv"),
+        [fx.model("scalar_involution")]).verdict == "Coherent"
     assert derived_associativity_check(
-        fx.t_gl2, fx.sigma_gl, [fx.gl2_self_action_model()]).verdict == "Coherent"
+        fx.theory("t_gl2"), fx.sigma("sigma_gl"),
+        [fx.model("gl2_action")]).verdict == "Coherent"
     assert derived_associativity_check(
-        fx.t_comm_flat, fx.sigma_comm_flat,
-        [fx.poset_meet_model(), fx.graded_lines()]).verdict == "Coherent"
+        fx.theory("t_comm_flat"), fx.sigma("sigma_comm_flat"),
+        [fx.model("poset_meet"), fx.model("graded_lines")]).verdict == "Coherent"
 
 
 def test_yang_baxter():
-    assert yang_baxter_check(fx.graded_lines(), "m", "c").verdict == "Holds"
-    assert yang_baxter_check(fx.graded_lines(), "m", "c").triples_checked == 8
-    assert yang_baxter_check(fx.graded_lines_z3(), "m", "b").verdict == "Holds"
-    report = yang_baxter_check(fx.graded_lines_mutant(), "m", "c")
+    assert yang_baxter_check(fx.model("graded_lines"), "m", "c").verdict == "Holds"
+    assert yang_baxter_check(fx.model("graded_lines"), "m", "c").triples_checked == 8
+    assert yang_baxter_check(fx.model("graded_lines_z3"), "m", "b").verdict == "Holds"
+    report = yang_baxter_check(fx.model("graded_lines_mutant"), "m", "c")
     assert report.verdict == "Fails"
     assert ("hexagon-left", (1, 1, 1)) in [(i.check, i.triple) for i in report.issues]
 
 
 def test_swap_braiding_on_cartesian_model():
     # the poset symmetry is an identity braiding: trivially a symmetry
-    assert yang_baxter_check(fx.poset_meet_model(), "m", "c").verdict == "Holds"
+    assert yang_baxter_check(fx.model("poset_meet"), "m", "c").verdict == "Holds"
 
 
 def test_symmetry_roundtrip_built_in_coherence():
-    report = check_sigma_coherence(fx.t_comm_flat, fx.sigma_comm_flat,
-                                   [fx.graded_lines()])
+    report = check_sigma_coherence(fx.theory("t_comm_flat"), fx.sigma("sigma_comm_flat"),
+                                   [fx.model("graded_lines")])
     assert report.verdict == "Coherent"
-    asym = SigmaTable(fx.sigma_braid.name, "pseudo", fx.sigma_braid.entries,
+    asym = SigmaTable(fx.sigma("sigma_braid").name, "pseudo", fx.sigma("sigma_braid").entries,
                       symmetric=True)
-    report = check_sigma_coherence(fx.t_braid, asym, [fx.graded_lines_z3()])
+    report = check_sigma_coherence(fx.theory("t_braid"), asym, [fx.model("graded_lines_z3")])
     assert any(i.check == "symmetry" for i in report.issues)
 
 
 def test_commuting_over():
     rho = TheoryMorphism(
-        fx.t_ass_flat.base, fx.t_braid.base,
-        (("m", generator_morphism(fx.t_braid.base.op("m"))),
-         ("u", generator_morphism(fx.t_braid.base.op("u")))))
-    report = check_commuting_over(rho, fx.t_braid, fx.sigma_braid, "u",
-                                  [fx.graded_lines_z3()])
+        fx.theory("t_ass_flat").base, fx.theory("t_braid").base,
+        (("m", generator_morphism(fx.theory("t_braid").base.op("m"))),
+         ("u", generator_morphism(fx.theory("t_braid").base.op("u")))))
+    report = check_commuting_over(rho, fx.theory("t_braid"), fx.sigma("sigma_braid"), "u",
+                                  [fx.model("graded_lines_z3")])
     assert report.verdict == "Passes"
 
     rho_bad = TheoryMorphism(
-        fx.t_ass_flat.base, fx.t_braid.base,
+        fx.theory("t_ass_flat").base, fx.theory("t_braid").base,
         (("m", proj_morphism(0, 2)),
-         ("u", generator_morphism(fx.t_braid.base.op("u")))))
-    report = check_commuting_over(rho_bad, fx.t_braid, fx.sigma_braid, "u", [])
+         ("u", generator_morphism(fx.theory("t_braid").base.op("u")))))
+    report = check_commuting_over(rho_bad, fx.theory("t_braid"), fx.sigma("sigma_braid"),
+                                  "u", [])
     assert report.verdict == "Fails"
     assert any("unit law" in issue or "not preserved" in issue for issue in report.issues)
 
 
 def test_identity_commuting_matches_coherence_units():
-    rho = TheoryMorphism(
-        fx.t_comm_flat.base, fx.t_comm_flat.base,
-        tuple((g.name, generator_morphism(g)) for g in fx.t_comm_flat.base.generators))
-    report = check_commuting_over(rho, fx.t_comm_flat, fx.sigma_comm_flat, "u",
-                                  [fx.poset_meet_model()])
+    base = fx.theory("t_comm_flat").base
+    rho = TheoryMorphism(base, base,
+                         tuple((g.name, generator_morphism(g)) for g in base.generators))
+    report = check_commuting_over(rho, fx.theory("t_comm_flat"), fx.sigma("sigma_comm_flat"),
+                                  "u", [fx.model("poset_meet")])
     assert report.verdict == "Passes"
 
 
 def test_vertical_composition_respected_by_evaluation():
-    model = fx.graded_lines()
-    c = Gen(fx.t_comm_flat.cells[0])
+    model = fx.model("graded_lines")
+    c = Gen(fx.theory("t_comm_flat").cells[0])
     double = Vert(c, Inverse(c))
     nat = evaluate_pasting(double, model)
     assert all(model.carrier.is_identity(x) for x in nat.components)
 
 
 def test_par_evaluation_blocks():
-    model = fx.graded_lines()
-    c = Gen(fx.t_comm_flat.cells[0])
+    model = fx.model("graded_lines")
+    c = Gen(fx.theory("t_comm_flat").cells[0])
     p = Par((Id(identity(1)), c))
     comps = pasting_components(p, model)
     dom = model.power(3)
@@ -214,8 +218,8 @@ def test_par_evaluation_blocks():
 
 
 def test_power_evaluation_rows_and_columns():
-    model = fx.graded_lines()
-    c = Gen(fx.t_comm_flat.cells[0])
+    model = fx.model("graded_lines")
+    c = Gen(fx.theory("t_comm_flat").cells[0])
     rows = pasting_components(PowerL(2, c), model)
     cols = pasting_components(PowerR(c, 2), model)
     dom = model.power(4)
@@ -230,8 +234,8 @@ def test_power_evaluation_rows_and_columns():
 
 
 def test_evaluation_respects_vertical_composition():
-    model = fx.graded_lines()
-    c = Gen(fx.t_comm_flat.cells[0])
+    model = fx.model("graded_lines")
+    c = Gen(fx.theory("t_comm_flat").cells[0])
     inv_c = Inverse(c)
     whole = pasting_components(Vert(c, inv_c), model)
     a = pasting_components(c, model)
@@ -242,8 +246,8 @@ def test_evaluation_respects_vertical_composition():
 
 
 def test_evaluation_interchange_of_whisker_and_vert():
-    model = fx.graded_lines()
-    c = Gen(fx.t_comm_flat.cells[0])
+    model = fx.model("graded_lines")
+    c = Gen(fx.theory("t_comm_flat").cells[0])
     swap = Morphism(2, 2, (Proj(1, 2), Proj(0, 2)))
     lhs = pasting_components(HWhiskerL(swap, Vert(c, Inverse(c))), model)
     rhs = pasting_components(Vert(HWhiskerL(swap, c),
@@ -256,12 +260,12 @@ def test_coherence_refutes_twisted_exchange_scalar():
     # destroys the exchange property; the probe-relative checks catch it
     from lawkit.catmodels import CatModel, validate_cat_model
     from lawkit.fincat import FinNat
-    base = fx.gl2_self_action_model()
+    base = fx.model("gl2_action")
     rr = base.cell_nat("c11")
     twisted = FinNat(rr.source, rr.target, (1, 2))
-    mutant = CatModel(fx.t_gl2, base.carrier, base.op_functors, (("c11", twisted),))
+    mutant = CatModel(fx.theory("t_gl2"), base.carrier, base.op_functors, (("c11", twisted),))
     assert validate_cat_model(mutant) == []
-    report = check_sigma_coherence(fx.t_gl2, fx.sigma_gl, [mutant])
+    report = check_sigma_coherence(fx.theory("t_gl2"), fx.sigma("sigma_gl"), [mutant])
     assert report.verdict == "Incoherent"
     assert any(i.check.startswith("gray2") for i in report.issues)
 
@@ -271,11 +275,11 @@ def test_row_slot_closure_matches_hand_computation():
     # slot re-sorts (a+b)+(d+e) into (a+d)+(b+e), crossing b past d; the
     # second slot is an identity at c+f
     from lawkit.theory import Apply
-    M = fx.t_comm_flat.base.op("m")
+    M = fx.theory("t_comm_flat").base.op("m")
     m = generator_morphism(M)
     g = Morphism(3, 2, (Apply(M, (Proj(0, 3), Proj(1, 3)), 3), Proj(2, 3)))
-    cell = derive_sigma(fx.t_comm_flat, fx.sigma_comm_flat, m, g)
-    model = fx.graded_lines()
+    cell = derive_sigma(fx.theory("t_comm_flat"), fx.sigma("sigma_comm_flat"), m, g)
+    model = fx.model("graded_lines")
     comps = pasting_components(cell, model)
     dom = model.power(6)
     cod = model.power(2)
@@ -288,14 +292,14 @@ def test_row_slot_closure_matches_hand_computation():
 
 def test_validate_pasting():
     from lawkit.cells import validate_pasting
-    c = Gen(fx.t_comm_flat.cells[0])
-    assert validate_pasting(fx.t_comm_flat, Vert(c, Inverse(c))) == []
-    m = generator_morphism(fx.t_comm_flat.base.op("m"))
+    c = Gen(fx.theory("t_comm_flat").cells[0])
+    assert validate_pasting(fx.theory("t_comm_flat"), Vert(c, Inverse(c))) == []
+    m = generator_morphism(fx.theory("t_comm_flat").base.op("m"))
     bad = Vert(c, Id(m))  # target of c is m∘swap, not joinable with plain m? it is:
     # in this presentation m∘swap and m do not rewrite together, so the
     # boundary check must flag the composite
-    issues = validate_pasting(fx.t_comm_flat, bad)
+    issues = validate_pasting(fx.theory("t_comm_flat"), bad)
     assert issues and "boundaries" in issues[0]
     from lawkit.cells import TwoCellSymbol
     noninv = TwoCellSymbol("t", m, m, invertible=False)
-    assert validate_pasting(fx.t_comm_flat, Inverse(Gen(noninv))) != []
+    assert validate_pasting(fx.theory("t_comm_flat"), Inverse(Gen(noninv))) != []

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ROOT, law
+from conftest import ROOT
 from lawkit.cli import (
     EXIT_FAILED,
     EXIT_INCONCLUSIVE,
@@ -13,13 +13,14 @@ from lawkit.cli import (
     run,
     validate_report,
 )
+from lawkit.fixtures import law_files, law_path
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def invoke(argv, chdir=None):
     out = io.StringIO()
-    code = run(argv, out)
+    code = run([str(arg) for arg in argv], out)
     return code, out.getvalue()
 
 
@@ -29,38 +30,38 @@ def _repo_root(monkeypatch):
 
 
 def test_commutative_exit_codes():
-    assert invoke(["commutative", law("t_comm.law")])[0] == EXIT_OK
-    assert invoke(["commutative", law("t_ass.law")])[0] == EXIT_FAILED
-    code, text = invoke(["commutative", law("t_ass.law"),
+    assert invoke(["commutative", law_path("t_comm.law")])[0] == EXIT_OK
+    assert invoke(["commutative", law_path("t_ass.law")])[0] == EXIT_FAILED
+    code, text = invoke(["commutative", law_path("t_ass.law"),
                          "--mode", "semantic", "--max-size", "4"])
     assert code == EXIT_FAILED
     assert "witness" in text
 
 
 def test_yang_baxter_exit_codes():
-    assert invoke(["yang-baxter", law("t_comm_flat.law"),
+    assert invoke(["yang-baxter", law_path("t_comm_flat.law"),
                    "--model", "graded_lines", "--braiding", "c"])[0] == EXIT_OK
-    code, text = invoke(["yang-baxter", law("graded_lines_mutant.law"),
+    code, text = invoke(["yang-baxter", law_path("graded_lines_mutant.law"),
                          "--model", "graded_lines_mutant", "--braiding", "c"])
     assert code == EXIT_FAILED
     assert "triple" in text
 
 
 def test_sigma_check_exit_codes():
-    assert invoke(["sigma-check", law("t_comm_flat.law")])[0] == EXIT_OK
-    code, text = invoke(["sigma-check", law("t_braid.law")])
+    assert invoke(["sigma-check", law_path("t_comm_flat.law")])[0] == EXIT_OK
+    code, text = invoke(["sigma-check", law_path("t_braid.law")])
     assert code == EXIT_FAILED
     assert "gray2-vertical" in text
 
 
 def test_input_error_exit_code():
     assert invoke(["commutative", "no/such/file.law"])[0] == EXIT_INPUT
-    assert invoke(["homs", law("t_ass.law"),
+    assert invoke(["homs", law_path("t_ass.law"),
                    "--source", "x", "--target", "y"])[0] == EXIT_INPUT
 
 
 def test_inconclusive_on_bound():
-    code, text = invoke(["models", law("t_ass.law"), "--size", "9"])
+    code, text = invoke(["models", law_path("t_ass.law"), "--size", "9"])
     assert code == EXIT_INCONCLUSIVE
 
 
@@ -73,7 +74,7 @@ def test_never_crashes_on_malformed_input(tmp_path):
 
 
 def _mutant(tmp_path, name, old, new):
-    text = Path(law(name)).read_text()
+    text = law_path(name).read_text()
     assert old in text
     path = tmp_path / name
     path.write_text(text.replace(old, new, 1))
@@ -96,13 +97,16 @@ def test_out_of_range_arrow_endpoint_is_input_error(tmp_path):
     assert "arrow le: endpoint out of range" in text
 
 
-@pytest.mark.parametrize("old, new, message", [
-    ("arr [2, 3, 0, 1]", "arr [2, 3, 0, 9]", "functor rho: arrow out of range"),
-    ("nat c11 = [1, 3]", "nat c11 = [1, 30]", "nat c11: component out of range"),
-    ("nat c11 = [1, 3]", "nat c11 = [1]", "nat c11: component table has the wrong size"),
+@pytest.mark.parametrize("old, new, message, name", [
+    ("arr [2, 3, 0, 1]", "arr [2, 3, 0, 9]", "functor rho: arrow out of range", "t_gl2.law"),
+    ("nat c11 = [1, 3]", "nat c11 = [1, 30]", "nat c11: component out of range", "t_gl2.law"),
+    ("nat c11 = [1, 3]", "nat c11 = [1]", "nat c11: component table has the wrong size",
+     "t_gl2.law"),
+    ("[[0, 0, 0], [0, 1, 2], [0, 2, 1]]", "[[0, 0, 0], [0, 1]]",
+     "braiding b: matrix is not 3 x 3", "t_braid.law"),
 ])
-def test_bad_model_tables_are_input_errors(tmp_path, old, new, message):
-    code, text = invoke(["check-theory", _mutant(tmp_path, "t_gl2.law", old, new)])
+def test_bad_model_tables_are_input_errors(tmp_path, old, new, message, name):
+    code, text = invoke(["check-theory", _mutant(tmp_path, name, old, new)])
     assert code == EXIT_INPUT
     assert message in text
 
@@ -111,12 +115,18 @@ def test_unknown_sigma_weakness_is_input_error(tmp_path):
     path = _mutant(tmp_path, "t_inv.law", "weakness strict", "weakness strct")
     code, text = invoke(["sigma-check", path])
     assert code == EXIT_INPUT
-    assert "8:42: unknown weakness 'strct'" in text
+    assert "8:36: unknown weakness 'strct'" in text
+
+
+def test_unknown_model_theory_is_input_error(tmp_path):
+    path = _mutant(tmp_path, "t_inv.law", "model swap_set of t_inv", "model swap_set of t_iv")
+    code, text = invoke(["check-theory", path])
+    assert code == EXIT_INPUT
+    assert "23:19: model references unknown theory 't_iv'" in text
 
 
 def test_json_reports_match_schema_and_are_deterministic():
-    argv = ["--format", "json", "--no-timings", "commutative",
-            "src/lawkit/fixtures/law/t_comm.law"]
+    argv = ["--format", "json", "--no-timings", "commutative", law_path("t_comm.law")]
     first = invoke(list(argv))
     second = invoke(list(argv))
     assert first == second
@@ -186,9 +196,9 @@ def _argv_for(name):
 
 def test_every_failure_report_carries_a_witness():
     failing = [
-        ["commutative", law("t_ass.law")],
-        ["sigma-check", law("t_braid.law")],
-        ["yang-baxter", law("graded_lines_mutant.law"),
+        ["commutative", law_path("t_ass.law")],
+        ["sigma-check", law_path("t_braid.law")],
+        ["yang-baxter", law_path("graded_lines_mutant.law"),
          "--model", "graded_lines_mutant", "--braiding", "c"],
     ]
     for argv in failing:
@@ -198,29 +208,31 @@ def test_every_failure_report_carries_a_witness():
         assert report["witnesses"], argv
 
 
-def test_shipped_schema_file_matches():
-    import lawkit.cli as cli
-    schema = json.loads((ROOT / "report_schema.json").read_text())
-    assert schema == cli.REPORT_SCHEMA
+def test_validate_report_rejects_missing_verdicts():
+    _, text = invoke(["--format", "json", "--no-timings", "commutative",
+                      law_path("t_comm.law")])
+    report = json.loads(text)
+    assert validate_report(report) == []
+    del report["verdicts"]
+    assert validate_report(report) == ["$: missing verdicts"]
 
 
 def test_eh_dim1_uniqueness_probe():
-    code, text = invoke(["eh", law("t_comm.law"), "--dim", "1",
+    code, text = invoke(["eh", law_path("t_comm.law"), "--dim", "1",
                          "--models", "z2_add"])
     assert code == EXIT_OK
     assert "uniqueness(z2_add): Unique" in text
 
 
 def test_eh_dim1_detects_double_lift():
-    code, text = invoke(["eh", law("t_inv.law"), "--dim", "1",
+    code, text = invoke(["eh", law_path("t_inv.law"), "--dim", "1",
                          "--models", "swap_set"])
     assert code == EXIT_FAILED
     assert "NotUnique" in text and "2 doubled structures" in text
 
 
 def test_check_theory_on_every_fixture_file():
-    from lawkit import fixtures
-    for path in fixtures.law_files():
+    for path in law_files():
         expected = EXIT_FAILED if "mutant" in path.name else EXIT_OK
         code, text = invoke(["check-theory", str(path)])
         assert code == expected, (path.name, text)

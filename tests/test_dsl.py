@@ -1,14 +1,47 @@
-from pathlib import Path
+import hashlib
 
 import pytest
 
-from conftest import LAW_DIR, law
 from lawkit import dsl, fixtures as fx
 from lawkit.catmodels import validate_cat_model
+from test_catmodels import TWO_OBJECT_INVOLUTION
 
-
-def all_law_files():
-    return sorted(LAW_DIR.glob("*.law"))
+# sha256 of repr() of every fixture as lawkit's hand-written Python builders
+# constructed it, before those builders were replaced by the .law loader; the
+# DSL must elaborate exactly the same objects.  repr does not depend on
+# PYTHONHASHSEED or on caches warmed earlier in the process.
+FIXTURE_DIGESTS = {
+    "t_ass": "1e29b159486235291cbe43dcf0b26cf9288ad2c3b59cd2fa4621601f87362e35",
+    "t_comm": "850a5d28b873775ddc318cf719d3d8619b30a5c1d415d9b0767211929b9b17fe",
+    "t_pointed": "28a6a8406af3f272203118bb319bd13c2b5834f62a3303a521ac2b524ca2d42a",
+    "t_inv_1d": "397ee7a15f0f151593274d6ae52963efeb1638067547c2effe79be13eb2766ed",
+    "t_semiring": "ed244fc395530c60102f7a2317b27d2d629f84742f4f90b268b2808447ea26a2",
+    "t_z2": "34e8837a6605d44dc93ca772d9f6377440b59470bc32402104d11e644740dde0",
+    "t_lz": "683aad16fc90107651ee6259745318e4160ae2f32dbfdb2923bd05ac204cf302",
+    "t_ass_flat": "fb160b97fa0cb8a1886abc348eb47135037d014a842f5f94b6c551e3c8f3dee0",
+    "t_braid": "05de1d5332b63c43da05c6a962264fa94a2b4be2668a7c884a290106ba76f22c",
+    "t_comm_flat": "72a14b60da658869d83050c464954b14fc2e6c74fd2e09b885cfb92e348e3568",
+    "t_pointed_flat": "1536fa794022b75abcb945e4ca8f7d81690e0f3180494e4778b7edaa0ebe0318",
+    "t_inv": "3f874ac156ef5f6360beefdbaac145871741e7d34e504350758292a7e1822de4",
+    "t_gl2": "1be1fc7c530000076835bf1f8cb998d1db388e26f55fd5041c9871cb3c95300b",
+    "sigma_comm_flat": "b7ea4755f2162cdadc2c623d664a010ea14c339058878aab303150eb74d3da6c",
+    "sigma_braid": "a4fd85b9d4625446d772d4c5a423dd98f4266d061abb27ec7eadde1016791e84",
+    "sigma_inv": "8b3c3550209537e005192769ac0d96698dd17bc14c94af311577f7430e7bbe0c",
+    "sigma_pointed_flat": "90956f11900e1337f012bd9ebc16206f3445f1e92b6f893ccc55a81f6f74fd86",
+    "sigma_gl": "a04f63f35d61c951bc679042b47e9067efe4a559df2e9a1187feb220dfc84d27",
+    "poset_meet": "ece4a8ce9b48c9ea85295c665973c4416bf0a1a0022fc945f75230eaf7ca3dec",
+    "poset_join": "cfd38c3e4dbdef31072842849824fa184b4ededb11527b06ab600460a76a5681",
+    "pointed_poset": "f13874e80e60f7fc79d531f4ffdf737ee1b129257833d66db246b95f65d38402",
+    "discrete_z2": "0d6ef0b0a065dfc0945ec552c96be3c219852aae894b1235c55e87387d9a633e",
+    "graded_lines": "e8667750fc6f51ef19322837b8903f29dbb67c26fb0ad6936300be31ebd511f0",
+    "graded_lines_z3": "f53e24ec88888415963d55a98d7accde51d0d17f0e3d08394a3adf7ceecbbf8f",
+    "graded_lines_mutant": "e855a439eaf014cc57f0dcd3401a5e5119cf21b483bde0c0ff6091073b19ef84",
+    "delooping_z2": "c92e2ebdbb0bb06b736211ff9cabd4473b854a1c6b796fe0fb76641b9d3e0f56",
+    "poset_involution": "4de9db50d26558b4ff3967357ac4df4319be5e8333c3fd0f26841720ec986df4",
+    "scalar_involution": "231ab630bd30d4508331d6b03c9fd82abdb852fe9c289210d2b3f593cbb6ff31",
+    "gl2_action": "eb28472fbbffa052eb3a239d378214ff9374c081d7075f1ac7424413cc8e2a33",
+    "two_object_involution": "ca4a952bf4ad4bf2d24aa1986a33f352fb9e0752ddfcd75717a8dd55ae79e101",
+}
 
 
 def test_empty_theory_is_projection_skeleton():
@@ -19,11 +52,10 @@ def test_empty_theory_is_projection_skeleton():
 
 
 def test_shipped_t_comm_parses_to_presentation():
-    doc, _ = dsl.parse_file(law("t_comm.law"))
+    doc, _ = dsl.parse_file(fx.law_path("t_comm.law"))
     base = doc.theory("t_comm").base
     assert len(base.generators) == 2
     assert {e.name for e in base.equations} >= {"assoc", "lunit", "runit", "comm"}
-    assert base == fx.t_comm
 
 
 def test_syntax_error_carries_position():
@@ -40,7 +72,7 @@ def test_unresolved_reference_diagnostic():
 
 
 def test_every_fixture_file_round_trips():
-    for path in all_law_files():
+    for path in fx.law_files():
         doc, src = dsl.parse_file(path)
         assert doc is not None, (path, src.diagnostics)
         text = dsl.serialize(doc)
@@ -51,46 +83,66 @@ def test_every_fixture_file_round_trips():
 
 
 def test_serialize_reflects_mutation():
-    doc, _ = dsl.parse_file(law("t_ass.law"))
+    doc, _ = dsl.parse_file(fx.law_path("t_ass.law"))
     mutated = dsl.Document(doc.theories, doc.sigmas, doc.models,
                            doc.checks + (("commutative", ("t_ass",)),))
     assert dsl.serialize(mutated) != dsl.serialize(doc)
     assert dsl.serialize(mutated).count("check commutative") == 2
 
 
+def digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def test_fixtures_match_pinned_digests():
+    built = {name: fx.theory(name).base
+             for name in ("t_ass", "t_comm", "t_pointed", "t_inv_1d", "t_semiring")}
+    built["t_z2"] = fx.monoid_theory("t_z2", 2, [[0, 1], [1, 0]], 0)
+    built["t_lz"] = fx.monoid_theory("t_lz", 3, [[0, 1, 2], [1, 1, 2], [2, 1, 2]], 0)
+    for name in ("t_ass_flat", "t_braid", "t_comm_flat", "t_pointed_flat", "t_inv", "t_gl2"):
+        built[name] = fx.theory(name)
+    built["two_object_involution"] = (
+        fx.parse(TWO_OBJECT_INVOLUTION).cat_model("two_object_involution"))
+    for name, obj in built.items():
+        assert digest(obj) == FIXTURE_DIGESTS[name], name
+
+
 def test_parsed_models_equal_builders():
     cases = [
-        ("t_comm_flat.law", "poset_meet", fx.poset_meet_model),
-        ("t_comm_flat.law", "graded_lines", fx.graded_lines),
-        ("t_braid.law", "graded_lines_z3", fx.graded_lines_z3),
-        ("t_inv.law", "scalar_involution", fx.scalar_involution_model),
-        ("t_inv.law", "poset_involution", fx.poset_involution_model),
-        ("t_pointed_flat.law", "pointed_poset", fx.pointed_poset_model),
-        ("t_ass_flat.law", "delooping_z2", fx.delooping_model),
-        ("t_ass_flat.law", "discrete_z2", fx.discrete_group_model),
-        ("t_gl2.law", "gl2_action", fx.gl2_self_action_model),
-        ("graded_lines_mutant.law", "graded_lines_mutant", fx.graded_lines_mutant),
+        ("t_comm_flat.law", "poset_meet"),
+        ("t_comm_flat.law", "poset_join"),
+        ("t_comm_flat.law", "graded_lines"),
+        ("t_braid.law", "graded_lines_z3"),
+        ("t_inv.law", "scalar_involution"),
+        ("t_inv.law", "poset_involution"),
+        ("t_pointed_flat.law", "pointed_poset"),
+        ("t_ass_flat.law", "delooping_z2"),
+        ("t_ass_flat.law", "discrete_z2"),
+        ("t_gl2.law", "gl2_action"),
+        ("graded_lines_mutant.law", "graded_lines_mutant"),
     ]
-    for fname, model_name, builder in cases:
-        doc, _ = dsl.parse_file(law(fname))
-        assert doc.cat_model(model_name) == builder(), (fname, model_name)
+    for fname, name in cases:
+        doc, _ = dsl.parse_file(fx.law_path(fname))
+        assert digest(doc.cat_model(name)) == FIXTURE_DIGESTS[name], (fname, name)
+        assert fx.model(name) == doc.cat_model(name), (fname, name)
 
 
 def test_parsed_sigmas_equal_builders():
     pairs = [
-        ("t_comm_flat.law", "sigma_comm_flat", fx.sigma_comm_flat),
-        ("t_braid.law", "sigma_braid", fx.sigma_braid),
-        ("t_inv.law", "sigma_inv", fx.sigma_inv),
-        ("t_pointed_flat.law", "sigma_pointed_flat", fx.sigma_pointed_flat),
-        ("t_gl2.law", "sigma_gl", fx.sigma_gl),
+        ("t_comm_flat.law", "sigma_comm_flat"),
+        ("t_braid.law", "sigma_braid"),
+        ("t_inv.law", "sigma_inv"),
+        ("t_pointed_flat.law", "sigma_pointed_flat"),
+        ("t_gl2.law", "sigma_gl"),
     ]
-    for fname, name, built in pairs:
-        doc, _ = dsl.parse_file(law(fname))
-        assert doc.sigma(name)[1] == built, name
+    for fname, name in pairs:
+        doc, _ = dsl.parse_file(fx.law_path(fname))
+        assert digest(doc.sigma(name)[1]) == FIXTURE_DIGESTS[name], name
+        assert fx.sigma(name) == doc.sigma(name)[1], name
 
 
 def test_finset_model_block():
-    doc, _ = dsl.parse_file(law("t_comm.law"))
+    doc, _ = dsl.parse_file(fx.law_path("t_comm.law"))
     model = doc.finset_model("z2_add")
     assert model.size == 2 and model.table("m") == (0, 1, 1, 0)
     with pytest.raises(KeyError):
@@ -108,13 +160,13 @@ model bad of t in finset { carrier 2; table m = [0, 1, 1, 0]; }
 
 
 def test_import_merges_blocks():
-    doc, _ = dsl.parse_file(law("graded_lines_mutant.law"))
+    doc, _ = dsl.parse_file(fx.law_path("graded_lines_mutant.law"))
     assert any(m.name == "graded_lines_mutant" for m in doc.models)
     assert any(m.name == "poset_meet" for m in doc.models)  # from the import
 
 
 def test_elaborated_models_validate():
-    for path in all_law_files():
+    for path in fx.law_files():
         doc, _ = dsl.parse_file(path)
         for m in doc.models:
             if m.kind == "finset":
@@ -132,7 +184,7 @@ def test_morphism_context_annotation():
 
 
 def test_finset_model_round_trips_through_decl():
-    doc, _ = dsl.parse_file(law("t_comm.law"))
+    doc, _ = dsl.parse_file(fx.law_path("t_comm.law"))
     model = doc.finset_model("z2_add")
     decl = dsl.finset_model_decl("z2_add", model)
     assert decl == doc.model_decl("z2_add")
@@ -146,16 +198,15 @@ theory t { op m : 2 -> 1; op n : 2 -> 1; basis m; }
 
 
 def test_law_path_helper():
-    from lawkit import fixtures
-    assert fixtures.law_path("t_comm.law").exists()
-    assert len(fixtures.law_files()) >= 9
+    assert fx.law_path("t_comm.law").exists()
+    assert len(fx.law_files()) >= 9
     with pytest.raises(FileNotFoundError):
-        fixtures.law_path("absent.law")
+        fx.law_path("absent.law")
 
 
 def test_document_json_dump_mirrors_blocks():
     import json
-    doc, _ = dsl.parse_file(law("t_comm_flat.law"))
+    doc, _ = dsl.parse_file(fx.law_path("t_comm_flat.law"))
     dump = dsl.document_to_json(doc)
     json.dumps(dump)  # serializable
     assert [t["name"] for t in dump["theories"]] == ["t_comm_flat"]

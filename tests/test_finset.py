@@ -22,16 +22,22 @@ from lawkit.finset import (
 )
 from lawkit.theory import TheoryError, check_commutative, transpose
 
+
+T_ASS = fx.theory("t_ass").base
+T_COMM = fx.theory("t_comm").base
+T_POINTED = fx.theory("t_pointed").base
+T_INV_1D = fx.theory("t_inv_1d").base
+
 Z2 = {"m": (0, 1, 1, 0), "u": (0,)}
 AND = {"m": (0, 0, 0, 1), "u": (1,)}
 
 
 def test_validate_accepts_z2():
-    assert isinstance(validate_model(fx.t_comm, 2, Z2), FinSetModel)
+    assert isinstance(validate_model(T_COMM, 2, Z2), FinSetModel)
 
 
 def test_validate_rejects_wrong_unit():
-    result = validate_model(fx.t_comm, 2, {"m": (0, 1, 1, 0), "u": (1,)})
+    result = validate_model(T_COMM, 2, {"m": (0, 1, 1, 0), "u": (1,)})
     assert isinstance(result, Violation)
     assert result.equation in ("lunit", "runit")
     assert result.env == (0,)
@@ -44,19 +50,19 @@ def test_validate_selfmaps_monoid():
     for f in maps:
         for g in maps:
             table.append(maps.index(tuple(g[f[x]] for x in (0, 1))))
-    model = validate_model(fx.t_ass, 4, {"m": tuple(table), "u": (0,)})
+    model = validate_model(T_ASS, 4, {"m": tuple(table), "u": (0,)})
     assert isinstance(model, FinSetModel)
 
 
 def test_enumerate_models_counts():
-    assert len(list(enumerate_models(fx.t_ass, 1))) == 1
-    assert len(list(enumerate_models(fx.t_ass, 2))) == 4
-    assert len(list(enumerate_models(fx.t_comm, 2))) == 4
+    assert len(list(enumerate_models(T_ASS, 1))) == 1
+    assert len(list(enumerate_models(T_ASS, 2))) == 4
+    assert len(list(enumerate_models(T_COMM, 2))) == 4
 
 
 def test_enumeration_matches_oracle():
     for size in (1, 2, 3):
-        got = list(enumerate_models(fx.t_ass, size))
+        got = list(enumerate_models(T_ASS, size))
         want = oracles.monoids(size)
         assert len(got) == len(want)
         got_keys = {m.table("m") for m in got}
@@ -65,14 +71,14 @@ def test_enumeration_matches_oracle():
 
 
 def test_canonical_filter_counts_up_to_iso():
-    labeled = list(enumerate_models(fx.t_ass, 2))
+    labeled = list(enumerate_models(T_ASS, 2))
     assert len(canonical_filter(labeled)) == 2
 
 
 def test_act_left_identity_and_projection():
-    model = validate_model(fx.t_comm, 2, Z2)
+    model = validate_model(T_COMM, 2, Z2)
     mat = MatrixView(1, 3, (1, 0, 1))
-    ident = fx.t_comm.op("m")
+    ident = T_COMM.op("m")
     # identity-arity-1 behaviour via a 1-row matrix and the nullary-free op
     from lawkit.theory import OpSymbol
     assert act_left(model, OpSymbol("u", 0), MatrixView(0, 2, ())) == \
@@ -80,20 +86,20 @@ def test_act_left_identity_and_projection():
 
 
 def test_act_left_example():
-    model = validate_model(fx.t_comm, 2, Z2)
+    model = validate_model(T_COMM, 2, Z2)
     mat = MatrixView(2, 2, (1, 0, 1, 1))
-    assert act_left(model, fx.t_comm.op("m"), mat) == (0, 1)
+    assert act_left(model, T_COMM.op("m"), mat) == (0, 1)
 
 
 def test_act_right_row_application():
-    model = validate_model(fx.t_comm, 2, Z2)
+    model = validate_model(T_COMM, 2, Z2)
     mat = MatrixView(2, 2, (1, 0, 1, 1))
-    assert act_right(model, mat, fx.t_comm.op("m")) == (1, 0)
+    assert act_right(model, mat, T_COMM.op("m")) == (1, 0)
 
 
 def test_act_transpose_factorization():
-    model = validate_model(fx.t_comm, 2, Z2)
-    op = fx.t_comm.op("m")
+    model = validate_model(T_COMM, 2, Z2)
+    op = T_COMM.op("m")
     for entries in itertools.product(range(2), repeat=4):
         mat = MatrixView(2, 2, tuple(entries))
         matT = MatrixView(2, 2, tuple(model.eval_morphism(transpose(2, 2), entries)))
@@ -101,16 +107,16 @@ def test_act_transpose_factorization():
 
 
 def test_semantic_commutativity():
-    model = validate_model(fx.t_comm, 2, Z2)
+    model = validate_model(T_COMM, 2, Z2)
     assert semantic_commutativity_check(model).verdict == "Passes"
-    one = validate_model(fx.t_comm, 1, {"m": (0,), "u": (0,)})
+    one = validate_model(T_COMM, 1, {"m": (0,), "u": (0,)})
     assert semantic_commutativity_check(one).verdict == "Passes"
     maps = [(0, 1), (1, 0), (0, 0), (1, 1)]
     table = []
     for f in maps:
         for g in maps:
             table.append(maps.index(tuple(g[f[x]] for x in (0, 1))))
-    selfmaps = validate_model(fx.t_ass, 4, {"m": tuple(table), "u": (0,)})
+    selfmaps = validate_model(T_ASS, 4, {"m": tuple(table), "u": (0,)})
     report = semantic_commutativity_check(selfmaps)
     assert report.verdict == "Fails"
     a, b, mat = report.witness
@@ -118,9 +124,9 @@ def test_semantic_commutativity():
 
 
 def test_enumerate_homs_examples():
-    z2 = validate_model(fx.t_comm, 2, Z2)
-    one = validate_model(fx.t_comm, 1, {"m": (0,), "u": (0,)})
-    band = validate_model(fx.t_comm, 2, AND)
+    z2 = validate_model(T_COMM, 2, Z2)
+    one = validate_model(T_COMM, 1, {"m": (0,), "u": (0,)})
+    band = validate_model(T_COMM, 2, AND)
     assert len(enumerate_homs(z2, one)) == 1
     homs = enumerate_homs(z2, z2)
     assert len(homs) == 2
@@ -129,7 +135,7 @@ def test_enumerate_homs_examples():
 
 
 def test_homs_closed_under_composition():
-    z2 = validate_model(fx.t_comm, 2, Z2)
+    z2 = validate_model(T_COMM, 2, Z2)
     homs = enumerate_homs(z2, z2)
     keys = {h.mapping for h in homs}
     for f in homs:
@@ -138,13 +144,13 @@ def test_homs_closed_under_composition():
 
 
 def test_hom_determined_by_mapping():
-    z2 = validate_model(fx.t_comm, 2, Z2)
+    z2 = validate_model(T_COMM, 2, Z2)
     homs = enumerate_homs(z2, z2)
     assert len({h.mapping for h in homs}) == len(homs)
 
 
 def test_power_model_pointwise():
-    z2 = validate_model(fx.t_comm, 2, Z2)
+    z2 = validate_model(T_COMM, 2, Z2)
     sq = power_model(z2, 2)
     assert sq.size == 4
     # (1,0) + (1,1) = (0,1): encoded 2 + 3 -> 1
@@ -152,24 +158,24 @@ def test_power_model_pointwise():
 
 
 def test_eh_uniqueness_probe():
-    z2 = validate_model(fx.t_comm, 2, Z2)
-    assert eh_uniqueness_probe(fx.t_comm, z2).count == 1
-    pointed = validate_model(fx.t_pointed, 2, {"u": (0,)})
-    assert eh_uniqueness_probe(fx.t_pointed, pointed).count == 1
-    swap = validate_model(fx.t_inv_1d, 2, {"inv": (1, 0)})
-    report = eh_uniqueness_probe(fx.t_inv_1d, swap)
+    z2 = validate_model(T_COMM, 2, Z2)
+    assert eh_uniqueness_probe(T_COMM, z2).count == 1
+    pointed = validate_model(T_POINTED, 2, {"u": (0,)})
+    assert eh_uniqueness_probe(T_POINTED, pointed).count == 1
+    swap = validate_model(T_INV_1D, 2, {"inv": (1, 0)})
+    report = eh_uniqueness_probe(T_INV_1D, swap)
     assert report.count == 2 and not report.unique
 
 
 def test_eh_uniqueness_bound():
-    maps = validate_model(fx.t_comm, 2, Z2)
+    maps = validate_model(T_COMM, 2, Z2)
     with pytest.raises(TheoryError):
-        eh_uniqueness_probe(fx.t_comm, maps, size_bound=1)
+        eh_uniqueness_probe(T_COMM, maps, size_bound=1)
 
 
 def test_syntactic_semantic_agreement_small():
     from lawkit.finset import syntactic_semantic_agreement
-    for theory in (fx.t_comm, fx.t_ass, fx.t_pointed, fx.t_inv_1d):
+    for theory in (T_COMM, T_ASS, T_POINTED, T_INV_1D):
         report = check_commutative(theory)
         for size in (1, 2, 3):
             assert syntactic_semantic_agreement(theory, report, size) == []
@@ -177,7 +183,7 @@ def test_syntactic_semantic_agreement_small():
 
 def test_act_with_identity_and_projection_morphisms():
     from lawkit.theory import identity, proj_morphism
-    model = validate_model(fx.t_comm, 2, Z2)
+    model = validate_model(T_COMM, 2, Z2)
     mat = MatrixView(1, 3, (1, 0, 1))
     assert act_left(model, identity(1), mat) == (1, 0, 1)
     mat2 = MatrixView(2, 2, (1, 0, 0, 1))

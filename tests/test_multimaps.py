@@ -21,57 +21,58 @@ from lawkit.catmodels import internal_hom, enumerate_homs_w
 
 
 def test_multimaps_into_terminal():
-    P = fx.poset_meet_model()
-    T = terminal_model(fx.t_comm_flat)
-    muls = enumerate_binary_multimaps(P, P, T, fx.sigma_comm_flat)
+    P = fx.model("poset_meet")
+    T = terminal_model(fx.theory("t_comm_flat"))
+    muls = enumerate_binary_multimaps(P, P, T, fx.sigma("sigma_comm_flat"))
     assert len(muls) == 1
 
 
 def test_multimaps_from_two_points_are_double_algebras():
-    T = terminal_model(fx.t_comm_flat)
-    P = fx.poset_meet_model()
-    muls = enumerate_binary_multimaps(T, T, P, fx.sigma_comm_flat)
+    T = terminal_model(fx.theory("t_comm_flat"))
+    P = fx.model("poset_meet")
+    muls = enumerate_binary_multimaps(T, T, P, fx.sigma("sigma_comm_flat"))
     # over an Eckmann-Hilton theory these coincide with the internal algebras
     assert len(muls) == internal_algebras(P).cat.n_objects
 
 
 def test_closed_structure_trio():
-    P = fx.poset_meet_model()
-    report = closed_check(P, P, P, fx.sigma_comm_flat)
+    P = fx.model("poset_meet")
+    report = closed_check(P, P, P, fx.sigma("sigma_comm_flat"))
     assert report.bijection
     assert report.multimap_count == report.hom_count == 2
     assert report.issues == ()
 
 
 def test_closed_structure_unit_slot():
-    T = terminal_model(fx.t_comm_flat)
-    P = fx.poset_meet_model()
-    report = closed_check(T, P, P, fx.sigma_comm_flat)
+    T = terminal_model(fx.theory("t_comm_flat"))
+    P = fx.model("poset_meet")
+    report = closed_check(T, P, P, fx.sigma("sigma_comm_flat"))
     assert report.bijection
 
 
 def test_curry_uncurry_explicit():
-    P = fx.poset_meet_model()
-    hom_model, homcat = internal_hom(P, P, fx.sigma_comm_flat, "lax")
-    for mul in enumerate_binary_multimaps(P, P, P, fx.sigma_comm_flat):
+    P = fx.model("poset_meet")
+    hom_model, homcat = internal_hom(P, P, fx.sigma("sigma_comm_flat"), "lax")
+    for mul in enumerate_binary_multimaps(P, P, P, fx.sigma("sigma_comm_flat")):
         g = curry(mul, P, P, P, hom_model, homcat)
         assert uncurry(g, P, P, P, homcat) == mul
 
 
 def test_fox_on_eh_fixtures():
-    report = fox_comonad(fx.sigma_comm_flat, [("poset", fx.poset_meet_model())])
+    report = fox_comonad(fx.sigma("sigma_comm_flat"), [("poset", fx.model("poset_meet"))])
     assert report.verdict == "Holds"
     r = report.models[0]
     assert r.delta_is_iso and r.counit_underlying and r.coassociativity
 
-    report = fox_comonad(fx.sigma_pointed_flat, [("pointed", fx.pointed_poset_model())])
+    report = fox_comonad(fx.sigma("sigma_pointed_flat"),
+                         [("pointed", fx.model("pointed_poset"))])
     assert report.verdict == "Holds"
     assert report.models[0].delta_is_iso
     assert report.models[0].intalg_size == 2
 
 
 def test_fox_on_involution_fixture():
-    report = fox_comonad(fx.sigma_inv, [("inv", fx.scalar_involution_model())])
+    report = fox_comonad(fx.sigma("sigma_inv"), [("inv", fx.model("scalar_involution"))])
     r = report.models[0]
     # comonad laws hold, idempotence fails: two extra lifts appear
     assert report.verdict == "Holds"
@@ -81,48 +82,49 @@ def test_fox_on_involution_fixture():
 
 
 def test_eckmann_hilton_reports():
-    assert eckmann_hilton_2d(fx.t_comm_flat, fx.sigma_comm_flat).passes
-    assert eckmann_hilton_2d(fx.t_pointed_flat, fx.sigma_pointed_flat).passes
-    report = eckmann_hilton_2d(fx.t_inv, fx.sigma_inv)
+    assert eckmann_hilton_2d(fx.theory("t_comm_flat"), fx.sigma("sigma_comm_flat")).passes
+    assert eckmann_hilton_2d(fx.theory("t_pointed_flat"),
+                             fx.sigma("sigma_pointed_flat")).passes
+    report = eckmann_hilton_2d(fx.theory("t_inv"), fx.sigma("sigma_inv"))
     assert not report.passes and not report.no_unary_active
 
 
 def test_eh_local_iso_probe():
-    P = fx.poset_meet_model()
-    report = eh_local_iso_probe(P, P, fx.sigma_comm_flat)
+    P = fx.model("poset_meet")
+    report = eh_local_iso_probe(P, P, fx.sigma("sigma_comm_flat"))
     assert report.objects_bijective and report.arrows_bijective
     assert report.extra_lifts == 0
 
 
 def test_bilax_identity():
     from lawkit.catmodels import identity_hom
-    P = fx.poset_meet_model()
+    P = fx.model("poset_meet")
     fbar = identity_hom(P, "lax")
     funder = identity_hom(P, "colax")
-    report = bilax_check(fbar, funder, fx.sigma_comm_flat)
+    report = bilax_check(fbar, funder, fx.sigma("sigma_comm_flat"))
     assert report.verdict == "Bilax"
     assert report.condition_lax_over_colax == report.condition_colax_over_lax == True
 
 
 def test_bilax_poset_monoid_comonoid():
-    P = fx.poset_meet_model()
+    P = fx.model("poset_meet")
     alg = internal_algebras(P).objects[0]
     coalg = [h for h in internal_coalgebras(P).objects if h.point() == alg.point()][0]
-    report = bilax_check(alg, coalg, fx.sigma_comm_flat)
+    report = bilax_check(alg, coalg, fx.sigma("sigma_comm_flat"))
     assert report.verdict == "Bilax"
 
 
 def test_bilax_mismatch_detected():
     # a lax algebra against a coalgebra on a different object is not even
     # a candidate; a perturbed structure cell on B(Z/2) fails the exchange
-    model = fx.delooping_model()
+    model = fx.model("delooping_z2")
     # t_ass_flat carries no exchange table; use the braided-symmetric one by
     # viewing the delooping as a t_comm_flat model
     from lawkit.fincat import FinNat, graded_scalar_category, power
     from lawkit.catmodels import CatModel
     cat = graded_scalar_category(1, 2)
-    base_model = fx.delooping_model()
-    theory2 = fx.t_comm_flat
+    base_model = fx.model("delooping_z2")
+    theory2 = fx.theory("t_comm_flat")
     sq = power(cat, 2)
     skeleton = CatModel(theory2, cat, base_model.op_functors)
     csym = theory2.cell("c")
@@ -137,43 +139,43 @@ def test_bilax_mismatch_detected():
     a1 = [h for h in algs if h.cell("m").components[0] == 1][0]
     c0 = [h for h in coalgs if h.cell("m").components[0] == 0][0]
     c1 = [h for h in coalgs if h.cell("m").components[0] == 1][0]
-    assert bilax_check(a1, c1, fx.sigma_comm_flat).verdict == "Bilax"
+    assert bilax_check(a1, c1, fx.sigma("sigma_comm_flat")).verdict == "Bilax"
     # mixing the nontrivial monoid with the trivial comonoid breaks the
     # exchange square in Z/2
-    report = bilax_check(a1, c0, fx.sigma_comm_flat)
+    report = bilax_check(a1, c0, fx.sigma("sigma_comm_flat"))
     assert report.verdict == "Fails"
 
 
 def test_intbialg_counts():
-    P = fx.poset_meet_model()
-    cat, pairs = internal_bialgebras(P, fx.sigma_comm_flat)
+    P = fx.model("poset_meet")
+    cat, pairs = internal_bialgebras(P, fx.sigma("sigma_comm_flat"))
     assert cat.cat.n_objects == 1
 
 
 def test_bilax_conditions_agree():
     # the two lifting conditions are equivalent: check they never disagree
-    P = fx.poset_meet_model()
+    P = fx.model("poset_meet")
     algs = internal_algebras(P).objects
     coalgs = internal_coalgebras(P).objects
     for a in algs:
         for c in coalgs:
             if a.point() != c.point():
                 continue
-            report = bilax_check(a, c, fx.sigma_comm_flat)
+            report = bilax_check(a, c, fx.sigma("sigma_comm_flat"))
             assert report.condition_lax_over_colax == report.condition_colax_over_lax
 
 
 def test_eh_local_iso_probe_on_graded_lines():
     # a non-thin instance: eight lax endomorphism homs, each lifting uniquely
-    gl = fx.graded_lines()
-    report = eh_local_iso_probe(gl, gl, fx.sigma_comm_flat)
+    gl = fx.model("graded_lines")
+    report = eh_local_iso_probe(gl, gl, fx.sigma("sigma_comm_flat"))
     assert report.hom_count == 8
     assert report.objects_bijective and report.arrows_bijective
 
 
 def test_closed_structure_mixed_trio():
-    meet = fx.poset_meet_model()
-    join = fx.poset_join_model()
+    meet = fx.model("poset_meet")
+    join = fx.model("poset_join")
     for trio in [(meet, join, join), (join, meet, join), (meet, meet, join)]:
-        report = closed_check(*trio, fx.sigma_comm_flat)
+        report = closed_check(*trio, fx.sigma("sigma_comm_flat"))
         assert report.bijection, trio

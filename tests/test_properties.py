@@ -5,7 +5,6 @@ round-trips, and report determinism."""
 import io
 import random
 
-from conftest import LAW_DIR, ROOT
 from lawkit import dsl, fixtures as fx
 from lawkit.cli import run
 from lawkit.fincat import (
@@ -31,11 +30,17 @@ from lawkit.theory import (
     row_then_col,
 )
 
+
+T_ASS = fx.theory("t_ass").base
+T_COMM = fx.theory("t_comm").base
+T_POINTED = fx.theory("t_pointed").base
+T_INV_1D = fx.theory("t_inv_1d").base
+
 FIXTURE_THEORIES = {
-    "t_ass": (fx.t_ass, {"m": (0, 1, 1, 1), "u": (0,)}),
-    "t_comm": (fx.t_comm, {"m": (0, 1, 1, 0), "u": (0,)}),
-    "t_inv_1d": (fx.t_inv_1d, {"inv": (1, 0)}),
-    "t_pointed": (fx.t_pointed, {"u": (0,)}),
+    "t_ass": (T_ASS, {"m": (0, 1, 1, 1), "u": (0,)}),
+    "t_comm": (T_COMM, {"m": (0, 1, 1, 0), "u": (0,)}),
+    "t_inv_1d": (T_INV_1D, {"inv": (1, 0)}),
+    "t_pointed": (T_POINTED, {"u": (0,)}),
 }
 
 
@@ -106,20 +111,20 @@ def test_interchange_on_all_shipped_categories():
 
 def test_inert_squares_commute_with_empty_trace():
     rng = random.Random(2024)
-    m = generator_morphism(fx.t_ass.op("m"))
+    m = generator_morphism(T_ASS.op("m"))
     for _ in range(200):
         a = rng.randrange(1, 4)
         b = rng.randrange(1, 3)
         inert = Morphism(a, b, tuple(Proj(rng.randrange(a), a) for _ in range(b)))
         lhs, rhs = row_then_col(inert, m), col_then_row(inert, m)
         assert lhs == rhs
-        nf, traces, _ = normalize_morphism(fx.t_ass, lhs)
+        nf, traces, _ = normalize_morphism(T_ASS, lhs)
         # syntactic identity needs no rewriting at all for the comparison
         assert row_then_col(m, inert) == col_then_row(m, inert)
 
 
 def test_dsl_round_trip_every_fixture():
-    for path in sorted(LAW_DIR.glob("*.law")):
+    for path in fx.law_files():
         doc, src = dsl.parse_file(path)
         assert doc is not None, src.diagnostics
         text = dsl.serialize(doc)
@@ -128,13 +133,12 @@ def test_dsl_round_trip_every_fixture():
         assert dsl.serialize(doc2) == text
 
 
-def test_json_reports_deterministic_across_runs(monkeypatch):
-    monkeypatch.chdir(ROOT)
+def test_json_reports_deterministic_across_runs():
     commands = [
         ["--format", "json", "--no-timings", "sigma-check",
-         "src/lawkit/fixtures/law/t_comm_flat.law"],
+         str(fx.law_path("t_comm_flat.law"))],
         ["--format", "json", "--no-timings", "fox",
-         "src/lawkit/fixtures/law/t_inv.law", "--models", "scalar_involution"],
+         str(fx.law_path("t_inv.law")), "--models", "scalar_involution"],
     ]
     for argv in commands:
         out1, out2 = io.StringIO(), io.StringIO()

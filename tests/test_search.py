@@ -16,6 +16,10 @@ from lawkit.finset import FinSetModel, enumerate_models, validate_model
 from lawkit.search import search
 
 
+T_ASS = fx.theory("t_ass").base
+T_COMM = fx.theory("t_comm").base
+
+
 def test_zero_slots_yield_one_empty_assignment():
     assert list(search(lambda i, a: range(3), [])) == [()]
 
@@ -125,7 +129,7 @@ def reference_models(theory, size):
     return out
 
 
-@pytest.mark.parametrize("theory", [fx.t_ass, fx.t_comm], ids=["t_ass", "t_comm"])
+@pytest.mark.parametrize("theory", [T_ASS, T_COMM], ids=["t_ass", "t_comm"])
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_models_match_product_reference(theory, size):
     assert list(enumerate_models(theory, size)) == reference_models(theory, size)

@@ -35,8 +35,14 @@ from lawkit.theory import (
     unit_insertion,
 )
 
-M = fx.t_ass.op("m")
-U = fx.t_ass.op("u")
+
+T_ASS = fx.theory("t_ass").base
+T_COMM = fx.theory("t_comm").base
+T_POINTED = fx.theory("t_pointed").base
+T_SEMIRING = fx.theory("t_semiring").base
+
+M = T_ASS.op("m")
+U = T_ASS.op("u")
 m = generator_morphism(M)
 u = generator_morphism(U)
 
@@ -62,7 +68,7 @@ def test_compose_unit_rewrite():
     # u x id then m collapses to the identity by the left unit law
     u_x_id = par([u, identity(1)])
     composite = compose(u_x_id, m)
-    verdict = decide_equal(fx.t_ass, composite, identity(1))
+    verdict = decide_equal(T_ASS, composite, identity(1))
     assert isinstance(verdict, Equal)
     assert len(verdict.lhs_trace[0]) == 1
 
@@ -74,14 +80,14 @@ def test_operadic_identity():
 def test_operadic_m3_with_unit_is_m2():
     m3 = operadic_compose(m, [m, identity(1)])
     composite = operadic_compose(m3, [u, identity(1), identity(1)])
-    verdict = decide_equal(fx.t_ass, composite, m)
+    verdict = decide_equal(T_ASS, composite, m)
     assert isinstance(verdict, Equal)
 
 
 def test_operadic_both_bracketings_join():
     left = operadic_compose(m, [m, identity(1)])
     right = operadic_compose(m, [identity(1), m])
-    verdict = decide_equal(fx.t_ass, left, right)
+    verdict = decide_equal(T_ASS, left, right)
     assert isinstance(verdict, Equal)
 
 
@@ -99,7 +105,7 @@ def test_tensor_unit_whiskering():
 def test_tensor_square_in_t_comm():
     # column-then-row and row-then-column agree in the commutative theory
     lhs, rhs = row_then_col(m, m), col_then_row(m, m)
-    verdict = decide_equal(fx.t_comm, lhs, rhs)
+    verdict = decide_equal(T_COMM, lhs, rhs)
     assert isinstance(verdict, Equal)
 
 
@@ -115,7 +121,7 @@ def test_two_units_force_equality():
 def test_decide_equal_projections_differ():
     f = proj_morphism(0, 2)
     g = proj_morphism(1, 2)
-    verdict = decide_equal(fx.t_ass, f, g)
+    verdict = decide_equal(T_ASS, f, g)
     assert isinstance(verdict, NotEqual)
     assert verdict.model.size == 2
 
@@ -123,8 +129,8 @@ def test_decide_equal_projections_differ():
 def test_decide_equal_commutativity():
     swap = Morphism(2, 2, (Proj(1, 2), Proj(0, 2)))
     swapped = compose(swap, m)
-    assert isinstance(decide_equal(fx.t_comm, swapped, m), Equal)
-    verdict = decide_equal(fx.t_ass, swapped, m)
+    assert isinstance(decide_equal(T_COMM, swapped, m), Equal)
+    verdict = decide_equal(T_ASS, swapped, m)
     assert isinstance(verdict, NotEqual)
     assert verdict.model.size <= 4
     # the witness really separates the two maps
@@ -133,8 +139,8 @@ def test_decide_equal_commutativity():
 
 
 def test_check_commutative_fixtures():
-    assert check_commutative(fx.t_comm).verdict == "Commutative"
-    report = check_commutative(fx.t_ass)
+    assert check_commutative(T_COMM).verdict == "Commutative"
+    report = check_commutative(T_ASS)
     assert report.verdict == "NotCommutative"
     assert isinstance(report.pair("m", "m"), NotEqual)
 
@@ -150,19 +156,19 @@ def test_check_commutative_monoid_theories():
 
 
 def test_check_unital():
-    verdicts = check_unital(fx.t_comm, M, U)
+    verdicts = check_unital(T_COMM, M, U)
     assert all(isinstance(v, Equal) for v in verdicts.values())
     # multiplication against the additive unit fails at every position
-    sr = fx.t_semiring
+    sr = T_SEMIRING
     verdicts = check_unital(sr, sr.op("mul"), sr.op("zero"), model_bound=3)
     assert all(isinstance(v, NotEqual) for v in verdicts.values())
     with pytest.raises(TheoryError):
-        check_unital(fx.t_comm, OpSymbol("w", 1), U)
+        check_unital(T_COMM, OpSymbol("w", 1), U)
 
 
 def test_eh_preconditions():
-    assert eh_preconditions_1d(fx.t_comm).passes
-    assert eh_preconditions_1d(fx.t_pointed).passes
+    assert eh_preconditions_1d(T_COMM).passes
+    assert eh_preconditions_1d(T_POINTED).passes
     unary = fx.monoid_theory("t_z2m", 2, [[0, 1], [1, 0]], 0)
     report = eh_preconditions_1d(unary)
     assert not report.passes and report.unary_basis
@@ -183,7 +189,7 @@ def _random_morphism(rng, gens, source, target):
 
 def test_substitution_algebra_on_random_morphisms():
     rng = random.Random(7)
-    gens = list(fx.t_ass.generators)
+    gens = list(T_ASS.generators)
     for _ in range(300):
         f = _random_morphism(rng, gens, 2, 2)
         g = _random_morphism(rng, gens, 2, 2)
@@ -194,10 +200,10 @@ def test_substitution_algebra_on_random_morphisms():
 
 
 def test_evaluation_homomorphism_exhaustive():
-    model = validate_model(fx.t_ass, 2, {"m": (0, 1, 1, 1), "u": (0,)})
+    model = validate_model(T_ASS, 2, {"m": (0, 1, 1, 1), "u": (0,)})
     assert isinstance(model, FinSetModel)
     rng = random.Random(11)
-    gens = list(fx.t_ass.generators)
+    gens = list(T_ASS.generators)
     for _ in range(100):
         f = _random_morphism(rng, gens, 2, 2)
         g = _random_morphism(rng, gens, 2, 1)
@@ -220,18 +226,18 @@ def test_inert_squares_commute_syntactically():
 
 def test_rewrite_trace_replays():
     term = ap(M, [ap(M, [ap(U, [], 1), Proj(0, 1)], 1), ap(U, [], 1)], 1)
-    nf, traces, ok = normalize_morphism(fx.t_ass, Morphism(1, 1, (term,)))
+    nf, traces, ok = normalize_morphism(T_ASS, Morphism(1, 1, (term,)))
     assert ok
     assert replay_trace(term, traces[0]) == nf.components[0]
 
 
 def test_rewriting_preserves_semantics():
-    model = validate_model(fx.t_ass, 2, {"m": (0, 1, 1, 0), "u": (0,)})
+    model = validate_model(T_ASS, 2, {"m": (0, 1, 1, 0), "u": (0,)})
     rng = random.Random(5)
-    gens = list(fx.t_ass.generators)
+    gens = list(T_ASS.generators)
     for _ in range(100):
         f = _random_morphism(rng, gens, 2, 1)
-        nf, _, ok = normalize_morphism(fx.t_ass, f)
+        nf, _, ok = normalize_morphism(T_ASS, f)
         assert ok
         for env in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             assert model.eval_morphism(f, env) == model.eval_morphism(nf, env)
@@ -270,7 +276,7 @@ def test_unit_insertion_shape():
 def test_decide_equal_traces_replay_to_common_normal_form():
     left = operadic_compose(m, [m, identity(1)])
     right = operadic_compose(m, [identity(1), m])
-    verdict = decide_equal(fx.t_ass, left, right)
+    verdict = decide_equal(T_ASS, left, right)
     assert isinstance(verdict, Equal)
     for start, traces in ((left, verdict.lhs_trace), (right, verdict.rhs_trace)):
         for i, component_trace in enumerate(traces):
