@@ -16,6 +16,7 @@ exchange cells.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from . import fincat
@@ -29,6 +30,7 @@ from .cells import (
     evaluate_pasting,
 )
 from .fincat import (
+    EnumerationBound,
     FinCategory,
     FinFunctor,
     FinNat,
@@ -58,10 +60,6 @@ from .theory import (
 HOM_ENUMERATION_BOUND = 256
 
 
-class EnumerationBound(Exception):
-    """Raised instead of sampling when a search space exceeds its bound."""
-
-
 @dataclass(frozen=True)
 class CatModel:
     theory: TwoTheoryPresentation
@@ -71,6 +69,7 @@ class CatModel:
 
     _powers: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _functors: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _closures: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def power(self, n: int) -> ProductCategory:
         if n not in self._powers:
@@ -92,39 +91,73 @@ class CatModel:
     def functor_of(self, f: Morphism) -> FinFunctor:
         if f in self._functors:
             return self._functors[f]
-        dom = self.power(f.source)
-        cod = self.power(f.target)
-        obj_map = []
-        for o in range(dom.n_objects):
-            objs = dom.decode_obj(o)
-            obj_map.append(cod.encode_obj(tuple(self._eval_obj(c, objs) for c in f.components)))
-        arr_map = []
-        for a in range(dom.n_arrows):
-            arrs = dom.decode_arr(a)
-            arr_map.append(cod.encode_arr(tuple(self._eval_arr(c, arrs) for c in f.components)))
-        fun = FinFunctor(dom.cat, cod.cat, tuple(obj_map), tuple(arr_map))
+        # Building the power categories first checks their size against
+        # fincat.POWER_BOUND before anything of that size is tabulated.
+        dom, cod = self.power(f.source).cat, self.power(f.target).cat
+        obj_map = arr_map = ()
+        if dom.n_objects:  # an empty carrier has nothing to evaluate
+            obj_map = tuple(map(self._encoder(f, False), itertools.product(
+                range(self.carrier.n_objects), repeat=f.source)))
+            arr_map = tuple(map(self._encoder(f, True), itertools.product(
+                range(self.carrier.n_arrows), repeat=f.source)))
+        fun = FinFunctor(dom, cod, obj_map, arr_map)
         self._functors[f] = fun
         return fun
 
     def eval_morphism_obj(self, f: Morphism, objs: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self._eval_obj(c, objs) for c in f.components)
+        return tuple(c(objs) for c in self._compiled(f, False))
 
     def eval_morphism_arr(self, f: Morphism, arrs: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self._eval_arr(c, arrs) for c in f.components)
+        return tuple(c(arrs) for c in self._compiled(f, True))
 
-    def _eval_obj(self, t, objs: tuple[int, ...]) -> int:
-        if isinstance(t, Proj):
-            return objs[t.index]
-        assert isinstance(t, Apply)
-        args = tuple(self._eval_obj(a, objs) for a in t.args)
-        return self.op_functor(t.op.name).obj_map[self.power(t.op.arity).encode_obj(args)]
+    def _compiled(self, f: Morphism, arrows: bool) -> tuple:
+        """One closure per component of ``f``, on objects or on arrows."""
+        key = (f, arrows)
+        if key not in self._closures:
+            self._closures[key] = tuple(self._compile(t, arrows) for t in f.components)
+        return self._closures[key]
 
-    def _eval_arr(self, t, arrs: tuple[int, ...]) -> int:
+    def _compile(self, t, arrows: bool):
+        """A closure sending an argument tuple to the value of the term ``t``;
+        an operation's arguments index its table row-major."""
         if isinstance(t, Proj):
-            return arrs[t.index]
+            return operator.itemgetter(t.index)
         assert isinstance(t, Apply)
-        args = tuple(self._eval_arr(a, arrs) for a in t.args)
-        return self.op_functor(t.op.name).arr_map[self.power(t.op.arity).encode_arr(args)]
+        fun = self.op_functor(t.op.name)
+        table = fun.arr_map if arrows else fun.obj_map
+        radix = self.carrier.n_arrows if arrows else self.carrier.n_objects
+        args = [self._compile(a, arrows) for a in t.args]
+        if not args:
+            value = table[0]
+            return lambda xs: value
+        if len(args) == 1:
+            (a,) = args
+            return lambda xs: table[a(xs)]
+        if len(args) == 2:
+            a, b = args
+            return lambda xs: table[a(xs) * radix + b(xs)]
+
+        def apply(xs):
+            idx = 0
+            for a in args:
+                idx = idx * radix + a(xs)
+            return table[idx]
+        return apply
+
+    def _encoder(self, f: Morphism, arrows: bool):
+        """A closure sending an argument tuple to the row-major code of the
+        tuple of ``f``'s components."""
+        comps = self._compiled(f, arrows)
+        if len(comps) == 1:
+            return comps[0]
+        radix = self.carrier.n_arrows if arrows else self.carrier.n_objects
+
+        def encode(xs):
+            idx = 0
+            for c in comps:
+                idx = idx * radix + c(xs)
+            return idx
+        return encode
 
 
 @dataclass(frozen=True)
@@ -219,15 +252,13 @@ class LaxHom:
 
 def functor_power(fun: FinFunctor, n: int, src_pow: ProductCategory,
                   dst_pow: ProductCategory) -> FinFunctor:
-    obj_map = []
-    for o in range(src_pow.n_objects):
-        parts = src_pow.decode_obj(o)
-        obj_map.append(dst_pow.encode_obj(tuple(fun.obj_map[p] for p in parts)))
-    arr_map = []
-    for a in range(src_pow.n_arrows):
-        parts = src_pow.decode_arr(a)
-        arr_map.append(dst_pow.encode_arr(tuple(fun.arr_map[p] for p in parts)))
-    return FinFunctor(src_pow.cat, dst_pow.cat, tuple(obj_map), tuple(arr_map))
+    """The n-fold power of ``fun``, from ``src_pow`` (the n-th power of its
+    source) to ``dst_pow`` (of its target); cached on ``fun`` per ``n``."""
+    if n not in fun._powers:
+        obj_map = fincat.row_major([fun.obj_map] * n, [fun.target.n_objects] * n)
+        arr_map = fincat.row_major([fun.arr_map] * n, [fun.target.n_arrows] * n)
+        fun._powers[n] = FinFunctor(src_pow.cat, dst_pow.cat, obj_map, arr_map)
+    return fun._powers[n]
 
 
 def hom_cell_boundary(hom_src: CatModel, hom_dst: CatModel, f1: FinFunctor,

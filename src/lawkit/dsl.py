@@ -280,12 +280,13 @@ class _Parser:
         return t
 
     def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(t.line, t.col, message)
+        self.fail_at(self.peek(), message)
 
     def fail_last(self, message: str):
         """Fail at the token consumed last, e.g. a name just read that turns out unknown."""
-        t = self.tokens[self.pos - 1]
+        self.fail_at(self.tokens[self.pos - 1], message)
+
+    def fail_at(self, t: Token, message: str):
         raise ParseError(t.line, t.col, message)
 
     def expect(self, kind: str, value: str | None = None) -> Token:
@@ -349,6 +350,7 @@ class _RawAtom:
 
 
 def _parse_raw_term(p: _Parser, ops: dict[str, int]) -> _RawTerm:
+    head = p.peek()
     name = p.ident()
     if len(name) > 1 and name[0] in "xp" and name[1:].isdigit():
         return _RawTerm(int(name[1:]) - 1)
@@ -362,7 +364,7 @@ def _parse_raw_term(p: _Parser, ops: dict[str, int]) -> _RawTerm:
                 args.append(_parse_raw_term(p, ops))
             p.expect("punct", ")")
     if len(args) != ops[name]:
-        p.fail(f"{name} expects {ops[name]} arguments, got {len(args)}")
+        p.fail_at(head, f"{name} expects {ops[name]} arguments, got {len(args)}")
     return _RawTerm(name, tuple(args))
 
 
@@ -545,7 +547,7 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
             p.expect("punct", "->")
             target = p.nat()
             if target != 1:
-                p.fail("operations must target 1")
+                p.fail_last("operations must target 1")
             ops.append(OpSymbol(op_name, arity))
             p.expect("punct", ";")
         elif kw == "basis":

@@ -9,13 +9,21 @@ indexing and never need re-bracketing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .search import search
 
+# Largest table, in entries, built for a product category or a functor on one.
+POWER_BOUND = 1 << 22
+
 
 class CatError(Exception):
     pass
+
+
+class EnumerationBound(Exception):
+    """Raised instead of sampling when a search space exceeds its bound."""
 
 
 @dataclass(frozen=True)
@@ -198,62 +206,55 @@ def decode(idx: int, radices: tuple[int, ...]) -> tuple[int, ...]:
 class ProductCategory:
     """Strict product with row-major mixed-radix encoding of tuples.
 
-    The underlying FinCategory is built on first access; encodings are
-    available without it, which keeps large powers cheap to index.
+    Radices and sizes are fixed at construction.  The underlying FinCategory
+    is built on first access; encodings are available without it, which
+    keeps large powers cheap to index.
     """
 
     def __init__(self, factors: tuple[FinCategory, ...]):
         self.factors = factors
+        self._obj_radices = tuple(c.n_objects for c in factors)
+        self._arr_radices = tuple(c.n_arrows for c in factors)
+        self.n_objects = math.prod(self._obj_radices)
+        self.n_arrows = math.prod(self._arr_radices)
         self._cat: FinCategory | None = None
 
     def obj_radices(self) -> tuple[int, ...]:
-        return tuple(c.n_objects for c in self.factors)
+        return self._obj_radices
 
     def arr_radices(self) -> tuple[int, ...]:
-        return tuple(c.n_arrows for c in self.factors)
-
-    @property
-    def n_objects(self) -> int:
-        n = 1
-        for c in self.factors:
-            n *= c.n_objects
-        return n
-
-    @property
-    def n_arrows(self) -> int:
-        n = 1
-        for c in self.factors:
-            n *= c.n_arrows
-        return n
+        return self._arr_radices
 
     def encode_obj(self, parts: tuple[int, ...]) -> int:
-        return encode(parts, self.obj_radices())
+        return encode(parts, self._obj_radices)
 
     def decode_obj(self, idx: int) -> tuple[int, ...]:
-        return decode(idx, self.obj_radices())
+        return decode(idx, self._obj_radices)
 
     def encode_arr(self, parts: tuple[int, ...]) -> int:
-        return encode(parts, self.arr_radices())
+        return encode(parts, self._arr_radices)
 
     def decode_arr(self, idx: int) -> tuple[int, ...]:
-        return decode(idx, self.arr_radices())
+        return decode(idx, self._arr_radices)
 
     def then_arr(self, f: int, g: int) -> int:
-        fp = self.decode_arr(f)
-        gp = self.decode_arr(g)
-        return self.encode_arr(tuple(c.then(a, b) for c, a, b in zip(self.factors, fp, gp)))
+        fp = decode(f, self._arr_radices)
+        gp = decode(g, self._arr_radices)
+        return encode(tuple(c.then(a, b) for c, a, b in zip(self.factors, fp, gp)),
+                      self._arr_radices)
 
     def identity_arr(self, o: int) -> int:
-        parts = self.decode_obj(o)
-        return self.encode_arr(tuple(c.identity[p] for c, p in zip(self.factors, parts)))
+        parts = decode(o, self._obj_radices)
+        return encode(tuple(c.identity[p] for c, p in zip(self.factors, parts)),
+                      self._arr_radices)
 
     def arr_src(self, a: int) -> int:
-        parts = self.decode_arr(a)
-        return self.encode_obj(tuple(c.src[p] for c, p in zip(self.factors, parts)))
+        parts = decode(a, self._arr_radices)
+        return encode(tuple(c.src[p] for c, p in zip(self.factors, parts)), self._obj_radices)
 
     def arr_dst(self, a: int) -> int:
-        parts = self.decode_arr(a)
-        return self.encode_obj(tuple(c.dst[p] for c, p in zip(self.factors, parts)))
+        parts = decode(a, self._arr_radices)
+        return encode(tuple(c.dst[p] for c, p in zip(self.factors, parts)), self._obj_radices)
 
     @property
     def cat(self) -> FinCategory:
@@ -263,12 +264,28 @@ class ProductCategory:
             elif len(self.factors) == 1:
                 self._cat = self.factors[0]
             else:
-                src = tuple(self.arr_src(a) for a in range(self.n_arrows))
-                dst = tuple(self.arr_dst(a) for a in range(self.n_arrows))
-                identity = tuple(self.identity_arr(o) for o in range(self.n_objects))
+                objs = self._obj_radices
+                src = row_major([c.src for c in self.factors], objs)
+                dst = row_major([c.dst for c in self.factors], objs)
+                identity = row_major([c.identity for c in self.factors], self._arr_radices)
                 self._cat = FinCategory(self.n_objects, src, dst, identity, (),
                                         _then_fn=self.then_arr)
         return self._cat
+
+
+def row_major(tables, radices) -> tuple[int, ...]:
+    """The product of the maps ``tables[i]`` into ``range(radices[i])``,
+    tabulated row-major: the entry at ``encode(parts, tuple(map(len, tables)))``
+    is ``encode(tuple(t[p] for t, p in zip(tables, parts)), radices)``.
+    Built by extension, one factor at a time; the size is checked first.
+    """
+    size = math.prod(len(t) for t in tables)
+    if size > POWER_BOUND:
+        raise EnumerationBound(f"a product of {size} entries exceeds bound {POWER_BOUND}")
+    out = [0]
+    for table, radix in zip(tables, radices):
+        out = [x * radix + y for x in out for y in table]
+    return tuple(out)
 
 
 def product(factors: list[FinCategory]) -> ProductCategory:
@@ -288,6 +305,8 @@ class FinFunctor:
     target: FinCategory
     obj_map: tuple[int, ...]
     arr_map: tuple[int, ...]
+
+    _powers: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
 
 def validate_functor(fun: FinFunctor) -> CategoryViolation | None:
@@ -381,7 +400,8 @@ def enumerate_functors(c: FinCategory, d: FinCategory, bound: int = 1 << 22) -> 
     candidate is forced, and f;g is checked once f, g and f;g are assigned.
     """
     if d.n_objects ** c.n_objects > bound:
-        raise CatError("functor enumeration bound exceeded")
+        raise EnumerationBound(f"{d.n_objects ** c.n_objects} object maps exceed "
+                               f"functor enumeration bound {bound}")
     n = c.n_objects
 
     def domain(i: int, a: list[int]):

@@ -205,11 +205,25 @@ def is_hom(source: FinSetModel, target: FinSetModel, mapping: tuple[int, ...]) -
 
 
 def enumerate_homs(source: FinSetModel, target: FinSetModel) -> list[ModelHom]:
+    """All homomorphisms, in lexicographic order of their mappings.
+
+    One search slot per source element; the instance
+    ``mapping[op(args)] == op(mapping[args])`` is checked once every element
+    it reads is assigned.
+    """
     if source.theory is not target.theory and source.theory.name != target.theory.name:
         raise TheoryError("hom endpoints live over different theories")
+
+    def preserved(name: str, args: tuple[int, ...], value: int):
+        return lambda a: a[value] == target.apply(name, tuple(a[x] for x in args))
+
+    checks: list[list] = [[] for _ in range(source.size)]
+    for g in source.theory.generators:
+        for args in all_tuples(source.size, g.arity):
+            value = source.apply(g.name, args)
+            checks[max(args + (value,))].append(preserved(g.name, args, value))
     return [ModelHom(source, target, mapping)
-            for mapping in search(lambda i, a: range(target.size), [[]] * source.size)
-            if is_hom(source, target, mapping)]
+            for mapping in search(lambda i, a: range(target.size), checks)]
 
 
 def compose_homs(f: ModelHom, g: ModelHom) -> ModelHom:

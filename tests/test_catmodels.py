@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from conftest import shipped_models
 from lawkit import fixtures as fx
 from lawkit.catmodels import (
     CatModel,
@@ -12,6 +13,7 @@ from lawkit.catmodels import (
     convolution_algebra,
     enumerate_homs_w,
     enumerate_modifications,
+    functor_power,
     hom_cell_boundary,
     identity_hom,
     internal_algebras,
@@ -26,8 +28,8 @@ from lawkit.catmodels import (
     validate_modification,
 )
 from lawkit.cells import CellError, TheoryMorphism
-from lawkit.fincat import FinNat, power
-from lawkit.theory import generator_morphism
+from lawkit.fincat import FinFunctor, FinNat, enumerate_functors, power
+from lawkit.theory import Morphism, Proj, generator_morphism
 
 # Discrete two objects swapped by the involution.
 TWO_OBJECT_INVOLUTION = """
@@ -258,3 +260,77 @@ def test_lift_cells_carry_the_braiding_sign():
         a, b, c, d = dom.decode_obj(o)
         scalar = cell.components[o]
         assert scalar % 2 == (b * c) % 2
+
+
+# -- tabulators against per-element evaluation -------------------------------------------
+
+def reference_functor_of(model, f):
+    """Decode every tuple, evaluate each term recursively, encode the result."""
+    dom, cod = model.power(f.source), model.power(f.target)
+
+    def ev(t, xs, arrows):
+        if isinstance(t, Proj):
+            return xs[t.index]
+        args = tuple(ev(a, xs, arrows) for a in t.args)
+        fun, pw = model.op_functor(t.op.name), model.power(t.op.arity)
+        return fun.arr_map[pw.encode_arr(args)] if arrows else fun.obj_map[pw.encode_obj(args)]
+
+    obj_map = tuple(cod.encode_obj(tuple(ev(c, dom.decode_obj(o), False) for c in f.components))
+                    for o in range(dom.n_objects))
+    arr_map = tuple(cod.encode_arr(tuple(ev(c, dom.decode_arr(a), True) for c in f.components))
+                    for a in range(dom.n_arrows))
+    return FinFunctor(dom.cat, cod.cat, obj_map, arr_map)
+
+
+def reference_functor_power(fun, src_pow, dst_pow):
+    obj_map = tuple(dst_pow.encode_obj(tuple(fun.obj_map[p] for p in src_pow.decode_obj(o)))
+                    for o in range(src_pow.n_objects))
+    arr_map = tuple(dst_pow.encode_arr(tuple(fun.arr_map[p] for p in src_pow.decode_arr(a)))
+                    for a in range(src_pow.n_arrows))
+    return FinFunctor(src_pow.cat, dst_pow.cat, obj_map, arr_map)
+
+
+def _first_projection_variant(model):
+    """The same carrier with every operation of arity >= 2 replaced by the
+    projection to its first argument, a table that no argument swap fixes."""
+    ops = []
+    for g in model.theory.base.generators:
+        fun = model.op_functor(g.name)
+        if g.arity >= 2:
+            dom = model.power(g.arity)
+            fun = FinFunctor(dom.cat, model.carrier,
+                             tuple(dom.decode_obj(o)[0] for o in range(dom.n_objects)),
+                             tuple(dom.decode_arr(a)[0] for a in range(dom.n_arrows)))
+        ops.append((g.name, fun))
+    return CatModel(model.theory, model.carrier, tuple(ops))
+
+
+def test_functor_of_matches_per_element_evaluation():
+    checked = 0
+    for shipped in shipped_models("fincat", "moncat"):
+        pairs = [(eq.lhs, eq.rhs) for eq in shipped.theory.base.equations]
+        pairs += [(cell.source, cell.target) for cell in shipped.theory.cells]
+        for model in (shipped, _first_projection_variant(shipped)):
+            for f, g in pairs:
+                both = Morphism(f.source, 2, f.components + g.components)
+                for side in (f, g, both):
+                    assert model.functor_of(side) == reference_functor_of(model, side)
+                    checked += 1
+    assert checked > 100
+
+
+def test_functor_power_matches_per_element_encoding():
+    carriers = []
+    for model in shipped_models("fincat", "moncat"):
+        if model.carrier not in carriers:
+            carriers.append(model.carrier)
+    for c in carriers:
+        for d in carriers:
+            functors = enumerate_functors(c, d)
+            # Cap: the 729 endofunctors of the 9-arrow graded_lines_z3 carrier
+            # are sampled, at most 64 functors per pair.
+            for fun in functors[::max(1, len(functors) // 64)]:
+                for n in range(4):
+                    src_pow, dst_pow = power(c, n), power(d, n)
+                    assert functor_power(fun, n, src_pow, dst_pow) == \
+                        reference_functor_power(fun, src_pow, dst_pow)

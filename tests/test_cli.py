@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +126,37 @@ def test_unknown_model_theory_is_input_error(tmp_path):
     code, text = invoke(["check-theory", path])
     assert code == EXIT_INPUT
     assert "23:19: model references unknown theory 't_iv'" in text
+
+
+def test_wrong_operation_target_points_at_the_target(tmp_path):
+    path = tmp_path / "t.law"
+    path.write_text("theory t { op m : 2 -> 2; }\n")
+    code, text = invoke(["check-theory", path])
+    assert code == EXIT_INPUT
+    assert "1:24: operations must target 1" in text
+
+
+def test_wrong_argument_count_points_at_the_operation(tmp_path):
+    path = tmp_path / "t.law"
+    path.write_text("theory t {\n  op m : 2 -> 1;\n  eq e : m(x1) = x1;\n}\n")
+    code, text = invoke(["check-theory", path])
+    assert code == EXIT_INPUT
+    assert "3:10: m expects 2 arguments, got 1" in text
+
+
+@pytest.mark.parametrize("old, new", [
+    ("m(m(x1,x2),x3) =", "m(m(x1,x2),x38) ="),
+    ("= m(x1,m(x2,x3))", "= m(x1,m(x2,x38))"),
+])
+def test_huge_equation_arity_hits_the_power_bound(tmp_path, old, new):
+    # One-character mutants of t_ass_flat.law whose equation reads 38 variables;
+    # evaluating it over the 38th power of the carrier used to hang.
+    path = _mutant(tmp_path, "t_ass_flat.law", old, new)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src")] + sys.path))
+    done = subprocess.run([sys.executable, "-m", "lawkit.cli", "check-theory", path],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == EXIT_INCONCLUSIVE, done.stderr
+    assert "exceeds bound 4194304" in done.stdout
 
 
 def test_json_reports_match_schema_and_are_deterministic():

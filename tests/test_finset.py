@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import oracles
+from conftest import shipped_models
 from lawkit import fixtures as fx
 from lawkit.finset import (
     FinSetModel,
@@ -15,6 +16,7 @@ from lawkit.finset import (
     compose_homs,
     enumerate_homs,
     enumerate_models,
+    is_hom,
     eh_uniqueness_probe,
     power_model,
     semantic_commutativity_check,
@@ -132,6 +134,18 @@ def test_enumerate_homs_examples():
     assert len(homs) == 2
     assert {h.mapping for h in homs} == {(0, 0), (0, 1)}
     assert [h.mapping for h in enumerate_homs(band, z2)] == [(0, 0)]
+
+
+def test_enumerate_homs_matches_product_then_filter():
+    shipped = shipped_models("finset")
+    z3 = next(m for m in enumerate_models(T_COMM, 3))
+    pairs = [(s, t) for s in shipped for t in shipped if s.theory == t.theory]
+    pairs += [(power_model(m, 2), m) for m in shipped + [z3]]
+    assert len(pairs) > len(shipped)
+    for source, target in pairs:
+        reference = [m for m in itertools.product(range(target.size), repeat=source.size)
+                     if is_hom(source, target, m)]
+        assert [h.mapping for h in enumerate_homs(source, target)] == reference
 
 
 def test_homs_closed_under_composition():

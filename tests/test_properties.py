@@ -1,11 +1,11 @@
 """Cross-cutting property suites: substitution/evaluation laws on generated
-morphisms, interchange on the shipped categories, inert squares, text
-round-trips, and report determinism."""
+morphisms, interchange on the shipped categories, inert squares, and report
+determinism."""
 
 import io
 import random
 
-from lawkit import dsl, fixtures as fx
+from lawkit import fixtures as fx
 from lawkit.cli import run
 from lawkit.fincat import (
     enumerate_functors,
@@ -121,16 +121,6 @@ def test_inert_squares_commute_with_empty_trace():
         nf, traces, _ = normalize_morphism(T_ASS, lhs)
         # syntactic identity needs no rewriting at all for the comparison
         assert row_then_col(m, inert) == col_then_row(m, inert)
-
-
-def test_dsl_round_trip_every_fixture():
-    for path in fx.law_files():
-        doc, src = dsl.parse_file(path)
-        assert doc is not None, src.diagnostics
-        text = dsl.serialize(doc)
-        doc2, _ = dsl.parse(text)
-        assert doc2 == doc
-        assert dsl.serialize(doc2) == text
 
 
 def test_json_reports_deterministic_across_runs():
