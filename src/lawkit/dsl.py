@@ -858,6 +858,11 @@ def _elaborate_fincat(theory2: TwoTheoryPresentation, decl: FinCatDecl) -> CatMo
     for f, g, h in decl.composites:
         comp[(index[f], index[g])] = index[h]
     cat = build_category(n, src, dst, list(range(n)), comp)
+    violation = fincat.validate_category(cat)
+    if violation is not None:
+        # Every datum is an arrow id (an object's for "identity", which is also its id arrow).
+        where = ", ".join(names[x] for x in violation.data)
+        raise ValueError(f"not a category: {violation.kind} at ({where})")
     return _attach_tables(theory2, cat, decl.functors, decl.nats)
 
 

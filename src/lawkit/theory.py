@@ -20,6 +20,7 @@ models.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -73,18 +74,6 @@ class Apply(Term):
 
     def size(self) -> int:
         return 1 + sum(a.size() for a in self.args)
-
-
-def term_key(t: Term):
-    """Total-order key: Proj < Apply, Proj by index, Apply by op name then args."""
-    if isinstance(t, Proj):
-        return (0, t.index)
-    assert isinstance(t, Apply)
-    return (1, t.op.name, tuple(term_key(a) for a in t.args))
-
-
-def term_order(t: Term):
-    return (t.size(), term_key(t))
 
 
 def substitute(t: Term, args: tuple[Term, ...], context: int) -> Term:
@@ -361,44 +350,130 @@ def _instantiate(rhs: Term, binding: dict[int, Term], context: int) -> Term:
     return Apply(rhs.op, tuple(_instantiate(a, binding, context) for a in rhs.args), context)
 
 
-def _try_rules_at(t: Term, sub: Term, path: tuple[int, ...],
-                  rules: list[tuple[str, Term, Term]]) -> tuple[Term, RewriteStep] | None:
+def _shape(t: Term, occurrences: Counter) -> int:
+    """Number of Apply nodes of ``t``; counts each projection index into ``occurrences``."""
+    if isinstance(t, Proj):
+        occurrences[t.index] += 1
+        return 0
+    assert isinstance(t, Apply)
+    return 1 + sum(_shape(a, occurrences) for a in t.args)
+
+
+def _rule_table(rules) -> list[tuple[str, Term, Term, int, tuple[tuple[int, int], ...]]]:
+    """The rules that can fire, each with the size change of one of its steps.
+
+    A rule whose lhs leaves one of its variables unbound never fires, so it is
+    dropped.  A step turns ``lhs[b]`` into ``rhs[b]``, which changes the size
+    by the Apply nodes rhs has over lhs (``growth``) plus, for each variable,
+    its extra occurrences in rhs times the size of its binding (``weights``).
+    """
+    table = []
     for name, lhs, rhs in rules:
-        binding = match(lhs, sub, {})
-        if binding is None:
+        lhs_occ, rhs_occ = Counter(), Counter()
+        growth = _shape(rhs, rhs_occ) - _shape(lhs, lhs_occ)
+        if len(lhs_occ) < lhs.context:
             continue
-        if any(i not in binding for i in range(lhs.context)):
-            # Rule introduces variables absent from its own lhs; skip.
-            continue
-        new_sub = _instantiate(rhs, binding, sub.context)
-        # Termination guard: a step must strictly decrease the whole term.
-        if term_order(new_sub) < term_order(sub):
-            return replace_at(t, path, new_sub), RewriteStep(name, path, sub, new_sub)
-    return None
+        weights = tuple((v, rhs_occ[v] - n) for v, n in sorted(lhs_occ.items())
+                        if rhs_occ[v] != n)
+        table.append((name, lhs, rhs, growth, weights))
+    return table
 
 
-def rewrite_once(t: Term, rules) -> tuple[Term, RewriteStep] | None:
-    """Leftmost-innermost single step, or None at a normal form."""
-    def walk(sub: Term, path: tuple[int, ...]):
-        if isinstance(sub, Apply):
-            for i, a in enumerate(sub.args):
-                hit = walk(a, path + (i,))
-                if hit is not None:
-                    return hit
-        return _try_rules_at(t, sub, path, rules)
-    return walk(t, ())
+def _compare(a: Term, b: Term) -> int:
+    """Sign of the term key order of ``a`` against ``b``.
+
+    Proj < Apply, Proj by index, Apply by op name, then its arguments
+    lexicographically (a proper prefix first).
+    """
+    if a is b:
+        return 0
+    if isinstance(a, Proj):
+        if isinstance(b, Proj):
+            return (a.index > b.index) - (a.index < b.index)
+        return -1
+    if isinstance(b, Proj):
+        return 1
+    assert isinstance(a, Apply) and isinstance(b, Apply)
+    if a.op.name != b.op.name:
+        return -1 if a.op.name < b.op.name else 1
+    for x, y in zip(a.args, b.args):
+        c = _compare(x, y)
+        if c:
+            return c
+    return (len(a.args) > len(b.args)) - (len(a.args) < len(b.args))
 
 
 def normalize(t: Term, rules, budget: int = 10_000) -> tuple[Term, list[RewriteStep], bool]:
-    """Rewrite to a fixpoint; returns (normal form, trace, within_budget)."""
+    """Rewrite leftmost-innermost to a fixpoint; returns (normal form, trace, within_budget).
+
+    A step at a subterm must strictly decrease it in the term order: size
+    first, then the key order of ``_compare``.  The first rule, in order,
+    that matches, binds all its variables and passes that guard fires.
+
+    One bottom-up pass: each subterm is tried once its arguments are normal,
+    and after a step only the nodes the rule's rhs built are tried again.
+    The subterms its variables bound are normal: they lie strictly inside
+    the rewritten subterm, whose arguments were normal.  (A lhs that is a
+    lone variable binds the whole subterm, but no rhs keeping that variable
+    is smaller.)  A projection is never rewritten: only a lone-variable lhs
+    matches it, and the rhs of such a rule, having no other variable,
+    instantiates to the projection itself or to an Apply, which is larger.
+    After ``budget`` steps the pass stops and returns the term reached.
+    """
     trace: list[RewriteStep] = []
-    for _ in range(budget):
-        hit = rewrite_once(t, rules)
-        if hit is None:
-            return t, trace, True
-        t, step = hit
-        trace.append(step)
-    return t, trace, False
+    if budget <= 0:
+        return t, trace, False
+    table = _rule_table(rules)
+    path: list[int] = []
+
+    def step(sub: Apply) -> tuple[Term, Term] | None:
+        """Fire the first rule that decreases ``sub``: (its rhs, the new subterm), or None."""
+        for name, lhs, rhs, growth, weights in table:
+            binding = match(lhs, sub, {})
+            if binding is None:
+                continue
+            for v, w in weights:
+                growth += w * binding[v].size()
+            if growth > 0:
+                continue
+            new = _instantiate(rhs, binding, sub.context)
+            if growth < 0 or _compare(new, sub) < 0:
+                trace.append(RewriteStep(name, tuple(path), sub, new))
+                return rhs, new
+        return None
+
+    def norm(sub: Apply, built: Term | None) -> Term:
+        """Normalize ``sub``.  When ``built`` is the rhs that made ``sub``,
+        only the nodes it built are examined; the rest are normal."""
+        while True:
+            new_args = None
+            for i, a in enumerate(sub.args):
+                if len(trace) == budget:
+                    break
+                pattern = None if built is None else built.args[i]
+                if isinstance(a, Proj) or isinstance(pattern, Proj):
+                    continue
+                path.append(i)
+                b = norm(a, pattern)
+                path.pop()
+                if b is not a:
+                    if new_args is None:
+                        new_args = list(sub.args)
+                    new_args[i] = b
+            if new_args is not None:
+                sub = Apply(sub.op, tuple(new_args), sub.context)
+            if len(trace) == budget:
+                return sub
+            hit = step(sub)
+            if hit is None:
+                return sub
+            built, sub = hit
+            if isinstance(built, Proj):
+                return sub
+
+    if isinstance(t, Apply):
+        t = norm(t, None)
+    return t, trace, len(trace) < budget
 
 
 def replay_trace(t: Term, trace: list[RewriteStep]) -> Term:

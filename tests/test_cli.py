@@ -107,6 +107,8 @@ def test_out_of_range_arrow_endpoint_is_input_error(tmp_path):
      "t_gl2.law"),
     ("[[0, 0, 0], [0, 1, 2], [0, 2, 1]]", "[[0, 0, 0], [0, 1]]",
      "braiding b: matrix is not 3 x 3", "t_braid.law"),
+    ("arrow le : 0 -> 1;", "arrow le : 0 -> 1;\n  arrow eg : 1 -> 0;",
+     "not a category: missing-composite at (le, eg)", "t_comm_flat.law"),
 ])
 def test_bad_model_tables_are_input_errors(tmp_path, old, new, message, name):
     code, text = invoke(["check-theory", _mutant(tmp_path, name, old, new)])

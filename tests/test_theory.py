@@ -7,29 +7,37 @@ from lawkit.finset import FinSetModel, enumerate_models, separating_input, valid
 from lawkit.theory import (
     Apply,
     Equal,
+    Equation,
     Morphism,
     NotEqual,
     OpSymbol,
     Proj,
     TheoryError,
+    TheoryPresentation,
     Unknown,
     check_commutative,
     check_unital,
     col_then_row,
+    commutativity_square,
     compose,
     decide_equal,
     eh_preconditions_1d,
     generator_morphism,
     identity,
+    match,
+    normalize,
     normalize_morphism,
     operadic_compose,
     par,
     power_left,
     power_right,
     proj_morphism,
+    replace_at,
+    render_term,
     replay_trace,
     row_then_col,
     tensor_ops,
+    substitute,
     transpose,
     tupling,
     unit_insertion,
@@ -255,7 +263,6 @@ def test_unknown_on_unorientable():
     f_op = OpSymbol("f", 1)
     eq_lhs = Morphism(1, 1, (Proj(0, 1),))
     eq_rhs = Morphism(1, 1, (ap(f_op, [ap(f_op, [Proj(0, 1)], 1)], 1),))
-    from lawkit.theory import Equation, TheoryPresentation
     t = TheoryPresentation("t_inv_like", (f_op,), (Equation("e", eq_lhs, eq_rhs),))
     g1 = Morphism(1, 1, (ap(f_op, [Proj(0, 1)], 1),))
     verdict = decide_equal(t, g1, identity(1), model_bound=2)
@@ -282,3 +289,169 @@ def test_decide_equal_traces_replay_to_common_normal_form():
         for i, component_trace in enumerate(traces):
             assert replay_trace(start.components[i], list(component_trace)) == \
                 verdict.normal_form.components[i]
+
+
+# -- one-pass normalization against the restart-from-the-root reference --------
+
+SHIPPED_THEORIES = ("t_ass", "t_comm", "t_pointed", "t_inv_1d", "t_semiring", "t_ass_flat",
+                    "t_braid", "t_comm_flat", "t_pointed_flat", "t_inv", "t_gl2")
+
+
+def _reference_key(t):
+    if isinstance(t, Proj):
+        return (0, t.index)
+    return (1, t.op.name, tuple(_reference_key(a) for a in t.args))
+
+
+def _reference_order(t):
+    return (t.size(), _reference_key(t))
+
+
+def _reference_rewrite_once(t, rules):
+    """Leftmost-innermost single step found by a walk from the root, or None."""
+    def try_rules_at(sub, path):
+        for name, lhs, rhs in rules:
+            binding = match(lhs, sub, {})
+            if binding is None or any(i not in binding for i in range(lhs.context)):
+                continue
+            new_sub = substitute(rhs, binding, sub.context)
+            if _reference_order(new_sub) < _reference_order(sub):
+                return replace_at(t, path, new_sub), (name, path, sub, new_sub)
+        return None
+
+    def walk(sub, path):
+        if isinstance(sub, Apply):
+            for i, a in enumerate(sub.args):
+                hit = walk(a, path + (i,))
+                if hit is not None:
+                    return hit
+        return try_rules_at(sub, path)
+    return walk(t, ())
+
+
+def _reference_normalize(t, rules, budget):
+    trace = []
+    for _ in range(budget):
+        hit = _reference_rewrite_once(t, rules)
+        if hit is None:
+            return t, trace, True
+        t, step = hit
+        trace.append(step)
+    return t, trace, False
+
+
+def _word(rng, theory, leaves, context):
+    """A random bracketing of ``leaves`` (variable indices) under m, with units inserted."""
+    m_op, u_op = theory.op("m"), theory.op("u")
+    terms = []
+    for x in leaves:
+        while rng.random() < 0.15:
+            terms.append(Apply(u_op, (), context))
+        terms.append(Proj(x, context))
+    if not terms:
+        return Apply(u_op, (), context)
+
+    def bracket(ts):
+        if len(ts) == 1:
+            return ts[0]
+        cut = rng.randrange(1, len(ts))
+        return Apply(m_op, (bracket(ts[:cut]), bracket(ts[cut:])), context)
+    return bracket(terms)
+
+
+def _left_nested(n):
+    t = Proj(0, n)
+    for i in range(1, n):
+        t = Apply(M, (t, Proj(i, n)), n)
+    return t
+
+
+def _right_nested(n):
+    t = Proj(n - 1, n)
+    for i in reversed(range(n - 1)):
+        t = Apply(M, (Proj(i, n), t), n)
+    return t
+
+
+def _parity_cases():
+    for name in SHIPPED_THEORIES:
+        theory = fx.theory(name).base
+        rules = theory.rewrite_rules()
+        for eq in theory.equations:
+            for side in (eq.lhs, eq.rhs):
+                for c in side.components:
+                    yield rules, c
+        for a in theory.basis_ops():
+            for b in theory.basis_ops():
+                for side in commutativity_square(generator_morphism(a), generator_morphism(b)):
+                    for c in side.components:
+                        yield rules, c
+    rng = random.Random(2024)
+    for theory in (T_ASS, T_COMM):
+        rules = theory.rewrite_rules()
+        for _ in range(150):
+            arity = rng.randrange(1, 5)
+            leaves = [rng.randrange(arity) for _ in range(rng.randrange(0, 10))]
+            yield rules, _word(rng, theory, leaves, arity)
+    yield T_ASS.rewrite_rules(), _left_nested(40)
+    f_op = OpSymbol("f", 1)
+    growing = TheoryPresentation("t_inv_like", (f_op,), (Equation(
+        "e", identity(1), Morphism(1, 1, (ap(f_op, [ap(f_op, [Proj(0, 1)], 1)], 1),))),))
+    for t in (Proj(0, 1), ap(f_op, [Proj(0, 1)], 1), ap(f_op, [ap(f_op, [Proj(0, 1)], 1)], 1)):
+        yield growing.rewrite_rules(), t
+
+
+def test_normalize_matches_restart_reference():
+    cases = list(_parity_cases())
+    assert len(cases) > 300
+    steps = 0
+    for rules, t in cases:
+        for budget in (1, 2, 3, 10_000):
+            nf, trace, within = normalize(t, rules, budget)
+            ref_nf, ref_trace, ref_within = _reference_normalize(t, rules, budget)
+            assert (nf, within) == (ref_nf, ref_within), (render_term(t), budget)
+            assert [(s.rule, s.path, s.before, s.after) for s in trace] == ref_trace, \
+                (render_term(t), budget)
+            steps += len(trace)
+    assert steps > 1000
+
+
+def test_normalize_deep_and_long_terms():
+    rules = T_ASS.rewrite_rules()
+    deep = _right_nested(901)
+    nf, trace, within = normalize(deep, rules)
+    assert nf is deep and trace == [] and within
+    n = 120
+    nf, trace, within = normalize(_left_nested(n), rules)
+    assert within and nf == _right_nested(n)
+    assert len(trace) == (n - 1) * (n - 2) // 2 == 7021
+    assert {s.rule for s in trace} == {"assoc"}
+
+
+def test_decide_equal_witnesses_replay():
+    rng = random.Random(17)
+    verdicts = {Equal: 0, NotEqual: 0}
+    for theory in (T_ASS, T_COMM):
+        for _ in range(40):
+            arity = rng.randrange(2, 4)
+            word = [rng.randrange(arity) for _ in range(rng.randrange(2, 6))]
+            # equal by construction (permuted under t_comm), or one letter
+            # longer, which the two-element group separates
+            if rng.random() < 0.5:
+                other = rng.sample(word, len(word)) if theory is T_COMM else word
+            else:
+                other = [rng.randrange(arity) for _ in range(len(word) + 1)]
+            f = Morphism(arity, 1, (_word(rng, theory, word, arity),))
+            g = Morphism(arity, 1, (_word(rng, theory, other, arity),))
+            v = decide_equal(theory, f, g, model_bound=3)
+            verdicts[type(v)] += 1
+            if isinstance(v, NotEqual):
+                assert validate_model(theory, v.model.size, dict(v.model.tables)) == v.model
+                assert v.model.eval_morphism(f, v.witness) != v.model.eval_morphism(g, v.witness)
+            else:
+                assert isinstance(v, Equal)
+                for start, traces in ((f, v.lhs_trace), (g, v.rhs_trace)):
+                    for c, component_trace in zip(start.components, traces):
+                        assert replay_trace(c, list(component_trace)) == \
+                            v.normal_form.components[0]
+    assert verdicts[Equal] > 10 and verdicts[NotEqual] > 10
