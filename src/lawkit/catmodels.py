@@ -70,6 +70,7 @@ class CatModel:
     _powers: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _functors: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _closures: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _boundaries: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def power(self, n: int) -> ProductCategory:
         if n not in self._powers:
@@ -264,13 +265,31 @@ def functor_power(fun: FinFunctor, n: int, src_pow: ProductCategory,
 def hom_cell_boundary(hom_src: CatModel, hom_dst: CatModel, f1: FinFunctor,
                       gen_name: str, weakness: str) -> tuple[FinFunctor, FinFunctor]:
     g = generator_morphism(hom_src.theory.base.op(gen_name))
-    n = g.source
-    fpow = functor_power(f1, n, hom_src.power(n), hom_dst.power(n))
-    via_target = compose_functors(fpow, hom_dst.functor_of(g))
-    via_source = compose_functors(hom_src.functor_of(g), f1)
+    return _cell_boundary(hom_src, hom_dst, f1, g, weakness)
+
+
+def _cell_boundary(X: CatModel, Y: CatModel, f1: FinFunctor, f: Morphism,
+                  weakness: str) -> tuple[FinFunctor, FinFunctor]:
+    """Source and target of the structure cell at ``f: a -> b`` of a hom
+    ``X -> Y`` with underlying functor ``f1``: ``F^a ; Y(f)`` and
+    ``X(f) ; F^b`` (swapped for colax).
+
+    Both functors are memoized on ``X`` per target model, ``f1`` tables and
+    ``f``.  A hit needs the stored target to be ``Y`` itself and the stored
+    functor to equal ``f1``, so it returns what composing would.
+    """
+    key = (id(Y), f1.obj_map, f1.arr_map, f)
+    hit = X._boundaries.get(key)
+    if hit is None or hit[0] is not Y or hit[1] != f1:
+        a, b = f.source, f.target
+        via_target = compose_functors(functor_power(f1, a, X.power(a), Y.power(a)),
+                                      Y.functor_of(f))
+        via_source = compose_functors(X.functor_of(f),
+                                      functor_power(f1, b, X.power(b), Y.power(b)))
+        hit = X._boundaries[key] = (Y, f1, via_target, via_source)
     if weakness == "colax":
-        return via_source, via_target
-    return via_target, via_source
+        return hit[3], hit[2]
+    return hit[2], hit[3]
 
 
 def identity_hom(model: CatModel, weakness: str = "strict") -> LaxHom:
@@ -285,14 +304,8 @@ def identity_hom(model: CatModel, weakness: str = "strict") -> LaxHom:
 def extend_hom_cell(hom: LaxHom, f: Morphism) -> FinNat:
     """Canonical structure cell of a homomorphism at an arbitrary morphism."""
     X, Y = hom.source, hom.target
-    a, b = f.source, f.target
-    fpow_a = functor_power(hom.f1, a, X.power(a), Y.power(a))
-    if hom.weakness == "colax":
-        outer_src = compose_functors(X.functor_of(f), functor_power(hom.f1, b, X.power(b), Y.power(b)))
-        outer_tgt = compose_functors(fpow_a, Y.functor_of(f))
-    else:
-        outer_src = compose_functors(fpow_a, Y.functor_of(f))
-        outer_tgt = compose_functors(X.functor_of(f), functor_power(hom.f1, b, X.power(b), Y.power(b)))
+    b = f.target
+    outer_src, outer_tgt = _cell_boundary(X, Y, hom.f1, f, hom.weakness)
 
     if is_inert(f):
         return FinNat(outer_src, outer_tgt,
@@ -320,23 +333,14 @@ def extend_hom_cell(hom: LaxHom, f: Morphism) -> FinNat:
             c = nat.components[X.power(h.source).encode_obj(block)]
             out.extend(Y.power(h.target).decode_arr(c))
         comps.append(cod.encode_arr(tuple(out)))
-    fpow_v = functor_power(hom.f1, v_src, X.power(v_src), Y.power(v_src))
     from .theory import par as par_morphism
     v = par_morphism(heads)
+    par_nat = FinNat(*_cell_boundary(X, Y, hom.f1, v, hom.weakness), tuple(comps))
+    steps = [whisker_right(extend_hom_cell(hom, u), Y.functor_of(v)),
+             whisker_left(X.functor_of(u), par_nat)]
     if hom.weakness == "colax":
-        par_nat = FinNat(compose_functors(X.functor_of(v),
-                                          functor_power(hom.f1, b, X.power(b), Y.power(b))),
-                         compose_functors(fpow_v, Y.functor_of(v)), tuple(comps))
-        right = whisker_left(X.functor_of(u), par_nat)
-        left = whisker_right(extend_hom_cell(hom, u), Y.functor_of(v))
-        return FinNat(outer_src, outer_tgt, vert_nat(right, left).components)
-    par_nat = FinNat(compose_functors(fpow_v, Y.functor_of(v)),
-                     compose_functors(X.functor_of(v),
-                                      functor_power(hom.f1, b, X.power(b), Y.power(b))),
-                     tuple(comps))
-    first = whisker_right(extend_hom_cell(hom, u), Y.functor_of(v))
-    second = whisker_left(X.functor_of(u), par_nat)
-    return FinNat(outer_src, outer_tgt, vert_nat(first, second).components)
+        steps.reverse()
+    return FinNat(outer_src, outer_tgt, vert_nat(*steps).components)
 
 
 def validate_lax_hom(hom: LaxHom) -> list[ModelViolation]:

@@ -829,16 +829,7 @@ def parse_file(path) -> tuple[Document | None, SourceFile]:
                              f"{fname}: {src.diagnostics[0].message}")
         return doc
 
-    text = path.read_text(encoding="utf-8")
-    source = SourceFile(str(path), text)
-    try:
-        tokens = tokenize(text)
-    except ParseError as e:
-        source.diagnostics.append(e.diagnostic)
-        return None, source
-    doc, sub = parse(text, str(path), loader=loader)
-    source.diagnostics.extend(sub.diagnostics)
-    return doc, source
+    return parse(path.read_text(encoding="utf-8"), str(path), loader=loader)
 
 
 # -- elaboration of categorical model blocks -----------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .search import search
@@ -21,6 +22,7 @@ from .theory import (
     Term,
     TheoryError,
     TheoryPresentation,
+    _shape,
 )
 
 
@@ -83,14 +85,30 @@ def make_model(theory: TheoryPresentation, size: int,
 
 def validate_model(theory: TheoryPresentation, size: int,
                    tables: dict[str, tuple[int, ...]]) -> FinSetModel | Violation:
-    """Accept iff every equation holds on every input tuple."""
+    """Accept iff every equation holds on every input tuple.
+
+    Only the variables that occur in an equation are enumerated; every other
+    coordinate stays 0, since it cannot change either side.  The first
+    violating tuple in lexicographic order has those coordinates at 0, so the
+    witness is the one a scan of all tuples finds.
+    """
     model = make_model(theory, size, tables)
     for eq in theory.equations:
-        for env in all_tuples(size, eq.lhs.source):
+        arity = eq.lhs.source
+        if arity and not size:
+            continue  # the empty carrier has no input tuples
+        occurrences = Counter()
+        for t in eq.lhs.components + eq.rhs.components:
+            _shape(t, occurrences)
+        used = sorted(occurrences)
+        env = [0] * arity
+        for values in all_tuples(size, len(used)):
+            for i, v in zip(used, values):
+                env[i] = v
             lv = model.eval_morphism(eq.lhs, env)
             rv = model.eval_morphism(eq.rhs, env)
             if lv != rv:
-                return Violation(eq.name, env, lv, rv)
+                return Violation(eq.name, tuple(env), lv, rv)
     return model
 
 

@@ -100,6 +100,17 @@ class Morphism:
     def __repr__(self):
         return f"Morphism({self.source}->{self.target}, {[render_term(c) for c in self.components]})"
 
+    def __hash__(self):
+        # The dataclass hash walks the whole term tree; a morphism keys many
+        # memo lookups, so the hash is stored on first use (not at
+        # construction, which would tax every morphism built).  It lives in
+        # the instance dict, outside the dataclass fields.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.source, self.target, self.components))
+            object.__setattr__(self, "_hash", h)
+        return h
+
 
 def render_term(t: Term) -> str:
     if isinstance(t, Proj):
@@ -119,8 +130,14 @@ def proj_morphism(i: int, n: int) -> Morphism:
 
 
 def generator_morphism(op: OpSymbol) -> Morphism:
-    n = op.arity
-    return Morphism(n, 1, (Apply(op, tuple(Proj(i, n) for i in range(n)), n),))
+    """The morphism of ``op`` applied to its variables in order; one shared
+    instance per symbol, stored on it, so memo lookups hit by identity."""
+    f = op.__dict__.get("_generator")
+    if f is None:
+        n = op.arity
+        f = Morphism(n, 1, (Apply(op, tuple(Proj(i, n) for i in range(n)), n),))
+        object.__setattr__(op, "_generator", f)
+    return f
 
 
 def tupling(fs: list[Morphism]) -> Morphism:

@@ -13,6 +13,7 @@ from lawkit.catmodels import (
     convolution_algebra,
     enumerate_homs_w,
     enumerate_modifications,
+    extend_hom_cell,
     functor_power,
     hom_cell_boundary,
     identity_hom,
@@ -27,9 +28,19 @@ from lawkit.catmodels import (
     validate_lax_hom,
     validate_modification,
 )
-from lawkit.cells import CellError, TheoryMorphism
-from lawkit.fincat import FinFunctor, FinNat, enumerate_functors, power
-from lawkit.theory import Morphism, Proj, generator_morphism
+from lawkit.cells import CellError, TheoryMorphism, _decompose, _is_plain_generator
+from lawkit.fincat import (
+    EnumerationBound,
+    FinFunctor,
+    FinNat,
+    compose_functors,
+    enumerate_functors,
+    power,
+    vert_nat,
+    whisker_left,
+    whisker_right,
+)
+from lawkit.theory import Morphism, Proj, generator_morphism, is_inert, par
 
 # Discrete two objects swapped by the involution.
 TWO_OBJECT_INVOLUTION = """
@@ -334,3 +345,121 @@ def test_functor_power_matches_per_element_encoding():
                     src_pow, dst_pow = power(c, n), power(d, n)
                     assert functor_power(fun, n, src_pow, dst_pow) == \
                         reference_functor_power(fun, src_pow, dst_pow)
+
+
+# -- the boundary memo against from-scratch composition -----------------------------------
+
+WEAKNESSES = ("strict", "pseudo", "lax", "colax")
+
+
+class FromScratch:
+    """Boundary functors and extended structure cells rebuilt without
+    lawkit's memos: every functor comes from the per-element references
+    above, kept here per model and morphism only to save time."""
+
+    def __init__(self):
+        self.functors = {}
+
+    def functor_of(self, model, f):
+        key = (id(model), f)
+        if key not in self.functors:
+            self.functors[key] = (model, reference_functor_of(model, f))
+        return self.functors[key][1]
+
+    def boundary(self, X, Y, f1, f, weakness):
+        a, b = f.source, f.target
+        via_target = compose_functors(reference_functor_power(f1, X.power(a), Y.power(a)),
+                                      self.functor_of(Y, f))
+        via_source = compose_functors(self.functor_of(X, f),
+                                      reference_functor_power(f1, X.power(b), Y.power(b)))
+        if weakness == "colax":
+            return via_source, via_target
+        return via_target, via_source
+
+    def extend(self, hom, f):
+        X, Y = hom.source, hom.target
+        outer_src, outer_tgt = self.boundary(X, Y, hom.f1, f, hom.weakness)
+        if is_inert(f):
+            return FinNat(outer_src, outer_tgt,
+                          tuple(Y.power(f.target).identity_arr(outer_src.obj_map[o])
+                                for o in range(outer_src.source.n_objects)))
+        if _is_plain_generator(f):
+            return hom.cell(f.components[0].op.name)
+        u, heads = _decompose(f)
+        dom = X.power(sum(h.source for h in heads))
+        head_nats = [self.extend(hom, h) for h in heads]
+        comps = []
+        for o in range(dom.n_objects):
+            objs, out, off = dom.decode_obj(o), [], 0
+            for h, nat in zip(heads, head_nats):
+                c = nat.components[X.power(h.source).encode_obj(objs[off:off + h.source])]
+                out.extend(Y.power(h.target).decode_arr(c))
+                off += h.source
+            comps.append(Y.power(f.target).encode_arr(tuple(out)))
+        v = par(heads)
+        par_nat = FinNat(*self.boundary(X, Y, hom.f1, v, hom.weakness), tuple(comps))
+        first = whisker_right(self.extend(hom, u), self.functor_of(Y, v))
+        second = whisker_left(self.functor_of(X, u), par_nat)
+        if hom.weakness == "colax":
+            first, second = second, first
+        return FinNat(outer_src, outer_tgt, vert_nat(first, second).components)
+
+
+def _models_by_theory():
+    """The valid shipped cat models, grouped by theory (the mutant is left out)."""
+    groups = []
+    for model in shipped_models("fincat", "moncat"):
+        if validate_cat_model(model):
+            continue
+        for group in groups:
+            if group[0].theory == model.theory:
+                group.append(model)
+                break
+        else:
+            groups.append([model])
+    return groups
+
+
+def test_boundary_memo_matches_from_scratch_composition():
+    scratch = FromScratch()
+    homs = 0
+    for models in _models_by_theory():
+        base = models[0].theory.base
+        morphisms = [side for eq in base.equations for side in (eq.lhs, eq.rhs)]
+        morphisms += [side for cell in models[0].theory.cells
+                      for side in (cell.source, cell.target)]
+        for X in models:
+            for Y in models:
+                for weakness in WEAKNESSES:
+                    try:
+                        found = enumerate_homs_w(X, Y, weakness)
+                    except EnumerationBound:
+                        continue
+                    for hom in found:
+                        homs += 1
+                        # An equal functor that is another object must hit too.
+                        twin = FinFunctor(hom.f1.source, hom.f1.target,
+                                          tuple(hom.f1.obj_map), tuple(hom.f1.arr_map))
+                        for g in base.generators:
+                            expected = scratch.boundary(X, Y, hom.f1,
+                                                        generator_morphism(g), weakness)
+                            for f1 in (hom.f1, twin, hom.f1):
+                                assert hom_cell_boundary(X, Y, f1, g.name, weakness) == expected
+                        for f in morphisms:
+                            assert extend_hom_cell(hom, f) == scratch.extend(hom, f)
+    assert homs > 100
+
+
+def test_boundary_memo_tells_equal_target_models_apart():
+    X = fx.model("poset_meet")
+    Y1 = fx.parse('import "t_comm_flat.law";').cat_model("graded_lines")
+    Y2 = fx.parse('import "t_comm_flat.law";').cat_model("graded_lines")
+    assert Y1 == Y2 and Y1 is not Y2
+    f1 = enumerate_homs_w(X, Y1, "lax")[0].f1
+    for Y in (Y1, Y2, Y1, Y2):
+        src, tgt = hom_cell_boundary(X, Y, f1, "m", "lax")
+        # F^2 ; Y(m) ends in Y's own carrier power, so a hit stored for the
+        # other, equal model would show here.
+        assert src.target is Y.power(1).cat
+        assert (src, tgt) == FromScratch().boundary(
+            X, Y, f1, generator_morphism(X.theory.base.op("m")), "lax")

@@ -161,6 +161,22 @@ def test_huge_equation_arity_hits_the_power_bound(tmp_path, old, new):
     assert "exceeds bound 4194304" in done.stdout
 
 
+@pytest.mark.parametrize("old, new", [
+    ("m(m(x1,x2),x3) =", "m(m(x1,x2),x63) ="),
+    ("= m(x1,m(x2,x3))", "= m(x1,m(x2,x63))"),
+])
+def test_huge_equation_arity_over_a_finite_set_gets_a_verdict(tmp_path, old, new):
+    # One-character mutants of t_comm.law whose assoc reads x63: validating a
+    # finite-set model used to scan all 2^63 inputs.  Only the four variables
+    # that occur are enumerated now, so the shipped models get a witness.
+    path = _mutant(tmp_path, "t_comm.law", old, new)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src")] + sys.path))
+    done = subprocess.run([sys.executable, "-m", "lawkit.cli", "check-theory", path],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert done.returncode == EXIT_FAILED, done.stderr
+    assert "violates assoc" in done.stdout
+
+
 def test_json_reports_match_schema_and_are_deterministic():
     argv = ["--format", "json", "--no-timings", "commutative", law_path("t_comm.law")]
     first = invoke(list(argv))

@@ -45,6 +45,45 @@ def test_validate_rejects_wrong_unit():
     assert result.env == (0,)
 
 
+# Equations that skip variables: x1 and x3 occur in neither side of `skip`.
+T_SKIP = fx.parse("""
+theory t_skip {
+  op m : 2 -> 1;
+  op u : 0 -> 1;
+  eq skip : m(x4,x2) = m(x2,m(u,x4));
+  eq idem : m(x2,x2) = x2;
+}
+""").theories[0].base
+
+
+def reference_validate_model(theory, size, tables):
+    """Scan every input tuple of every equation's full context."""
+    model = FinSetModel(theory, size, tuple((g.name, tables[g.name]) for g in theory.generators))
+    for eq in theory.equations:
+        for env in itertools.product(range(size), repeat=eq.lhs.source):
+            lv, rv = model.eval_morphism(eq.lhs, env), model.eval_morphism(eq.rhs, env)
+            if lv != rv:
+                return Violation(eq.name, env, lv, rv)
+    return model
+
+
+def test_validate_model_matches_full_scan():
+    checked = violations = 0
+    for theory in (T_ASS, T_COMM, T_SKIP):
+        for size in (1, 2, 3):
+            cells = [(g.name, size ** g.arity) for g in theory.generators]
+            tables = itertools.product(range(size), repeat=sum(n for _, n in cells))
+            for flat in itertools.islice(tables, 0, None, max(1, size ** 9 // 400)):
+                split, at = {}, 0
+                for name, n in cells:
+                    split[name], at = tuple(flat[at:at + n]), at + n
+                result = validate_model(theory, size, split)
+                assert result == reference_validate_model(theory, size, split)
+                checked += 1
+                violations += isinstance(result, Violation)
+    assert checked > 500 and violations > 400
+
+
 def test_validate_selfmaps_monoid():
     # all self-maps of {0,1} under composition: id, swap, const0, const1
     maps = [(0, 1), (1, 0), (0, 0), (1, 1)]

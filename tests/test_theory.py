@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -278,6 +279,30 @@ def test_unit_insertion_shape():
     ins = unit_insertion(u, 1, 3)
     assert ins.source == 1 and ins.target == 3
     assert isinstance(ins.components[1], Proj)
+
+
+def test_morphism_hash_is_stored_but_not_a_field():
+    def build():
+        return compose(tupling([m, proj_morphism(0, 2)]), m)
+
+    f, g = build(), build()
+    assert f == g and f is not g
+    shown = (repr(f), asdict(f))
+    assert hash(f) == hash(g) == hash((f.source, f.target, f.components))
+    assert {f: "found"}[g] == "found"
+    assert hash(f) == hash(g) == hash(build())
+    assert [field.name for field in fields(Morphism)] == ["source", "target", "components"]
+    assert (repr(f), asdict(f)) == shown
+    assert "_hash" not in repr(f) and "_hash" not in asdict(f)
+
+
+def test_generator_morphism_is_shared_per_symbol():
+    assert generator_morphism(M) is generator_morphism(M)
+    other = OpSymbol("m", 2)
+    assert generator_morphism(other) == generator_morphism(M)
+    assert hash(generator_morphism(other)) == hash(generator_morphism(M))
+    assert repr(M) == "OpSymbol(name='m', arity=2)"
+    assert asdict(M) == {"name": "m", "arity": 2}
 
 
 def test_decide_equal_traces_replay_to_common_normal_form():
