@@ -392,23 +392,29 @@ def validate_lax_hom(hom: LaxHom) -> list[ModelViolation]:
 
 
 def compose_homs(f: LaxHom, g: LaxHom) -> LaxHom:
+    """The composite hom ``f ; g``.  Its cell at a generator has, at ``o``,
+    the component ``g.cell[F^n o] ; G(f.cell[o])`` (lax) or the reverse
+    (colax): the vertical composite of ``F^n`` whiskered into ``g``'s cell
+    and ``f``'s cell whiskered by ``G``."""
     if f.target is not g.source and f.target != g.source:
         raise CellError("hom composition mismatch")
     if f.weakness != g.weakness:
         raise CellError("hom composition across weaknesses")
     f1 = compose_functors(f.f1, g.f1)
+    then = g.target.carrier.then
+    g_arr = g.f1.arr_map
     cells = []
     for gen in f.source.theory.base.generators:
         n = gen.arity
-        fpow = functor_power(f.f1, n, f.source.power(n), f.target.power(n))
+        fpow = functor_power(f.f1, n, f.source.power(n), f.target.power(n)).obj_map
+        f_cell = f.cell(gen.name).components
+        g_cell = g.cell(gen.name).components
         if f.weakness == "colax":
-            nat = vert_nat(whisker_right(f.cell(gen.name), g.f1),
-                           whisker_left(fpow, g.cell(gen.name)))
+            comps = tuple(then(g_arr[c], g_cell[fpow[o]]) for o, c in enumerate(f_cell))
         else:
-            nat = vert_nat(whisker_left(fpow, g.cell(gen.name)),
-                           whisker_right(f.cell(gen.name), g.f1))
+            comps = tuple(then(g_cell[fpow[o]], g_arr[c]) for o, c in enumerate(f_cell))
         src, tgt = hom_cell_boundary(f.source, g.target, f1, gen.name, f.weakness)
-        cells.append((gen.name, FinNat(src, tgt, nat.components)))
+        cells.append((gen.name, FinNat(src, tgt, comps)))
     return LaxHom(f.source, g.target, f.weakness, f1, tuple(cells))
 
 
@@ -585,43 +591,58 @@ class HomCategory:
     objects: tuple[LaxHom, ...]
     arrows: tuple[Modification, ...]
 
-    def object_index(self, hom: LaxHom) -> int:
+    # Objects keyed on their tables, arrows on their endpoints' indices and
+    # components; the first object or arrow with a key wins.
+    _index: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+
+    def __post_init__(self):
         for i, h in enumerate(self.objects):
-            if h == hom:
-                return i
-        raise CellError("hom is not an object of this category")
+            self._index.setdefault(_object_key(h), i)
+        for i, m in enumerate(self.arrows):
+            self._index.setdefault((self.cat.src[i], self.cat.dst[i], m.component.components), i)
+
+    def object_index(self, hom: LaxHom) -> int:
+        i = self._index.get(_object_key(hom))
+        if i is None or self.objects[i] != hom:
+            raise CellError("hom is not an object of this category")
+        return i
 
     def arrow_index(self, mod: Modification) -> int:
-        for i, m in enumerate(self.arrows):
-            if m == mod:
-                return i
-        raise CellError("modification is not an arrow of this category")
+        key = (self.object_index(mod.source), self.object_index(mod.target),
+               mod.component.components)
+        i = self._index.get(key)
+        if i is None or self.arrows[i] != mod:
+            raise CellError("modification is not an arrow of this category")
+        return i
+
+
+def _object_key(hom: LaxHom) -> tuple:
+    return (hom.f1.obj_map, hom.f1.arr_map, tuple(c.components for _, c in hom.cells))
 
 
 def build_hom_category(X: CatModel, Y: CatModel, weakness: str,
                        bound: int = HOM_ENUMERATION_BOUND) -> HomCategory:
     homs = enumerate_homs_w(X, Y, weakness, bound)
     arrows: list[Modification] = []
-    for f in homs:
-        for g in homs:
-            arrows.extend(enumerate_modifications(f, g))
-    obj_index = {id(h): i for i, h in enumerate(homs)}
-    src = []
-    dst = []
-    for m in arrows:
-        src.append(next(i for i, h in enumerate(homs) if h == m.source))
-        dst.append(next(i for i, h in enumerate(homs) if h == m.target))
-    identity_ids = []
-    for i, h in enumerate(homs):
-        ident = identity_modification(h)
-        identity_ids.append(next(j for j, m in enumerate(arrows) if m == ident))
+    src: list[int] = []
+    dst: list[int] = []
+    out: list[list[int]] = [[] for _ in homs]  # arrow ids by source object
+    for i, f in enumerate(homs):
+        for j, g in enumerate(homs):
+            # Each modification found runs from f itself to g itself.
+            for m in enumerate_modifications(f, g):
+                out[i].append(len(arrows))
+                arrows.append(m)
+                src.append(i)
+                dst.append(j)
+    index = {(src[k], dst[k], m.component.components): k for k, m in enumerate(arrows)}
+    identity_ids = [index[(i, i, identity_modification(h).component.components)]
+                    for i, h in enumerate(homs)]
     comp = {}
     for i, m1 in enumerate(arrows):
-        for j, m2 in enumerate(arrows):
-            if m1.target != m2.source:
-                continue
-            m3 = compose_modifications(m1, m2)
-            comp[(i, j)] = next(k for k, m in enumerate(arrows) if m == m3)
+        for j in out[dst[i]]:
+            m3 = compose_modifications(m1, arrows[j])
+            comp[(i, j)] = index[(src[i], dst[j], m3.component.components)]
     cat = build_category(len(homs), src, dst, identity_ids, comp)
     return HomCategory(cat, tuple(homs), tuple(arrows))
 
@@ -700,35 +721,36 @@ def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable, weakness: str,
     postcomposition with the lifted operations of Y."""
     homcat = build_hom_category(X, Y, weakness, bound)
     theory2 = X.theory
+    objects, arrows = homcat.objects, homcat.arrows
+    n_x = X.carrier.n_objects
+
+    def arrow_index(s: int, t: int, comps: tuple[int, ...]) -> int:
+        mod = Modification(objects[s], objects[t],
+                           FinNat(objects[s].f1, objects[t].f1, comps))
+        return homcat.arrow_index(mod)
+
     ops = []
     for gen in theory2.base.generators:
         n = gen.arity
         ypow_model = power_cat_model(Y, n)
+        ypow = Y.power(n)
         lifted = lift_hom(Y, sigma, generator_morphism(gen), weakness, ypow_model)
         hpow = fincat.power(homcat.cat, n)
         obj_map = []
         for o in range(hpow.n_objects):
             idxs = hpow.decode_obj(o)
-            tup = tuple_homs([homcat.objects[i] for i in idxs], ypow_model, X, weakness)
+            tup = tuple_homs([objects[i] for i in idxs], ypow_model, X, weakness)
             obj_map.append(homcat.object_index(compose_homs(tup, lifted)))
+        # An arrow of H^n is a tuple of modifications; its image runs between
+        # the images of its endpoints, with lifted(f1) of the tuple of
+        # components at each x.
         arr_map = []
         for a in range(hpow.n_arrows):
-            idxs = hpow.decode_arr(a)
-            mods = [homcat.arrows[i] for i in idxs]
-            src_tup = tuple_homs([m.source for m in mods], ypow_model, X, weakness)
-            tgt_tup = tuple_homs([m.target for m in mods], ypow_model, X, weakness)
-            # component of the whiskered modification at x: lifted(f1) of the tuple arrow
-            comps = []
-            xcat = X.carrier
-            for o in range(xcat.n_objects):
-                arrow_tuple = Y.power(n).encode_arr(
-                    tuple(m.component.components[o] for m in mods))
-                comps.append(lifted.f1.arr_map[arrow_tuple])
-            new_mod = Modification(
-                compose_homs(src_tup, lifted), compose_homs(tgt_tup, lifted),
-                FinNat(compose_homs(src_tup, lifted).f1,
-                       compose_homs(tgt_tup, lifted).f1, tuple(comps)))
-            arr_map.append(homcat.arrow_index(new_mod))
+            mods = [arrows[i].component.components for i in hpow.decode_arr(a)]
+            comps = tuple(lifted.f1.arr_map[ypow.encode_arr(tuple(m[x] for m in mods))]
+                          for x in range(n_x))
+            arr_map.append(arrow_index(obj_map[hpow.arr_src(a)],
+                                       obj_map[hpow.arr_dst(a)], comps))
         ops.append((gen.name, FinFunctor(hpow.cat, homcat.cat, tuple(obj_map), tuple(arr_map))))
 
     hommodel = CatModel(theory2, homcat.cat, tuple(ops))
@@ -737,24 +759,16 @@ def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable, weakness: str,
         a = cellsym.source.source
         ynat = evaluate_pasting(Gen(cellsym), Y)
         hpow = fincat.power(homcat.cat, a)
+        src_fun = hommodel.functor_of(cellsym.source)
+        tgt_fun = hommodel.functor_of(cellsym.target)
         comps = []
         for o in range(hpow.n_objects):
-            idxs = hpow.decode_obj(o)
-            homs = [homcat.objects[i] for i in idxs]
-            src_fun = hommodel.functor_of(cellsym.source)
-            tgt_fun = hommodel.functor_of(cellsym.target)
-            src_hom = homcat.objects[src_fun.obj_map[o]]
-            tgt_hom = homcat.objects[tgt_fun.obj_map[o]]
-            mod_comps = []
-            for x in range(X.carrier.n_objects):
-                yobjs = tuple(h.f1.obj_map[x] for h in homs)
-                mod_comps.append(ynat.components[Y.power(a).encode_obj(yobjs)])
-            mod = Modification(src_hom, tgt_hom,
-                               FinNat(src_hom.f1, tgt_hom.f1, tuple(mod_comps)))
-            comps.append(homcat.arrow_index(mod))
-        cell_nats.append((cellsym.name, FinNat(hommodel.functor_of(cellsym.source),
-                                               hommodel.functor_of(cellsym.target),
-                                               tuple(comps))))
+            homs = [objects[i] for i in hpow.decode_obj(o)]
+            mod_comps = tuple(
+                ynat.components[Y.power(a).encode_obj(tuple(h.f1.obj_map[x] for h in homs))]
+                for x in range(n_x))
+            comps.append(arrow_index(src_fun.obj_map[o], tgt_fun.obj_map[o], mod_comps))
+        cell_nats.append((cellsym.name, FinNat(src_fun, tgt_fun, tuple(comps))))
     hommodel = CatModel(theory2, homcat.cat, tuple(ops), tuple(cell_nats))
     return hommodel, homcat
 

@@ -26,6 +26,7 @@ from .catmodels import (
     validate_cat_model,
 )
 from .cells import (
+    WEAKNESSES,
     CellError,
     check_sigma_coherence,
     derived_associativity_check,
@@ -274,6 +275,8 @@ def cmd_yang_baxter(args, doc):
 
 def cmd_models(args, doc):
     theory2 = _pick_theory(doc, args.theory)
+    if args.size < 1:
+        raise InputError(f"--size must be at least 1, got {args.size}")
     if args.size > args.max_size:
         raise EnumerationBound(f"size {args.size} exceeds bound {args.max_size}")
     models = list(finset.enumerate_models(theory2.base, args.size))
@@ -331,6 +334,11 @@ def cmd_convolve(args, doc):
     if not algs or not coalgs:
         return EXIT_FAILED, [{"name": args.model, "verdict": "NoAlgebras",
                               "detail": None}], []
+    for flag, index, found, kind in (("--algebra", args.algebra, algs, "algebras"),
+                                     ("--coalgebra", args.coalgebra, coalgs, "coalgebras")):
+        if not 0 <= index < len(found):
+            raise InputError(f"{flag} {index} is out of range: {args.model} has "
+                             f"{len(found)} internal {kind}, numbered from 0")
     a = algs[args.algebra]
     c = coalgs[args.coalgebra]
     try:
@@ -412,6 +420,9 @@ def cmd_eh(args, doc):
                 witnesses.append({"model": name, "count": probe.count})
     else:
         for_theory, sigma = _pick_sigma(doc, args.sigma)
+        if args.theory is not None and args.theory != for_theory:
+            raise InputError(f"--theory {args.theory} is not the theory of sigma table "
+                             f"{sigma.name}, which is for {for_theory}")
         theory2 = doc.theory(for_theory)
         report = eckmann_hilton_2d(theory2, sigma)
         verdicts.append({"name": theory2.base.name,
@@ -517,11 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("hom-internal", **{"--source": dict(required=True),
                            "--target": dict(required=True),
                            "--sigma": dict(default=None),
-                           "--weakness": dict(default="lax"),
+                           "--weakness": dict(choices=WEAKNESSES, default="lax"),
                            "--list": dict(action="store_true")})
     add("closed-check", **{"--x": dict(required=True), "--y": dict(required=True),
                            "--z": dict(required=True), "--sigma": dict(default=None),
-                           "--weakness": dict(default="lax")})
+                           "--weakness": dict(choices=WEAKNESSES, default="lax")})
     add("fox", **{"--sigma": dict(default=None), "--models": dict(nargs="*", default=None)})
     add("eh", **{"--dim": dict(type=int, choices=(1, 2), default=2),
                  "--theory": dict(default=None), "--sigma": dict(default=None),
@@ -542,7 +553,7 @@ def run(argv: list[str], out=sys.stdout) -> int:
         code, verdicts, witnesses = HANDLERS[args.command](args, doc)
     except (InputError, KeyError, FileNotFoundError, ValueError) as e:
         report = make_report(args.command, [], [{"name": "input", "verdict": "Error",
-                                                 "detail": str(e)}], [], None)
+                                                 "detail": _error_detail(e)}], [], None)
         emit_report(report, args.format, out)
         return EXIT_INPUT
     except (EnumerationBound, theory.TheoryError, CellError) as e:
@@ -555,6 +566,13 @@ def run(argv: list[str], out=sys.stdout) -> int:
     report = make_report(args.command, [args.file], verdicts, witnesses, timings)
     emit_report(report, args.format, out)
     return code
+
+
+def _error_detail(e: Exception) -> str:
+    """The message of ``e``; ``str`` of a ``KeyError`` would quote it."""
+    if isinstance(e, KeyError) and len(e.args) == 1 and isinstance(e.args[0], str):
+        return e.args[0]
+    return str(e)
 
 
 def main() -> None:

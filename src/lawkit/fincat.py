@@ -318,10 +318,12 @@ def validate_functor(fun: FinFunctor) -> CategoryViolation | None:
     for a in range(c.n_objects):
         if fun.arr_map[c.identity[a]] != d.identity[fun.obj_map[a]]:
             return CategoryViolation("functor-identity", (a,))
+    # Composable pairs only, in the order of a scan over all pairs (f, g).
+    out: list[list[int]] = [[] for _ in range(c.n_objects)]
+    for g in c.arrows():
+        out[c.src[g]].append(g)
     for f in c.arrows():
-        for g in c.arrows():
-            if c.dst[f] != c.src[g]:
-                continue
+        for g in out[c.dst[f]]:
             if fun.arr_map[c.then(f, g)] != d.then(fun.arr_map[f], fun.arr_map[g]):
                 return CategoryViolation("functor-composition", (f, g))
     return None

@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import pytest
 
 import oracles
 from conftest import shipped_models
 from lawkit import fixtures as fx
+from lawkit import catmodels
 from lawkit.catmodels import (
     CatModel,
+    HomCategory,
     LaxHom,
     Modification,
     algebra_view,
     build_hom_category,
     compose_homs,
+    compose_modifications,
     convolution_algebra,
     enumerate_homs_w,
     enumerate_modifications,
@@ -17,6 +22,7 @@ from lawkit.catmodels import (
     functor_power,
     hom_cell_boundary,
     identity_hom,
+    identity_modification,
     internal_algebras,
     internal_coalgebras,
     internal_hom,
@@ -24,16 +30,26 @@ from lawkit.catmodels import (
     lift_model,
     power_cat_model,
     terminal_model,
+    tuple_homs,
     validate_cat_model,
     validate_lax_hom,
     validate_modification,
 )
-from lawkit.cells import CellError, TheoryMorphism, _decompose, _is_plain_generator
+from lawkit.cells import (
+    CellError,
+    Gen,
+    TheoryMorphism,
+    _decompose,
+    _is_plain_generator,
+    evaluate_pasting,
+)
 from lawkit.fincat import (
     EnumerationBound,
     FinFunctor,
     FinNat,
+    build_category,
     compose_functors,
+    discrete_category,
     enumerate_functors,
     power,
     vert_nat,
@@ -463,3 +479,207 @@ def test_boundary_memo_tells_equal_target_models_apart():
         assert src.target is Y.power(1).cat
         assert (src, tgt) == FromScratch().boundary(
             X, Y, f1, generator_morphism(X.theory.base.op("m")), "lax")
+
+
+# -- the indexed hom category against linear scans ----------------------------------------
+
+def reference_compose_homs(f, g):
+    """``f ; g`` with each cell the vertical composite of the two whiskered cells."""
+    f1 = compose_functors(f.f1, g.f1)
+    cells = []
+    for gen in f.source.theory.base.generators:
+        n = gen.arity
+        fpow = functor_power(f.f1, n, f.source.power(n), f.target.power(n))
+        steps = [whisker_left(fpow, g.cell(gen.name)), whisker_right(f.cell(gen.name), g.f1)]
+        if f.weakness == "colax":
+            steps.reverse()
+        src, tgt = hom_cell_boundary(f.source, g.target, f1, gen.name, f.weakness)
+        cells.append((gen.name, FinNat(src, tgt, vert_nat(*steps).components)))
+    return LaxHom(f.source, g.target, f.weakness, f1, tuple(cells))
+
+
+def scan_index(items, item):
+    for i, x in enumerate(items):
+        if x == item:
+            return i
+    raise CellError("not found by the scan")
+
+
+def reference_build_hom_category(X, Y, weakness):
+    """Every endpoint, identity and composite found by an equality scan."""
+    homs = enumerate_homs_w(X, Y, weakness)
+    arrows = [m for f in homs for g in homs for m in enumerate_modifications(f, g)]
+    src = [scan_index(homs, m.source) for m in arrows]
+    dst = [scan_index(homs, m.target) for m in arrows]
+    identity = [scan_index(arrows, identity_modification(h)) for h in homs]
+    comp = {}
+    for i, m1 in enumerate(arrows):
+        for j, m2 in enumerate(arrows):
+            if m1.target == m2.source:
+                comp[(i, j)] = scan_index(arrows, compose_modifications(m1, m2))
+    return HomCategory(build_category(len(homs), src, dst, identity, comp),
+                       tuple(homs), tuple(arrows))
+
+
+def reference_internal_hom(X, Y, sigma, weakness):
+    """Each arrow's endpoints rebuilt by tupling and composing homs, and every
+    object and arrow found by an equality scan."""
+    homcat = reference_build_hom_category(X, Y, weakness)
+    theory2 = X.theory
+    ops = []
+    for gen in theory2.base.generators:
+        n = gen.arity
+        ypow_model = power_cat_model(Y, n)
+        lifted = lift_hom(Y, sigma, generator_morphism(gen), weakness, ypow_model)
+        hpow = power(homcat.cat, n)
+
+        def image(homs):
+            return reference_compose_homs(tuple_homs(homs, ypow_model, X, weakness), lifted)
+        obj_map = [scan_index(homcat.objects,
+                              image([homcat.objects[i] for i in hpow.decode_obj(o)]))
+                   for o in range(hpow.n_objects)]
+        arr_map = []
+        for a in range(hpow.n_arrows):
+            mods = [homcat.arrows[i] for i in hpow.decode_arr(a)]
+            s, t = image([m.source for m in mods]), image([m.target for m in mods])
+            comps = tuple(lifted.f1.arr_map[Y.power(n).encode_arr(
+                tuple(m.component.components[x] for m in mods))]
+                for x in range(X.carrier.n_objects))
+            arr_map.append(scan_index(homcat.arrows,
+                                      Modification(s, t, FinNat(s.f1, t.f1, comps))))
+        ops.append((gen.name, FinFunctor(hpow.cat, homcat.cat, tuple(obj_map), tuple(arr_map))))
+    hommodel = CatModel(theory2, homcat.cat, tuple(ops))
+    cell_nats = []
+    for cellsym in theory2.cells:
+        a = cellsym.source.source
+        ynat = evaluate_pasting(Gen(cellsym), Y)
+        hpow = power(homcat.cat, a)
+        src_fun = hommodel.functor_of(cellsym.source)
+        tgt_fun = hommodel.functor_of(cellsym.target)
+        comps = []
+        for o in range(hpow.n_objects):
+            homs = [homcat.objects[i] for i in hpow.decode_obj(o)]
+            s = homcat.objects[src_fun.obj_map[o]]
+            t = homcat.objects[tgt_fun.obj_map[o]]
+            mod_comps = tuple(ynat.components[Y.power(a).encode_obj(
+                tuple(h.f1.obj_map[x] for h in homs))] for x in range(X.carrier.n_objects))
+            comps.append(scan_index(homcat.arrows,
+                                    Modification(s, t, FinNat(s.f1, t.f1, mod_comps))))
+        cell_nats.append((cellsym.name, FinNat(src_fun, tgt_fun, tuple(comps))))
+    return CatModel(theory2, homcat.cat, tuple(ops), tuple(cell_nats)), homcat
+
+
+def assert_indexed(homcat):
+    """Objects are pairwise distinct, and every lookup finds its own index."""
+    assert len(set(map(catmodels._object_key, homcat.objects))) == len(homcat.objects)
+    for i, h in enumerate(homcat.objects):
+        assert homcat.object_index(h) == i
+    for i, m in enumerate(homcat.arrows):
+        assert homcat.arrow_index(m) == i
+
+
+@pytest.mark.parametrize("sigma_name, names, refused", [
+    # A strict lift whose exchange cell is not an identity is no strict hom,
+    # so the images it makes are no objects: both sides refuse.
+    ("sigma_comm_flat", ("poset_meet", "poset_join", "graded_lines"),
+     [("graded_lines", "graded_lines", "strict")]),
+    ("sigma_inv", ("scalar_involution", "poset_involution"), []),
+    ("sigma_pointed_flat", ("pointed_poset",), []),
+    ("sigma_gl", ("gl2_action",), [("gl2_action", "gl2_action", "strict")]),
+])
+def test_internal_hom_matches_linear_scan_reference(sigma_name, names, refused):
+    sigma = fx.sigma(sigma_name)
+    term = terminal_model(fx.model(names[0]).theory)
+    found = []
+    for x in ("terminal",) + names:
+        for y in names:
+            X, Y = (term if x == "terminal" else fx.model(x)), fx.model(y)
+            for weakness in WEAKNESSES:
+                try:
+                    expected_model, expected = reference_internal_hom(X, Y, sigma, weakness)
+                except CellError:
+                    # An image that is not an object is refused on both sides.
+                    with pytest.raises(CellError):
+                        internal_hom(X, Y, sigma, weakness)
+                    found.append((x, y, weakness))
+                    continue
+                hom_model, homcat = internal_hom(X, Y, sigma, weakness)
+                assert (homcat.cat, homcat.objects, homcat.arrows) == \
+                    (expected.cat, expected.objects, expected.arrows)
+                assert hom_model == expected_model
+                assert_indexed(homcat)
+    assert found == refused
+
+
+def test_internal_algebras_match_linear_scan_reference():
+    checked = 0
+    for model in shipped_models("fincat", "moncat"):
+        term = terminal_model(model.theory)
+        for build, weakness in ((internal_algebras, "lax"), (internal_coalgebras, "colax")):
+            try:
+                expected = reference_build_hom_category(term, model, weakness)
+            except EnumerationBound:
+                continue
+            homcat = build(model)
+            assert (homcat.cat, homcat.objects, homcat.arrows) == \
+                (expected.cat, expected.objects, expected.arrows)
+            assert_indexed(homcat)
+            checked += 1
+    assert checked > 10
+
+
+def test_hom_category_lookups_confirm_their_hits():
+    X = fx.model("poset_meet")
+    homcat = build_hom_category(X, X, "lax")
+    h, m = homcat.objects[0], homcat.arrows[0]
+    # The same tables with another weakness: the key hits, the check refuses.
+    with pytest.raises(CellError, match="not an object"):
+        homcat.object_index(replace(h, weakness="colax"))
+    with pytest.raises(CellError, match="not an object"):
+        homcat.object_index(replace(h, cells=h.cells[::-1]))
+    with pytest.raises(CellError, match="not an arrow"):
+        homcat.arrow_index(Modification(m.source, m.target,
+                                        replace(m.component, components=(99,))))
+    with pytest.raises(CellError, match="not an object"):
+        homcat.arrow_index(replace(m, source=replace(h, weakness="colax")))
+
+    # Objects that differ only in the arrow map, or only in a cell, are told apart.
+    f1 = replace(h.f1, arr_map=h.f1.arr_map[::-1])
+    cell = replace(h.cells[0][1], components=h.cells[0][1].components[::-1])
+    for twin in (replace(h, f1=f1), replace(h, cells=((h.cells[0][0], cell),) + h.cells[1:])):
+        assert twin != h
+        pair = HomCategory(discrete_category(2), (h, twin), ())
+        assert (pair.object_index(h), pair.object_index(twin)) == (0, 1)
+
+
+def test_compose_homs_matches_whiskered_reference():
+    composed = 0
+    for models in _models_by_theory():
+        for X in models:
+            for Y in models:
+                for weakness in ("lax", "colax"):
+                    try:
+                        homs = enumerate_homs_w(X, Y, weakness)
+                        ends = enumerate_homs_w(Y, Y, weakness)
+                    except EnumerationBound:
+                        continue
+                    for f in homs[:8]:
+                        for g in ends[:8]:
+                            assert compose_homs(f, g) == reference_compose_homs(f, g)
+                            composed += 1
+    assert composed > 100
+
+
+def test_internal_hom_composes_homs_once_per_power_object(monkeypatch):
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return compose_homs(f, g)
+
+    monkeypatch.setattr(catmodels, "compose_homs", counted)
+    Y = fx.model("graded_lines")
+    hom_model, homcat = internal_hom(Y, Y, fx.sigma("sigma_comm_flat"), "lax")
+    per_power = sum(homcat.cat.n_objects ** g.arity for g in Y.theory.base.generators)
+    assert homcat.cat.n_objects == 8 and per_power == 64 + 1
+    assert len(calls) <= per_power

@@ -177,6 +177,59 @@ def test_huge_equation_arity_over_a_finite_set_gets_a_verdict(tmp_path, old, new
     assert "violates assoc" in done.stdout
 
 
+def _input_error_detail(argv):
+    code, text = invoke(["--format", "json", "--no-timings"] + argv)
+    assert code == EXIT_INPUT, text
+    (verdict,) = json.loads(text)["verdicts"]
+    assert verdict["verdict"] == "Error"
+    return verdict["detail"]
+
+
+@pytest.mark.parametrize("index", ["99", "-1"])
+def test_convolve_index_out_of_range_is_input_error(index):
+    argv = ["convolve", law_path("t_ass_flat.law"), "--model", "delooping_z2"]
+    assert _input_error_detail(argv + ["--algebra", index, "--coalgebra", "1"]) == \
+        f"--algebra {index} is out of range: delooping_z2 has 2 internal algebras, " \
+        "numbered from 0"
+    assert "has 2 internal coalgebras" in \
+        _input_error_detail(argv + ["--algebra", "1", "--coalgebra", index])
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom-internal", "--source", "poset_meet", "--target", "poset_meet"],
+    ["closed-check", "--x", "poset_meet", "--y", "poset_meet", "--z", "poset_meet"],
+])
+def test_unknown_weakness_is_input_error(argv, capsys):
+    argv = [argv[0], law_path("t_comm_flat.law")] + argv[1:]
+    assert invoke(argv + ["--weakness", "bogus"])[0] == EXIT_INPUT
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_eh_theory_must_be_the_sigma_tables_theory():
+    argv = ["eh", law_path("t_comm_flat.law"), "--dim", "2"]
+    assert _input_error_detail(argv + ["--theory", "nope"]) == \
+        "--theory nope is not the theory of sigma table sigma_comm_flat, " \
+        "which is for t_comm_flat"
+    assert invoke(argv + ["--theory", "t_comm_flat"])[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_models_size_below_one_is_input_error(size):
+    assert _input_error_detail(["models", law_path("t_ass.law"), "--size", size]) == \
+        f"--size must be at least 1, got {size}"
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["intalg", "t_comm_flat.law", "--model", "nope"], "no model named nope"),
+    (["sigma-check", "t_comm_flat.law", "--sigma", "nope"], "no sigma table named nope"),
+    (["commutative", "t_comm_flat.law", "--theory", "nope"], "no theory named nope"),
+    (["intalg", "t_comm.law", "--model", "z2_add"], "z2_add is not a categorical model"),
+])
+def test_lookup_errors_are_reported_without_quotes(argv, detail):
+    argv = [argv[0], law_path(argv[1])] + argv[2:]
+    assert _input_error_detail(argv) == detail
+
+
 def test_json_reports_match_schema_and_are_deterministic():
     argv = ["--format", "json", "--no-timings", "commutative", law_path("t_comm.law")]
     first = invoke(list(argv))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from lawkit.fincat import (
@@ -134,3 +136,39 @@ def test_nat_validation_flags_bad_component():
     bad_nat = identity_nat(ident)
     from lawkit.fincat import FinNat
     assert validate_nat(FinNat(ident, ident, (2, 1))) is not None
+
+
+def reference_validate_functor(fun):
+    """Every check over every pair of arrows, composable or not."""
+    c, d = fun.source, fun.target
+    for f in c.arrows():
+        g = fun.arr_map[f]
+        if d.src[g] != fun.obj_map[c.src[f]] or d.dst[g] != fun.obj_map[c.dst[f]]:
+            return CategoryViolation("functor-endpoints", (f,))
+    for a in range(c.n_objects):
+        if fun.arr_map[c.identity[a]] != d.identity[fun.obj_map[a]]:
+            return CategoryViolation("functor-identity", (a,))
+    for f in c.arrows():
+        for g in c.arrows():
+            if c.dst[f] == c.src[g] and \
+               fun.arr_map[c.then(f, g)] != d.then(fun.arr_map[f], fun.arr_map[g]):
+                return CategoryViolation("functor-composition", (f, g))
+    return None
+
+
+def test_validate_functor_finds_the_first_violation_of_a_full_scan():
+    cats = [chain2(), group_delooping(3), graded_scalar_category(2, 2),
+            poset_category([(0, 1), (1, 2), (0, 2)], 3), power(group_delooping(2), 2).cat]
+    kinds = set()
+    for c in cats:
+        for d in cats:
+            for obj_map in itertools.product(range(d.n_objects), repeat=c.n_objects):
+                choices = [d.hom(obj_map[c.src[f]], obj_map[c.dst[f]]) for f in c.arrows()]
+                # Arrows sent anywhere too, so endpoint violations occur.
+                choices[-1] = list(d.arrows())
+                for arr_map in itertools.product(*choices):
+                    fun = FinFunctor(c, d, obj_map, arr_map)
+                    found = validate_functor(fun)
+                    assert found == reference_validate_functor(fun)
+                    kinds.add(found and found.kind)
+    assert kinds == {None, "functor-endpoints", "functor-identity", "functor-composition"}
