@@ -21,7 +21,7 @@ Pasting evaluation is written against a small model protocol:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fincat import FinNat
 from .theory import (
@@ -179,46 +179,56 @@ class Par(Pasting):
         return par([p.target() for p in self.parts])
 
 
+def _parts(p: Pasting) -> tuple[Pasting, ...]:
+    """The child pastings of p in field order.
+
+    With ``_with_parts`` this is the only code that knows which fields of a
+    node are pastings; every structural traversal goes through the pair.
+    """
+    if isinstance(p, (Id, Gen)):
+        return ()
+    if isinstance(p, (Inverse, HWhiskerL, HWhiskerR, PowerL, PowerR)):
+        return (p.inner,)
+    if isinstance(p, Vert):
+        return (p.first, p.second)
+    if isinstance(p, Par):
+        return p.parts
+    raise CellError(f"unknown pasting node {p!r}")
+
+
+def _with_parts(p: Pasting, new: tuple[Pasting, ...]) -> Pasting:
+    """p rebuilt with the child pastings ``new``, in ``_parts`` order."""
+    if isinstance(p, (Id, Gen)):
+        return p
+    if isinstance(p, (Inverse, HWhiskerL, HWhiskerR, PowerL, PowerR)):
+        return replace(p, inner=new[0])
+    if isinstance(p, Vert):
+        return Vert(*new)
+    if isinstance(p, Par):
+        return Par(tuple(new))
+    raise CellError(f"unknown pasting node {p!r}")
+
+
 def is_invertible_pasting(p: Pasting) -> bool:
-    if isinstance(p, Id):
-        return True
     if isinstance(p, Gen):
         return p.cell.invertible
-    if isinstance(p, Inverse):
-        return is_invertible_pasting(p.inner)
-    if isinstance(p, Vert):
-        return is_invertible_pasting(p.first) and is_invertible_pasting(p.second)
-    if isinstance(p, (HWhiskerL, HWhiskerR)):
-        return is_invertible_pasting(p.inner)
-    if isinstance(p, (PowerL, PowerR)):
-        return is_invertible_pasting(p.inner)
-    if isinstance(p, Par):
-        return all(is_invertible_pasting(q) for q in p.parts)
-    raise CellError(f"unknown pasting node {p!r}")
+    return all(is_invertible_pasting(q) for q in _parts(p))
 
 
 def is_identity_pasting(p: Pasting) -> bool:
     """Structurally an identity cell (no generator content)."""
-    if isinstance(p, Id):
-        return True
     if isinstance(p, Gen):
         return False
-    if isinstance(p, Inverse):
-        return is_identity_pasting(p.inner)
-    if isinstance(p, Vert):
-        return is_identity_pasting(p.first) and is_identity_pasting(p.second)
-    if isinstance(p, (HWhiskerL, HWhiskerR, PowerL, PowerR)):
-        return is_identity_pasting(p.inner)
-    if isinstance(p, Par):
-        return all(is_identity_pasting(q) for q in p.parts)
-    raise CellError(f"unknown pasting node {p!r}")
+    return all(is_identity_pasting(q) for q in _parts(p))
 
 
 def simplify_pasting(p: Pasting) -> Pasting:
     """Collapse identity layers and cancel adjacent inverse pairs."""
+    if isinstance(p, (Id, Gen)):
+        return p
+    parts = tuple(simplify_pasting(q) for q in _parts(p))
     if isinstance(p, Vert):
-        a = simplify_pasting(p.first)
-        b = simplify_pasting(p.second)
+        a, b = parts
         if is_identity_pasting(a):
             return b
         if is_identity_pasting(b):
@@ -228,45 +238,17 @@ def simplify_pasting(p: Pasting) -> Pasting:
         if isinstance(a, Inverse) and a.inner == b:
             return Id(a.source())
         return Vert(a, b)
-    if isinstance(p, HWhiskerL):
-        inner = simplify_pasting(p.inner)
-        if is_identity_pasting(inner):
-            return Id(compose(p.left, inner.source()))
-        return HWhiskerL(p.left, inner)
-    if isinstance(p, HWhiskerR):
-        inner = simplify_pasting(p.inner)
-        if is_identity_pasting(inner):
-            return Id(compose(inner.source(), p.right))
-        return HWhiskerR(inner, p.right)
-    if isinstance(p, PowerL):
-        inner = simplify_pasting(p.inner)
-        if is_identity_pasting(inner):
-            return Id(power_left(inner.source(), p.k))
-        return PowerL(p.k, inner)
-    if isinstance(p, PowerR):
-        inner = simplify_pasting(p.inner)
-        if is_identity_pasting(inner):
-            return Id(power_right(inner.source(), p.k))
-        return PowerR(inner, p.k)
-    if isinstance(p, Par):
-        parts = tuple(simplify_pasting(q) for q in p.parts)
-        if all(is_identity_pasting(q) for q in parts):
-            return Id(par([q.source() for q in parts]))
-        return Par(parts)
     if isinstance(p, Inverse):
-        inner = simplify_pasting(p.inner)
+        (inner,) = parts
         if is_identity_pasting(inner):
             return inner
         if isinstance(inner, Inverse):
             return inner.inner
         return Inverse(inner)
-    return p
-
-
-def flatten_vert(p: Pasting) -> list[Pasting]:
-    if isinstance(p, Vert):
-        return flatten_vert(p.first) + flatten_vert(p.second)
-    return [p]
+    node = _with_parts(p, parts)
+    if all(is_identity_pasting(q) for q in parts):
+        return Id(node.source())
+    return node
 
 
 # -- presentations with 2-cells --------------------------------------------------
@@ -305,20 +287,13 @@ def validate_pasting(theory2: TwoTheoryPresentation, p: Pasting) -> list[str]:
     problems: list[str] = []
 
     def walk(q: Pasting):
-        if isinstance(q, Vert):
-            if not boundaries_agree(theory2.base, q.first.target(), q.second.source()):
-                problems.append("vertical composite boundaries do not meet")
-            walk(q.first)
-            walk(q.second)
-        elif isinstance(q, Inverse):
-            if not is_invertible_pasting(q.inner):
-                problems.append("inverse of a non-invertible pasting")
-            walk(q.inner)
-        elif isinstance(q, (HWhiskerL, HWhiskerR, PowerL, PowerR)):
-            walk(q.inner)
-        elif isinstance(q, Par):
-            for part in q.parts:
-                walk(part)
+        if isinstance(q, Vert) and \
+           not boundaries_agree(theory2.base, q.first.target(), q.second.source()):
+            problems.append("vertical composite boundaries do not meet")
+        if isinstance(q, Inverse) and not is_invertible_pasting(q.inner):
+            problems.append("inverse of a non-invertible pasting")
+        for part in _parts(q):
+            walk(part)
 
     try:
         p.source()
@@ -632,30 +607,11 @@ def _rewrite_with_cell_equations(p: Pasting, equations, budget: int) -> Pasting:
                 return rhs
             if q == rhs:
                 return lhs
-        if isinstance(q, Vert):
-            for attr, other in (("first", q.second), ("second", q.first)):
-                hit = rewrite_once(getattr(q, attr))
-                if hit is not None:
-                    return Vert(hit, other) if attr == "first" else Vert(other, hit)
-        if isinstance(q, (HWhiskerL, HWhiskerR, PowerL, PowerR, Inverse)):
-            hit = rewrite_once(q.inner)
+        parts = _parts(q)
+        for i, part in enumerate(parts):
+            hit = rewrite_once(part)
             if hit is not None:
-                if isinstance(q, HWhiskerL):
-                    return HWhiskerL(q.left, hit)
-                if isinstance(q, HWhiskerR):
-                    return HWhiskerR(hit, q.right)
-                if isinstance(q, PowerL):
-                    return PowerL(q.k, hit)
-                if isinstance(q, PowerR):
-                    return PowerR(hit, q.k)
-                return Inverse(hit)
-        if isinstance(q, Par):
-            for i, part in enumerate(q.parts):
-                hit = rewrite_once(part)
-                if hit is not None:
-                    parts = list(q.parts)
-                    parts[i] = hit
-                    return Par(tuple(parts))
+                return _with_parts(q, parts[:i] + (hit,) + parts[i + 1:])
         return None
 
     seen = {p}
@@ -672,17 +628,7 @@ def _rewrite_with_cell_equations(p: Pasting, equations, budget: int) -> Pasting:
 
 
 def _pasting_weight(p: Pasting) -> int:
-    if isinstance(p, (Id, Gen)):
-        return 1
-    if isinstance(p, Inverse):
-        return 1 + _pasting_weight(p.inner)
-    if isinstance(p, Vert):
-        return 1 + _pasting_weight(p.first) + _pasting_weight(p.second)
-    if isinstance(p, (HWhiskerL, HWhiskerR, PowerL, PowerR)):
-        return 1 + _pasting_weight(p.inner)
-    if isinstance(p, Par):
-        return 1 + sum(_pasting_weight(q) for q in p.parts)
-    raise CellError("unknown node")
+    return 1 + sum(_pasting_weight(q) for q in _parts(p))
 
 
 def pastings_equal(theory2: TwoTheoryPresentation, p: Pasting, q: Pasting,

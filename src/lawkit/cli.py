@@ -173,7 +173,7 @@ def cmd_check_theory(args, doc):
             try:
                 doc.finset_model(m.name)
                 verdicts.append({"name": m.name, "verdict": "Valid", "detail": None})
-            except ValueError as e:
+            except dsl.ModelViolation as e:
                 verdicts.append({"name": m.name, "verdict": "Invalid", "detail": str(e)})
                 failed = True
         else:
@@ -356,9 +356,13 @@ def cmd_hom_internal(args, doc):
     for_theory, sigma = _pick_sigma(doc, args.sigma)
     X = doc.cat_model(args.source)
     Y = doc.cat_model(args.target)
-    hom_model, homcat = internal_hom(X, Y, sigma, args.weakness)
+    name = f"Hom({args.source},{args.target})"
+    try:
+        hom_model, homcat = internal_hom(X, Y, sigma, args.weakness)
+    except CellError as e:
+        return EXIT_FAILED, [{"name": name, "verdict": "Fails", "detail": str(e)}], []
     problems = validate_cat_model(hom_model)
-    verdicts = [{"name": f"Hom({args.source},{args.target})",
+    verdicts = [{"name": name,
                  "verdict": "Valid" if not problems else "Invalid",
                  "detail": f"{homcat.cat.n_objects} objects, {homcat.cat.n_arrows} arrows"}]
     witnesses = [_jsonable(algebra_view(h)) for h in homcat.objects] if args.list else []
@@ -370,8 +374,12 @@ def cmd_closed_check(args, doc):
     X = doc.cat_model(args.x)
     Y = doc.cat_model(args.y)
     Z = doc.cat_model(args.z)
-    report = closed_check(X, Y, Z, sigma, args.weakness)
-    verdicts = [{"name": f"Mul({args.x},{args.y};{args.z})",
+    name = f"Mul({args.x},{args.y};{args.z})"
+    try:
+        report = closed_check(X, Y, Z, sigma, args.weakness)
+    except CellError as e:
+        return EXIT_FAILED, [{"name": name, "verdict": "Fails", "detail": str(e)}], []
+    verdicts = [{"name": name,
                  "verdict": "Bijection" if report.bijection else "Fails",
                  "detail": f"{report.multimap_count} multimaps, {report.hom_count} homs"}]
     witnesses = [{"issue": i} for i in report.issues]

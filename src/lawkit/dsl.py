@@ -34,15 +34,25 @@ applies the swap first).  A morphism may carry an explicit source context as
 ``[n]``; otherwise the context is the largest variable index mentioned.  The
 serializer always writes the explicit form, making serialize-then-parse the
 identity and parse-then-serialize idempotent.
+
+A pasting expression is a 2-cell name or a combinator keyword applied to
+its arguments.  One table, ``_COMBINATORS``, gives each keyword its node
+class and argument kinds in field order (``whiskR(pasting, morphism)``,
+``powL(count, pasting)``, ...); the pasting parser and ``render_pasting``
+both read it, so ``par()`` and ``<>`` parse back as the serializer writes
+them.  A theory block's diagnostics point at the offending token: a duplicate
+operation or 2-cell, a basis name that is not an operation, a variable
+outside its context, or an equation or 2-cell whose sides are not parallel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import fincat
 from .catmodels import CatModel
 from .cells import (
+    CellError,
     Gen,
     HWhiskerL,
     HWhiskerR,
@@ -67,6 +77,7 @@ from .theory import (
     OpSymbol,
     Proj,
     Term,
+    TheoryError,
     TheoryPresentation,
     compose,
     identity,
@@ -95,6 +106,10 @@ class ParseError(Exception):
     def __init__(self, line: int, col: int, message: str):
         super().__init__(f"{line}:{col}: {message}")
         self.diagnostic = Diagnostic(line, col, message)
+
+
+class ModelViolation(ValueError):
+    """A finite-set model whose tables are well-formed but break an equation."""
 
 
 # -- declarations kept for serialization ------------------------------------------------
@@ -177,9 +192,12 @@ class Document:
             raise KeyError(f"{name} is not a finite-set model")
         theory2 = self.theory(decl.theory)
         assert isinstance(decl.payload, FinSetDecl)
-        result = validate_model(theory2.base, decl.payload.size, dict(decl.payload.tables))
+        try:
+            result = validate_model(theory2.base, decl.payload.size, dict(decl.payload.tables))
+        except TheoryError as e:
+            raise ValueError(f"model {name}: {e}") from None
         if not isinstance(result, FinSetModel):
-            raise ValueError(f"model {name} violates {result.equation} at {result.env}")
+            raise ModelViolation(f"model {name} violates {result.equation} at {result.env}")
         return result
 
     def cat_model(self, name: str) -> CatModel:
@@ -333,6 +351,7 @@ class _Parser:
 class _RawTerm:
     head: str | int  # op name, or variable index for projections
     args: tuple["_RawTerm", ...] = ()
+    at: Token | None = field(default=None, compare=False)  # a variable's token
 
     def max_var(self) -> int:
         if isinstance(self.head, int):
@@ -353,7 +372,7 @@ def _parse_raw_term(p: _Parser, ops: dict[str, int]) -> _RawTerm:
     head = p.peek()
     name = p.ident()
     if len(name) > 1 and name[0] in "xp" and name[1:].isdigit():
-        return _RawTerm(int(name[1:]) - 1)
+        return _RawTerm(int(name[1:]) - 1, at=head)
     if name not in ops:
         p.fail_last(f"unknown operation {name!r}")
     args = []
@@ -377,10 +396,12 @@ def _parse_atom(p: _Parser, ops: dict[str, int]) -> _RawAtom:
     t = p.peek()
     if t.kind == "punct" and t.value == "<":
         p.next()
-        terms = [_parse_raw_term(p, ops)]
-        while p.accept("punct", ","):
+        terms = []
+        if not p.accept("punct", ">"):  # <> is the map onto the empty context
             terms.append(_parse_raw_term(p, ops))
-        p.expect("punct", ">")
+            while p.accept("punct", ","):
+                terms.append(_parse_raw_term(p, ops))
+            p.expect("punct", ">")
         return _RawAtom("terms", tuple(terms), context=context)
     if t.kind == "ident" and t.value == "swap":
         p.next()
@@ -404,8 +425,9 @@ def _parse_atom(p: _Parser, ops: dict[str, int]) -> _RawAtom:
 
 def _elaborate_term(raw: _RawTerm, by_name: dict[str, OpSymbol], context: int) -> Term:
     if isinstance(raw.head, int):
-        if raw.head >= context:
-            raise ParseError(0, 0, f"variable x{raw.head + 1} outside context {context}")
+        if not 0 <= raw.head < context:
+            raise ParseError(raw.at.line, raw.at.col,
+                             f"variable {raw.at.value} outside context {context}")
         return Proj(raw.head, context)
     op = by_name[raw.head]
     return Apply(op, tuple(_elaborate_term(a, by_name, context) for a in raw.args), context)
@@ -417,6 +439,8 @@ def _atom_to_morphism(atom: _RawAtom, by_name: dict[str, OpSymbol],
         n = atom.context if atom.context is not None else forced_source
         if n is None:
             n = max(atom.a, atom.b) + 1
+        if not (0 <= atom.a < n and 0 <= atom.b < n):
+            raise TheoryError(f"swap({atom.a + 1},{atom.b + 1}) outside context {n}")
         comps = list(range(n))
         comps[atom.a], comps[atom.b] = comps[atom.b], comps[atom.a]
         return Morphism(n, n, tuple(Proj(i, n) for i in comps))
@@ -436,24 +460,46 @@ def parse_morphism_expr(p: _Parser, base_ops: list[OpSymbol],
     """A chain a1 . a2 . ... . ak applies the rightmost atom first."""
     ops = {g.name: g.arity for g in base_ops}
     by_name = {g.name: g for g in base_ops}
+    starts = [p.peek()]  # each atom's first token, for diagnostics
     atoms = [_parse_atom(p, ops)]
     while p.accept("punct", "."):
+        starts.append(p.peek())
         atoms.append(_parse_atom(p, ops))
     atoms.reverse()  # rightmost first
+    starts.reverse()
     morphs: list[Morphism] = []
     forced = source_hint
-    for i, atom in enumerate(atoms):
-        m = _atom_to_morphism(atom, by_name, forced)
-        morphs.append(m)
+    for atom, start in zip(atoms, starts):
+        morphs.append(_built_at(p, start, _atom_to_morphism, atom, by_name, forced))
         forced = None
     # thread: swap atoms later in the chain take their size from the feed
     out = morphs[0]
     for i, atom in enumerate(atoms[1:], start=1):
         m = morphs[i]
         if atom.kind == "swap" and atom.context is None and m.source != out.target:
-            m = _atom_to_morphism(atom, by_name, out.target)
-        out = compose(out, m)
+            m = _built_at(p, starts[i], _atom_to_morphism, atom, by_name, out.target)
+        out = _built_at(p, starts[i], compose, out, m)
     return out
+
+
+# keyword -> (node class, argument kinds in field order).  A kind is a
+# "pasting", a "morphism" expression, a "count" or a list of "pastings"
+# running to the closing parenthesis.  The parser and the serializer both
+# read this table; a keyword beats a 2-cell of the same name.
+_COMBINATORS = {
+    "id": (Id, ("morphism",)),
+    "inv": (Inverse, ("pasting",)),
+    "vert": (Vert, ("pasting", "pasting")),
+    "whiskL": (HWhiskerL, ("morphism", "pasting")),
+    "whiskR": (HWhiskerR, ("pasting", "morphism")),
+    "powL": (PowerL, ("count", "pasting")),
+    "powR": (PowerR, ("pasting", "count")),
+    "par": (Par, ("pastings",)),
+}
+
+# node class -> (keyword, (field name, kind) per argument), for the serializer.
+_RENDERINGS = {cls: (keyword, tuple(zip((f.name for f in fields(cls)), kinds)))
+               for keyword, (cls, kinds) in _COMBINATORS.items()}
 
 
 def _parse_pasting(p: _Parser, theory2_cells: dict[str, TwoCellSymbol],
@@ -462,70 +508,37 @@ def _parse_pasting(p: _Parser, theory2_cells: dict[str, TwoCellSymbol],
     if t.kind != "ident":
         p.fail("expected a pasting expression")
     name = t.value
-    if name == "id":
+    if name in _COMBINATORS:
+        cls, kinds = _COMBINATORS[name]
         p.next()
         p.expect("punct", "(")
-        m = parse_morphism_expr(p, base_ops)
+        args = []
+        for i, kind in enumerate(kinds):
+            if i:
+                p.expect("punct", ",")
+            args.append(_parse_pasting_argument(p, kind, theory2_cells, base_ops))
         p.expect("punct", ")")
-        return Id(m)
-    if name == "inv":
-        p.next()
-        p.expect("punct", "(")
-        inner = _parse_pasting(p, theory2_cells, base_ops)
-        p.expect("punct", ")")
-        return Inverse(inner)
-    if name == "vert":
-        p.next()
-        p.expect("punct", "(")
-        a = _parse_pasting(p, theory2_cells, base_ops)
-        p.expect("punct", ",")
-        b = _parse_pasting(p, theory2_cells, base_ops)
-        p.expect("punct", ")")
-        return Vert(a, b)
-    if name == "whiskL":
-        p.next()
-        p.expect("punct", "(")
-        m = parse_morphism_expr(p, base_ops)
-        p.expect("punct", ",")
-        inner = _parse_pasting(p, theory2_cells, base_ops)
-        p.expect("punct", ")")
-        return HWhiskerL(m, inner)
-    if name == "whiskR":
-        p.next()
-        p.expect("punct", "(")
-        inner = _parse_pasting(p, theory2_cells, base_ops)
-        p.expect("punct", ",")
-        m = parse_morphism_expr(p, base_ops)
-        p.expect("punct", ")")
-        return HWhiskerR(inner, m)
-    if name == "powL":
-        p.next()
-        p.expect("punct", "(")
-        k = p.nat()
-        p.expect("punct", ",")
-        inner = _parse_pasting(p, theory2_cells, base_ops)
-        p.expect("punct", ")")
-        return PowerL(k, inner)
-    if name == "powR":
-        p.next()
-        p.expect("punct", "(")
-        inner = _parse_pasting(p, theory2_cells, base_ops)
-        p.expect("punct", ",")
-        k = p.nat()
-        p.expect("punct", ")")
-        return PowerR(inner, k)
-    if name == "par":
-        p.next()
-        p.expect("punct", "(")
-        parts = [_parse_pasting(p, theory2_cells, base_ops)]
-        while p.accept("punct", ","):
-            parts.append(_parse_pasting(p, theory2_cells, base_ops))
-        p.expect("punct", ")")
-        return Par(tuple(parts))
+        return cls(*args)
     if name in theory2_cells:
         p.next()
         return Gen(theory2_cells[name])
     p.fail(f"unknown pasting combinator or cell {name!r}")
+
+
+def _parse_pasting_argument(p: _Parser, kind: str, theory2_cells: dict[str, TwoCellSymbol],
+                            base_ops: list[OpSymbol]):
+    if kind == "pasting":
+        return _parse_pasting(p, theory2_cells, base_ops)
+    if kind == "morphism":
+        return parse_morphism_expr(p, base_ops)
+    if kind == "count":
+        return p.nat()
+    parts = []
+    if not (p.peek().kind == "punct" and p.peek().value == ")"):  # par() has no parts
+        parts.append(_parse_pasting(p, theory2_cells, base_ops))
+        while p.accept("punct", ","):
+            parts.append(_parse_pasting(p, theory2_cells, base_ops))
+    return tuple(parts)
 
 
 # -- block parsers ----------------------------------------------------------------------------
@@ -534,7 +547,7 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
     name = p.ident()
     p.expect("punct", "{")
     ops: list[OpSymbol] = []
-    basis: tuple[str, ...] | None = None
+    basis_tokens: list[Token] = []
     equations: list[Equation] = []
     cells: dict[str, TwoCellSymbol] = {}
     cell_equations = []
@@ -542,6 +555,8 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
         kw = p.ident()
         if kw == "op":
             op_name = p.ident()
+            if any(g.name == op_name for g in ops):
+                p.fail_last(f"duplicate operation {op_name!r}")
             p.expect("punct", ":")
             arity = p.nat()
             p.expect("punct", "->")
@@ -551,12 +566,12 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
             ops.append(OpSymbol(op_name, arity))
             p.expect("punct", ";")
         elif kw == "basis":
-            names = [p.ident()]
+            basis_tokens = [p.expect("ident")]
             while p.accept("punct", ","):
-                names.append(p.ident())
-            basis = tuple(names)
+                basis_tokens.append(p.expect("ident"))
             p.expect("punct", ";")
         elif kw == "eq":
+            name_token = p.peek()
             eq_name = p.ident()
             p.expect("punct", ":")
             lhs = parse_morphism_expr(p, ops)
@@ -564,9 +579,12 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
             rhs = parse_morphism_expr(p, ops)
             p.expect("punct", ";")
             lhs, rhs = _pad_parallel(lhs, rhs)
-            equations.append(Equation(eq_name, lhs, rhs))
+            equations.append(_built_at(p, name_token, Equation, eq_name, lhs, rhs))
         elif kw == "cell":
+            name_token = p.peek()
             cell_name = p.ident()
+            if cell_name in cells:
+                p.fail_last(f"duplicate 2-cell {cell_name!r}")
             p.expect("punct", ":")
             src = parse_morphism_expr(p, ops)
             p.expect("punct", "=>")
@@ -574,7 +592,8 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
             invertible = bool(p.accept("ident", "invertible"))
             p.expect("punct", ";")
             src, tgt = _pad_parallel(src, tgt)
-            cells[cell_name] = TwoCellSymbol(cell_name, src, tgt, invertible)
+            cells[cell_name] = _built_at(p, name_token, TwoCellSymbol,
+                                         cell_name, src, tgt, invertible)
         elif kw == "celleq":
             ce_name = p.ident()
             p.expect("punct", ":")
@@ -585,8 +604,20 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
             cell_equations.append((ce_name, lhs_p, rhs_p))
         else:
             p.fail_last(f"unknown theory item {kw!r}")
+    for t in basis_tokens:
+        if not any(g.name == t.value for g in ops):
+            p.fail_at(t, f"basis element {t.value} is not a generator")
+    basis = tuple(t.value for t in basis_tokens) or None  # None: every operation
     base = TheoryPresentation(name, tuple(ops), tuple(equations), basis)
     return TwoTheoryPresentation(base, tuple(cells.values()), tuple(cell_equations))
+
+
+def _built_at(p: _Parser, token: Token, make, *args):
+    """``make(*args)``, with its TheoryError or CellError reported at ``token``."""
+    try:
+        return make(*args)
+    except (TheoryError, CellError) as e:
+        p.fail_at(token, str(e))
 
 
 def _pad_parallel(lhs: Morphism, rhs: Morphism) -> tuple[Morphism, Morphism]:
@@ -966,25 +997,23 @@ def render_morphism(m: Morphism) -> str:
 
 
 def render_pasting(p: Pasting) -> str:
-    if isinstance(p, Id):
-        return f"id({render_morphism(p.morphism)})"
     if isinstance(p, Gen):
         return p.cell.name
-    if isinstance(p, Inverse):
-        return f"inv({render_pasting(p.inner)})"
-    if isinstance(p, Vert):
-        return f"vert({render_pasting(p.first)}, {render_pasting(p.second)})"
-    if isinstance(p, HWhiskerL):
-        return f"whiskL({render_morphism(p.left)}, {render_pasting(p.inner)})"
-    if isinstance(p, HWhiskerR):
-        return f"whiskR({render_pasting(p.inner)}, {render_morphism(p.right)})"
-    if isinstance(p, PowerL):
-        return f"powL({p.k}, {render_pasting(p.inner)})"
-    if isinstance(p, PowerR):
-        return f"powR({render_pasting(p.inner)}, {p.k})"
-    if isinstance(p, Par):
-        return f"par({', '.join(render_pasting(q) for q in p.parts)})"
-    raise ValueError(f"unknown pasting {p!r}")
+    if type(p) not in _RENDERINGS:
+        raise ValueError(f"unknown pasting {p!r}")
+    keyword, args = _RENDERINGS[type(p)]
+    rendered = (_render_pasting_argument(kind, getattr(p, name)) for name, kind in args)
+    return f"{keyword}({', '.join(rendered)})"
+
+
+def _render_pasting_argument(kind: str, value) -> str:
+    if kind == "pasting":
+        return render_pasting(value)
+    if kind == "morphism":
+        return render_morphism(value)
+    if kind == "count":
+        return str(value)
+    return ", ".join(render_pasting(q) for q in value)
 
 
 def _render_list(xs) -> str:

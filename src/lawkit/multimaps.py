@@ -24,6 +24,7 @@ from .catmodels import (
     Modification,
     compose_homs,
     enumerate_homs_w,
+    enumerate_modifications,
     hom_cell_boundary,
     internal_hom,
     lift_hom,
@@ -40,7 +41,7 @@ from .cells import (
     derive_sigma,
     pasting_components,
 )
-from .fincat import FinFunctor, FinNat, enumerate_functors, enumerate_naturals
+from .fincat import FinFunctor, FinNat, enumerate_functors
 from .search import search
 from .theory import (
     generator_morphism,
@@ -68,7 +69,7 @@ class BinaryMultimap:
         raise CellError(f"no right cell for {name}")
 
 
-def _pair(cat_x, y_count: int, x_idx: int, y_idx: int) -> int:
+def _pair(y_count: int, x_idx: int, y_idx: int) -> int:
     return x_idx * y_count + y_idx
 
 
@@ -87,7 +88,7 @@ def _slice_left_hom(X: CatModel, Y: CatModel, Z: CatModel, weakness: str,
     for g in X.theory.base.generators:
         n = g.arity
         src, tgt = hom_cell_boundary(X, Z, f1, g.name, weakness)
-        comps = tuple(cells_left[g.name][_pair(X, ny, xi, y_obj)]
+        comps = tuple(cells_left[g.name][_pair(ny, xi, y_obj)]
                       for xi in range(X.power(n).n_objects))
         cells.append((g.name, FinNat(src, tgt, comps)))
     return LaxHom(X, Z, weakness, f1, tuple(cells))
@@ -139,9 +140,9 @@ def _exchange_condition(theory2: TwoTheoryPresentation, sigma: SigmaTable,
                                        for x in xs)
                     a_of_rows = Z.eval_morphism_arr(am, row_arrows)[0]
                     chain_a = zc.then(a_of_rows,
-                                      cells_left[a.name][_pair(X, ny, xet, by)])
+                                      cells_left[a.name][_pair(ny, xet, by)])
                     # columns first: a on each column, then the right cell at (a(xs), ys)
-                    col_arrows = tuple(cells_left[a.name][_pair(X, ny, xet, y)] for y in ys)
+                    col_arrows = tuple(cells_left[a.name][_pair(ny, xet, y)] for y in ys)
                     b_of_cols = Z.eval_morphism_arr(bm, col_arrows)[0]
                     chain_b = zc.then(b_of_cols,
                                       cells_right[b.name][ax * Y.power(k).n_objects + yet])
@@ -250,7 +251,7 @@ def curry(mul: BinaryMultimap, X: CatModel, Y: CatModel, Z: CatModel,
                 fincat.power(homcat.cat, n).encode_obj(
                     tuple(obj_map[x] for x in X.power(n).decode_obj(xet)))]]
             tgt_h = homcat.objects[obj_map[X.op_functor(g.name).obj_map[xet]]]
-            mod_comps = tuple(mul.left(g.name)[_pair(X, ny, xet, y)] for y in range(ny))
+            mod_comps = tuple(mul.left(g.name)[_pair(ny, xet, y)] for y in range(ny))
             comps.append(homcat.arrow_index(
                 Modification(src_h, tgt_h, FinNat(src_h.f1, tgt_h.f1, mod_comps))))
         cells.append((g.name, FinNat(src, tgt, tuple(comps))))
@@ -543,13 +544,8 @@ def eh_local_iso_probe(X: CatModel, Y: CatModel, sigma: SigmaTable,
                              lift_hom(Y, sigma, generator_morphism(g), "lax", ypow))
             Q = compose_homs(lift_hom(X, sigma, generator_morphism(g), "lax", xpow), f)
             composite_pairs.append((g.name, P, Q))
-        per_gen_choices = []
-        for name, P, Q in composite_pairs:
-            valid = []
-            for nat in enumerate_naturals(P.f1, Q.f1):
-                if not validate_modification(Modification(P, Q, nat)):
-                    valid.append(nat)
-            per_gen_choices.append(valid)
+        per_gen_choices = [[mod.component for mod in enumerate_modifications(P, Q)]
+                           for _, P, Q in composite_pairs]
         count_here = 0
         for picks in search(lambda i, a: per_gen_choices[i], [[]] * len(per_gen_choices)):
             candidate = LaxHom(X, Y, "lax", f.f1,

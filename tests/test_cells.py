@@ -1,6 +1,10 @@
+import random
+from collections import Counter
+from functools import cache
+
 import pytest
 
-from lawkit import fixtures as fx
+from lawkit import cells, dsl, fixtures as fx
 from lawkit.cells import (
     CellError,
     Distinguished,
@@ -9,7 +13,9 @@ from lawkit.cells import (
     HWhiskerL,
     Id,
     Inverse,
+    HWhiskerR,
     Par,
+    Pasting,
     PowerL,
     PowerR,
     SigmaTable,
@@ -21,22 +27,32 @@ from lawkit.cells import (
     check_sigma_coherence,
     derive_sigma,
     derived_associativity_check,
+    boundaries_agree,
     evaluate_pasting,
     gray2_column_instance,
+    gray2_row_instance,
     is_identity_pasting,
+    is_invertible_pasting,
     pasting_components,
     pastings_equal,
     simplify_pasting,
+    transpose_conjugate,
+    validate_pasting,
     validate_two_theory,
     yang_baxter_check,
 )
 from lawkit.theory import (
+    Apply,
     Morphism,
     Proj,
+    TheoryError,
     TheoryPresentation,
     compose,
     generator_morphism,
     identity,
+    par,
+    power_left,
+    power_right,
     proj_morphism,
 )
 
@@ -303,3 +319,381 @@ def test_validate_pasting():
     from lawkit.cells import TwoCellSymbol
     noninv = TwoCellSymbol("t", m, m, invertible=False)
     assert validate_pasting(fx.theory("t_comm_flat"), Inverse(Gen(noninv))) != []
+
+
+# -- the structural traversals against their per-class reference ladders ----------------
+#
+# Each traversal in lawkit.cells walks the node structure through one
+# ``_parts``/``_with_parts`` pair.  The reference ladders below spell the
+# structure out once per node class, independently of that pair; the tests
+# hold the two to the same results on every shipped pasting and on seeded
+# random ones.
+
+def _ladder_is_invertible(p):
+    if isinstance(p, Id):
+        return True
+    if isinstance(p, Gen):
+        return p.cell.invertible
+    if isinstance(p, Inverse):
+        return _ladder_is_invertible(p.inner)
+    if isinstance(p, Vert):
+        return _ladder_is_invertible(p.first) and _ladder_is_invertible(p.second)
+    if isinstance(p, (HWhiskerL, HWhiskerR, PowerL, PowerR)):
+        return _ladder_is_invertible(p.inner)
+    if isinstance(p, Par):
+        return all(_ladder_is_invertible(q) for q in p.parts)
+    raise CellError(f"unknown pasting node {p!r}")
+
+
+def _ladder_is_identity(p):
+    if isinstance(p, Id):
+        return True
+    if isinstance(p, Gen):
+        return False
+    if isinstance(p, Inverse):
+        return _ladder_is_identity(p.inner)
+    if isinstance(p, Vert):
+        return _ladder_is_identity(p.first) and _ladder_is_identity(p.second)
+    if isinstance(p, (HWhiskerL, HWhiskerR, PowerL, PowerR)):
+        return _ladder_is_identity(p.inner)
+    if isinstance(p, Par):
+        return all(_ladder_is_identity(q) for q in p.parts)
+    raise CellError(f"unknown pasting node {p!r}")
+
+
+def _ladder_simplify(p):
+    if isinstance(p, Vert):
+        a = _ladder_simplify(p.first)
+        b = _ladder_simplify(p.second)
+        if _ladder_is_identity(a):
+            return b
+        if _ladder_is_identity(b):
+            return a
+        if isinstance(b, Inverse) and b.inner == a:
+            return Id(a.source())
+        if isinstance(a, Inverse) and a.inner == b:
+            return Id(a.source())
+        return Vert(a, b)
+    if isinstance(p, HWhiskerL):
+        inner = _ladder_simplify(p.inner)
+        if _ladder_is_identity(inner):
+            return Id(compose(p.left, inner.source()))
+        return HWhiskerL(p.left, inner)
+    if isinstance(p, HWhiskerR):
+        inner = _ladder_simplify(p.inner)
+        if _ladder_is_identity(inner):
+            return Id(compose(inner.source(), p.right))
+        return HWhiskerR(inner, p.right)
+    if isinstance(p, PowerL):
+        inner = _ladder_simplify(p.inner)
+        if _ladder_is_identity(inner):
+            return Id(power_left(inner.source(), p.k))
+        return PowerL(p.k, inner)
+    if isinstance(p, PowerR):
+        inner = _ladder_simplify(p.inner)
+        if _ladder_is_identity(inner):
+            return Id(power_right(inner.source(), p.k))
+        return PowerR(inner, p.k)
+    if isinstance(p, Par):
+        parts = tuple(_ladder_simplify(q) for q in p.parts)
+        if all(_ladder_is_identity(q) for q in parts):
+            return Id(par([q.source() for q in parts]))
+        return Par(parts)
+    if isinstance(p, Inverse):
+        inner = _ladder_simplify(p.inner)
+        if _ladder_is_identity(inner):
+            return inner
+        if isinstance(inner, Inverse):
+            return inner.inner
+        return Inverse(inner)
+    return p
+
+
+def _ladder_weight(p):
+    if isinstance(p, (Id, Gen)):
+        return 1
+    if isinstance(p, Inverse):
+        return 1 + _ladder_weight(p.inner)
+    if isinstance(p, Vert):
+        return 1 + _ladder_weight(p.first) + _ladder_weight(p.second)
+    if isinstance(p, (HWhiskerL, HWhiskerR, PowerL, PowerR)):
+        return 1 + _ladder_weight(p.inner)
+    if isinstance(p, Par):
+        return 1 + sum(_ladder_weight(q) for q in p.parts)
+    raise CellError("unknown node")
+
+
+def _ladder_validate(theory2, p):
+    problems = []
+
+    def walk(q):
+        if isinstance(q, Vert):
+            if not boundaries_agree(theory2.base, q.first.target(), q.second.source()):
+                problems.append("vertical composite boundaries do not meet")
+            walk(q.first)
+            walk(q.second)
+        elif isinstance(q, Inverse):
+            if not _ladder_is_invertible(q.inner):
+                problems.append("inverse of a non-invertible pasting")
+            walk(q.inner)
+        elif isinstance(q, (HWhiskerL, HWhiskerR, PowerL, PowerR)):
+            walk(q.inner)
+        elif isinstance(q, Par):
+            for part in q.parts:
+                walk(part)
+
+    try:
+        p.source()
+        p.target()
+    except TheoryError as e:
+        return [f"ill-typed pasting: {e}"]
+    walk(p)
+    return problems
+
+
+def _ladder_rewrite(p, equations, budget):
+    def rewrite_once(q):
+        for _, lhs, rhs in equations:
+            if q == lhs:
+                return rhs
+            if q == rhs:
+                return lhs
+        if isinstance(q, Vert):
+            for attr, other in (("first", q.second), ("second", q.first)):
+                hit = rewrite_once(getattr(q, attr))
+                if hit is not None:
+                    return Vert(hit, other) if attr == "first" else Vert(other, hit)
+        if isinstance(q, (HWhiskerL, HWhiskerR, PowerL, PowerR, Inverse)):
+            hit = rewrite_once(q.inner)
+            if hit is not None:
+                if isinstance(q, HWhiskerL):
+                    return HWhiskerL(q.left, hit)
+                if isinstance(q, HWhiskerR):
+                    return HWhiskerR(hit, q.right)
+                if isinstance(q, PowerL):
+                    return PowerL(q.k, hit)
+                if isinstance(q, PowerR):
+                    return PowerR(hit, q.k)
+                return Inverse(hit)
+        if isinstance(q, Par):
+            for i, part in enumerate(q.parts):
+                hit = rewrite_once(part)
+                if hit is not None:
+                    parts = list(q.parts)
+                    parts[i] = hit
+                    return Par(tuple(parts))
+        return None
+
+    seen = {p}
+    for _ in range(budget):
+        candidate = rewrite_once(p)
+        if candidate is None or candidate in seen:
+            break
+        if _ladder_weight(candidate) <= _ladder_weight(p):
+            p = candidate
+            seen.add(p)
+        else:
+            break
+    return p
+
+
+@cache
+def shipped_pastings():
+    """(theory, pasting) for every cell-equation side, sigma entry, derived
+    basis cell and gray-style instance of the shipped .law files."""
+    out = {}
+    for path in fx.law_files():
+        doc, _ = dsl.parse_file(path)
+        for theory2 in doc.theories:
+            for _, lhs, rhs in theory2.cell_equations:
+                out[(theory2.name, lhs)] = (theory2, lhs)
+                out[(theory2.name, rhs)] = (theory2, rhs)
+        for for_theory, sigma in doc.sigmas:
+            theory2 = doc.theory(for_theory)
+            found = [p for _, p in sigma.entries]
+            basis = [generator_morphism(op) for op in theory2.base.basis_ops()]
+            for a in basis:
+                found.append(derive_sigma(theory2, sigma, identity(1), a))
+                for eq in theory2.base.equations:
+                    for side in (eq.lhs, eq.rhs):
+                        found.append(derive_sigma(theory2, sigma, side, a))
+                        found.append(derive_sigma(theory2, sigma, a, side))
+                for b in basis:
+                    s = derive_sigma(theory2, sigma, a, b)
+                    found.append(s)
+                    found.extend(gray2_column_instance(theory2, sigma, s, b))
+                    back = transpose_conjugate(derive_sigma(theory2, sigma, b, a),
+                                               a.source, b.source, a.target, b.target)
+                    found.append(Vert(s, back))
+            for cellsym in theory2.cells:
+                for g in basis:
+                    found.extend(gray2_column_instance(theory2, sigma, Gen(cellsym), g))
+                    found.extend(gray2_row_instance(theory2, sigma, g, Gen(cellsym)))
+            for p in found:
+                out[(theory2.name, p)] = (theory2, p)
+    return list(out.values())
+
+
+def _random_term(rng, ops, context, depth):
+    nullary = [op for op in ops if op.arity == 0]
+    if context and (depth == 0 or rng.random() < 0.4):
+        return Proj(rng.randrange(context), context)
+    op = rng.choice(ops if depth and context else nullary)
+    return Apply(op, tuple(_random_term(rng, ops, context, depth - 1)
+                           for _ in range(op.arity)), context)
+
+
+def _random_morphism(rng, ops, source, target):
+    """A random morphism source -> target, or None if the theory has none."""
+    if source == 0 and target and not any(op.arity == 0 for op in ops):
+        return None
+    return Morphism(source, target, tuple(_random_term(rng, ops, source, 2)
+                                          for _ in range(target)))
+
+
+def _random_pasting(rng, theory2, depth):
+    ops = list(theory2.base.generators)
+    sides = [p for _, lhs, rhs in theory2.cell_equations for p in (lhs, rhs)]
+    roll = rng.random()
+    if depth == 0 or roll < 0.15:
+        leaf = rng.randrange(3)
+        if leaf == 0:
+            return Gen(rng.choice(theory2.cells))
+        if leaf == 1 and sides:
+            return rng.choice(sides)
+        source = rng.randrange(3)
+        f = _random_morphism(rng, ops, source, rng.randrange(3))
+        return Id(f if f is not None else identity(source))
+    kind = rng.choice(["inv", "inv2", "vert", "cancel", "whiskL", "whiskR",
+                       "powL", "powR", "par", "idlayer"])
+    inner = _random_pasting(rng, theory2, depth - 1)
+    if kind == "inv":
+        return Inverse(inner)
+    if kind == "inv2":
+        return Inverse(Inverse(inner))
+    if kind == "vert":
+        second = rng.choice([_random_pasting(rng, theory2, depth - 1), Inverse(inner),
+                             _random_identity_layer(Inverse(inner))])
+        return Vert(inner, second)
+    if kind == "cancel":
+        return rng.choice([Vert(inner, Inverse(inner)), Vert(Inverse(inner), inner),
+                           Vert(Id(inner.source()), inner), Vert(inner, Id(inner.target()))])
+    if kind == "whiskL":
+        n = inner.source().source
+        source = rng.randrange(3) if n == 0 else rng.randrange(1, 3)
+        return HWhiskerL(_random_morphism(rng, ops, source, n), inner)
+    if kind == "whiskR":
+        t = inner.source().target
+        right = _random_morphism(rng, ops, t, rng.randrange(3))
+        return HWhiskerR(inner, right if right is not None else identity(t))
+    if kind == "powL":
+        return PowerL(rng.randrange(3), inner)
+    if kind == "powR":
+        return PowerR(inner, rng.randrange(3))
+    if kind == "par":
+        parts = [_random_pasting(rng, theory2, depth - 1) for _ in range(rng.randrange(4))]
+        return Par(tuple(parts))
+    # an identity layer: the same shape as inner with its generators replaced
+    return _random_identity_layer(inner)
+
+
+def _random_identity_layer(p):
+    """p with every generator and every equation side made an identity."""
+    if isinstance(p, (Id, Gen)):
+        return Id(p.source())
+    if isinstance(p, Inverse):
+        return Inverse(_random_identity_layer(p.inner))
+    if isinstance(p, Vert):
+        return Vert(_random_identity_layer(p.first), _random_identity_layer(p.second))
+    if isinstance(p, HWhiskerL):
+        return HWhiskerL(p.left, _random_identity_layer(p.inner))
+    if isinstance(p, HWhiskerR):
+        return HWhiskerR(_random_identity_layer(p.inner), p.right)
+    if isinstance(p, PowerL):
+        return PowerL(p.k, _random_identity_layer(p.inner))
+    if isinstance(p, PowerR):
+        return PowerR(_random_identity_layer(p.inner), p.k)
+    return Par(tuple(_random_identity_layer(q) for q in p.parts))
+
+
+@cache
+def random_pastings(per_theory=300, seed=8):
+    """Seeded random pastings over t_comm_flat and t_inv that use every combinator."""
+    rng = random.Random(seed)
+    out = []
+    for name in ("t_comm_flat", "t_inv"):
+        theory2 = fx.theory(name)
+        out.extend((theory2, _random_pasting(rng, theory2, rng.randrange(1, 5)))
+                   for _ in range(per_theory))
+    return out
+
+
+def test_corpora_cover_every_combinator():
+    shipped = shipped_pastings()
+    assert len(shipped) >= 80
+    kinds = Counter()
+
+    def count(p):
+        kinds[type(p).__name__] += 1
+        if isinstance(p, Par):
+            kinds[f"Par/{len(p.parts)}"] += 1
+        if isinstance(p, Inverse) and isinstance(p.inner, Inverse):
+            kinds["Inverse/Inverse"] += 1
+        for q in cells._parts(p):
+            count(q)
+
+    randoms = random_pastings()
+    assert len(randoms) >= 500
+    for _, p in randoms:
+        count(p)
+    for kind in ("Id", "Gen", "Inverse", "Vert", "HWhiskerL", "HWhiskerR", "PowerL",
+                 "PowerR", "Par/0", "Par/1", "Par/2", "Par/3", "Inverse/Inverse"):
+        assert kinds[kind] >= 10, kind
+    assert sum(is_identity_pasting(p) for _, p in randoms) >= 50
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except (TheoryError, CellError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("corpus", [shipped_pastings, random_pastings])
+def test_traversals_match_the_reference_ladders(corpus):
+    simplified = 0
+    for theory2, p in corpus():
+        assert is_invertible_pasting(p) == _ladder_is_invertible(p), p
+        assert is_identity_pasting(p) == _ladder_is_identity(p), p
+        assert cells._pasting_weight(p) == _ladder_weight(p), p
+        assert validate_pasting(theory2, p) == _ladder_validate(theory2, p), p
+        s = _outcome(simplify_pasting, p)
+        assert s == _outcome(_ladder_simplify, p), p
+        simplified += isinstance(s, Pasting)
+        for q in (p, s) if isinstance(s, Pasting) else (p,):
+            assert cells._rewrite_with_cell_equations(q, theory2.cell_equations, 50) == \
+                _ladder_rewrite(q, theory2.cell_equations, 50), q
+    # Most pastings are well-typed enough to simplify; the rest raise alike.
+    assert simplified >= 0.8 * len(corpus())
+
+
+def test_rewriting_is_exercised_by_the_random_corpus():
+    moved = sum(_ladder_rewrite(p, theory2.cell_equations, 50) != p
+                for theory2, p in random_pastings())
+    assert moved >= 50
+
+
+def test_parts_and_with_parts_rebuild_every_node():
+    for _, p in shipped_pastings() + random_pastings():
+        assert cells._with_parts(p, cells._parts(p)) == p
+
+
+def test_unknown_pasting_node_is_a_cell_error():
+    class Stray(Pasting):
+        pass
+
+    for traversal in (is_invertible_pasting, is_identity_pasting, simplify_pasting,
+                      cells._pasting_weight):
+        with pytest.raises(CellError, match="unknown pasting node"):
+            traversal(Stray())

@@ -109,11 +109,58 @@ def test_out_of_range_arrow_endpoint_is_input_error(tmp_path):
      "braiding b: matrix is not 3 x 3", "t_braid.law"),
     ("arrow le : 0 -> 1;", "arrow le : 0 -> 1;\n  arrow eg : 1 -> 0;",
      "not a category: missing-composite at (le, eg)", "t_comm_flat.law"),
+    ("table m = [0, 1, 1, 0];", "table m = [0, 1, 1];",
+     "model z2_add: table for m must have 4 cells", "t_comm.law"),
+    ("table m = [0, 1, 1, 0];", "table m = [0, 1, 1, 5];",
+     "model z2_add: table for m has out-of-range values", "t_comm.law"),
 ])
 def test_bad_model_tables_are_input_errors(tmp_path, old, new, message, name):
     code, text = invoke(["check-theory", _mutant(tmp_path, name, old, new)])
     assert code == EXIT_INPUT
     assert message in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["homs", "--source", "z2_add", "--target", "singleton"],
+    ["eh", "--dim", "1", "--models", "z2_add"],
+])
+def test_bad_finset_table_is_an_input_error_for_every_command(tmp_path, argv):
+    path = _mutant(tmp_path, "t_comm.law", "table m = [0, 1, 1, 0];", "table m = [0, 1, 1];")
+    assert _input_error_detail([argv[0], path] + argv[1:]) == \
+        "model z2_add: table for m must have 4 cells"
+
+
+@pytest.mark.parametrize("body, diagnostic", [
+    ("cell c : <x1, x2> => x1;", "3:8: 2-cell c: boundary morphisms not parallel"),
+    ("eq e : <x1, x2> = x1;", "3:6: equation e: sides not parallel"),
+    ("op m : 1 -> 1;", "3:6: duplicate operation 'm'"),
+    ("basis q;", "3:9: basis element q is not a generator"),
+    ("eq e : [1] m(x1, x2) = x1;", "3:20: variable x2 outside context 1"),
+    ("eq e : [1] x0 = x1;", "3:14: variable x0 outside context 1"),
+    ("eq e : m(x1,x2) . m(x1,x2) = x1;", "3:10: compose mismatch: 1 != 2"),
+    ("eq e : swap(1,3) . m(x1,x2) = x1;", "3:10: swap(1,3) outside context 1"),
+    ("cell c : m(x1,x2) => m(x2,x1);\n  cell c : m(x1,x2) => m(x1,x2);",
+     "4:8: duplicate 2-cell 'c'"),
+])
+def test_malformed_theory_items_are_positioned_input_errors(tmp_path, body, diagnostic):
+    path = tmp_path / "t.law"
+    path.write_text(f"theory t {{\n  op m : 2 -> 1;\n  {body}\n}}\n")
+    assert _input_error_detail(["check-theory", path]) == diagnostic
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom-internal", "t_comm_flat.law", "--source", "graded_lines", "--target", "graded_lines"],
+    ["hom-internal", "t_gl2.law", "--source", "gl2_action", "--target", "gl2_action"],
+    ["closed-check", "t_comm_flat.law", "--x", "poset_meet", "--y", "graded_lines",
+     "--z", "graded_lines"],
+])
+def test_missing_strict_internal_hom_fails_with_its_reason(argv):
+    argv = [argv[0], law_path(argv[1])] + argv[2:] + ["--weakness", "strict"]
+    code, text = invoke(["--format", "json", "--no-timings"] + argv)
+    assert code == EXIT_FAILED, text
+    (verdict,) = json.loads(text)["verdicts"]
+    assert verdict["verdict"] == "Fails"
+    assert verdict["detail"] == "hom is not an object of this category"
 
 
 def test_unknown_sigma_weakness_is_input_error(tmp_path):

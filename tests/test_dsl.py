@@ -1,10 +1,14 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from lawkit import dsl, fixtures as fx
 from lawkit.catmodels import validate_cat_model
+from lawkit.cells import HWhiskerL, Par, Vert
+from lawkit.theory import Morphism
 from test_catmodels import TWO_OBJECT_INVOLUTION
+from test_cells import random_pastings, shipped_pastings
 
 # sha256 of repr() of every fixture as lawkit's hand-written Python builders
 # constructed it, before those builders were replaced by the .law loader; the
@@ -221,3 +225,74 @@ def test_document_json_dump_mirrors_blocks():
     graded = [m for m in dump["models"] if m["name"] == "graded_lines"][0]
     assert graded["braidings"][0]["exponents"] == [[0, 0], [0, 1]]
     assert dump["checks"][0]["kind"] == "sigma_coherent"
+
+
+# -- the pasting combinator table ----------------------------------------------------------
+
+_PASTING_THEORY = ("theory t {\n  op m : 2 -> 1;\n  cell c : m(x1,x2) => m(x2,x1) invertible;\n"
+                   "  celleq e : %s = c;\n}\n")
+
+
+@pytest.mark.parametrize("pasting, diagnostic", [
+    ("vert(c c)", "4:21: expected ',', found 'c'"),
+    ("vert(c, c", "4:24: expected ')', found '='"),
+    ("powL(x, c)", "4:19: expected 'nat', found 'x'"),
+    ("powL(2 c)", "4:21: expected ',', found 'c'"),
+    ("powR(c, -1)", "4:22: unexpected character '-'"),
+    ("whiskL(c, c)", "4:21: unknown operation 'c'"),
+    ("whiskR(c, c)", "4:24: unknown operation 'c'"),
+    ("whiskR(c m(x1,x2))", "4:23: expected ',', found 'm'"),
+    ("foo", "4:14: unknown pasting combinator or cell 'foo'"),
+    ("par(c,)", "4:20: expected a pasting expression"),
+    ("par(c c)", "4:20: expected ')', found 'c'"),
+    ("par(c, c", "4:23: expected ')', found '='"),
+    ("inv c", "4:18: expected '(', found 'c'"),
+    ("inv(c, c)", "4:19: expected ')', found ','"),
+    ("id(c)", "4:17: unknown operation 'c'"),
+    ("id(m(x1))", "4:17: m expects 2 arguments, got 1"),
+    ("3", "4:14: expected a pasting expression"),
+    ("(c)", "4:14: expected a pasting expression"),
+])
+def test_pasting_diagnostics(pasting, diagnostic):
+    doc, source = dsl.parse(_PASTING_THEORY % pasting)
+    assert doc is None
+    assert [str(d) for d in source.diagnostics] == [diagnostic]
+
+
+def test_a_combinator_keyword_beats_a_cell_of_the_same_name():
+    doc, source = dsl.parse("theory t {\n  op m : 2 -> 1;\n"
+                            "  cell inv : m(x1,x2) => m(x2,x1);\n  celleq e : inv = inv;\n}\n")
+    assert [str(d) for d in source.diagnostics] == ["4:18: expected '(', found '='"]
+
+
+def test_empty_juxtaposition_and_empty_tuple_parse():
+    doc, source = dsl.parse(_PASTING_THEORY % "vert(par(), whiskL([1] <>, par()))")
+    assert source.diagnostics == []
+    (_, lhs, _), = doc.theory("t").cell_equations
+    assert lhs == Vert(Par(()), HWhiskerL(Morphism(1, 0, ()), Par(())))
+
+
+@pytest.mark.parametrize("corpus", [shipped_pastings, random_pastings])
+def test_rendered_pastings_parse_back(corpus):
+    """render_pasting(p), written as a sigma entry, parses back to p."""
+    by_theory = {}
+    for theory2, p in corpus():
+        by_theory.setdefault(theory2.name, (theory2, []))[1].append(p)
+    for name, (theory2, pastings) in by_theory.items():
+        entries = "".join(f"  (e{i}, e{i}) = {dsl.render_pasting(p)};\n"
+                          for i, p in enumerate(pastings))
+        text = (dsl.serialize(dsl.Document(theories=(theory2,)))
+                + f"sigma rt for {name} weakness lax {{\n{entries}}}\n")
+        doc, source = dsl.parse(text)
+        assert source.diagnostics == [], (name, source.diagnostics)
+        parsed = [q for _, q in doc.sigma("rt")[1].entries]
+        for p, q in zip(pastings, parsed, strict=True):
+            assert q == p, dsl.render_pasting(p)
+
+
+def test_readme_lists_the_combinator_table():
+    """The .law format paragraph of the README gives each combinator's
+    arguments in the order of the table the parser reads."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for keyword, (_, kinds) in dsl._COMBINATORS.items():
+        assert f"`{keyword}({', '.join(kinds)})`" in readme, keyword
