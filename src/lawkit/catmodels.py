@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from . import fincat
@@ -26,6 +27,8 @@ from .cells import (
     PowerR,
     SigmaTable,
     TwoTheoryPresentation,
+    _decompose,
+    _is_plain_generator,
     derive_sigma,
     evaluate_pasting,
 )
@@ -54,6 +57,7 @@ from .theory import (
     compose,
     generator_morphism,
     is_inert,
+    par as par_morphism,
     power_right,
 )
 
@@ -71,6 +75,7 @@ class CatModel:
     _functors: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _closures: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _boundaries: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _stackings: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def power(self, n: int) -> ProductCategory:
         if n not in self._powers:
@@ -104,6 +109,24 @@ class CatModel:
         fun = FinFunctor(dom, cod, obj_map, arr_map)
         self._functors[f] = fun
         return fun
+
+    def stacking(self, f: Morphism) -> tuple[Morphism, list[Morphism], Morphism, list[tuple]]:
+        """``f`` split as ``u ; v`` with ``v = par(heads)``, and per head the
+        index, in the power of the carrier it acts on, of its block of
+        ``self(u)(o)`` for each object ``o``; memoized per morphism."""
+        hit = self._stackings.get(f)
+        if hit is None:
+            u, heads = _decompose(f)
+            stacked = self.power(sum(h.source for h in heads))
+            blocks: list[list[int]] = [[] for _ in heads]
+            for xo in self.functor_of(u).obj_map:
+                objs = stacked.decode_obj(xo)
+                off = 0
+                for h, block in zip(heads, blocks):
+                    block.append(self.power(h.source).encode_obj(objs[off:off + h.source]))
+                    off += h.source
+            hit = self._stackings[f] = (u, heads, par_morphism(heads), list(map(tuple, blocks)))
+        return hit
 
     def eval_morphism_obj(self, f: Morphism, objs: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(c(objs) for c in self._compiled(f, False))
@@ -301,94 +324,195 @@ def identity_hom(model: CatModel, weakness: str = "strict") -> LaxHom:
     return LaxHom(model, model, weakness, f1, tuple(cells))
 
 
+# -- coherence of homomorphisms ---------------------------------------------------
+
+@dataclass(frozen=True)
+class CoherenceCheck:
+    """One law on a hom's structure cells, listed in generator order:
+    ``holds(cells)`` reads no cell after ``cells[slot]`` (none at all when
+    ``slot`` is -1), and a failure is reported as ``violation``."""
+    slot: int
+    violation: ModelViolation
+    holds: Callable[[Sequence[FinNat]], bool]
+
+
+class HomCoherence:
+    """The coherence of the weakness-``w`` homs ``X -> Y`` over one
+    underlying functor ``f1``, as checks on their structure cells listed in
+    generator order.
+
+    ``cell_violations(i, nat)`` checks generator ``i``'s own cell: its
+    boundary first (the other checks assume it), then naturality, then
+    strictness and invertibility where ``w`` asks for them.  ``laws`` are
+    every base equation, then every 2-cell compatibility, each tagged with
+    the last generator slot it reads.  A law compares extended cells
+    computed on components from the hom's cells and the models' tables; the
+    boundary functors of an equation's two sides come from the
+    ``_cell_boundary`` memo and are compared once, when the law is built.
+    """
+
+    def __init__(self, X: CatModel, Y: CatModel, weakness: str, f1: FinFunctor):
+        self.X, self.Y, self.weakness, self.f1 = X, Y, weakness, f1
+        gens = X.theory.base.generators
+        self._slots = {g.name: i for i, g in enumerate(gens)}
+        self.boundaries = [hom_cell_boundary(X, Y, f1, g.name, weakness) for g in gens]
+        self._extensions: dict = {}
+        self._laws: list[CoherenceCheck] | None = None
+
+    def cell_violations(self, i: int, nat: FinNat) -> list[ModelViolation]:
+        name = self.X.theory.base.generators[i].name
+        src, tgt = self.boundaries[i]
+        if nat.source != src or nat.target != tgt:
+            return [ModelViolation("hom-cell-boundary", name)]
+        problems = []
+        if validate_nat(nat) is not None:
+            problems.append(ModelViolation("hom-cell-naturality", name))
+        carrier = self.Y.carrier
+        if self.weakness == "strict" and src != tgt:
+            problems.append(ModelViolation("hom-not-strict", name))
+        if self.weakness in ("strict", "pseudo") and \
+           any(carrier.inverse(c) is None for c in nat.components):
+            problems.append(ModelViolation("hom-cell-invertibility", name))
+        if self.weakness == "strict" and \
+           any(not carrier.is_identity(c) for c in nat.components):
+            problems.append(ModelViolation("hom-strict-cells", name))
+        return problems
+
+    def admissible(self, i: int, nats) -> list[FinNat]:
+        """The candidates for generator ``i``'s cell that pass its own checks."""
+        return [nat for nat in nats if not self.cell_violations(i, nat)]
+
+    @property
+    def laws(self) -> list[CoherenceCheck]:
+        if self._laws is None:
+            theory2 = self.X.theory
+            self._laws = [self._equation_law(eq) for eq in theory2.base.equations]
+            self._laws += [self._compatibility_law(cell) for cell in theory2.cells]
+        return self._laws
+
+    def assignments(self, domains: list[list[FinNat]]):
+        """Every tuple of cells, the ``i``-th from ``domains[i]``, that passes
+        every law, in lexicographic order; each law is tried as soon as its
+        slot is assigned, so a failure prunes every completion of the prefix.
+        The domains are taken to hold admissible cells only."""
+        checks: list[list] = [[] for _ in domains]
+        for law in self.laws:
+            if law.slot >= 0:
+                checks[law.slot].append(law.holds)
+            elif not law.holds(()):
+                return
+        yield from search(lambda i, a: domains[i], checks)
+
+    def extension(self, f: Morphism) -> tuple[int, Callable]:
+        """``(slot, comps)``: ``comps(cells)`` is the component table of the
+        canonical structure cell at ``f``, reading no cell after ``slot``."""
+        hit = self._extensions.get(f)
+        if hit is None:
+            hit = self._extensions[f] = self._extend(f)
+        return hit
+
+    def _extend(self, f: Morphism) -> tuple[int, Callable]:
+        X, Y = self.X, self.Y
+        if is_inert(f):
+            # Identities on F^a ; Y(f), which for an inert f is X(f) ; F^b.
+            fpow = functor_power(self.f1, f.source, X.power(f.source), Y.power(f.source))
+            yf = Y.functor_of(f).obj_map
+            identity = Y.power(f.target).cat.identity
+            comps = tuple(identity[yf[o]] for o in fpow.obj_map)
+            return -1, lambda cells: comps
+        if _is_plain_generator(f):
+            i = self._slots[f.components[0].op.name]  # type: ignore[union-attr]
+            return i, lambda cells: cells[i].components
+        # f = u ; v with v = par(heads): at o, the cell at u pushed along Y(v),
+        # then the heads' cells stacked at X(u)(o) (the reverse for colax).
+        u, heads, v, blocks = X.stacking(f)
+        u_slot, extend_u = self.extension(u)
+        parts = [self.extension(h) for h in heads]
+        yv = Y.functor_of(v).arr_map
+        radix = Y.carrier.n_arrows
+        then = Y.power(f.target).cat.then
+        head_comps = [comps for _, comps in parts]
+        colax = self.weakness == "colax"
+
+        def comps(cells):
+            heads_at = [(c(cells), block) for c, block in zip(head_comps, blocks)]
+            out = []
+            for o, e in enumerate(extend_u(cells)):
+                p = 0
+                for hc, block in heads_at:
+                    p = p * radix + hc[block[o]]
+                out.append(then(p, yv[e]) if colax else then(yv[e], p))
+            return tuple(out)
+        return max([u_slot] + [s for s, _ in parts]), comps
+
+    def _equation_law(self, eq) -> CoherenceCheck:
+        violation = ModelViolation("hom-equation", eq.name)
+        X, Y, f1, w = self.X, self.Y, self.f1, self.weakness
+        # Sides equal in both models have equal boundaries over every f1.
+        if (X.functor_of(eq.lhs) != X.functor_of(eq.rhs)
+                or Y.functor_of(eq.lhs) != Y.functor_of(eq.rhs)) and \
+           _cell_boundary(X, Y, f1, eq.lhs, w) != _cell_boundary(X, Y, f1, eq.rhs, w):
+            return CoherenceCheck(-1, violation, lambda cells: False)
+        l_slot, lhs = self.extension(eq.lhs)
+        r_slot, rhs = self.extension(eq.rhs)
+        return CoherenceCheck(max(l_slot, r_slot), violation,
+                              lambda cells: lhs(cells) == rhs(cells))
+
+    def _compatibility_law(self, cell) -> CoherenceCheck:
+        """The cell's X-components pushed along F^b, then the extended cell at
+        its target, against the extended cell at its source, then its
+        Y-components at F^a (each side composed the other way for colax).
+        Both sides run between the same boundary functors by construction."""
+        X, Y = self.X, self.Y
+        a, b = cell.source.source, cell.source.target
+        xs = X.cell_nat(cell.name).components
+        ys = Y.cell_nat(cell.name).components
+        fa = functor_power(self.f1, a, X.power(a), Y.power(a)).obj_map
+        fb = functor_power(self.f1, b, X.power(b), Y.power(b)).arr_map
+        then = Y.power(b).cat.then
+        s_slot, at_source = self.extension(cell.source)
+        t_slot, at_target = self.extension(cell.target)
+        if self.weakness == "colax":
+            def holds(cells):
+                s, t = at_source(cells), at_target(cells)
+                return all(then(fb[xs[o]], t[o]) == then(s[o], ys[fa[o]])
+                           for o in range(len(s)))
+        else:
+            def holds(cells):
+                s, t = at_source(cells), at_target(cells)
+                return all(then(s[o], fb[xs[o]]) == then(ys[fa[o]], t[o])
+                           for o in range(len(s)))
+        return CoherenceCheck(max(s_slot, t_slot),
+                              ModelViolation("hom-cell-compat", cell.name), holds)
+
+
 def extend_hom_cell(hom: LaxHom, f: Morphism) -> FinNat:
     """Canonical structure cell of a homomorphism at an arbitrary morphism."""
-    X, Y = hom.source, hom.target
-    b = f.target
-    outer_src, outer_tgt = _cell_boundary(X, Y, hom.f1, f, hom.weakness)
-
-    if is_inert(f):
-        return FinNat(outer_src, outer_tgt,
-                      tuple(Y.power(b).identity_arr(outer_src.obj_map[o])
-                            for o in range(outer_src.source.n_objects)))
-
-    from .cells import _decompose, _is_plain_generator
     if _is_plain_generator(f):
         return hom.cell(f.components[0].op.name)  # type: ignore[union-attr]
-
-    u, heads = _decompose(f)
-    v_src = sum(h.source for h in heads)
-    head_nats = [extend_hom_cell(hom, h) for h in heads]
-    # Stack the head cells blockwise over C_X^{v_src}.
-    dom = X.power(v_src)
-    cod = Y.power(b)
-    comps = []
-    for o in range(dom.n_objects):
-        objs = dom.decode_obj(o)
-        out: list[int] = []
-        off = 0
-        for h, nat in zip(heads, head_nats):
-            block = objs[off:off + h.source]
-            off += h.source
-            c = nat.components[X.power(h.source).encode_obj(block)]
-            out.extend(Y.power(h.target).decode_arr(c))
-        comps.append(cod.encode_arr(tuple(out)))
-    from .theory import par as par_morphism
-    v = par_morphism(heads)
-    par_nat = FinNat(*_cell_boundary(X, Y, hom.f1, v, hom.weakness), tuple(comps))
-    steps = [whisker_right(extend_hom_cell(hom, u), Y.functor_of(v)),
-             whisker_left(X.functor_of(u), par_nat)]
-    if hom.weakness == "colax":
-        steps.reverse()
-    return FinNat(outer_src, outer_tgt, vert_nat(*steps).components)
+    X, Y = hom.source, hom.target
+    cells = [hom.cell(g.name) for g in X.theory.base.generators]
+    _, comps = HomCoherence(X, Y, hom.weakness, hom.f1).extension(f)
+    return FinNat(*_cell_boundary(X, Y, hom.f1, f, hom.weakness), comps(cells))
 
 
 def validate_lax_hom(hom: LaxHom) -> list[ModelViolation]:
-    problems = []
-    X, Y = hom.source, hom.target
     if validate_functor(hom.f1) is not None:
-        problems.append(ModelViolation("hom-functor", "underlying map"))
-        return problems
-    for g in X.theory.base.generators:
+        return [ModelViolation("hom-functor", "underlying map")]
+    coherence = HomCoherence(hom.source, hom.target, hom.weakness, hom.f1)
+    problems = []
+    cells = []
+    for i, g in enumerate(hom.source.theory.base.generators):
         try:
             nat = hom.cell(g.name)
         except CellError:
             problems.append(ModelViolation("hom-missing-cell", g.name))
             continue
-        src, tgt = hom_cell_boundary(X, Y, hom.f1, g.name, hom.weakness)
-        if nat.source != src or nat.target != tgt:
-            problems.append(ModelViolation("hom-cell-boundary", g.name))
-            continue
-        if validate_nat(nat) is not None:
-            problems.append(ModelViolation("hom-cell-naturality", g.name))
-        if hom.weakness == "strict" and src != tgt:
-            problems.append(ModelViolation("hom-not-strict", g.name))
-        if hom.weakness in ("strict", "pseudo"):
-            if any(Y.carrier.inverse(c) is None for c in nat.components):
-                problems.append(ModelViolation("hom-cell-invertibility", g.name))
-        if hom.weakness == "strict" and \
-           any(not Y.carrier.is_identity(c) for c in nat.components):
-            problems.append(ModelViolation("hom-strict-cells", g.name))
+        problems += coherence.cell_violations(i, nat)
+        cells.append(nat)
     if problems:
         return problems
-    for eq in X.theory.base.equations:
-        if extend_hom_cell(hom, eq.lhs) != extend_hom_cell(hom, eq.rhs):
-            problems.append(ModelViolation("hom-equation", eq.name))
-    for cell in X.theory.cells:
-        a, b = cell.source.source, cell.source.target
-        xs = evaluate_pasting(Gen(cell), X)
-        ys = evaluate_pasting(Gen(cell), Y)
-        fpow_a = functor_power(hom.f1, a, X.power(a), Y.power(a))
-        fpow_b = functor_power(hom.f1, b, X.power(b), Y.power(b))
-        if hom.weakness == "colax":
-            lhs = vert_nat(whisker_right(xs, fpow_b), extend_hom_cell(hom, cell.target))
-            rhs = vert_nat(extend_hom_cell(hom, cell.source), whisker_left(fpow_a, ys))
-        else:
-            lhs = vert_nat(extend_hom_cell(hom, cell.source), whisker_right(xs, fpow_b))
-            rhs = vert_nat(whisker_left(fpow_a, ys), extend_hom_cell(hom, cell.target))
-        if lhs != rhs:
-            problems.append(ModelViolation("hom-cell-compat", cell.name))
-    return problems
+    return [law.violation for law in coherence.laws if not law.holds(cells)]
 
 
 def compose_homs(f: LaxHom, g: LaxHom) -> LaxHom:
@@ -484,40 +608,36 @@ def power_hom(hom: LaxHom, n: int, src_power: CatModel, dst_power: CatModel) -> 
 
 def enumerate_homs_w(X: CatModel, Y: CatModel, weakness: str,
                      bound: int = HOM_ENUMERATION_BOUND) -> list[LaxHom]:
-    """All weakness-w homomorphisms X -> Y, deterministically ordered."""
+    """All weakness-w homomorphisms X -> Y, deterministically ordered.
+
+    Per underlying functor, each generator's candidate cells are the
+    transformations between its boundary functors (the identity for strict)
+    that pass their own checks; the product of their counts is held to
+    ``bound`` before the search, which prunes on the laws.  A hom found has
+    passed every check of ``validate_lax_hom``.
+    """
+    names = [g.name for g in X.theory.base.generators]
     out = []
     for f1 in enumerate_functors(X.carrier, Y.carrier):
-        per_gen: list[list[FinNat]] = []
-        feasible = True
+        if validate_functor(f1) is not None:
+            continue
+        coherence = HomCoherence(X, Y, weakness, f1)
+        domains: list[list[FinNat]] = []
         total = 1
-        for g in X.theory.base.generators:
-            src, tgt = hom_cell_boundary(X, Y, f1, g.name, weakness)
-            if weakness == "strict":
-                if src != tgt:
-                    feasible = False
-                    break
-                per_gen.append([identity_nat(src)])
-                continue
-            nats = enumerate_naturals(src, tgt)
-            if weakness == "pseudo":
-                nats = [n for n in nats
-                        if all(Y.carrier.inverse(c) is not None for c in n.components)]
+        for i, (src, tgt) in enumerate(coherence.boundaries):
+            candidates = [identity_nat(src)] if weakness == "strict" \
+                else enumerate_naturals(src, tgt)
+            nats = coherence.admissible(i, candidates)
             if not nats:
-                feasible = False
                 break
-            per_gen.append(nats)
+            domains.append(nats)
             total *= len(nats)
             if total > bound:
                 raise EnumerationBound(
                     f"{total} candidate structure-cell assignments exceed bound {bound}")
-        if not feasible:
-            continue
-        for picks in search(lambda i, a: per_gen[i], [[]] * len(per_gen)):
-            hom = LaxHom(X, Y, weakness, f1,
-                         tuple((g.name, nat) for g, nat in
-                               zip(X.theory.base.generators, picks)))
-            if not validate_lax_hom(hom):
-                out.append(hom)
+        else:
+            out += [LaxHom(X, Y, weakness, f1, tuple(zip(names, cells)))
+                    for cells in coherence.assignments(domains)]
     return out
 
 

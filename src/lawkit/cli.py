@@ -8,6 +8,7 @@ Reports are deterministic; pass --no-timings to make the JSON byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -549,8 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``run`` of a process."""
+    return build_parser()
+
+
 def run(argv: list[str], out=sys.stdout) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit:

@@ -634,6 +634,14 @@ def _repad(m: Morphism, ctx: int) -> Morphism:
     return compose(widen, m)
 
 
+def _known(p: _Parser, names, what: str) -> str:
+    """An identifier that must be one of ``names``, reported where it stands."""
+    name = p.ident()
+    if name not in names:
+        p.fail_last(f"unknown {what} {name!r}")
+    return name
+
+
 def _parse_sigma(p: _Parser, theories: list[TwoTheoryPresentation]) -> tuple[str, SigmaTable]:
     name = p.ident()
     p.expect("ident", "for")
@@ -653,11 +661,12 @@ def _parse_sigma(p: _Parser, theories: list[TwoTheoryPresentation]) -> tuple[str
     entries = []
     cells = {c.name: c for c in theory2.cells}
     ops = list(theory2.base.generators)
+    names = {g.name for g in ops}
     while not p.accept("punct", "}"):
         p.expect("punct", "(")
-        a = p.ident()
+        a = _known(p, names, "operation")
         p.expect("punct", ",")
-        b = p.ident()
+        b = _known(p, names, "operation")
         p.expect("punct", ")")
         p.expect("punct", "=")
         pasting = _parse_pasting(p, cells, ops)
@@ -670,8 +679,11 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
     name = p.ident()
     p.expect("ident", "of")
     theory_name = p.ident()
-    if not any(t.base.name == theory_name for t in theories):
+    theory2 = next((t for t in theories if t.base.name == theory_name), None)
+    if theory2 is None:
         p.fail_last(f"model references unknown theory {theory_name!r}")
+    ops = {g.name for g in theory2.base.generators}
+    cells = {c.name for c in theory2.cells}
     p.expect("ident", "in")
     kind = p.ident()
     if kind not in ("finset", "fincat", "moncat"):
@@ -725,9 +737,9 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
                     p.expect("punct", ";")
                     composites.append((f, g, h))
             elif kw == "functor":
-                functors.append(_parse_functor_decl(p))
+                functors.append(_parse_functor_decl(p, ops))
             elif kw == "nat":
-                nats.append(_parse_nat_decl(p))
+                nats.append(_parse_nat_decl(p, cells))
             else:
                 p.fail_last(f"unknown fincat item {kw!r}")
         return ModelDecl(name, theory_name, "fincat",
@@ -756,14 +768,14 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
             unit = p.ident()
             p.expect("punct", ";")
         elif kw == "braiding":
-            bname = p.ident()
+            bname = _known(p, cells, "2-cell")
             p.expect("punct", "=")
             braidings.append((bname, p.nat_matrix()))
             p.expect("punct", ";")
         elif kw == "functor":
-            functors.append(_parse_functor_decl(p))
+            functors.append(_parse_functor_decl(p, ops))
         elif kw == "nat":
-            nats.append(_parse_nat_decl(p))
+            nats.append(_parse_nat_decl(p, cells))
         else:
             p.fail_last(f"unknown moncat item {kw!r}")
     return ModelDecl(name, theory_name, "moncat",
@@ -771,8 +783,8 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
                                 tuple(braidings), tuple(functors), tuple(nats)))
 
 
-def _parse_functor_decl(p: _Parser) -> FunctorDecl:
-    fname = p.ident()
+def _parse_functor_decl(p: _Parser, ops) -> FunctorDecl:
+    fname = _known(p, ops, "operation")
     p.expect("punct", "{")
     obj = None
     arr: tuple[int, ...] | None = None
@@ -795,8 +807,8 @@ def _parse_functor_decl(p: _Parser) -> FunctorDecl:
     return FunctorDecl(fname, obj, None if auto else (arr if arr is not None else ()))
 
 
-def _parse_nat_decl(p: _Parser) -> NatDecl:
-    nname = p.ident()
+def _parse_nat_decl(p: _Parser, cells) -> NatDecl:
+    nname = _known(p, cells, "2-cell")
     if p.accept("ident", "auto"):
         p.expect("punct", ";")
         return NatDecl(nname, None)

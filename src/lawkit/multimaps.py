@@ -20,6 +20,7 @@ from .catmodels import (
     EnumerationBound,
     HOM_ENUMERATION_BOUND,
     HomCategory,
+    HomCoherence,
     LaxHom,
     Modification,
     compose_homs,
@@ -113,10 +114,11 @@ def _slice_right_hom(X: CatModel, Y: CatModel, Z: CatModel, weakness: str,
     return LaxHom(Y, Z, weakness, f1, tuple(cells))
 
 
-def _exchange_condition(theory2: TwoTheoryPresentation, sigma: SigmaTable,
+def _exchange_condition(theory2: TwoTheoryPresentation, exchange_cell,
                         X: CatModel, Y: CatModel, Z: CatModel,
                         f11: FinFunctor, cells_left, cells_right) -> bool:
-    """Row-then-column equals sigma followed by column-then-row, pointwise."""
+    """Row-then-column equals sigma followed by column-then-row, pointwise;
+    ``exchange_cell(a, b)`` is the component table of sigma_{a,b} in Z."""
     prod = fincat.product([X.carrier, Y.carrier])
     zc = Z.carrier
     ny = Y.carrier.n_objects
@@ -125,7 +127,7 @@ def _exchange_condition(theory2: TwoTheoryPresentation, sigma: SigmaTable,
             m, k = a.arity, b.arity
             am = generator_morphism(a)
             bm = generator_morphism(b)
-            sig = pasting_components(derive_sigma(theory2, sigma, am, bm), Z)
+            sig = exchange_cell(a, b)
             zmk = Z.power(m * k)
             for xs in itertools.product(range(X.carrier.n_objects), repeat=m):
                 xet = X.power(m).encode_obj(xs)
@@ -157,6 +159,15 @@ def enumerate_binary_multimaps(X: CatModel, Y: CatModel, Z: CatModel,
     theory2 = X.theory
     names = [g.name for g in theory2.base.generators]
     prod = fincat.product([X.carrier, Y.carrier])
+    # Each exchange cell is evaluated in Z on first use, once per call.
+    exchange_cells: dict = {}
+
+    def exchange_cell(a, b) -> tuple[int, ...]:
+        if (a, b) not in exchange_cells:
+            pasting = derive_sigma(theory2, sigma, generator_morphism(a), generator_morphism(b))
+            exchange_cells[a, b] = pasting_components(pasting, Z)
+        return exchange_cells[a, b]
+
     out = []
     for f11 in enumerate_functors(prod.cat, Z.carrier):
         tables = _cell_candidates(X, Y, Z, f11, bound)
@@ -170,7 +181,7 @@ def enumerate_binary_multimaps(X: CatModel, Y: CatModel, Z: CatModel,
             chunks = [tuple(itertools.islice(rest, len(table))) for table in tables]
             cells_left = dict(zip(names, chunks[:len(names)]))
             cells_right = dict(zip(names, chunks[len(names):]))
-            if not _exchange_condition(theory2, sigma, X, Y, Z, f11,
+            if not _exchange_condition(theory2, exchange_cell, X, Y, Z, f11,
                                        cells_left, cells_right):
                 continue
             if any(validate_lax_hom(_slice_left_hom(X, Y, Z, weakness, f11, cells_left, y))
@@ -530,33 +541,35 @@ def eh_local_iso_probe(X: CatModel, Y: CatModel, sigma: SigmaTable,
     """
     theory2 = X.theory
     homs = enumerate_homs_w(X, Y, "lax", bound)
+    gens = theory2.base.generators
+    names = [g.name for g in gens]
+    # Neither the power models nor the lifted operations depend on the hom.
+    # A lift can fail (a table with no entry for a pair), so with no hom to
+    # compare nothing is lifted.
+    lifts = []
+    if homs:
+        for g in gens:
+            xpow, ypow = power_cat_model(X, g.arity), power_cat_model(Y, g.arity)
+            y_lift = lift_hom(Y, sigma, generator_morphism(g), "lax", ypow)
+            lifts.append((xpow, ypow, y_lift,
+                          lift_hom(X, sigma, generator_morphism(g), "lax", xpow)))
     lifted_total = 0
     canonical_found = 0
-    gens = theory2.base.generators
     per_hom_counts = []
     for f in homs:
-        composite_pairs = []
-        for g in gens:
-            n = g.arity
-            xpow = power_cat_model(X, n)
-            ypow = power_cat_model(Y, n)
-            P = compose_homs(power_hom(f, n, xpow, ypow),
-                             lift_hom(Y, sigma, generator_morphism(g), "lax", ypow))
-            Q = compose_homs(lift_hom(X, sigma, generator_morphism(g), "lax", xpow), f)
-            composite_pairs.append((g.name, P, Q))
-        per_gen_choices = [[mod.component for mod in enumerate_modifications(P, Q)]
-                           for _, P, Q in composite_pairs]
+        coherence = HomCoherence(X, Y, "lax", f.f1)
+        domains = []
+        for i, (g, (xpow, ypow, y_lift, x_lift)) in enumerate(zip(gens, lifts)):
+            P = compose_homs(power_hom(f, g.arity, xpow, ypow), y_lift)
+            Q = compose_homs(x_lift, f)
+            src, tgt = coherence.boundaries[i]
+            domains.append(coherence.admissible(
+                i, [FinNat(src, tgt, mod.component.components)
+                    for mod in enumerate_modifications(P, Q)]))
         count_here = 0
-        for picks in search(lambda i, a: per_gen_choices[i], [[]] * len(per_gen_choices)):
-            candidate = LaxHom(X, Y, "lax", f.f1,
-                               tuple((g.name,
-                                      FinNat(*hom_cell_boundary(X, Y, f.f1, g.name, "lax"),
-                                             picks[i].components))
-                                     for i, g in enumerate(gens)))
-            if validate_lax_hom(candidate):
-                continue
+        for cells in coherence.assignments(domains):
             count_here += 1
-            if candidate == f:
+            if LaxHom(X, Y, "lax", f.f1, tuple(zip(names, cells))) == f:
                 canonical_found += 1
         per_hom_counts.append(count_here)
         lifted_total += count_here

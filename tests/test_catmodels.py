@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -11,6 +13,7 @@ from lawkit.catmodels import (
     HomCategory,
     LaxHom,
     Modification,
+    ModelViolation,
     algebra_view,
     build_hom_category,
     compose_homs,
@@ -51,7 +54,11 @@ from lawkit.fincat import (
     compose_functors,
     discrete_category,
     enumerate_functors,
+    enumerate_naturals,
+    identity_nat,
     power,
+    validate_functor,
+    validate_nat,
     vert_nat,
     whisker_left,
     whisker_right,
@@ -683,3 +690,182 @@ def test_internal_hom_composes_homs_once_per_power_object(monkeypatch):
     per_power = sum(homcat.cat.n_objects ** g.arity for g in Y.theory.base.generators)
     assert homcat.cat.n_objects == 8 and per_power == 64 + 1
     assert len(calls) <= per_power
+
+
+# -- the pruned hom search against product-then-validate --------------------------------
+
+def reference_validate_lax_hom(hom, scratch):
+    """Every check on the whole hom, each extended cell a vertical composite of
+    whiskered cells (``FromScratch.extend``)."""
+    problems = []
+    X, Y = hom.source, hom.target
+    if validate_functor(hom.f1) is not None:
+        return [ModelViolation("hom-functor", "underlying map")]
+    for g in X.theory.base.generators:
+        try:
+            nat = hom.cell(g.name)
+        except CellError:
+            problems.append(ModelViolation("hom-missing-cell", g.name))
+            continue
+        src, tgt = scratch.boundary(X, Y, hom.f1, generator_morphism(g), hom.weakness)
+        if nat.source != src or nat.target != tgt:
+            problems.append(ModelViolation("hom-cell-boundary", g.name))
+            continue
+        if validate_nat(nat) is not None:
+            problems.append(ModelViolation("hom-cell-naturality", g.name))
+        if hom.weakness == "strict" and src != tgt:
+            problems.append(ModelViolation("hom-not-strict", g.name))
+        if hom.weakness in ("strict", "pseudo"):
+            if any(Y.carrier.inverse(c) is None for c in nat.components):
+                problems.append(ModelViolation("hom-cell-invertibility", g.name))
+        if hom.weakness == "strict" and \
+           any(not Y.carrier.is_identity(c) for c in nat.components):
+            problems.append(ModelViolation("hom-strict-cells", g.name))
+    if problems:
+        return problems
+    for eq in X.theory.base.equations:
+        if scratch.extend(hom, eq.lhs) != scratch.extend(hom, eq.rhs):
+            problems.append(ModelViolation("hom-equation", eq.name))
+    for cell in X.theory.cells:
+        a, b = cell.source.source, cell.source.target
+        xs = evaluate_pasting(Gen(cell), X)
+        ys = evaluate_pasting(Gen(cell), Y)
+        fpow_a = functor_power(hom.f1, a, X.power(a), Y.power(a))
+        fpow_b = functor_power(hom.f1, b, X.power(b), Y.power(b))
+        if hom.weakness == "colax":
+            lhs = vert_nat(whisker_right(xs, fpow_b), scratch.extend(hom, cell.target))
+            rhs = vert_nat(scratch.extend(hom, cell.source), whisker_left(fpow_a, ys))
+        else:
+            lhs = vert_nat(scratch.extend(hom, cell.source), whisker_right(xs, fpow_b))
+            rhs = vert_nat(whisker_left(fpow_a, ys), scratch.extend(hom, cell.target))
+        if lhs != rhs:
+            problems.append(ModelViolation("hom-cell-compat", cell.name))
+    return problems
+
+
+def reference_candidates(X, Y, weakness, bound=catmodels.HOM_ENUMERATION_BOUND):
+    """Every full assignment of candidate cells, functor by functor, in product
+    order, with the bound checked as the hom search checks it."""
+    out = []
+    for f1 in enumerate_functors(X.carrier, Y.carrier):
+        per_gen = []
+        total = 1
+        for g in X.theory.base.generators:
+            src, tgt = hom_cell_boundary(X, Y, f1, g.name, weakness)
+            if weakness == "strict":
+                if src != tgt:
+                    break
+                per_gen.append([identity_nat(src)])
+                continue
+            nats = enumerate_naturals(src, tgt)
+            if weakness == "pseudo":
+                nats = [n for n in nats
+                        if all(Y.carrier.inverse(c) is not None for c in n.components)]
+            if not nats:
+                break
+            per_gen.append(nats)
+            total *= len(nats)
+            if total > bound:
+                raise EnumerationBound(
+                    f"{total} candidate structure-cell assignments exceed bound {bound}")
+        else:
+            names = [g.name for g in X.theory.base.generators]
+            out += [LaxHom(X, Y, weakness, f1, tuple(zip(names, picks)))
+                    for picks in itertools.product(*per_gen)]
+    return out
+
+
+def _variants(hom):
+    """The hom under every weakness, without its last cell, and with one
+    component of one cell swapped for another arrow between its endpoints."""
+    yield from (replace(hom, weakness=w) for w in WEAKNESSES)
+    yield replace(hom, cells=hom.cells[:-1])
+    carrier = hom.target.carrier
+    for i, (name, nat) in enumerate(hom.cells):
+        for o, c in enumerate(nat.components):
+            for alt in carrier.hom(carrier.src[c], carrier.dst[c]):
+                if alt != c:
+                    comps = nat.components[:o] + (alt,) + nat.components[o + 1:]
+                    cells = list(hom.cells)
+                    cells[i] = (name, replace(nat, components=comps))
+                    yield replace(hom, cells=tuple(cells))
+
+
+def test_pruned_hom_search_matches_product_reference():
+    scratch = FromScratch()
+    kinds = Counter()
+    searched = refused = 0
+    for models in _models_by_theory():
+        for X in [terminal_model(models[0].theory)] + models:
+            for Y in models:
+                for weakness in WEAKNESSES:
+                    try:
+                        candidates = reference_candidates(X, Y, weakness)
+                    except EnumerationBound as e:
+                        with pytest.raises(EnumerationBound) as got:
+                            enumerate_homs_w(X, Y, weakness)
+                        assert str(got.value) == str(e)
+                        refused += 1
+                        continue
+                    verdicts = [reference_validate_lax_hom(c, scratch) for c in candidates]
+                    expected = [c for c, v in zip(candidates, verdicts) if not v]
+                    assert enumerate_homs_w(X, Y, weakness) == expected
+                    searched += 1
+                    for c, v in zip(candidates, verdicts):
+                        assert validate_lax_hom(c) == v
+                        kinds.update(p.kind for p in v)
+                    for c in candidates[:2]:
+                        for variant in _variants(c):
+                            v = reference_validate_lax_hom(variant, scratch)
+                            assert validate_lax_hom(variant) == v
+                            kinds.update(p.kind for p in v)
+    assert searched > 100 and refused > 0
+    # Every violation kind but an invalid underlying functor showed up.
+    assert set(kinds) == {"hom-missing-cell", "hom-cell-boundary", "hom-cell-naturality",
+                          "hom-not-strict", "hom-cell-invertibility", "hom-strict-cells",
+                          "hom-equation", "hom-cell-compat"}
+
+
+def test_hom_search_checks_coherence_on_components(monkeypatch):
+    calls = Counter()
+    for name in ("whisker_left", "whisker_right", "vert_nat", "validate_lax_hom"):
+        def counted(*args, _name=name, _f=getattr(catmodels, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(catmodels, name, counted)
+    Y = fx.model("graded_lines")
+    homs = enumerate_homs_w(Y, Y, "lax")
+    assert len(homs) == 8
+    assert calls == Counter()
+
+
+# Z/3 with an operation that kills every arrow, so inv(inv(x1)) = x1 fails on
+# arrows and the two sides of the equation have different boundaries.
+BROKEN_INVOLUTION = """
+import "t_inv.law";
+model collapsing_involution of t_inv in fincat {
+  objects 1;
+  arrow a : 0 -> 0;
+  arrow b : 0 -> 0;
+  compose { a then a = b; a then b = id0; b then a = id0; b then b = a; }
+  functor inv { obj [0]; arr [0, 0, 0]; }
+  nat iota = [0];
+}
+"""
+
+
+def test_equation_sides_with_unequal_boundaries_fail_the_equation():
+    X = fx.parse(BROKEN_INVOLUTION).cat_model("collapsing_involution")
+    assert ModelViolation("equation", "invol") in validate_cat_model(X)
+    scratch = FromScratch()
+    failed = 0
+    for weakness in WEAKNESSES:
+        candidates = reference_candidates(X, X, weakness)
+        verdicts = [reference_validate_lax_hom(c, scratch) for c in candidates]
+        for c, v in zip(candidates, verdicts):
+            assert validate_lax_hom(c) == v
+            failed += ModelViolation("hom-equation", "invol") in v
+        assert enumerate_homs_w(X, X, weakness) == \
+            [c for c, v in zip(candidates, verdicts) if not v]
+    # Over a functor that keeps an arrow, the sides' boundaries differ.
+    assert failed >= 4

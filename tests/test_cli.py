@@ -13,6 +13,7 @@ from lawkit.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
     EXIT_OK,
+    _parser,
     run,
     validate_report,
 )
@@ -146,6 +147,49 @@ def test_malformed_theory_items_are_positioned_input_errors(tmp_path, body, diag
     path = tmp_path / "t.law"
     path.write_text(f"theory t {{\n  op m : 2 -> 1;\n  {body}\n}}\n")
     assert _input_error_detail(["check-theory", path]) == diagnostic
+
+
+@pytest.mark.parametrize("old, new, diagnostic", [
+    ("(m, u) = id", "(q, u) = id", "20:4: unknown operation 'q'"),
+    ("(m, u) = id", "(m, q) = id", "20:7: unknown operation 'q'"),
+])
+@pytest.mark.parametrize("command", ["check-theory", "sigma-check"])
+def test_unknown_sigma_operation_is_a_positioned_input_error(tmp_path, old, new,
+                                                             diagnostic, command):
+    path = _mutant(tmp_path, "t_comm_flat.law", old, new)
+    assert _input_error_detail([command, path]) == diagnostic
+
+
+@pytest.mark.parametrize("old, new, diagnostic", [
+    ("functor u {", "functor q {", "28:11: unknown operation 'q'"),
+    ("nat c auto", "nat q auto", "29:7: unknown 2-cell 'q'"),
+    ("braiding c =", "braiding q =", "41:12: unknown 2-cell 'q'"),
+])
+@pytest.mark.parametrize("argv", [
+    ["check-theory"],
+    ["hom-internal", "--source", "poset_meet", "--target", "poset_meet"],
+])
+def test_unknown_model_table_name_is_a_positioned_input_error(tmp_path, old, new,
+                                                              diagnostic, argv):
+    path = _mutant(tmp_path, "t_comm_flat.law", old, new)
+    assert _input_error_detail([argv[0], path] + argv[1:]) == diagnostic
+
+
+def test_consecutive_runs_share_one_parser(capsys):
+    flat = law_path("t_comm_flat.law")
+    prefix = ["--format", "json", "--no-timings"]
+    runs = [prefix + ["hom-internal", flat, "--source", "poset_meet", "--target", "poset_join"],
+            prefix + ["sigma-check", law_path("t_braid.law")],
+            ["--no-timings", "intalg", flat, "--model", "poset_meet"]]
+    first = [invoke(argv) for argv in runs]
+    bad = ["hom-internal", flat, "--source", "poset_meet", "--target", "poset_join",
+           "--weakness", "bogus"]
+    assert invoke(bad)[0] == EXIT_INPUT
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    # A bad flag between runs leaves no trace: the same reports, byte for byte.
+    assert [invoke(argv) for argv in runs] == first
+    assert [code for code, _ in first] == [EXIT_OK, EXIT_FAILED, EXIT_OK]
+    assert _parser() is _parser()
 
 
 @pytest.mark.parametrize("argv", [

@@ -279,8 +279,8 @@ def test_rendered_pastings_parse_back(corpus):
     for theory2, p in corpus():
         by_theory.setdefault(theory2.name, (theory2, []))[1].append(p)
     for name, (theory2, pastings) in by_theory.items():
-        entries = "".join(f"  (e{i}, e{i}) = {dsl.render_pasting(p)};\n"
-                          for i, p in enumerate(pastings))
+        op = theory2.base.generators[0].name  # every entry under one known pair
+        entries = "".join(f"  ({op}, {op}) = {dsl.render_pasting(p)};\n" for p in pastings)
         text = (dsl.serialize(dsl.Document(theories=(theory2,)))
                 + f"sigma rt for {name} weakness lax {{\n{entries}}}\n")
         doc, source = dsl.parse(text)

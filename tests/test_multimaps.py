@@ -1,11 +1,14 @@
 import pytest
 
 from lawkit import fixtures as fx
+from lawkit import multimaps
 from lawkit.catmodels import (
     internal_algebras,
     internal_coalgebras,
+    lift_hom,
     terminal_model,
 )
+from lawkit.cells import pasting_components
 from lawkit.multimaps import (
     bilax_check,
     closed_check,
@@ -179,3 +182,32 @@ def test_closed_structure_mixed_trio():
     for trio in [(meet, join, join), (join, meet, join), (meet, meet, join)]:
         report = closed_check(*trio, fx.sigma("sigma_comm_flat"))
         assert report.bijection, trio
+
+
+def test_eh_local_iso_probe_lifts_each_operation_once(monkeypatch):
+    lifted = []
+
+    def counted(model, sigma, beta, *args):
+        lifted.append((model, beta))
+        return lift_hom(model, sigma, beta, *args)
+
+    monkeypatch.setattr(multimaps, "lift_hom", counted)
+    gl = fx.model("graded_lines")
+    report = eh_local_iso_probe(gl, gl, fx.sigma("sigma_comm_flat"))
+    assert report.hom_count == 8
+    # once per generator and side, not once per hom
+    assert len(lifted) == 2 * len(gl.theory.base.generators)
+
+
+def test_multimap_search_evaluates_each_exchange_cell_once(monkeypatch):
+    evaluated = []
+
+    def counted(p, model):
+        evaluated.append(p)
+        return pasting_components(p, model)
+
+    monkeypatch.setattr(multimaps, "pasting_components", counted)
+    P = fx.model("poset_meet")
+    muls = enumerate_binary_multimaps(P, P, P, fx.sigma("sigma_comm_flat"))
+    basis = P.theory.base.basis_ops()
+    assert muls and len(evaluated) == len(basis) ** 2
