@@ -75,7 +75,6 @@ class CatModel:
     _functors: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _closures: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _boundaries: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    _stackings: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def power(self, n: int) -> ProductCategory:
         if n not in self._powers:
@@ -109,24 +108,6 @@ class CatModel:
         fun = FinFunctor(dom, cod, obj_map, arr_map)
         self._functors[f] = fun
         return fun
-
-    def stacking(self, f: Morphism) -> tuple[Morphism, list[Morphism], Morphism, list[tuple]]:
-        """``f`` split as ``u ; v`` with ``v = par(heads)``, and per head the
-        index, in the power of the carrier it acts on, of its block of
-        ``self(u)(o)`` for each object ``o``; memoized per morphism."""
-        hit = self._stackings.get(f)
-        if hit is None:
-            u, heads = _decompose(f)
-            stacked = self.power(sum(h.source for h in heads))
-            blocks: list[list[int]] = [[] for _ in heads]
-            for xo in self.functor_of(u).obj_map:
-                objs = stacked.decode_obj(xo)
-                off = 0
-                for h, block in zip(heads, blocks):
-                    block.append(self.power(h.source).encode_obj(objs[off:off + h.source]))
-                    off += h.source
-            hit = self._stackings[f] = (u, heads, par_morphism(heads), list(map(tuple, blocks)))
-        return hit
 
     def eval_morphism_obj(self, f: Morphism, objs: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(c(objs) for c in self._compiled(f, False))
@@ -425,10 +406,19 @@ class HomCoherence:
             return i, lambda cells: cells[i].components
         # f = u ; v with v = par(heads): at o, the cell at u pushed along Y(v),
         # then the heads' cells stacked at X(u)(o) (the reverse for colax).
-        u, heads, v, blocks = X.stacking(f)
+        # blocks[k][o] indexes head k's block of X(u)(o) in its power.
+        u, heads = _decompose(f)
+        stacked = X.power(sum(h.source for h in heads))
+        blocks: list[list[int]] = [[] for _ in heads]
+        for xo in X.functor_of(u).obj_map:
+            objs = stacked.decode_obj(xo)
+            off = 0
+            for h, block in zip(heads, blocks):
+                block.append(X.power(h.source).encode_obj(objs[off:off + h.source]))
+                off += h.source
         u_slot, extend_u = self.extension(u)
         parts = [self.extension(h) for h in heads]
-        yv = Y.functor_of(v).arr_map
+        yv = Y.functor_of(par_morphism(heads)).arr_map
         radix = Y.carrier.n_arrows
         then = Y.power(f.target).cat.then
         head_comps = [comps for _, comps in parts]
@@ -619,8 +609,6 @@ def enumerate_homs_w(X: CatModel, Y: CatModel, weakness: str,
     names = [g.name for g in X.theory.base.generators]
     out = []
     for f1 in enumerate_functors(X.carrier, Y.carrier):
-        if validate_functor(f1) is not None:
-            continue
         coherence = HomCoherence(X, Y, weakness, f1)
         domains: list[list[FinNat]] = []
         total = 1
