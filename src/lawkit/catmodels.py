@@ -46,8 +46,6 @@ from .fincat import (
     validate_functor,
     validate_nat,
     vert_nat,
-    whisker_left,
-    whisker_right,
 )
 from .search import search
 from .theory import (
@@ -296,13 +294,27 @@ def _cell_boundary(X: CatModel, Y: CatModel, f1: FinFunctor, f: Morphism,
     return hit[2], hit[3]
 
 
-def identity_hom(model: CatModel, weakness: str = "strict") -> LaxHom:
-    f1 = fincat.identity_functor(model.carrier)
+def hom_from_components(X: CatModel, Y: CatModel, weakness: str, f1: FinFunctor,
+                        tables: Sequence[Sequence[int]] | None = None) -> LaxHom:
+    """The hom ``X -> Y`` of the given weakness over ``f1`` whose cell at the
+    ``i``-th generator has the component table ``tables[i]``, between the
+    boundary functors ``hom_cell_boundary`` gives.  With no tables each cell
+    is an identity, which needs its two boundary functors to be equal."""
     cells = []
-    for g in model.theory.base.generators:
-        src, tgt = hom_cell_boundary(model, model, f1, g.name, weakness)
-        cells.append((g.name, identity_nat(src)))
-    return LaxHom(model, model, weakness, f1, tuple(cells))
+    for i, g in enumerate(X.theory.base.generators):
+        src, tgt = hom_cell_boundary(X, Y, f1, g.name, weakness)
+        if tables is not None:
+            cells.append((g.name, FinNat(src, tgt, tuple(tables[i]))))
+        elif src != tgt:
+            raise CellError(f"expected a strict homomorphism at {g.name}")
+        else:
+            cells.append((g.name, identity_nat(src)))
+    return LaxHom(X, Y, weakness, f1, tuple(cells))
+
+
+def identity_hom(model: CatModel, weakness: str = "strict") -> LaxHom:
+    return hom_from_components(model, model, weakness,
+                               fincat.identity_functor(model.carrier))
 
 
 # -- coherence of homomorphisms ---------------------------------------------------
@@ -517,61 +529,38 @@ def compose_homs(f: LaxHom, g: LaxHom) -> LaxHom:
     f1 = compose_functors(f.f1, g.f1)
     then = g.target.carrier.then
     g_arr = g.f1.arr_map
-    cells = []
+    tables = []
     for gen in f.source.theory.base.generators:
         n = gen.arity
         fpow = functor_power(f.f1, n, f.source.power(n), f.target.power(n)).obj_map
         f_cell = f.cell(gen.name).components
         g_cell = g.cell(gen.name).components
         if f.weakness == "colax":
-            comps = tuple(then(g_arr[c], g_cell[fpow[o]]) for o, c in enumerate(f_cell))
+            tables.append([then(g_arr[c], g_cell[fpow[o]]) for o, c in enumerate(f_cell)])
         else:
-            comps = tuple(then(g_cell[fpow[o]], g_arr[c]) for o, c in enumerate(f_cell))
-        src, tgt = hom_cell_boundary(f.source, g.target, f1, gen.name, f.weakness)
-        cells.append((gen.name, FinNat(src, tgt, comps)))
-    return LaxHom(f.source, g.target, f.weakness, f1, tuple(cells))
+            tables.append([then(g_cell[fpow[o]], g_arr[c]) for o, c in enumerate(f_cell)])
+    return hom_from_components(f.source, g.target, f.weakness, f1, tables)
 
 
-def tuple_homs(homs: list[LaxHom], target_power: CatModel,
-               source_model: CatModel | None = None,
-               weakness: str | None = None) -> LaxHom:
-    """Pair homs X -> Y into a single hom X -> Y^n; the empty tuple is the
-    unique hom into the zeroth power."""
+def tuple_homs(homs: list[LaxHom], target_power: CatModel, source_model: CatModel,
+               weakness: str) -> LaxHom:
+    """Pair homs X -> Y of the given weakness into a single hom X -> Y^n;
+    the empty tuple is the unique hom into the zeroth power."""
+    X = source_model
     if not homs:
-        X = source_model
-        w = weakness
-        if X is None or w is None:
-            raise CellError("empty tuple needs an explicit source and weakness")
-        term_like = target_power
-        f1 = FinFunctor(X.carrier, term_like.carrier,
+        f1 = FinFunctor(X.carrier, target_power.carrier,
                         (0,) * X.carrier.n_objects, (0,) * X.carrier.n_arrows)
-        cells = []
-        for gen in X.theory.base.generators:
-            src, tgt = hom_cell_boundary(X, term_like, f1, gen.name, w)
-            cells.append((gen.name, identity_nat(src)))
-        return LaxHom(X, term_like, w, f1, tuple(cells))
-    X = homs[0].source
-    Y = homs[0].target
-    n = len(homs)
-    ypow = Y.power(n)
-    obj_map = tuple(
-        ypow.encode_obj(tuple(h.f1.obj_map[o] for h in homs))
-        for o in range(X.carrier.n_objects)
-    )
-    arr_map = tuple(
-        ypow.encode_arr(tuple(h.f1.arr_map[a] for h in homs))
-        for a in range(X.carrier.n_arrows)
-    )
+        return hom_from_components(X, target_power, weakness, f1)
+    ypow = homs[0].target.power(len(homs))
+    obj_map = tuple(ypow.encode_obj(tuple(h.f1.obj_map[o] for h in homs))
+                    for o in range(X.carrier.n_objects))
+    arr_map = tuple(ypow.encode_arr(tuple(h.f1.arr_map[a] for h in homs))
+                    for a in range(X.carrier.n_arrows))
     f1 = FinFunctor(X.carrier, target_power.carrier, obj_map, arr_map)
-    cells = []
-    for gen in X.theory.base.generators:
-        m = gen.arity
-        src, tgt = hom_cell_boundary(X, target_power, f1, gen.name, homs[0].weakness)
-        comps = []
-        for o in range(X.power(m).n_objects):
-            comps.append(ypow.encode_arr(tuple(h.cell(gen.name).components[o] for h in homs)))
-        cells.append((gen.name, FinNat(src, tgt, tuple(comps))))
-    return LaxHom(X, target_power, homs[0].weakness, f1, tuple(cells))
+    tables = [[ypow.encode_arr(comps)
+               for comps in zip(*(h.cell(gen.name).components for h in homs))]
+              for gen in X.theory.base.generators]
+    return hom_from_components(X, target_power, weakness, f1, tables)
 
 
 def power_hom(hom: LaxHom, n: int, src_power: CatModel, dst_power: CatModel) -> LaxHom:
@@ -579,10 +568,9 @@ def power_hom(hom: LaxHom, n: int, src_power: CatModel, dst_power: CatModel) -> 
     X, Y = hom.source, hom.target
     f1 = functor_power(hom.f1, n, X.power(n), Y.power(n))
     f1 = FinFunctor(src_power.carrier, dst_power.carrier, f1.obj_map, f1.arr_map)
-    cells = []
+    tables = []
     for gen in X.theory.base.generators:
         m = gen.arity
-        src, tgt = hom_cell_boundary(src_power, dst_power, f1, gen.name, hom.weakness)
         dom = X.power(m * n)
         comps = []
         for o in range(dom.n_objects):
@@ -592,19 +580,18 @@ def power_hom(hom: LaxHom, n: int, src_power: CatModel, dst_power: CatModel) -> 
                 col = tuple(objs[i * n + j] for i in range(m))
                 arrows[j] = hom.cell(gen.name).components[X.power(m).encode_obj(col)]
             comps.append(Y.power(n).encode_arr(tuple(arrows)))
-        cells.append((gen.name, FinNat(src, tgt, tuple(comps))))
-    return LaxHom(src_power, dst_power, hom.weakness, f1, tuple(cells))
+        tables.append(comps)
+    return hom_from_components(src_power, dst_power, hom.weakness, f1, tables)
 
 
-def enumerate_homs_w(X: CatModel, Y: CatModel, weakness: str,
-                     bound: int = HOM_ENUMERATION_BOUND) -> list[LaxHom]:
+def enumerate_homs_w(X: CatModel, Y: CatModel, weakness: str) -> list[LaxHom]:
     """All weakness-w homomorphisms X -> Y, deterministically ordered.
 
     Per underlying functor, each generator's candidate cells are the
     transformations between its boundary functors (the identity for strict)
     that pass their own checks; the product of their counts is held to
-    ``bound`` before the search, which prunes on the laws.  A hom found has
-    passed every check of ``validate_lax_hom``.
+    ``HOM_ENUMERATION_BOUND`` before the search, which prunes on the laws.
+    A hom found has passed every check of ``validate_lax_hom``.
     """
     names = [g.name for g in X.theory.base.generators]
     out = []
@@ -620,9 +607,9 @@ def enumerate_homs_w(X: CatModel, Y: CatModel, weakness: str,
                 break
             domains.append(nats)
             total *= len(nats)
-            if total > bound:
-                raise EnumerationBound(
-                    f"{total} candidate structure-cell assignments exceed bound {bound}")
+            if total > HOM_ENUMERATION_BOUND:
+                raise EnumerationBound(f"{total} candidate structure-cell assignments "
+                                       f"exceed bound {HOM_ENUMERATION_BOUND}")
         else:
             out += [LaxHom(X, Y, weakness, f1, tuple(zip(names, cells)))
                     for cells in coherence.assignments(domains)]
@@ -639,6 +626,10 @@ class Modification:
 
 
 def validate_modification(mod: Modification) -> list[ModelViolation]:
+    """The modification's checks, on components: its boundary, then its
+    naturality, then at each generator ``g`` and each object ``o`` of
+    ``X^n`` the square ``Y(g)(t^n o) ; g_cell[o] == f_cell[o] ; t[X(g) o]``
+    (``f_cell[o] ; Y(g)(t^n o) == t[X(g) o] ; g_cell[o]`` for colax)."""
     f, g = mod.source, mod.target
     problems = []
     if f.source != g.source or f.target != g.target or f.weakness != g.weakness:
@@ -648,26 +639,21 @@ def validate_modification(mod: Modification) -> list[ModelViolation]:
     if validate_nat(mod.component) is not None:
         problems.append(ModelViolation("modification-naturality", ""))
     X, Y = f.source, f.target
+    t = mod.component.components
+    then = Y.carrier.then
     for gen in X.theory.base.generators:
         n = gen.arity
-        tpow_comps = []
-        for o in range(X.power(n).n_objects):
-            objs = X.power(n).decode_obj(o)
-            tpow_comps.append(Y.power(n).encode_arr(
-                tuple(mod.component.components[p] for p in objs)))
-        fpow = functor_power(f.f1, n, X.power(n), Y.power(n))
-        gpow = functor_power(g.f1, n, X.power(n), Y.power(n))
-        tpow = FinNat(fpow, gpow, tuple(tpow_comps))
-        op = X.functor_of(generator_morphism(gen))
+        tpow = fincat.row_major([t] * n, [Y.carrier.n_arrows] * n)
+        op = generator_morphism(gen)
+        xg, yg = X.functor_of(op).obj_map, Y.functor_of(op).arr_map
+        f_cell, g_cell = f.cell(gen.name).components, g.cell(gen.name).components
         if f.weakness == "colax":
-            lhs = vert_nat(f.cell(gen.name),
-                           whisker_right(tpow, Y.functor_of(generator_morphism(gen))))
-            rhs = vert_nat(whisker_left(op, mod.component), g.cell(gen.name))
+            holds = all(then(f_cell[o], yg[tpow[o]]) == then(t[xg[o]], g_cell[o])
+                        for o in range(len(xg)))
         else:
-            lhs = vert_nat(whisker_right(tpow, Y.functor_of(generator_morphism(gen))),
-                           g.cell(gen.name))
-            rhs = vert_nat(f.cell(gen.name), whisker_left(op, mod.component))
-        if lhs != rhs:
+            holds = all(then(yg[tpow[o]], g_cell[o]) == then(f_cell[o], t[xg[o]])
+                        for o in range(len(xg)))
+        if not holds:
             problems.append(ModelViolation("modification-structure", gen.name))
     return problems
 
@@ -728,9 +714,8 @@ def _object_key(hom: LaxHom) -> tuple:
     return (hom.f1.obj_map, hom.f1.arr_map, tuple(c.components for _, c in hom.cells))
 
 
-def build_hom_category(X: CatModel, Y: CatModel, weakness: str,
-                       bound: int = HOM_ENUMERATION_BOUND) -> HomCategory:
-    homs = enumerate_homs_w(X, Y, weakness, bound)
+def build_hom_category(X: CatModel, Y: CatModel, weakness: str) -> HomCategory:
+    homs = enumerate_homs_w(X, Y, weakness)
     arrows: list[Modification] = []
     src: list[int] = []
     dst: list[int] = []
@@ -755,13 +740,13 @@ def build_hom_category(X: CatModel, Y: CatModel, weakness: str,
     return HomCategory(cat, tuple(homs), tuple(arrows))
 
 
-def internal_algebras(model: CatModel, bound: int = HOM_ENUMERATION_BOUND) -> HomCategory:
+def internal_algebras(model: CatModel) -> HomCategory:
     """Objects: lax homomorphisms from the terminal model; arrows: modifications."""
-    return build_hom_category(terminal_model(model.theory), model, "lax", bound)
+    return build_hom_category(terminal_model(model.theory), model, "lax")
 
 
-def internal_coalgebras(model: CatModel, bound: int = HOM_ENUMERATION_BOUND) -> HomCategory:
-    return build_hom_category(terminal_model(model.theory), model, "colax", bound)
+def internal_coalgebras(model: CatModel) -> HomCategory:
+    return build_hom_category(terminal_model(model.theory), model, "colax")
 
 
 @dataclass(frozen=True)
@@ -794,16 +779,13 @@ def lift_hom(model: CatModel, sigma: SigmaTable, beta: Morphism,
         weakness = "lax" if sigma.weakness == "strict" else sigma.weakness
     f1 = model.functor_of(beta)
     f1 = FinFunctor(src.carrier, model.carrier, f1.obj_map, f1.arr_map)
-    cells = []
+    tables = []
     for gen in model.theory.base.generators:
-        alpha = generator_morphism(gen)
-        pasting = derive_sigma(model.theory, sigma, alpha, beta)
+        pasting = derive_sigma(model.theory, sigma, generator_morphism(gen), beta)
         if weakness == "colax":
             pasting = Inverse(pasting)
-        nat = evaluate_pasting(pasting, model)
-        bsrc, btgt = hom_cell_boundary(src, model, f1, gen.name, weakness)
-        cells.append((gen.name, FinNat(bsrc, btgt, nat.components)))
-    return LaxHom(src, model, weakness, f1, tuple(cells))
+        tables.append(evaluate_pasting(pasting, model).components)
+    return hom_from_components(src, model, weakness, f1, tables)
 
 
 def lift_model(model: CatModel, sigma: SigmaTable, probes: list | None = None):
@@ -823,11 +805,11 @@ def lift_model(model: CatModel, sigma: SigmaTable, probes: list | None = None):
     return lifts
 
 
-def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable, weakness: str,
-                 bound: int = HOM_ENUMERATION_BOUND) -> tuple[CatModel, HomCategory]:
+def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,
+                 weakness: str) -> tuple[CatModel, HomCategory]:
     """The homomorphism category made into a model: operations act by
     postcomposition with the lifted operations of Y."""
-    homcat = build_hom_category(X, Y, weakness, bound)
+    homcat = build_hom_category(X, Y, weakness)
     theory2 = X.theory
     objects, arrows = homcat.objects, homcat.arrows
     n_x = X.carrier.n_objects

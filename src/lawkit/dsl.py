@@ -711,6 +711,7 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
         objects = 0
         arrows = []
         composites = []
+        named: list[Token] = []  # every arrow name a composite uses
         functors = []
         nats = []
         while not p.accept("punct", "}"):
@@ -729,19 +730,25 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
             elif kw == "compose":
                 p.expect("punct", "{")
                 while not p.accept("punct", "}"):
-                    f = p.ident()
+                    f = p.expect("ident")
                     p.expect("ident", "then")
-                    g = p.ident()
+                    g = p.expect("ident")
                     p.expect("punct", "=")
-                    h = p.ident()
+                    h = p.expect("ident")
                     p.expect("punct", ";")
-                    composites.append((f, g, h))
+                    named += (f, g, h)
+                    composites.append((f.value, g.value, h.value))
             elif kw == "functor":
                 functors.append(_parse_functor_decl(p, ops))
             elif kw == "nat":
                 nats.append(_parse_nat_decl(p, cells))
             else:
                 p.fail_last(f"unknown fincat item {kw!r}")
+        # Arrows may be declared after the composites that name them.
+        known = {f"id{k}" for k in range(objects)} | {a for a, _, _ in arrows}
+        for t in named:
+            if t.value not in known:
+                p.fail_at(t, f"unknown arrow {t.value!r}")
         return ModelDecl(name, theory_name, "fincat",
                          FinCatDecl(objects, tuple(arrows), tuple(composites),
                                     tuple(functors), tuple(nats)))
@@ -762,10 +769,10 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
             scalars = p.nat()
             p.expect("punct", ";")
         elif kw == "tensor":
-            tensor = p.ident()
+            tensor = _known(p, ops, "operation")
             p.expect("punct", ";")
         elif kw == "unit":
-            unit = p.ident()
+            unit = _known(p, ops, "operation")
             p.expect("punct", ";")
         elif kw == "braiding":
             bname = _known(p, cells, "2-cell")

@@ -16,6 +16,8 @@ from .search import search
 
 # Largest table, in entries, built for a product category or a functor on one.
 POWER_BOUND = 1 << 22
+# Most object maps a functor enumeration may range over.
+FUNCTOR_ENUMERATION_BOUND = 1 << 22
 
 
 class CatError(Exception):
@@ -395,15 +397,15 @@ def whisker_right(nat: FinNat, fun: FinFunctor) -> FinNat:
     return FinNat(compose_functors(nat.source, fun), compose_functors(nat.target, fun), comps)
 
 
-def enumerate_functors(c: FinCategory, d: FinCategory, bound: int = 1 << 22) -> list[FinFunctor]:
+def enumerate_functors(c: FinCategory, d: FinCategory) -> list[FinFunctor]:
     """All functors c -> d, ordered lexicographically by (obj_map, arr_map).
 
     One search slot per object, then one per arrow; an identity arrow's only
     candidate is forced, and f;g is checked once f, g and f;g are assigned.
     """
-    if d.n_objects ** c.n_objects > bound:
+    if d.n_objects ** c.n_objects > FUNCTOR_ENUMERATION_BOUND:
         raise EnumerationBound(f"{d.n_objects ** c.n_objects} object maps exceed "
-                               f"functor enumeration bound {bound}")
+                               f"functor enumeration bound {FUNCTOR_ENUMERATION_BOUND}")
     n = c.n_objects
 
     def domain(i: int, a: list[int]):

@@ -25,6 +25,9 @@ from .theory import (
     _shape,
 )
 
+# Most table cells, summed over the generators, a model enumeration may fill.
+MODEL_CELL_LIMIT = 4 ** 4
+
 
 def table_index(args: tuple[int, ...], size: int) -> int:
     idx = 0
@@ -121,7 +124,7 @@ def separating_input(model: FinSetModel, f: Morphism, g: Morphism) -> tuple[int,
 
 # -- model enumeration (backtracking over table cells) ------------------------
 
-def enumerate_models(theory: TheoryPresentation, size: int, cell_limit: int = 4 ** 4):
+def enumerate_models(theory: TheoryPresentation, size: int):
     """Yield every model of the given carrier size, in lexicographic table order.
 
     There is one search slot per table cell, generators in order.  Each
@@ -132,8 +135,8 @@ def enumerate_models(theory: TheoryPresentation, size: int, cell_limit: int = 4 
     if size < 1:
         raise TheoryError("carrier size must be >= 1")
     total_cells = sum(size ** g.arity for g in theory.generators)
-    if total_cells > cell_limit:
-        raise TheoryError(f"enumeration over {total_cells} cells exceeds limit {cell_limit}")
+    if total_cells > MODEL_CELL_LIMIT:
+        raise TheoryError(f"enumeration over {total_cells} cells exceeds limit {MODEL_CELL_LIMIT}")
 
     offset, at = {}, 0
     for g in theory.generators:

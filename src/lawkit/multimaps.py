@@ -23,10 +23,11 @@ from .catmodels import (
     HomCoherence,
     LaxHom,
     Modification,
+    _object_key,
     compose_homs,
     enumerate_homs_w,
     enumerate_modifications,
-    hom_cell_boundary,
+    hom_from_components,
     internal_hom,
     lift_hom,
     power_cat_model,
@@ -85,14 +86,10 @@ def _slice_left_hom(X: CatModel, Y: CatModel, Z: CatModel, weakness: str,
     arr_map = tuple(f11.arr_map[prod.encode_arr((a, idy))]
                     for a in range(X.carrier.n_arrows))
     f1 = FinFunctor(X.carrier, Z.carrier, obj_map, arr_map)
-    cells = []
-    for g in X.theory.base.generators:
-        n = g.arity
-        src, tgt = hom_cell_boundary(X, Z, f1, g.name, weakness)
-        comps = tuple(cells_left[g.name][_pair(ny, xi, y_obj)]
-                      for xi in range(X.power(n).n_objects))
-        cells.append((g.name, FinNat(src, tgt, comps)))
-    return LaxHom(X, Z, weakness, f1, tuple(cells))
+    tables = [[cells_left[g.name][_pair(ny, xi, y_obj)]
+               for xi in range(X.power(g.arity).n_objects)]
+              for g in X.theory.base.generators]
+    return hom_from_components(X, Z, weakness, f1, tables)
 
 
 def _slice_right_hom(X: CatModel, Y: CatModel, Z: CatModel, weakness: str,
@@ -104,14 +101,11 @@ def _slice_right_hom(X: CatModel, Y: CatModel, Z: CatModel, weakness: str,
     arr_map = tuple(f11.arr_map[prod.encode_arr((idx, a))]
                     for a in range(Y.carrier.n_arrows))
     f1 = FinFunctor(Y.carrier, Z.carrier, obj_map, arr_map)
-    cells = []
+    tables = []
     for g in Y.theory.base.generators:
-        n = g.arity
-        src, tgt = hom_cell_boundary(Y, Z, f1, g.name, weakness)
-        npow = Y.power(n).n_objects
-        comps = tuple(cells_right[g.name][x_obj * npow + yi] for yi in range(npow))
-        cells.append((g.name, FinNat(src, tgt, comps)))
-    return LaxHom(Y, Z, weakness, f1, tuple(cells))
+        npow = Y.power(g.arity).n_objects
+        tables.append(cells_right[g.name][x_obj * npow:(x_obj + 1) * npow])
+    return hom_from_components(Y, Z, weakness, f1, tables)
 
 
 def _exchange_condition(theory2: TwoTheoryPresentation, exchange_cell,
@@ -154,8 +148,7 @@ def _exchange_condition(theory2: TwoTheoryPresentation, exchange_cell,
 
 
 def enumerate_binary_multimaps(X: CatModel, Y: CatModel, Z: CatModel,
-                               sigma: SigmaTable, weakness: str = "lax",
-                               bound: int = HOM_ENUMERATION_BOUND) -> list[BinaryMultimap]:
+                               sigma: SigmaTable, weakness: str = "lax") -> list[BinaryMultimap]:
     theory2 = X.theory
     names = [g.name for g in theory2.base.generators]
     prod = fincat.product([X.carrier, Y.carrier])
@@ -170,7 +163,7 @@ def enumerate_binary_multimaps(X: CatModel, Y: CatModel, Z: CatModel,
 
     out = []
     for f11 in enumerate_functors(prod.cat, Z.carrier):
-        tables = _cell_candidates(X, Y, Z, f11, bound)
+        tables = _cell_candidates(X, Y, Z, f11)
         if tables is None:
             continue
         # One search slot per cell: every left cell, generator by generator,
@@ -195,11 +188,12 @@ def enumerate_binary_multimaps(X: CatModel, Y: CatModel, Z: CatModel,
     return out
 
 
-def _cell_candidates(X: CatModel, Y: CatModel, Z: CatModel, f11: FinFunctor,
-                     bound: int) -> list[list[list[int]]] | None:
+def _cell_candidates(X: CatModel, Y: CatModel, Z: CatModel,
+                     f11: FinFunctor) -> list[list[list[int]]] | None:
     """The candidate arrows of every left cell f_{a,1} at (xs, y), generator by
     generator, then of every right cell f_{1,a} at (x, ys); None when a cell
-    has no candidate."""
+    has no candidate.  The number of assignments is held to
+    ``HOM_ENUMERATION_BOUND``."""
     prod = fincat.product([X.carrier, Y.carrier])
 
     def homs(g, pairs, acted) -> list[int]:
@@ -222,12 +216,14 @@ def _cell_candidates(X: CatModel, Y: CatModel, Z: CatModel, f11: FinFunctor,
             count = 1
             for s in slots:
                 count *= len(s)
-                if count > bound:
-                    raise EnumerationBound(f"{count} cell assignments exceed bound {bound}")
+                if count > HOM_ENUMERATION_BOUND:
+                    raise EnumerationBound(
+                        f"{count} cell assignments exceed bound {HOM_ENUMERATION_BOUND}")
             side.append(slots)
             total *= count
-        if total > bound:
-            raise EnumerationBound(f"{total} multimap cell assignments exceed bound {bound}")
+        if total > HOM_ENUMERATION_BOUND:
+            raise EnumerationBound(f"{total} multimap cell assignments "
+                                   f"exceed bound {HOM_ENUMERATION_BOUND}")
     return lefts + rights
 
 
@@ -251,11 +247,10 @@ def curry(mul: BinaryMultimap, X: CatModel, Y: CatModel, Z: CatModel,
         arr_map.append(homcat.arrow_index(
             Modification(src_h, tgt_h, FinNat(src_h.f1, tgt_h.f1, comps))))
     g1 = FinFunctor(X.carrier, homcat.cat, tuple(obj_map), tuple(arr_map))
-    cells = []
+    tables = []
     ny = Y.carrier.n_objects
     for g in X.theory.base.generators:
         n = g.arity
-        src, tgt = hom_cell_boundary(X, hom_model, g1, g.name, weakness)
         comps = []
         for xet in range(X.power(n).n_objects):
             src_h = homcat.objects[hom_model.op_functor(g.name).obj_map[
@@ -265,8 +260,8 @@ def curry(mul: BinaryMultimap, X: CatModel, Y: CatModel, Z: CatModel,
             mod_comps = tuple(mul.left(g.name)[_pair(ny, xet, y)] for y in range(ny))
             comps.append(homcat.arrow_index(
                 Modification(src_h, tgt_h, FinNat(src_h.f1, tgt_h.f1, mod_comps))))
-        cells.append((g.name, FinNat(src, tgt, tuple(comps))))
-    return LaxHom(X, hom_model, weakness, g1, tuple(cells))
+        tables.append(comps)
+    return hom_from_components(X, hom_model, weakness, g1, tables)
 
 
 def uncurry(g: LaxHom, X: CatModel, Y: CatModel, Z: CatModel,
@@ -312,13 +307,12 @@ class ClosedStructureReport:
 
 
 def closed_check(X: CatModel, Y: CatModel, Z: CatModel, sigma: SigmaTable,
-                 weakness: str = "lax",
-                 bound: int = HOM_ENUMERATION_BOUND) -> ClosedStructureReport:
+                 weakness: str = "lax") -> ClosedStructureReport:
     """Verify that currying is a bijection between binary multimaps X,Y -> Z
     and homomorphisms X -> Hom(Y, Z), element by element."""
-    hom_model, homcat = internal_hom(Y, Z, sigma, weakness, bound)
-    muls = enumerate_binary_multimaps(X, Y, Z, sigma, weakness, bound)
-    homs = enumerate_homs_w(X, hom_model, weakness, bound)
+    hom_model, homcat = internal_hom(Y, Z, sigma, weakness)
+    muls = enumerate_binary_multimaps(X, Y, Z, sigma, weakness)
+    homs = enumerate_homs_w(X, hom_model, weakness)
     issues = []
     curried = []
     for mul in muls:
@@ -339,14 +333,9 @@ def closed_check(X: CatModel, Y: CatModel, Z: CatModel, sigma: SigmaTable,
             continue
         if curry(mul, X, Y, Z, hom_model, homcat) != hom:
             issues.append("curry(uncurry(g)) != g")
-    bijection = (len(muls) == len(homs)) and len(set(map(_hom_key, curried))) == len(muls) \
+    bijection = (len(muls) == len(homs)) and len(set(map(_object_key, curried))) == len(muls) \
         and not issues
     return ClosedStructureReport(len(muls), len(homs), bijection, tuple(issues))
-
-
-def _hom_key(h: LaxHom):
-    return (h.f1.obj_map, h.f1.arr_map,
-            tuple((n, c.components) for n, c in h.cells))
 
 
 # -- the comonad of internal algebras ----------------------------------------------------
@@ -369,9 +358,8 @@ class FoxReport:
     models: tuple[FoxModelReport, ...]
 
 
-def _intalg_model(X: CatModel, sigma: SigmaTable,
-                  bound: int) -> tuple[CatModel, HomCategory]:
-    return internal_hom(terminal_model(X.theory), X, sigma, "lax", bound)
+def _intalg_model(X: CatModel, sigma: SigmaTable) -> tuple[CatModel, HomCategory]:
+    return internal_hom(terminal_model(X.theory), X, sigma, "lax")
 
 
 def _delta_object(A_idx: int, H_model: CatModel, homcat: HomCategory,
@@ -381,26 +369,22 @@ def _delta_object(A_idx: int, H_model: CatModel, homcat: HomCategory,
     term = terminal_model(H_model.theory)
     A = homcat.objects[A_idx]
     f1 = FinFunctor(term.carrier, homcat.cat, (A_idx,), (homcat.cat.identity[A_idx],))
-    cells = []
+    tables = []
     for g in H_model.theory.base.generators:
-        n = g.arity
-        src, tgt = hom_cell_boundary(term, H_model, f1, g.name, "lax")
         powered = H_model.op_functor(g.name).obj_map[
-            fincat.power(homcat.cat, n).encode_obj((A_idx,) * n)]
+            fincat.power(homcat.cat, g.arity).encode_obj((A_idx,) * g.arity)]
         src_h = homcat.objects[powered]
         mod = Modification(src_h, A,
                            FinNat(src_h.f1, A.f1, A.cell(g.name).components))
-        cells.append((g.name, FinNat(src, tgt, (homcat.arrow_index(mod),))))
-    candidate = LaxHom(term, H_model, "lax", f1, tuple(cells))
-    return H2cat.object_index(candidate)
+        tables.append((homcat.arrow_index(mod),))
+    return H2cat.object_index(hom_from_components(term, H_model, "lax", f1, tables))
 
 
-def fox_comonad(sigma: SigmaTable, models: list[tuple[str, CatModel]],
-                bound: int = HOM_ENUMERATION_BOUND) -> FoxReport:
+def fox_comonad(sigma: SigmaTable, models: list[tuple[str, CatModel]]) -> FoxReport:
     reports = []
     for name, X in models:
-        H_model, homcat = _intalg_model(X, sigma, bound)
-        H2_model, h2cat = _intalg_model(H_model, sigma, bound)
+        H_model, homcat = _intalg_model(X, sigma)
+        H2_model, h2cat = _intalg_model(H_model, sigma)
 
         delta_obj = [
             _delta_object(i, H_model, homcat, h2cat) for i in range(len(homcat.objects))
@@ -431,17 +415,14 @@ def fox_comonad(sigma: SigmaTable, models: list[tuple[str, CatModel]],
             eps_of_double_obj[delta_obj[i]] == i for i in range(len(homcat.objects)))
 
         # coassociativity: double both ways and compare on objects and arrows
-        H3_model, h3cat = _intalg_model(H2_model, sigma, bound)
+        H3_model, h3cat = _intalg_model(H2_model, sigma)
         delta2_obj = [_delta_object(i, H2_model, h2cat, h3cat)
                       for i in range(len(h2cat.objects))]
-        intalg_delta_obj = []
-        for i2, B in enumerate(h2cat.objects):
-            # postcompose B: * -> H with the delta homomorphism H -> H2
-            term = terminal_model(H_model.theory)
-            d_f1 = FinFunctor(homcat.cat, h2cat.cat, tuple(delta_obj), tuple(delta_arr))
-            delta_hom = LaxHom(H_model, H2_model, "lax", d_f1,
-                               _strict_cells(H_model, H2_model, d_f1))
-            intalg_delta_obj.append(h3cat.object_index(compose_homs(B, delta_hom)))
+        # postcompose each B: * -> H with the strict delta hom H -> H2
+        d_f1 = FinFunctor(homcat.cat, h2cat.cat, tuple(delta_obj), tuple(delta_arr))
+        delta_hom = hom_from_components(H_model, H2_model, "lax", d_f1)
+        intalg_delta_obj = [h3cat.object_index(compose_homs(B, delta_hom))
+                            for B in h2cat.objects]
         coassoc = all(
             delta2_obj[delta_obj[i]] == intalg_delta_obj[delta_obj[i]]
             for i in range(len(homcat.objects)))
@@ -459,18 +440,6 @@ def fox_comonad(sigma: SigmaTable, models: list[tuple[str, CatModel]],
         r.counit_underlying and r.counit_functorial and r.coassociativity
         for r in reports) else "Fails"
     return FoxReport(verdict, tuple(reports))
-
-
-def _strict_cells(src_model: CatModel, dst_model: CatModel, f1: FinFunctor):
-    cells = []
-    for g in src_model.theory.base.generators:
-        bsrc, btgt = hom_cell_boundary(src_model, dst_model, f1, g.name, "lax")
-        if bsrc != btgt:
-            raise CellError(f"expected a strict homomorphism at {g.name}")
-        comps = tuple(dst_model.power(1).identity_arr(bsrc.obj_map[o])
-                      for o in range(bsrc.source.n_objects))
-        cells.append((g.name, FinNat(bsrc, btgt, comps)))
-    return tuple(cells)
 
 
 # -- Eckmann-Hilton conditions and the local-isomorphism probe ----------------------------
@@ -531,8 +500,7 @@ class LocalIsoReport:
     extra_lifts: int
 
 
-def eh_local_iso_probe(X: CatModel, Y: CatModel, sigma: SigmaTable,
-                       bound: int = HOM_ENUMERATION_BOUND) -> LocalIsoReport:
+def eh_local_iso_probe(X: CatModel, Y: CatModel, sigma: SigmaTable) -> LocalIsoReport:
     """Count homomorphisms between the lifted models against plain ones.
 
     A lifted hom is an underlying hom together with a replacement family of
@@ -540,7 +508,7 @@ def eh_local_iso_probe(X: CatModel, Y: CatModel, sigma: SigmaTable,
     composite homs through the lifted operations.
     """
     theory2 = X.theory
-    homs = enumerate_homs_w(X, Y, "lax", bound)
+    homs = enumerate_homs_w(X, Y, "lax")
     gens = theory2.base.generators
     names = [g.name for g in gens]
     # Neither the power models nor the lifted operations depend on the hom.
@@ -627,13 +595,12 @@ def bilax_check(fbar: LaxHom, funder: LaxHom, sigma: SigmaTable) -> BilaxReport:
     return BilaxReport(verdict, cond1, cond2, tuple(issues))
 
 
-def internal_bialgebras(model: CatModel, sigma: SigmaTable,
-                        bound: int = HOM_ENUMERATION_BOUND) -> tuple[HomCategory, list]:
+def internal_bialgebras(model: CatModel, sigma: SigmaTable) -> tuple[HomCategory, list]:
     """Pairs of an internal algebra and coalgebra on one object that are
     mutually compatible; arrows are carrier arrows respecting both."""
     from .catmodels import internal_algebras, internal_coalgebras
-    algs = internal_algebras(model, bound)
-    coalgs = internal_coalgebras(model, bound)
+    algs = internal_algebras(model)
+    coalgs = internal_coalgebras(model)
     pairs = []
     for a in algs.objects:
         for c in coalgs.objects:
@@ -654,15 +621,16 @@ def internal_bialgebras(model: CatModel, sigma: SigmaTable,
                 arrows.append((i, j, h))
                 src.append(i)
                 dst.append(j)
-    identity = []
-    for i, (a1, _) in enumerate(pairs):
-        ident = model.carrier.identity[a1.point()]
-        identity.append(arrows.index((i, i, ident)))
+    index = {arrow: x for x, arrow in enumerate(arrows)}
+    identity = [index[(i, i, model.carrier.identity[a1.point()])]
+                for i, (a1, _) in enumerate(pairs)]
+    out: list[list[int]] = [[] for _ in pairs]  # arrow ids by source pair
+    for x, (i, _, _) in enumerate(arrows):
+        out[i].append(x)
     comp = {}
     for x, (i, j, h) in enumerate(arrows):
-        for y, (j2, k, h2) in enumerate(arrows):
-            if j2 != j:
-                continue
-            comp[(x, y)] = arrows.index((i, k, model.carrier.then(h, h2)))
+        for y in out[j]:
+            _, k, h2 = arrows[y]
+            comp[(x, y)] = index[(i, k, model.carrier.then(h, h2))]
     cat = build_category(len(pairs), src, dst, identity, comp)
     return HomCategory(cat, tuple(a for a, _ in pairs), ()), pairs

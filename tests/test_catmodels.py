@@ -6,8 +6,8 @@ import pytest
 
 import oracles
 from conftest import shipped_models
+from lawkit import catmodels, fincat
 from lawkit import fixtures as fx
-from lawkit import catmodels
 from lawkit.catmodels import (
     CatModel,
     HomCategory,
@@ -743,9 +743,10 @@ def reference_validate_lax_hom(hom, scratch):
     return problems
 
 
-def reference_candidates(X, Y, weakness, bound=catmodels.HOM_ENUMERATION_BOUND):
+def reference_candidates(X, Y, weakness):
     """Every full assignment of candidate cells, functor by functor, in product
     order, with the bound checked as the hom search checks it."""
+    bound = catmodels.HOM_ENUMERATION_BOUND
     out = []
     for f1 in enumerate_functors(X.carrier, Y.carrier):
         per_gen = []
@@ -827,16 +828,99 @@ def test_pruned_hom_search_matches_product_reference():
 
 
 def test_hom_search_checks_coherence_on_components(monkeypatch):
+    """Neither the hom search nor the hom category whiskers: hom coherence and
+    modifications are both checked on components."""
+    assert not hasattr(catmodels, "whisker_left") and not hasattr(catmodels, "whisker_right")
     calls = Counter()
-    for name in ("whisker_left", "whisker_right", "vert_nat", "validate_lax_hom"):
-        def counted(*args, _name=name, _f=getattr(catmodels, name)):
+    for module, name in ((fincat, "whisker_left"), (fincat, "whisker_right"),
+                         (catmodels, "vert_nat"), (catmodels, "validate_lax_hom")):
+        def counted(*args, _name=name, _f=getattr(module, name)):
             calls[_name] += 1
             return _f(*args)
-        monkeypatch.setattr(catmodels, name, counted)
+        monkeypatch.setattr(module, name, counted)
     Y = fx.model("graded_lines")
     homs = enumerate_homs_w(Y, Y, "lax")
     assert len(homs) == 8
     assert calls == Counter()
+    homcat = build_hom_category(Y, Y, "lax")
+    cat = homcat.cat
+    # vert_nat only composes modifications, once per composable pair.
+    composable = sum(cat.dst[a] == cat.src[b] for a in cat.arrows() for b in cat.arrows())
+    assert composable > 0 and calls == Counter({"vert_nat": composable})
+
+
+# -- modifications on components against the whiskered check ----------------------------
+
+def reference_validate_modification(mod):
+    """Each generator's square as an equation of vertical composites of
+    whiskered transformations."""
+    f, g = mod.source, mod.target
+    problems = []
+    if f.source != g.source or f.target != g.target or f.weakness != g.weakness:
+        return [ModelViolation("modification-boundary", "homs not parallel")]
+    if mod.component.source != f.f1 or mod.component.target != g.f1:
+        return [ModelViolation("modification-component", "wrong boundary")]
+    if validate_nat(mod.component) is not None:
+        problems.append(ModelViolation("modification-naturality", ""))
+    X, Y = f.source, f.target
+    for gen in X.theory.base.generators:
+        n = gen.arity
+        tpow_comps = []
+        for o in range(X.power(n).n_objects):
+            objs = X.power(n).decode_obj(o)
+            tpow_comps.append(Y.power(n).encode_arr(
+                tuple(mod.component.components[p] for p in objs)))
+        fpow = functor_power(f.f1, n, X.power(n), Y.power(n))
+        gpow = functor_power(g.f1, n, X.power(n), Y.power(n))
+        tpow = FinNat(fpow, gpow, tuple(tpow_comps))
+        op = X.functor_of(generator_morphism(gen))
+        yop = Y.functor_of(generator_morphism(gen))
+        if f.weakness == "colax":
+            lhs = vert_nat(f.cell(gen.name), whisker_right(tpow, yop))
+            rhs = vert_nat(whisker_left(op, mod.component), g.cell(gen.name))
+        else:
+            lhs = vert_nat(whisker_right(tpow, yop), g.cell(gen.name))
+            rhs = vert_nat(f.cell(gen.name), whisker_left(op, mod.component))
+        if lhs != rhs:
+            problems.append(ModelViolation("modification-structure", gen.name))
+    return problems
+
+
+def _modification_candidates(f, g):
+    """A candidate for every table of arrows ``f1(o) -> g1(o)``, natural or
+    not; then the first table between non-parallel homs, and between the
+    homs the other way round."""
+    carrier = f.target.carrier
+    homsets = [carrier.hom(a, b) for a, b in zip(f.f1.obj_map, g.f1.obj_map)]
+    mods = [Modification(f, g, FinNat(f.f1, g.f1, comps))
+            for comps in itertools.product(*homsets)]
+    if mods:
+        other = "colax" if f.weakness == "lax" else "lax"
+        mods += [Modification(f, replace(g, weakness=other), mods[0].component),
+                 Modification(g, f, mods[0].component)]
+    return mods
+
+
+def test_modification_check_matches_whiskered_reference():
+    kinds = Counter()
+    checked = 0
+    for models in _models_by_theory():
+        for X in [terminal_model(models[0].theory)] + models:
+            for Y in models:
+                for weakness in WEAKNESSES:
+                    try:
+                        homs = enumerate_homs_w(X, Y, weakness)
+                    except EnumerationBound:
+                        continue
+                    for f, g in itertools.product(homs, repeat=2):
+                        for mod in _modification_candidates(f, g):
+                            v = reference_validate_modification(mod)
+                            assert validate_modification(mod) == v
+                            kinds.update(p.kind for p in v)
+                            checked += 1
+    assert checked > 3000
+    assert set(kinds) == {"modification-boundary", "modification-component",
+                          "modification-naturality", "modification-structure"}
 
 
 # Z/3 with an operation that kills every arrow, so inv(inv(x1)) = x1 fails on

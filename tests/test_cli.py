@@ -164,6 +164,13 @@ def test_unknown_sigma_operation_is_a_positioned_input_error(tmp_path, old, new,
     ("functor u {", "functor q {", "28:11: unknown operation 'q'"),
     ("nat c auto", "nat q auto", "29:7: unknown 2-cell 'q'"),
     ("braiding c =", "braiding q =", "41:12: unknown 2-cell 'q'"),
+    ("tensor m;", "tensor q;", "40:10: unknown operation 'q'"),
+    ("unit u;", "unit q;", "40:18: unknown operation 'q'"),
+    # A composite's arrows are resolved once the model block closes.
+    ("objects 2;\n  arrow le", "objects 2;\n  compose { id0 then le = lx; }\n  arrow le",
+     "26:27: unknown arrow 'lx'"),
+    ("objects 2;\n  arrow le", "objects 2;\n  compose { id2 then le = le; }\n  arrow le",
+     "26:13: unknown arrow 'id2'"),
 ])
 @pytest.mark.parametrize("argv", [
     ["check-theory"],
@@ -173,6 +180,12 @@ def test_unknown_model_table_name_is_a_positioned_input_error(tmp_path, old, new
                                                               diagnostic, argv):
     path = _mutant(tmp_path, "t_comm_flat.law", old, new)
     assert _input_error_detail([argv[0], path] + argv[1:]) == diagnostic
+
+
+def test_composites_may_name_arrows_declared_after_them(tmp_path):
+    path = _mutant(tmp_path, "t_comm_flat.law", "objects 2;\n  arrow le",
+                   "objects 2;\n  compose { id0 then le = le; le then id1 = le; }\n  arrow le")
+    assert invoke(["check-theory", path])[0] == EXIT_OK
 
 
 def test_consecutive_runs_share_one_parser(capsys):

@@ -1,8 +1,10 @@
 import pytest
 
+from lawkit import catmodels
 from lawkit import fixtures as fx
 from lawkit import multimaps
 from lawkit.catmodels import (
+    EnumerationBound,
     internal_algebras,
     internal_coalgebras,
     lift_hom,
@@ -211,3 +213,14 @@ def test_multimap_search_evaluates_each_exchange_cell_once(monkeypatch):
     muls = enumerate_binary_multimaps(P, P, P, fx.sigma("sigma_comm_flat"))
     basis = P.theory.base.basis_ops()
     assert muls and len(evaluated) == len(basis) ** 2
+
+
+def test_searches_read_the_hom_bound_when_called(monkeypatch):
+    # Each search reads the bound where it runs, not a default fixed at import.
+    monkeypatch.setattr(catmodels, "HOM_ENUMERATION_BOUND", 0)
+    monkeypatch.setattr(multimaps, "HOM_ENUMERATION_BOUND", 0)
+    with pytest.raises(EnumerationBound, match="exceed bound 0$"):
+        internal_algebras(fx.model("graded_lines"))
+    P = fx.model("poset_meet")
+    with pytest.raises(EnumerationBound, match="exceed bound 0$"):
+        enumerate_binary_multimaps(P, P, P, fx.sigma("sigma_comm_flat"))
