@@ -38,7 +38,6 @@ from .fincat import (
     FinFunctor,
     FinNat,
     ProductCategory,
-    build_category,
     compose_functors,
     enumerate_functors,
     enumerate_naturals,
@@ -717,26 +716,16 @@ def _object_key(hom: LaxHom) -> tuple:
 def build_hom_category(X: CatModel, Y: CatModel, weakness: str) -> HomCategory:
     homs = enumerate_homs_w(X, Y, weakness)
     arrows: list[Modification] = []
-    src: list[int] = []
-    dst: list[int] = []
-    out: list[list[int]] = [[] for _ in homs]  # arrow ids by source object
+    keys = []
     for i, f in enumerate(homs):
         for j, g in enumerate(homs):
             # Each modification found runs from f itself to g itself.
             for m in enumerate_modifications(f, g):
-                out[i].append(len(arrows))
                 arrows.append(m)
-                src.append(i)
-                dst.append(j)
-    index = {(src[k], dst[k], m.component.components): k for k, m in enumerate(arrows)}
-    identity_ids = [index[(i, i, identity_modification(h).component.components)]
-                    for i, h in enumerate(homs)]
-    comp = {}
-    for i, m1 in enumerate(arrows):
-        for j in out[dst[i]]:
-            m3 = compose_modifications(m1, arrows[j])
-            comp[(i, j)] = index[(src[i], dst[j], m3.component.components)]
-    cat = build_category(len(homs), src, dst, identity_ids, comp)
+                keys.append((i, j, m.component.components))
+    cat = fincat.category_from_keys(
+        len(homs), keys, lambda i: identity_modification(homs[i]).component.components,
+        lambda x, y: compose_modifications(arrows[x], arrows[y]).component.components)
     return HomCategory(cat, tuple(homs), tuple(arrows))
 
 

@@ -10,6 +10,7 @@ indexing and never need re-bracketing.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .search import search
@@ -105,6 +106,24 @@ def build_category(n_objects: int, src: list[int], dst: list[int], identity: lis
                 full[(f, g)] = f
     triples = tuple(sorted((f, g, h) for (f, g), h in full.items()))
     return FinCategory(n_objects, tuple(src), tuple(dst), tuple(identity), triples)
+
+
+def category_from_keys(n_objects: int, keys: list[tuple[int, int, object]],
+                       identity: Callable[[int], object],
+                       compose: Callable[[int, int], object]) -> FinCategory:
+    """The category whose arrows are ``keys``, each ``(src, dst, payload)``.
+
+    ``identity(a)`` gives the payload of object ``a``'s identity and
+    ``compose(f, g)`` that of "f then g" for arrow ids ``f``, ``g``; each is
+    looked up among the keys, which must be distinct."""
+    index = {key: f for f, key in enumerate(keys)}
+    out: list[list[int]] = [[] for _ in range(n_objects)]  # arrow ids by source
+    for f, (a, _, _) in enumerate(keys):
+        out[a].append(f)
+    comp = {(f, g): index[(a, keys[g][1], compose(f, g))]
+            for f, (a, b, _) in enumerate(keys) for g in out[b]}
+    return build_category(n_objects, [k[0] for k in keys], [k[1] for k in keys],
+                          [index[(a, a, identity(a))] for a in range(n_objects)], comp)
 
 
 def validate_category(cat: FinCategory) -> CategoryViolation | None:

@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import fincat
+from . import catmodels, fincat
 from .catmodels import (
     CatModel,
     EnumerationBound,
-    HOM_ENUMERATION_BOUND,
     HomCategory,
     HomCoherence,
     LaxHom,
@@ -193,7 +192,7 @@ def _cell_candidates(X: CatModel, Y: CatModel, Z: CatModel,
     """The candidate arrows of every left cell f_{a,1} at (xs, y), generator by
     generator, then of every right cell f_{1,a} at (x, ys); None when a cell
     has no candidate.  The number of assignments is held to
-    ``HOM_ENUMERATION_BOUND``."""
+    ``catmodels.HOM_ENUMERATION_BOUND``."""
     prod = fincat.product([X.carrier, Y.carrier])
 
     def homs(g, pairs, acted) -> list[int]:
@@ -202,6 +201,7 @@ def _cell_candidates(X: CatModel, Y: CatModel, Z: CatModel,
             tuple(f11.obj_map[prod.encode_obj(p)] for p in pairs))]
         return Z.carrier.hom(zsrc, f11.obj_map[prod.encode_obj(acted)])
 
+    bound = catmodels.HOM_ENUMERATION_BOUND
     lefts, rights, total = [], [], 1
     for g in X.theory.base.generators:
         xpow, ypow = X.power(g.arity), Y.power(g.arity)
@@ -216,14 +216,14 @@ def _cell_candidates(X: CatModel, Y: CatModel, Z: CatModel,
             count = 1
             for s in slots:
                 count *= len(s)
-                if count > HOM_ENUMERATION_BOUND:
+                if count > bound:
                     raise EnumerationBound(
-                        f"{count} cell assignments exceed bound {HOM_ENUMERATION_BOUND}")
+                        f"{count} cell assignments exceed bound {bound}")
             side.append(slots)
             total *= count
-        if total > HOM_ENUMERATION_BOUND:
+        if total > bound:
             raise EnumerationBound(f"{total} multimap cell assignments "
-                                   f"exceed bound {HOM_ENUMERATION_BOUND}")
+                                   f"exceed bound {bound}")
     return lefts + rights
 
 
@@ -608,8 +608,7 @@ def internal_bialgebras(model: CatModel, sigma: SigmaTable) -> tuple[HomCategory
                 continue
             if bilax_check(a, c, sigma).verdict == "Bilax":
                 pairs.append((a, c))
-    from .fincat import build_category
-    src, dst, arrows = [], [], []
+    arrows = []
     for i, (a1, c1) in enumerate(pairs):
         for j, (a2, c2) in enumerate(pairs):
             for h in model.carrier.hom(a1.point(), a2.point()):
@@ -619,18 +618,7 @@ def internal_bialgebras(model: CatModel, sigma: SigmaTable) -> tuple[HomCategory
                 if validate_modification(Modification(c1, c2, FinNat(c1.f1, c2.f1, (h,)))):
                     continue
                 arrows.append((i, j, h))
-                src.append(i)
-                dst.append(j)
-    index = {arrow: x for x, arrow in enumerate(arrows)}
-    identity = [index[(i, i, model.carrier.identity[a1.point()])]
-                for i, (a1, _) in enumerate(pairs)]
-    out: list[list[int]] = [[] for _ in pairs]  # arrow ids by source pair
-    for x, (i, _, _) in enumerate(arrows):
-        out[i].append(x)
-    comp = {}
-    for x, (i, j, h) in enumerate(arrows):
-        for y in out[j]:
-            _, k, h2 = arrows[y]
-            comp[(x, y)] = index[(i, k, model.carrier.then(h, h2))]
-    cat = build_category(len(pairs), src, dst, identity, comp)
+    cat = fincat.category_from_keys(
+        len(pairs), arrows, lambda i: model.carrier.identity[pairs[i][0].point()],
+        lambda x, y: model.carrier.then(arrows[x][2], arrows[y][2]))
     return HomCategory(cat, tuple(a for a, _ in pairs), ()), pairs

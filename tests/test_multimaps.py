@@ -216,9 +216,8 @@ def test_multimap_search_evaluates_each_exchange_cell_once(monkeypatch):
 
 
 def test_searches_read_the_hom_bound_when_called(monkeypatch):
-    # Each search reads the bound where it runs, not a default fixed at import.
+    # Each search reads the one bound where it runs, not a default fixed at import.
     monkeypatch.setattr(catmodels, "HOM_ENUMERATION_BOUND", 0)
-    monkeypatch.setattr(multimaps, "HOM_ENUMERATION_BOUND", 0)
     with pytest.raises(EnumerationBound, match="exceed bound 0$"):
         internal_algebras(fx.model("graded_lines"))
     P = fx.model("poset_meet")
