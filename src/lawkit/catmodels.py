@@ -8,8 +8,8 @@ a: n -> 1 for a homomorphism f: X -> Y points
     Y(a) o f1^n  ==>  f1 o X(a)
 
 (colax is reversed, pseudo is invertible componentwise, strict stores
-identities).  The lift of a model along an exchange table realizes every
-basis operation as such a homomorphism whose cells are the evaluated
+identities).  The lift of an operation along an exchange table
+(``lift_hom``) is such a homomorphism whose cells are the evaluated
 exchange cells.
 """
 
@@ -51,7 +51,6 @@ from .theory import (
     Apply,
     Morphism,
     Proj,
-    compose,
     generator_morphism,
     is_inert,
     par as par_morphism,
@@ -311,11 +310,6 @@ def hom_from_components(X: CatModel, Y: CatModel, weakness: str, f1: FinFunctor,
     return LaxHom(X, Y, weakness, f1, tuple(cells))
 
 
-def identity_hom(model: CatModel, weakness: str = "strict") -> LaxHom:
-    return hom_from_components(model, model, weakness,
-                               fincat.identity_functor(model.carrier))
-
-
 # -- coherence of homomorphisms ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -485,16 +479,6 @@ class HomCoherence:
                            for o in range(len(s)))
         return CoherenceCheck(max(s_slot, t_slot),
                               ModelViolation("hom-cell-compat", cell.name), holds)
-
-
-def extend_hom_cell(hom: LaxHom, f: Morphism) -> FinNat:
-    """Canonical structure cell of a homomorphism at an arbitrary morphism."""
-    if _is_plain_generator(f):
-        return hom.cell(f.components[0].op.name)  # type: ignore[union-attr]
-    X, Y = hom.source, hom.target
-    cells = [hom.cell(g.name) for g in X.theory.base.generators]
-    _, comps = HomCoherence(X, Y, hom.weakness, hom.f1).extension(f)
-    return FinNat(*_cell_boundary(X, Y, hom.f1, f, hom.weakness), comps(cells))
 
 
 def validate_lax_hom(hom: LaxHom) -> list[ModelViolation]:
@@ -777,23 +761,6 @@ def lift_hom(model: CatModel, sigma: SigmaTable, beta: Morphism,
     return hom_from_components(src, model, weakness, f1, tables)
 
 
-def lift_model(model: CatModel, sigma: SigmaTable, probes: list | None = None):
-    """Lift every basis operation to a homomorphism; refuse incoherent tables."""
-    from .cells import check_sigma_coherence
-    probe_list = probes if probes is not None else [model]
-    report = check_sigma_coherence(model.theory, sigma, probe_list)
-    if report.verdict != "Coherent":
-        raise CellError(f"refusing to lift along an incoherent table: {report.issues[0]}")
-    lifts = []
-    for op in model.theory.base.basis_ops():
-        hom = lift_hom(model, sigma, generator_morphism(op))
-        bad = validate_lax_hom(hom)
-        if bad:
-            raise CellError(f"lift of {op.name} fails validation: {bad[0]}")
-        lifts.append((op.name, hom))
-    return lifts
-
-
 def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,
                  weakness: str) -> tuple[CatModel, HomCategory]:
     """The homomorphism category made into a model: operations act by
@@ -854,8 +821,7 @@ def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,
 
 # -- convolution -----------------------------------------------------------------------
 
-def convolution_algebra(model: CatModel, algebra: LaxHom, coalgebra: LaxHom,
-                        rho=None):
+def convolution_algebra(model: CatModel, algebra: LaxHom, coalgebra: LaxHom):
     """Operations on the hom-set from the coalgebra's object to the algebra's.
 
     Each n-ary operation sends (f_1,...,f_n) to
@@ -865,10 +831,6 @@ def convolution_algebra(model: CatModel, algebra: LaxHom, coalgebra: LaxHom,
     from . import finset
     if algebra.weakness != "lax" or coalgebra.weakness != "colax":
         raise CellError("convolution needs a lax algebra and a colax coalgebra")
-    if rho is not None:
-        problems = rho_validates_for_convolution(rho)
-        if problems:
-            raise CellError(f"invalid comparison morphism: {problems[0]}")
     cat = model.carrier
     a = algebra.point()
     c = coalgebra.point()
@@ -897,32 +859,3 @@ def convolution_algebra(model: CatModel, algebra: LaxHom, coalgebra: LaxHom,
         raise CellError(f"convolution tables violate {result.equation} at {result.env}")
     return result, hom
 
-
-def rho_validates_for_convolution(rho) -> list[str]:
-    """The comparison morphism must send each generator to the canonical
-    iterated multiplication of its arity (the clone of a commutative base)."""
-    from .cells import validate_theory_morphism
-    from .theory import Equal, decide_equal
-    problems = validate_theory_morphism(rho)
-    target = rho.target
-    mult = [g for g in target.generators if g.arity == 2]
-    unit = [g for g in target.generators if g.arity == 0]
-    if not mult or not unit:
-        return problems + ["target theory lacks a binary operation or unit"]
-    m, u = mult[0], unit[0]
-
-    def canonical(n: int) -> Morphism:
-        if n == 0:
-            return generator_morphism(u)
-        out = Morphism(n, 1, (Proj(n - 1, n),))
-        for i in range(n - 2, -1, -1):
-            stack = Morphism(n, 2, (Proj(i, n), out.components[0]))
-            out = compose(stack, generator_morphism(m))
-        return out
-
-    for g in rho.source.generators:
-        img = rho.image(g.name)
-        v = decide_equal(target, img, canonical(g.arity))
-        if not isinstance(v, Equal):
-            problems.append(f"image of {g.name} is not the canonical {g.arity}-fold product")
-    return problems

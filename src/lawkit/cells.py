@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
+from . import theory as _theory
 from .fincat import FinNat
 from .theory import (
     Apply,
@@ -32,7 +33,6 @@ from .theory import (
     TheoryPresentation,
     col_then_row,
     compose,
-    decide_equal,
     generator_morphism,
     identity,
     is_inert,
@@ -632,8 +632,9 @@ def _pasting_weight(p: Pasting) -> int:
 
 
 def pastings_equal(theory2: TwoTheoryPresentation, p: Pasting, q: Pasting,
-                   probes: list, budget: int = 10_000) -> RelativeVerdict:
+                   probes: list) -> RelativeVerdict:
     """Equality relative to probe models, with a syntactic fast path."""
+    budget = _theory.REWRITE_BUDGET
     sp = _rewrite_with_cell_equations(simplify_pasting(p), theory2.cell_equations, budget)
     sq = _rewrite_with_cell_equations(simplify_pasting(q), theory2.cell_equations, budget)
     if sp == sq:
@@ -878,87 +879,3 @@ def yang_baxter_check(model, tensor_op: str = "m", braiding_cell: str = "b") -> 
             issues.append(BraidIssue("braid-relation", (x, y, z)))
     verdict = "Holds" if not issues else "Fails"
     return BraidReport(verdict, count, tuple(issues))
-
-
-# -- commuting over another theory ------------------------------------------------------
-
-@dataclass(frozen=True)
-class TheoryMorphism:
-    source: TheoryPresentation
-    target: TheoryPresentation
-    images: tuple[tuple[str, Morphism], ...]
-
-    def image(self, name: str) -> Morphism:
-        for n, f in self.images:
-            if n == name:
-                return f
-        raise TheoryError(f"no image for generator {name}")
-
-    def translate_morphism(self, f: Morphism) -> Morphism:
-        comps = tuple(self._translate_term(c, f.source) for c in f.components)
-        return Morphism(f.source, f.target, comps)
-
-    def _translate_term(self, t, context: int):
-        if isinstance(t, Proj):
-            return t
-        assert isinstance(t, Apply)
-        args = tuple(self._translate_term(a, context) for a in t.args)
-        image = self.image(t.op.name)
-        stack = Morphism(context, len(args), args)
-        return compose(stack, image).components[0]
-
-
-def validate_theory_morphism(rho: TheoryMorphism, budget: int = 10_000,
-                             model_bound: int = 3) -> list[str]:
-    problems = []
-    for g in rho.source.generators:
-        img = rho.image(g.name)
-        if (img.source, img.target) != (g.arity, 1):
-            problems.append(f"image of {g.name} has the wrong shape")
-    for eq in rho.source.equations:
-        from .theory import Equal
-        v = decide_equal(rho.target, rho.translate_morphism(eq.lhs),
-                         rho.translate_morphism(eq.rhs), budget, model_bound)
-        if not isinstance(v, Equal):
-            problems.append(f"equation {eq.name} is not preserved")
-    return problems
-
-
-@dataclass(frozen=True)
-class CommutingOverReport:
-    verdict: str
-    issues: tuple[str, ...]
-
-
-def check_commuting_over(rho: TheoryMorphism, theory2_target: TwoTheoryPresentation,
-                         mu_entries: SigmaTable, unit_name: str | None,
-                         probes: list, budget: int = 10_000) -> CommutingOverReport:
-    """Unit laws for a multiplication valued in another theory.
-
-    The entry table types exchange cells over the rho-images; the unit laws
-    ask each basis operation of the source to be unital against the unit
-    after translation.
-    """
-    issues = list(validate_theory_morphism(rho))
-    base = theory2_target.base
-    for (a, b), entry in mu_entries.entries:
-        fa = rho.image(a)
-        fb = rho.image(b)
-        want_src, want_tgt = sigma_boundaries(fa, fb)
-        if not boundaries_agree(base, entry.source(), want_src) or \
-           not boundaries_agree(base, entry.target(), want_tgt):
-            issues.append(f"entry ({a},{b}) has the wrong boundary over the images")
-    if unit_name is not None:
-        from .theory import Equal, unit_insertion
-        u_img = rho.image(unit_name)
-        for g in rho.source.basis_ops():
-            if g.arity <= 1:
-                continue
-            img = rho.image(g.name)
-            for k in range(g.arity):
-                composite = compose(unit_insertion(u_img, k, g.arity), img)
-                v = decide_equal(base, composite, identity(1), budget)
-                if not isinstance(v, Equal):
-                    issues.append(f"unit law fails for {g.name} at position {k}")
-    verdict = "Passes" if not issues else "Fails"
-    return CommutingOverReport(verdict, tuple(issues))

@@ -78,40 +78,6 @@ def make_report(command: str, files: list[str], verdicts, witnesses, timings):
     }
 
 
-def validate_report(report) -> list[str]:
-    """Structural validation against the shipped ``report_schema.json`` (a JSON Schema subset)."""
-    schema = json.loads((Path(__file__).parent / "report_schema.json").read_text())
-    problems = []
-
-    def check(value, schema, path):
-        types = schema.get("type")
-        if types is not None:
-            allowed = types if isinstance(types, list) else [types]
-            kind = {"object": dict, "array": list, "string": str}.get
-            ok = False
-            for t in allowed:
-                if t == "null" and value is None:
-                    ok = True
-                elif t in ("object", "array", "string") and isinstance(value, kind(t)):
-                    ok = True
-            if not ok:
-                problems.append(f"{path}: expected {types}")
-                return
-        if isinstance(value, dict):
-            for req in schema.get("required", ()):
-                if req not in value:
-                    problems.append(f"{path}: missing {req}")
-            for key, sub in schema.get("properties", {}).items():
-                if key in value:
-                    check(value[key], sub, f"{path}.{key}")
-        if isinstance(value, list) and "items" in schema:
-            for i, item in enumerate(value):
-                check(item, schema["items"], f"{path}[{i}]")
-
-    check(report, schema, "$")
-    return problems
-
-
 def emit_report(report, fmt: str, out=sys.stdout):
     if fmt == "json":
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -31,23 +31,22 @@ Grammar sketch (comments run ``--`` to end of line, identifiers
 
 Morphism expressions compose with ``.`` in function order (``m . swap(1,2)``
 applies the swap first).  A morphism may carry an explicit source context as
-``[n]``; otherwise the context is the largest variable index mentioned.  The
-serializer always writes the explicit form, making serialize-then-parse the
-identity and parse-then-serialize idempotent.
+``[n]``; otherwise the context is the largest variable index mentioned.
 
 A pasting expression is a 2-cell name or a combinator keyword applied to
 its arguments.  One table, ``_COMBINATORS``, gives each keyword its node
 class and argument kinds in field order (``whiskR(pasting, morphism)``,
-``powL(count, pasting)``, ...); the pasting parser and ``render_pasting``
-both read it, so ``par()`` and ``<>`` parse back as the serializer writes
-them.  A theory block's diagnostics point at the offending token: a duplicate
-operation or 2-cell, a basis name that is not an operation, a variable
-outside its context, or an equation or 2-cell whose sides are not parallel.
+``powL(count, pasting)``, ...); the pasting parser reads it, and so does
+the serializer the tests use for round trips, so ``par()`` and ``<>`` parse
+back as it writes them.  A theory block's diagnostics point at the offending
+token: a duplicate operation or 2-cell, a basis name that is not an
+operation, a variable outside its context, or an equation or 2-cell whose
+sides are not parallel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from . import fincat
 from .catmodels import CatModel
@@ -81,7 +80,6 @@ from .theory import (
     TheoryPresentation,
     compose,
     identity,
-    render_term,
 )
 
 
@@ -112,7 +110,7 @@ class ModelViolation(ValueError):
     """A finite-set model whose tables are well-formed but break an equation."""
 
 
-# -- declarations kept for serialization ------------------------------------------------
+# -- declarations, as parsed -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class FinSetDecl:
@@ -484,8 +482,8 @@ def parse_morphism_expr(p: _Parser, base_ops: list[OpSymbol],
 
 # keyword -> (node class, argument kinds in field order).  A kind is a
 # "pasting", a "morphism" expression, a "count" or a list of "pastings"
-# running to the closing parenthesis.  The parser and the serializer both
-# read this table; a keyword beats a 2-cell of the same name.
+# running to the closing parenthesis.  The parser and the tests' serializer
+# both read this table; a keyword beats a 2-cell of the same name.
 _COMBINATORS = {
     "id": (Id, ("morphism",)),
     "inv": (Inverse, ("pasting",)),
@@ -496,10 +494,6 @@ _COMBINATORS = {
     "powR": (PowerR, ("pasting", "count")),
     "par": (Par, ("pastings",)),
 }
-
-# node class -> (keyword, (field name, kind) per argument), for the serializer.
-_RENDERINGS = {cls: (keyword, tuple(zip((f.name for f in fields(cls)), kinds)))
-               for keyword, (cls, kinds) in _COMBINATORS.items()}
 
 
 def _parse_pasting(p: _Parser, theory2_cells: dict[str, TwoCellSymbol],
@@ -1005,185 +999,3 @@ def _attach_tables(theory2: TwoTheoryPresentation, cat: FinCategory,
                 raise ValueError(f"nat {decl.name}: component out of range")
         cells.append((decl.name, FinNat(fsrc, ftgt, comps)))
     return CatModel(theory2, cat, tuple(ops), tuple(cells))
-
-
-# -- serializer -------------------------------------------------------------------------------
-
-def render_morphism(m: Morphism) -> str:
-    body = f"<{', '.join(render_term(c) for c in m.components)}>" \
-        if m.target != 1 else render_term(m.components[0])
-    return f"[{m.source}] {body}"
-
-
-def render_pasting(p: Pasting) -> str:
-    if isinstance(p, Gen):
-        return p.cell.name
-    if type(p) not in _RENDERINGS:
-        raise ValueError(f"unknown pasting {p!r}")
-    keyword, args = _RENDERINGS[type(p)]
-    rendered = (_render_pasting_argument(kind, getattr(p, name)) for name, kind in args)
-    return f"{keyword}({', '.join(rendered)})"
-
-
-def _render_pasting_argument(kind: str, value) -> str:
-    if kind == "pasting":
-        return render_pasting(value)
-    if kind == "morphism":
-        return render_morphism(value)
-    if kind == "count":
-        return str(value)
-    return ", ".join(render_pasting(q) for q in value)
-
-
-def _render_list(xs) -> str:
-    return "[" + ", ".join(str(x) for x in xs) + "]"
-
-
-def serialize(doc: Document) -> str:
-    out = []
-    for t in doc.theories:
-        out.append(f"theory {t.base.name} {{")
-        for g in t.base.generators:
-            out.append(f"  op {g.name} : {g.arity} -> 1;")
-        if tuple(t.base.basis) != tuple(g.name for g in t.base.generators):
-            out.append(f"  basis {', '.join(t.base.basis)};")
-        for eq in t.base.equations:
-            out.append(f"  eq {eq.name} : {render_morphism(eq.lhs)}"
-                       f" = {render_morphism(eq.rhs)};")
-        for c in t.cells:
-            inv = " invertible" if c.invertible else ""
-            out.append(f"  cell {c.name} : {render_morphism(c.source)}"
-                       f" => {render_morphism(c.target)}{inv};")
-        for name, lhs, rhs in t.cell_equations:
-            out.append(f"  celleq {name} : {render_pasting(lhs)} = {render_pasting(rhs)};")
-        out.append("}")
-    for for_theory, s in doc.sigmas:
-        sym = " symmetric" if s.symmetric else ""
-        out.append(f"sigma {s.name} for {for_theory} weakness {s.weakness}{sym} {{")
-        for (a, b), pasting in s.entries:
-            out.append(f"  ({a}, {b}) = {render_pasting(pasting)};")
-        out.append("}")
-    for m in doc.models:
-        out.append(f"model {m.name} of {m.theory} in {m.kind} {{")
-        if isinstance(m.payload, FinSetDecl):
-            out.append(f"  carrier {m.payload.size};")
-            for tname, table in m.payload.tables:
-                out.append(f"  table {tname} = {_render_list(table)};")
-        elif isinstance(m.payload, FinCatDecl):
-            out.append(f"  objects {m.payload.objects};")
-            for aname, s_, d_ in m.payload.arrows:
-                out.append(f"  arrow {aname} : {s_} -> {d_};")
-            if m.payload.composites:
-                out.append("  compose {")
-                for f, g, h in m.payload.composites:
-                    out.append(f"    {f} then {g} = {h};")
-                out.append("  }")
-            for f in m.payload.functors:
-                out.append(_render_functor(f))
-            for nd in m.payload.nats:
-                out.append(_render_nat(nd))
-        elif isinstance(m.payload, MonCatDecl):
-            out.append(f"  grading {m.payload.grading};")
-            out.append(f"  scalars {m.payload.scalars};")
-            if m.payload.tensor is not None:
-                out.append(f"  tensor {m.payload.tensor};")
-            if m.payload.unit is not None:
-                out.append(f"  unit {m.payload.unit};")
-            for bname, rows in m.payload.braidings:
-                body = ", ".join(_render_list(r) for r in rows)
-                out.append(f"  braiding {bname} = [{body}];")
-            for f in m.payload.functors:
-                out.append(_render_functor(f))
-            for nd in m.payload.nats:
-                out.append(_render_nat(nd))
-        out.append("}")
-    for kind, args in doc.checks:
-        out.append(f"check {kind} {' '.join(args)};")
-    return "\n".join(out) + "\n"
-
-
-def finset_model_decl(name: str, model: FinSetModel) -> ModelDecl:
-    """Wrap a finite-set model as a declaration so it can be serialized."""
-    return ModelDecl(name, model.theory.name, "finset",
-                     FinSetDecl(model.size, model.tables))
-
-
-def document_to_json(doc: Document) -> dict:
-    """JSON form of a document, mirroring the block structure field by field."""
-    def term_str(m: Morphism) -> str:
-        return render_morphism(m)
-
-    theories = []
-    for t in doc.theories:
-        theories.append({
-            "name": t.base.name,
-            "operations": [{"name": g.name, "arity": g.arity}
-                           for g in t.base.generators],
-            "basis": list(t.base.basis),
-            "equations": [{"name": e.name, "lhs": term_str(e.lhs),
-                           "rhs": term_str(e.rhs)} for e in t.base.equations],
-            "cells": [{"name": c.name, "source": term_str(c.source),
-                       "target": term_str(c.target), "invertible": c.invertible}
-                      for c in t.cells],
-            "cell_equations": [{"name": n, "lhs": render_pasting(l),
-                                "rhs": render_pasting(r)}
-                               for n, l, r in t.cell_equations],
-        })
-    sigmas = []
-    for for_theory, s in doc.sigmas:
-        sigmas.append({
-            "name": s.name, "for": for_theory, "weakness": s.weakness,
-            "symmetric": s.symmetric,
-            "entries": [{"pair": [a, b], "pasting": render_pasting(p)}
-                        for (a, b), p in s.entries],
-        })
-    models = []
-    for m in doc.models:
-        entry: dict = {"name": m.name, "theory": m.theory, "kind": m.kind}
-        if isinstance(m.payload, FinSetDecl):
-            entry["carrier"] = m.payload.size
-            entry["tables"] = {n: list(t) for n, t in m.payload.tables}
-        elif isinstance(m.payload, FinCatDecl):
-            entry["objects"] = m.payload.objects
-            entry["arrows"] = [{"name": n, "src": s_, "dst": d_}
-                               for n, s_, d_ in m.payload.arrows]
-            entry["composites"] = [list(c) for c in m.payload.composites]
-            entry["functors"] = [{"name": f.name, "obj": list(f.obj),
-                                  "arr": None if f.arr is None else list(f.arr)}
-                                 for f in m.payload.functors]
-            entry["nats"] = [{"name": nd.name,
-                              "components": None if nd.components is None
-                              else list(nd.components)}
-                             for nd in m.payload.nats]
-        elif isinstance(m.payload, MonCatDecl):
-            entry["grading"] = m.payload.grading
-            entry["scalars"] = m.payload.scalars
-            entry["tensor"] = m.payload.tensor
-            entry["unit"] = m.payload.unit
-            entry["braidings"] = [{"name": n, "exponents": [list(r) for r in rows]}
-                                  for n, rows in m.payload.braidings]
-            entry["functors"] = [{"name": f.name, "obj": list(f.obj),
-                                  "arr": None if f.arr is None else list(f.arr)}
-                                 for f in m.payload.functors]
-            entry["nats"] = [{"name": nd.name,
-                              "components": None if nd.components is None
-                              else list(nd.components)}
-                             for nd in m.payload.nats]
-        models.append(entry)
-    return {
-        "theories": theories,
-        "sigmas": sigmas,
-        "models": models,
-        "checks": [{"kind": k, "args": list(a)} for k, a in doc.checks],
-    }
-
-
-def _render_functor(f: FunctorDecl) -> str:
-    arr = "arr auto;" if f.arr is None else f"arr {_render_list(f.arr)};"
-    return f"  functor {f.name} {{ obj {_render_list(f.obj)}; {arr} }}"
-
-
-def _render_nat(nd: NatDecl) -> str:
-    if nd.components is None:
-        return f"  nat {nd.name} auto;"
-    return f"  nat {nd.name} = {_render_list(nd.components)};"

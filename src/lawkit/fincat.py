@@ -158,38 +158,6 @@ def terminal_category() -> FinCategory:
     return build_category(1, [0], [0], [0], {})
 
 
-def discrete_category(n: int) -> FinCategory:
-    return build_category(n, list(range(n)), list(range(n)), list(range(n)), {})
-
-
-def poset_category(relation: list[tuple[int, int]], n: int) -> FinCategory:
-    """Thin category from a reflexive-transitive relation given as pairs (a<=b).
-
-    Arrows are ordered with the identities first, matching the text format.
-    """
-    strict = sorted(set(relation) - {(a, a) for a in range(n)})
-    pairs = [(a, a) for a in range(n)] + strict
-    src = [a for a, _ in pairs]
-    dst = [b for _, b in pairs]
-    idx = {p: i for i, p in enumerate(pairs)}
-    identity = [idx[(a, a)] for a in range(n)]
-    comp = {}
-    for (a, b) in pairs:
-        for (b2, c) in pairs:
-            if b2 != b:
-                continue
-            if (a, c) not in idx:
-                raise CatError("relation is not transitive")
-            comp[(idx[(a, b)], idx[(b, c)])] = idx[(a, c)]
-    return build_category(n, src, dst, identity, comp)
-
-
-def group_delooping(n: int) -> FinCategory:
-    """One object, arrows Z/n under addition."""
-    comp = {(a, b): (a + b) % n for a in range(n) for b in range(n)}
-    return build_category(1, [0] * n, [0] * n, [0], comp)
-
-
 def graded_scalar_category(grading: int, scalars: int) -> FinCategory:
     """Objects Z/grading; End(x) = Z/scalars written additively; no cross arrows.
 
@@ -350,10 +318,6 @@ def validate_functor(fun: FinFunctor) -> CategoryViolation | None:
     return None
 
 
-def identity_functor(cat: FinCategory) -> FinFunctor:
-    return FinFunctor(cat, cat, tuple(range(cat.n_objects)), tuple(range(cat.n_arrows)))
-
-
 def compose_functors(f: FinFunctor, g: FinFunctor) -> FinFunctor:
     if f.target != g.source:
         raise CatError("functor composition mismatch")
@@ -398,22 +362,6 @@ def vert_nat(p: FinNat, q: FinNat) -> FinNat:
     d = p.source.target
     comps = tuple(d.then(a, b) for a, b in zip(p.components, q.components))
     return FinNat(p.source, q.target, comps)
-
-
-def whisker_left(fun: FinFunctor, nat: FinNat) -> FinNat:
-    """Precompose: the transformation fun;nat with components at fun-images."""
-    if fun.target != nat.source.source:
-        raise CatError("left whisker mismatch")
-    comps = tuple(nat.components[fun.obj_map[a]] for a in range(fun.source.n_objects))
-    return FinNat(compose_functors(fun, nat.source), compose_functors(fun, nat.target), comps)
-
-
-def whisker_right(nat: FinNat, fun: FinFunctor) -> FinNat:
-    """Postcompose: apply fun to every component."""
-    if nat.source.target != fun.source:
-        raise CatError("right whisker mismatch")
-    comps = tuple(fun.arr_map[c] for c in nat.components)
-    return FinNat(compose_functors(nat.source, fun), compose_functors(nat.target, fun), comps)
 
 
 def enumerate_functors(c: FinCategory, d: FinCategory) -> list[FinFunctor]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .search import search
 from .theory import (
     Apply,
-    CommutativityReport,
     Morphism,
     OpSymbol,
     Proj,
@@ -27,6 +26,9 @@ from .theory import (
 
 # Most table cells, summed over the generators, a model enumeration may fill.
 MODEL_CELL_LIMIT = 4 ** 4
+
+# Largest carrier ``eh_uniqueness_probe`` takes.
+EH_PROBE_SIZE_BOUND = 3
 
 
 def table_index(args: tuple[int, ...], size: int) -> int:
@@ -182,30 +184,6 @@ def enumerate_models(theory: TheoryPresentation, size: int):
             for g in theory.generators})
 
 
-def canonical_filter(models: list[FinSetModel]) -> list[FinSetModel]:
-    """Keep one representative per isomorphism class: the table-lex minimum."""
-    out = []
-    for m in models:
-        flat = tuple(t for _, t in m.tables)
-        best = flat
-        for perm in itertools.permutations(range(m.size)):
-            inv = [0] * m.size
-            for i, p in enumerate(perm):
-                inv[p] = i
-            renamed = []
-            for g in m.theory.generators:
-                table = m.table(g.name)
-                new = [0] * len(table)
-                for args in all_tuples(m.size, g.arity):
-                    pargs = tuple(perm[a] for a in args)
-                    new[table_index(pargs, m.size)] = perm[table[table_index(args, m.size)]]
-                renamed.append(tuple(new))
-            best = min(best, tuple(renamed))
-        if best == flat:
-            out.append(m)
-    return out
-
-
 # -- homomorphisms -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -213,16 +191,6 @@ class ModelHom:
     source: FinSetModel
     target: FinSetModel
     mapping: tuple[int, ...]
-
-
-def is_hom(source: FinSetModel, target: FinSetModel, mapping: tuple[int, ...]) -> bool:
-    for g in source.theory.generators:
-        for args in all_tuples(source.size, g.arity):
-            lhs = mapping[source.apply(g.name, args)]
-            rhs = target.apply(g.name, tuple(mapping[a] for a in args))
-            if lhs != rhs:
-                return False
-    return True
 
 
 def enumerate_homs(source: FinSetModel, target: FinSetModel) -> list[ModelHom]:
@@ -362,16 +330,15 @@ class EhUniquenessReport:
     structures: tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]
 
 
-def eh_uniqueness_probe(theory: TheoryPresentation, model: FinSetModel,
-                        size_bound: int = 3) -> EhUniquenessReport:
+def eh_uniqueness_probe(theory: TheoryPresentation, model: FinSetModel) -> EhUniquenessReport:
     """Count model structures on the same carrier whose operation tables are
     homomorphisms from the corresponding power models.
 
     Exactly one such structure (the pointwise lift) exists for theories that
     satisfy the one-dimensional collapse preconditions.
     """
-    if model.size > size_bound:
-        raise TheoryError(f"carrier {model.size} exceeds probe bound {size_bound}")
+    if model.size > EH_PROBE_SIZE_BOUND:
+        raise TheoryError(f"carrier {model.size} exceeds probe bound {EH_PROBE_SIZE_BOUND}")
     candidates: list[list[tuple[int, ...]]] = []
     powers: dict[int, FinSetModel] = {}
     for g in theory.generators:
@@ -386,18 +353,3 @@ def eh_uniqueness_probe(theory: TheoryPresentation, model: FinSetModel,
             structures.append(tuple(sorted(tables.items())))
     return EhUniquenessReport(len(structures), len(structures) == 1, tuple(structures))
 
-
-def syntactic_semantic_agreement(theory: TheoryPresentation, report: CommutativityReport,
-                                 size: int) -> list[str]:
-    """Return disagreement descriptions (empty = full agreement up to the size)."""
-    from .theory import Equal
-    problems = []
-    for model in enumerate_models(theory, size):
-        sem = semantic_commutativity_check(model)
-        sem_by_pair = {(a, b): ok for a, b, ok in sem.pairs}
-        for a, b, verdict in report.pairs:
-            if isinstance(verdict, Equal) and not sem_by_pair[(a, b)]:
-                problems.append(f"pair ({a},{b}) proved equal but fails semantically on {model.tables}")
-        if report.verdict == "Commutative" and sem.verdict != "Passes":
-            problems.append(f"theory commutative but model {model.tables} fails semantically")
-    return problems

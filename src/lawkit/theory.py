@@ -21,7 +21,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+# Most rewrite steps one normalization may take: of a term by the equations,
+# or of a pasting by the cell equations.
+REWRITE_BUDGET = 10_000
 
 
 class TheoryError(Exception):
@@ -125,10 +129,6 @@ def identity(n: int) -> Morphism:
     return Morphism(n, n, tuple(Proj(i, n) for i in range(n)))
 
 
-def proj_morphism(i: int, n: int) -> Morphism:
-    return Morphism(n, 1, (Proj(i, n),))
-
-
 def generator_morphism(op: OpSymbol) -> Morphism:
     """The morphism of ``op`` applied to its variables in order; one shared
     instance per symbol, stored on it, so memo lookups hit by identity."""
@@ -138,17 +138,6 @@ def generator_morphism(op: OpSymbol) -> Morphism:
         f = Morphism(n, 1, (Apply(op, tuple(Proj(i, n) for i in range(n)), n),))
         object.__setattr__(op, "_generator", f)
     return f
-
-
-def tupling(fs: list[Morphism]) -> Morphism:
-    """Pair morphisms with a common source into one map onto the product."""
-    if not fs:
-        raise TheoryError("tupling of nothing needs an explicit source")
-    src = fs[0].source
-    if any(f.source != src for f in fs):
-        raise TheoryError("tupling requires a common source")
-    comps = tuple(c for f in fs for c in f.components)
-    return Morphism(src, sum(f.target for f in fs), comps)
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
@@ -169,16 +158,6 @@ def par(fs: list[Morphism]) -> Morphism:
         comps.extend(substitute(c, args, src) for c in f.components)
         offset += f.source
     return Morphism(src, sum(f.target for f in fs), tuple(comps))
-
-
-def operadic_compose(alpha: Morphism, betas: list[Morphism]) -> Morphism:
-    """alpha(beta_1, ..., beta_n) = (beta_1 x ... x beta_n) then alpha."""
-    if alpha.source != len(betas):
-        raise TheoryError(f"operadic composition expects {alpha.source} arguments, got {len(betas)}")
-    for b in betas:
-        if b.target != 1:
-            raise TheoryError("operadic arguments must have target 1")
-    return compose(par(betas), alpha)
 
 
 def power_left(f: Morphism, k: int) -> Morphism:
@@ -335,23 +314,6 @@ def match(pattern: Term, t: Term, binding: dict[int, Term]) -> dict[int, Term] |
     return binding
 
 
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
-    for i in path:
-        assert isinstance(t, Apply)
-        t = t.args[i]
-    return t
-
-
-def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    assert isinstance(t, Apply)
-    i = path[0]
-    args = list(t.args)
-    args[i] = replace_at(args[i], path[1:], new)
-    return Apply(t.op, tuple(args), t.context)
-
-
 @dataclass(frozen=True)
 class RewriteStep:
     rule: str
@@ -420,7 +382,7 @@ def _compare(a: Term, b: Term) -> int:
     return (len(a.args) > len(b.args)) - (len(a.args) < len(b.args))
 
 
-def normalize(t: Term, rules, budget: int = 10_000) -> tuple[Term, list[RewriteStep], bool]:
+def normalize(t: Term, rules, budget: int) -> tuple[Term, list[RewriteStep], bool]:
     """Rewrite leftmost-innermost to a fixpoint; returns (normal form, trace, within_budget).
 
     A step at a subterm must strictly decrease it in the term order: size
@@ -493,20 +455,12 @@ def normalize(t: Term, rules, budget: int = 10_000) -> tuple[Term, list[RewriteS
     return t, trace, len(trace) < budget
 
 
-def replay_trace(t: Term, trace: list[RewriteStep]) -> Term:
-    for step in trace:
-        if subterm_at(t, step.path) != step.before:
-            raise TheoryError("trace does not replay")
-        t = replace_at(t, step.path, step.after)
-    return t
-
-
-def normalize_morphism(theory: TheoryPresentation, f: Morphism,
-                       budget: int = 10_000) -> tuple[Morphism, list[list[RewriteStep]], bool]:
+def normalize_morphism(theory: TheoryPresentation,
+                       f: Morphism) -> tuple[Morphism, list[list[RewriteStep]], bool]:
     rules = theory.rewrite_rules()
     comps, traces, ok = [], [], True
     for c in f.components:
-        nf, tr, within = normalize(c, rules, budget)
+        nf, tr, within = normalize(c, rules, REWRITE_BUDGET)
         comps.append(nf)
         traces.append(tr)
         ok = ok and within
@@ -539,12 +493,12 @@ EqualityVerdict = Equal | NotEqual | Unknown
 
 
 def decide_equal(theory: TheoryPresentation, f: Morphism, g: Morphism,
-                 budget: int = 10_000, model_bound: int = 4) -> EqualityVerdict:
+                 model_bound: int = 4) -> EqualityVerdict:
     """Semi-decide f = g: join normal forms, else search for a separating model."""
     if (f.source, f.target) != (g.source, g.target):
         raise TheoryError("decide_equal needs parallel morphisms")
-    nf, ftr, fok = normalize_morphism(theory, f, budget)
-    ng, gtr, gok = normalize_morphism(theory, g, budget)
+    nf, ftr, fok = normalize_morphism(theory, f)
+    ng, gtr, gok = normalize_morphism(theory, g)
     if fok and gok and nf == ng:
         return Equal(tuple(tuple(t) for t in ftr), tuple(tuple(t) for t in gtr), nf)
 
@@ -556,7 +510,7 @@ def decide_equal(theory: TheoryPresentation, f: Morphism, g: Morphism,
                 return NotEqual(model, hit)
     reason = "normal forms differ; no counter-model up to bound" if (fok and gok) \
         else "rewrite budget exhausted; no counter-model up to bound"
-    return Unknown(reason, budget, model_bound)
+    return Unknown(reason, REWRITE_BUDGET, model_bound)
 
 
 # -- commutativity, unitality, Eckmann-Hilton preconditions -------------------
@@ -578,14 +532,13 @@ def commutativity_square(alpha: Morphism, beta: Morphism) -> tuple[Morphism, Mor
     return row_then_col(alpha, beta), col_then_row(alpha, beta)
 
 
-def check_commutative(theory: TheoryPresentation, budget: int = 10_000,
-                      model_bound: int = 4) -> CommutativityReport:
+def check_commutative(theory: TheoryPresentation, model_bound: int = 4) -> CommutativityReport:
     pairs = []
     verdict = "Commutative"
     for a in theory.basis_ops():
         for b in theory.basis_ops():
             lhs, rhs = commutativity_square(generator_morphism(a), generator_morphism(b))
-            v = decide_equal(theory, lhs, rhs, budget, model_bound)
+            v = decide_equal(theory, lhs, rhs, model_bound)
             pairs.append((a.name, b.name, v))
             if isinstance(v, NotEqual):
                 verdict = "NotCommutative"
@@ -595,7 +548,7 @@ def check_commutative(theory: TheoryPresentation, budget: int = 10_000,
 
 
 def check_unital(theory: TheoryPresentation, alpha: OpSymbol, unit: OpSymbol,
-                 budget: int = 10_000, model_bound: int = 4) -> dict[int, EqualityVerdict]:
+                 model_bound: int = 4) -> dict[int, EqualityVerdict]:
     """Per insertion position: is alpha(u,...,x,...,u) = x?"""
     if alpha.arity <= 1:
         raise TheoryError("unitality is only defined for arity > 1")
@@ -606,7 +559,7 @@ def check_unital(theory: TheoryPresentation, alpha: OpSymbol, unit: OpSymbol,
     out = {}
     for k in range(alpha.arity):
         composite = compose(unit_insertion(u, k, alpha.arity), a)
-        out[k] = decide_equal(theory, composite, identity(1), budget, model_bound)
+        out[k] = decide_equal(theory, composite, identity(1), model_bound)
     return out
 
 
@@ -619,8 +572,7 @@ class EhReport1d:
     unary_basis: tuple[str, ...]
 
 
-def eh_preconditions_1d(theory: TheoryPresentation, budget: int = 10_000,
-                        model_bound: int = 4) -> EhReport1d:
+def eh_preconditions_1d(theory: TheoryPresentation, model_bound: int = 4) -> EhReport1d:
     """Basis-level preconditions for the collapse of doubled models.
 
     Requires a prior Commutative verdict; any two nullary basis maps are
@@ -632,7 +584,7 @@ def eh_preconditions_1d(theory: TheoryPresentation, budget: int = 10_000,
     merged = []
     for u, v in itertools.combinations(units, 2):
         verdict = decide_equal(theory, generator_morphism(u), generator_morphism(v),
-                               budget, model_bound)
+                               model_bound)
         if isinstance(verdict, Equal):
             merged.append((u.name, v.name))
     unit = units[0].name if units else None
@@ -642,7 +594,7 @@ def eh_preconditions_1d(theory: TheoryPresentation, budget: int = 10_000,
             if not units:
                 non_unital.append(g.name)
                 continue
-            verdicts = check_unital(theory, g, units[0], budget, model_bound)
+            verdicts = check_unital(theory, g, units[0], model_bound)
             if not all(isinstance(v, Equal) for v in verdicts.values()):
                 non_unital.append(g.name)
     passes = not unary and not non_unital

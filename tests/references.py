@@ -1,0 +1,93 @@
+"""Constructions that more than one test module builds on and no command
+runs: small categories, whiskering, identity homomorphisms, and morphism
+builders.  Tests compare production paths against these or use them to
+set up inputs.
+"""
+
+from lawkit.catmodels import CatModel, LaxHom, hom_from_components
+from lawkit.fincat import (
+    CatError,
+    FinCategory,
+    FinFunctor,
+    FinNat,
+    build_category,
+    compose_functors,
+)
+from lawkit.theory import Morphism, Proj, TheoryError
+
+
+# -- morphisms ---------------------------------------------------------------------
+
+def proj_morphism(i: int, n: int) -> Morphism:
+    return Morphism(n, 1, (Proj(i, n),))
+
+
+def tupling(fs: list[Morphism]) -> Morphism:
+    """Pair morphisms with a common source into one map onto the product."""
+    if not fs:
+        raise TheoryError("tupling of nothing needs an explicit source")
+    src = fs[0].source
+    if any(f.source != src for f in fs):
+        raise TheoryError("tupling requires a common source")
+    comps = tuple(c for f in fs for c in f.components)
+    return Morphism(src, sum(f.target for f in fs), comps)
+
+
+# -- small categories --------------------------------------------------------------
+
+def discrete_category(n: int) -> FinCategory:
+    return build_category(n, list(range(n)), list(range(n)), list(range(n)), {})
+
+
+def poset_category(relation: list[tuple[int, int]], n: int) -> FinCategory:
+    """Thin category from a reflexive-transitive relation given as pairs (a<=b).
+
+    Arrows are ordered with the identities first, matching the text format.
+    """
+    strict = sorted(set(relation) - {(a, a) for a in range(n)})
+    pairs = [(a, a) for a in range(n)] + strict
+    src = [a for a, _ in pairs]
+    dst = [b for _, b in pairs]
+    idx = {p: i for i, p in enumerate(pairs)}
+    identity = [idx[(a, a)] for a in range(n)]
+    comp = {}
+    for (a, b) in pairs:
+        for (b2, c) in pairs:
+            if b2 != b:
+                continue
+            if (a, c) not in idx:
+                raise CatError("relation is not transitive")
+            comp[(idx[(a, b)], idx[(b, c)])] = idx[(a, c)]
+    return build_category(n, src, dst, identity, comp)
+
+
+def group_delooping(n: int) -> FinCategory:
+    """One object, arrows Z/n under addition."""
+    comp = {(a, b): (a + b) % n for a in range(n) for b in range(n)}
+    return build_category(1, [0] * n, [0] * n, [0], comp)
+
+
+# -- functors, whiskering, identity homomorphisms ----------------------------------
+
+def identity_functor(cat: FinCategory) -> FinFunctor:
+    return FinFunctor(cat, cat, tuple(range(cat.n_objects)), tuple(range(cat.n_arrows)))
+
+
+def whisker_left(fun: FinFunctor, nat: FinNat) -> FinNat:
+    """Precompose: the transformation fun;nat with components at fun-images."""
+    if fun.target != nat.source.source:
+        raise CatError("left whisker mismatch")
+    comps = tuple(nat.components[fun.obj_map[a]] for a in range(fun.source.n_objects))
+    return FinNat(compose_functors(fun, nat.source), compose_functors(fun, nat.target), comps)
+
+
+def whisker_right(nat: FinNat, fun: FinFunctor) -> FinNat:
+    """Postcompose: apply fun to every component."""
+    if nat.source.target != fun.source:
+        raise CatError("right whisker mismatch")
+    comps = tuple(fun.arr_map[c] for c in nat.components)
+    return FinNat(compose_functors(nat.source, fun), compose_functors(nat.target, fun), comps)
+
+
+def identity_hom(model: CatModel, weakness: str) -> LaxHom:
+    return hom_from_components(model, model, weakness, identity_functor(model.carrier))

@@ -11,9 +11,11 @@ from lawkit import fixtures as fx
 from lawkit.catmodels import (
     CatModel,
     HomCategory,
+    HomCoherence,
     LaxHom,
     Modification,
     ModelViolation,
+    _cell_boundary,
     algebra_view,
     build_hom_category,
     compose_homs,
@@ -21,16 +23,13 @@ from lawkit.catmodels import (
     convolution_algebra,
     enumerate_homs_w,
     enumerate_modifications,
-    extend_hom_cell,
     functor_power,
     hom_cell_boundary,
-    identity_hom,
     identity_modification,
     internal_algebras,
     internal_coalgebras,
     internal_hom,
     lift_hom,
-    lift_model,
     power_cat_model,
     terminal_model,
     tuple_homs,
@@ -41,7 +40,6 @@ from lawkit.catmodels import (
 from lawkit.cells import (
     CellError,
     Gen,
-    TheoryMorphism,
     _decompose,
     _is_plain_generator,
     evaluate_pasting,
@@ -52,7 +50,6 @@ from lawkit.fincat import (
     FinNat,
     build_category,
     compose_functors,
-    discrete_category,
     enumerate_functors,
     enumerate_naturals,
     identity_nat,
@@ -60,10 +57,9 @@ from lawkit.fincat import (
     validate_functor,
     validate_nat,
     vert_nat,
-    whisker_left,
-    whisker_right,
 )
 from lawkit.theory import Morphism, Proj, generator_morphism, is_inert, par
+from references import discrete_category, identity_hom, whisker_left, whisker_right
 
 # Discrete two objects swapped by the involution.
 TWO_OBJECT_INVOLUTION = """
@@ -167,34 +163,14 @@ def test_convolution_examples():
     assert conv.size == 1
 
 
-def test_convolution_validates_rho():
-    from lawkit.catmodels import rho_validates_for_convolution
-    rho = TheoryMorphism(
-        fx.theory("t_ass_flat").base, fx.theory("t_comm_flat").base,
-        (("m", generator_morphism(fx.theory("t_comm_flat").base.op("m"))),
-         ("u", generator_morphism(fx.theory("t_comm_flat").base.op("u")))))
-    assert rho_validates_for_convolution(rho) == []
-    from lawkit.theory import proj_morphism
-    bad = TheoryMorphism(
-        fx.theory("t_ass_flat").base, fx.theory("t_comm_flat").base,
-        (("m", proj_morphism(0, 2)),
-         ("u", generator_morphism(fx.theory("t_comm_flat").base.op("u")))))
-    assert rho_validates_for_convolution(bad) != []
-
-
-def test_lift_model_fixtures():
-    lifts = lift_model(fx.model("poset_meet"), fx.sigma("sigma_comm_flat"))
-    assert [n for n, _ in lifts] == ["m", "u"]
-    lifts = lift_model(fx.model("graded_lines"), fx.sigma("sigma_comm_flat"))
-    for _, hom in lifts:
-        assert validate_lax_hom(hom) == []
-    lifts = lift_model(fx.model("poset_involution"), fx.sigma("sigma_inv"))
-    assert [n for n, _ in lifts] == ["inv"]
-
-
-def test_lift_refuses_incoherent():
-    with pytest.raises(CellError):
-        lift_model(fx.model("graded_lines_z3"), fx.sigma("sigma_braid"))
+def test_lift_hom_fixtures():
+    for model_name, sigma_name in (("poset_meet", "sigma_comm_flat"),
+                                   ("graded_lines", "sigma_comm_flat"),
+                                   ("poset_involution", "sigma_inv")):
+        model = fx.model(model_name)
+        for op in model.theory.base.basis_ops():
+            hom = lift_hom(model, fx.sigma(sigma_name), generator_morphism(op))
+            assert validate_lax_hom(hom) == [], (model_name, op.name)
 
 
 def test_internal_hom_matches_internal_algebras():
@@ -426,6 +402,16 @@ class FromScratch:
         if hom.weakness == "colax":
             first, second = second, first
         return FinNat(outer_src, outer_tgt, vert_nat(first, second).components)
+
+
+def extend_hom_cell(hom: LaxHom, f: Morphism) -> FinNat:
+    """Canonical structure cell of a homomorphism at an arbitrary morphism."""
+    if _is_plain_generator(f):
+        return hom.cell(f.components[0].op.name)  # type: ignore[union-attr]
+    X, Y = hom.source, hom.target
+    cells = [hom.cell(g.name) for g in X.theory.base.generators]
+    _, comps = HomCoherence(X, Y, hom.weakness, hom.f1).extension(f)
+    return FinNat(*_cell_boundary(X, Y, hom.f1, f, hom.weakness), comps(cells))
 
 
 def _models_by_theory():
@@ -830,14 +816,14 @@ def test_pruned_hom_search_matches_product_reference():
 def test_hom_search_checks_coherence_on_components(monkeypatch):
     """Neither the hom search nor the hom category whiskers: hom coherence and
     modifications are both checked on components."""
-    assert not hasattr(catmodels, "whisker_left") and not hasattr(catmodels, "whisker_right")
+    for module in (catmodels, fincat):
+        assert not hasattr(module, "whisker_left") and not hasattr(module, "whisker_right")
     calls = Counter()
-    for module, name in ((fincat, "whisker_left"), (fincat, "whisker_right"),
-                         (catmodels, "vert_nat"), (catmodels, "validate_lax_hom")):
-        def counted(*args, _name=name, _f=getattr(module, name)):
+    for name in ("vert_nat", "validate_lax_hom"):
+        def counted(*args, _name=name, _f=getattr(catmodels, name)):
             calls[_name] += 1
             return _f(*args)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(catmodels, name, counted)
     Y = fx.model("graded_lines")
     homs = enumerate_homs_w(Y, Y, "lax")
     assert len(homs) == 8

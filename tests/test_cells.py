@@ -20,10 +20,8 @@ from lawkit.cells import (
     PowerR,
     SigmaTable,
     SyntacticallyEqual,
-    TheoryMorphism,
     TwoTheoryPresentation,
     Vert,
-    check_commuting_over,
     check_sigma_coherence,
     derive_sigma,
     derived_associativity_check,
@@ -53,8 +51,8 @@ from lawkit.theory import (
     par,
     power_left,
     power_right,
-    proj_morphism,
 )
+from references import proj_morphism
 
 
 def test_two_theory_validation():
@@ -181,34 +179,6 @@ def test_symmetry_roundtrip_built_in_coherence():
                       symmetric=True)
     report = check_sigma_coherence(fx.theory("t_braid"), asym, [fx.model("graded_lines_z3")])
     assert any(i.check == "symmetry" for i in report.issues)
-
-
-def test_commuting_over():
-    rho = TheoryMorphism(
-        fx.theory("t_ass_flat").base, fx.theory("t_braid").base,
-        (("m", generator_morphism(fx.theory("t_braid").base.op("m"))),
-         ("u", generator_morphism(fx.theory("t_braid").base.op("u")))))
-    report = check_commuting_over(rho, fx.theory("t_braid"), fx.sigma("sigma_braid"), "u",
-                                  [fx.model("graded_lines_z3")])
-    assert report.verdict == "Passes"
-
-    rho_bad = TheoryMorphism(
-        fx.theory("t_ass_flat").base, fx.theory("t_braid").base,
-        (("m", proj_morphism(0, 2)),
-         ("u", generator_morphism(fx.theory("t_braid").base.op("u")))))
-    report = check_commuting_over(rho_bad, fx.theory("t_braid"), fx.sigma("sigma_braid"),
-                                  "u", [])
-    assert report.verdict == "Fails"
-    assert any("unit law" in issue or "not preserved" in issue for issue in report.issues)
-
-
-def test_identity_commuting_matches_coherence_units():
-    base = fx.theory("t_comm_flat").base
-    rho = TheoryMorphism(base, base,
-                         tuple((g.name, generator_morphism(g)) for g in base.generators))
-    report = check_commuting_over(rho, fx.theory("t_comm_flat"), fx.sigma("sigma_comm_flat"),
-                                  "u", [fx.model("poset_meet")])
-    assert report.verdict == "Passes"
 
 
 def test_vertical_composition_respected_by_evaluation():

@@ -9,14 +9,10 @@ from lawkit.fincat import (
     FinFunctor,
     build_category,
     compose_functors,
-    discrete_category,
     enumerate_functors,
     enumerate_naturals,
     graded_scalar_category,
-    group_delooping,
-    identity_functor,
     identity_nat,
-    poset_category,
     product,
     power,
     terminal_category,
@@ -24,6 +20,11 @@ from lawkit.fincat import (
     validate_functor,
     validate_nat,
     vert_nat,
+)
+from references import (
+    group_delooping,
+    identity_functor,
+    poset_category,
     whisker_left,
     whisker_right,
 )

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from conftest import shipped_models
-from lawkit import fixtures as fx
+from lawkit import finset, fixtures as fx
 from lawkit.finset import (
     FinSetModel,
     MatrixView,
@@ -12,17 +12,17 @@ from lawkit.finset import (
     Violation,
     act_left,
     act_right,
-    canonical_filter,
+    all_tuples,
     compose_homs,
     enumerate_homs,
     enumerate_models,
-    is_hom,
     eh_uniqueness_probe,
     power_model,
     semantic_commutativity_check,
     validate_model,
 )
-from lawkit.theory import TheoryError, check_commutative, transpose
+from lawkit.theory import TheoryError, transpose
+from references import proj_morphism
 
 
 T_ASS = fx.theory("t_ass").base
@@ -111,11 +111,6 @@ def test_enumeration_matches_oracle():
         assert got_keys == want_keys
 
 
-def test_canonical_filter_counts_up_to_iso():
-    labeled = list(enumerate_models(T_ASS, 2))
-    assert len(canonical_filter(labeled)) == 2
-
-
 def test_act_left_identity_and_projection():
     model = validate_model(T_COMM, 2, Z2)
     mat = MatrixView(1, 3, (1, 0, 1))
@@ -175,6 +170,16 @@ def test_enumerate_homs_examples():
     assert [h.mapping for h in enumerate_homs(band, z2)] == [(0, 0)]
 
 
+def is_hom(source: FinSetModel, target: FinSetModel, mapping: tuple[int, ...]) -> bool:
+    for g in source.theory.generators:
+        for args in all_tuples(source.size, g.arity):
+            lhs = mapping[source.apply(g.name, args)]
+            rhs = target.apply(g.name, tuple(mapping[a] for a in args))
+            if lhs != rhs:
+                return False
+    return True
+
+
 def test_enumerate_homs_matches_product_then_filter():
     shipped = shipped_models("finset")
     z3 = next(m for m in enumerate_models(T_COMM, 3))
@@ -220,22 +225,15 @@ def test_eh_uniqueness_probe():
     assert report.count == 2 and not report.unique
 
 
-def test_eh_uniqueness_bound():
+def test_eh_uniqueness_bound(monkeypatch):
     maps = validate_model(T_COMM, 2, Z2)
+    monkeypatch.setattr(finset, "EH_PROBE_SIZE_BOUND", 1)
     with pytest.raises(TheoryError):
-        eh_uniqueness_probe(T_COMM, maps, size_bound=1)
-
-
-def test_syntactic_semantic_agreement_small():
-    from lawkit.finset import syntactic_semantic_agreement
-    for theory in (T_COMM, T_ASS, T_POINTED, T_INV_1D):
-        report = check_commutative(theory)
-        for size in (1, 2, 3):
-            assert syntactic_semantic_agreement(theory, report, size) == []
+        eh_uniqueness_probe(T_COMM, maps)
 
 
 def test_act_with_identity_and_projection_morphisms():
-    from lawkit.theory import identity, proj_morphism
+    from lawkit.theory import identity
     model = validate_model(T_COMM, 2, Z2)
     mat = MatrixView(1, 3, (1, 0, 1))
     assert act_left(model, identity(1), mat) == (1, 0, 1)

@@ -102,7 +102,7 @@ def test_eh_local_iso_probe():
 
 
 def test_bilax_identity():
-    from lawkit.catmodels import identity_hom
+    from references import identity_hom
     P = fx.model("poset_meet")
     fbar = identity_hom(P, "lax")
     funder = identity_hom(P, "colax")

@@ -11,11 +11,7 @@ from lawkit.fincat import (
     enumerate_functors,
     enumerate_naturals,
     graded_scalar_category,
-    group_delooping,
-    poset_category,
     vert_nat,
-    whisker_left,
-    whisker_right,
 )
 from lawkit.finset import FinSetModel, all_tuples, validate_model
 from lawkit.theory import (
@@ -29,6 +25,7 @@ from lawkit.theory import (
     normalize_morphism,
     row_then_col,
 )
+from references import group_delooping, poset_category, whisker_left, whisker_right
 
 
 T_ASS = fx.theory("t_ass").base

@@ -13,6 +13,9 @@ from lawkit.theory import (
     NotEqual,
     OpSymbol,
     Proj,
+    REWRITE_BUDGET,
+    RewriteStep,
+    Term,
     TheoryError,
     TheoryPresentation,
     Unknown,
@@ -28,21 +31,17 @@ from lawkit.theory import (
     match,
     normalize,
     normalize_morphism,
-    operadic_compose,
     par,
     power_left,
     power_right,
-    proj_morphism,
-    replace_at,
     render_term,
-    replay_trace,
     row_then_col,
     tensor_ops,
     substitute,
     transpose,
-    tupling,
     unit_insertion,
 )
+from references import proj_morphism, tupling
 
 
 T_ASS = fx.theory("t_ass").base
@@ -58,6 +57,41 @@ u = generator_morphism(U)
 
 def ap(op, args, n):
     return Apply(op, tuple(args), n)
+
+
+def operadic_compose(alpha: Morphism, betas: list[Morphism]) -> Morphism:
+    """alpha(beta_1, ..., beta_n) = (beta_1 x ... x beta_n) then alpha."""
+    if alpha.source != len(betas):
+        raise TheoryError(f"operadic composition expects {alpha.source} arguments, got {len(betas)}")
+    for b in betas:
+        if b.target != 1:
+            raise TheoryError("operadic arguments must have target 1")
+    return compose(par(betas), alpha)
+
+
+def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
+    for i in path:
+        assert isinstance(t, Apply)
+        t = t.args[i]
+    return t
+
+
+def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
+    if not path:
+        return new
+    assert isinstance(t, Apply)
+    i = path[0]
+    args = list(t.args)
+    args[i] = replace_at(args[i], path[1:], new)
+    return Apply(t.op, tuple(args), t.context)
+
+
+def replay_trace(t: Term, trace: list[RewriteStep]) -> Term:
+    for step in trace:
+        if subterm_at(t, step.path) != step.before:
+            raise TheoryError("trace does not replay")
+        t = replace_at(t, step.path, step.after)
+    return t
 
 
 def test_compose_identity_laws():
@@ -270,6 +304,15 @@ def test_unknown_on_unorientable():
     assert isinstance(verdict, (Unknown, NotEqual))
 
 
+def test_rewrite_budget_is_read_when_a_call_runs(monkeypatch):
+    left = operadic_compose(m, [m, identity(1)])
+    right = operadic_compose(m, [identity(1), m])
+    assert isinstance(decide_equal(T_ASS, left, right), Equal)
+    monkeypatch.setattr("lawkit.theory.REWRITE_BUDGET", 0)
+    assert decide_equal(T_ASS, left, right, model_bound=1) == \
+        Unknown("rewrite budget exhausted; no counter-model up to bound", 0, 1)
+
+
 def test_tupling_requires_common_source():
     with pytest.raises(TheoryError):
         tupling([identity(1), identity(2)])
@@ -444,10 +487,10 @@ def test_normalize_matches_restart_reference():
 def test_normalize_deep_and_long_terms():
     rules = T_ASS.rewrite_rules()
     deep = _right_nested(901)
-    nf, trace, within = normalize(deep, rules)
+    nf, trace, within = normalize(deep, rules, REWRITE_BUDGET)
     assert nf is deep and trace == [] and within
     n = 120
-    nf, trace, within = normalize(_left_nested(n), rules)
+    nf, trace, within = normalize(_left_nested(n), rules, REWRITE_BUDGET)
     assert within and nf == _right_nested(n)
     assert len(trace) == (n - 1) * (n - 2) // 2 == 7021
     assert {s.rule for s in trace} == {"assoc"}
