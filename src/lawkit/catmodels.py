@@ -735,10 +735,10 @@ def algebra_view(hom: LaxHom) -> InternalAlgebra:
 
 # -- lifting along an exchange table --------------------------------------------------
 
-def lift_hom(model: CatModel, sigma: SigmaTable, beta: Morphism,
-             weakness: str | None = None,
-             src_power: CatModel | None = None) -> LaxHom:
-    """The operation X(beta): X^k -> X as a homomorphism of models.
+def lift_hom(model: CatModel, sigma: SigmaTable, beta: Morphism, weakness: str,
+             src_power: CatModel) -> LaxHom:
+    """The operation X(beta): X^k -> X as a homomorphism of models;
+    ``src_power`` is the power model X^k.
 
     Structure cells are the evaluated exchange cells sigma_{alpha, beta}.
     A colax lift inverts them, which needs an invertible table.
@@ -746,19 +746,15 @@ def lift_hom(model: CatModel, sigma: SigmaTable, beta: Morphism,
     from .cells import Inverse
     if beta.target != 1:
         raise CellError("lift expects a map with target 1")
-    k = beta.source
-    src = src_power if src_power is not None else power_cat_model(model, k)
-    if weakness is None:
-        weakness = "lax" if sigma.weakness == "strict" else sigma.weakness
     f1 = model.functor_of(beta)
-    f1 = FinFunctor(src.carrier, model.carrier, f1.obj_map, f1.arr_map)
+    f1 = FinFunctor(src_power.carrier, model.carrier, f1.obj_map, f1.arr_map)
     tables = []
     for gen in model.theory.base.generators:
         pasting = derive_sigma(model.theory, sigma, generator_morphism(gen), beta)
         if weakness == "colax":
             pasting = Inverse(pasting)
         tables.append(evaluate_pasting(pasting, model).components)
-    return hom_from_components(src, model, weakness, f1, tables)
+    return hom_from_components(src_power, model, weakness, f1, tables)
 
 
 def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,

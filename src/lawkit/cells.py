@@ -31,7 +31,7 @@ from .theory import (
     Proj,
     TheoryError,
     TheoryPresentation,
-    col_then_row,
+    commutativity_square,
     compose,
     generator_morphism,
     identity,
@@ -265,10 +265,6 @@ class TwoTheoryPresentation:
                 return c
         raise CellError(f"unknown 2-cell {name}")
 
-    @property
-    def name(self) -> str:
-        return self.base.name
-
 
 def boundary_normal_form(theory: TheoryPresentation, f: Morphism) -> Morphism:
     nf, _, ok = normalize_morphism(theory, f)
@@ -460,10 +456,6 @@ class SigmaTable:
             if (x, y) == (a, b):
                 return p
         return None
-
-
-def sigma_boundaries(alpha: Morphism, beta: Morphism) -> tuple[Morphism, Morphism]:
-    return row_then_col(alpha, beta), col_then_row(alpha, beta)
 
 
 def _is_plain_generator(f: Morphism) -> bool:
@@ -719,7 +711,7 @@ def check_sigma_coherence(theory2: TwoTheoryPresentation, sigma: SigmaTable,
     # Entry typing: boundaries, strictness, invertibility.
     for (a, b), entry in sigma.entries:
         checked += 1
-        want_src, want_tgt = sigma_boundaries(
+        want_src, want_tgt = commutativity_square(
             generator_morphism(base.op(a)), generator_morphism(base.op(b)))
         if not boundaries_agree(base, entry.source(), want_src) or \
            not boundaries_agree(base, entry.target(), want_tgt):

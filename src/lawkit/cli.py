@@ -177,10 +177,10 @@ def cmd_commutative(args, doc):
             sem = finset.semantic_commutativity_check(model)
             if sem.verdict != "Passes":
                 failed = True
-                a, b, mat = sem.witness
+                a, b, env = sem.witness
                 witnesses.append({"pair": [a, b], "model_size": model.size,
                                   "tables": _jsonable(dict(model.tables)),
-                                  "matrix": list(mat.entries)})
+                                  "matrix": list(env)})
                 verdicts.append({"name": f"size-{size}", "verdict": "Fails",
                                  "detail": None})
                 break

@@ -46,6 +46,7 @@ sides are not parallel.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import fincat
@@ -210,7 +211,15 @@ class Document:
 
 # -- tokenizer ----------------------------------------------------------------------------
 
-_PUNCT = ("->", "=>", "{", "}", "(", ")", "[", "]", "<", ">", ",", ";", ":", ".", "=")
+# One alternative per lexeme, in the order the grammar resolves overlaps:
+# ``--`` opens a comment before ``-`` can start ``->``, and two-character
+# punctuation before its one-character prefix.  ``bad`` takes any other
+# character, so every offset of the text is matched.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n) | (?P<space>[ \t\r]+) | (?P<comment>--[^\n]*)
+  | "(?P<string>[^"]*)" | (?P<punct>->|=>|[{}()\[\]<>,;:.=])
+  | (?P<nat>[0-9]+) | (?P<ident>[a-zA-Z][a-zA-Z0-9_]*) | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -222,60 +231,24 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """Columns count characters, a string's newlines included; a comment
+    leaves the column where it starts."""
     out = []
-    i = 0
     line, col = 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "bad":
+            c = m.group()
+            raise ParseError(line, col, "unterminated string" if c == '"'
+                             else f"unexpected character {c!r}")
+        if kind == "comment":
             continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError(line, col, "unterminated string")
-            out.append(Token("string", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                out.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("nat", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(line, col, f"unexpected character {c!r}")
+        if kind != "space":
+            out.append(Token(kind, m.group(kind), line, col))
+        col += m.end() - m.start()
     out.append(Token("eof", "", line, col))
     return out
 

@@ -208,12 +208,6 @@ class ProductCategory:
         self.n_arrows = math.prod(self._arr_radices)
         self._cat: FinCategory | None = None
 
-    def obj_radices(self) -> tuple[int, ...]:
-        return self._obj_radices
-
-    def arr_radices(self) -> tuple[int, ...]:
-        return self._arr_radices
-
     def encode_obj(self, parts: tuple[int, ...]) -> int:
         return encode(parts, self._obj_radices)
 
@@ -230,11 +224,6 @@ class ProductCategory:
         fp = decode(f, self._arr_radices)
         gp = decode(g, self._arr_radices)
         return encode(tuple(c.then(a, b) for c, a, b in zip(self.factors, fp, gp)),
-                      self._arr_radices)
-
-    def identity_arr(self, o: int) -> int:
-        parts = decode(o, self._obj_radices)
-        return encode(tuple(c.identity[p] for c, p in zip(self.factors, parts)),
                       self._arr_radices)
 
     def arr_src(self, a: int) -> int:

@@ -1,4 +1,4 @@
-"""Finite-set semantics: evaluation, validation, enumeration, matrix actions.
+"""Finite-set semantics: evaluation, validation, enumeration, homomorphisms.
 
 Carriers are initial segments 0..n-1.  Operation tables are flat tuples in
 row-major argument order: args (a_0,...,a_{k-1}) index sum(a_i * n^(k-1-i)).
@@ -16,12 +16,13 @@ from .search import search
 from .theory import (
     Apply,
     Morphism,
-    OpSymbol,
     Proj,
     Term,
     TheoryError,
     TheoryPresentation,
     _shape,
+    commutativity_square,
+    generator_morphism,
 )
 
 # Most table cells, summed over the generators, a model enumeration may fill.
@@ -215,12 +216,6 @@ def enumerate_homs(source: FinSetModel, target: FinSetModel) -> list[ModelHom]:
             for mapping in search(lambda i, a: range(target.size), checks)]
 
 
-def compose_homs(f: ModelHom, g: ModelHom) -> ModelHom:
-    if f.target != g.source:
-        raise TheoryError("hom composition mismatch")
-    return ModelHom(f.source, g.target, tuple(g.mapping[v] for v in f.mapping))
-
-
 def power_model(model: FinSetModel, n: int) -> FinSetModel:
     """The n-th power: carrier size**n with pointwise operations.
 
@@ -247,76 +242,30 @@ def power_model(model: FinSetModel, n: int) -> FinSetModel:
     return make_model(model.theory, psize, tables)
 
 
-# -- matrix actions and semantic commutativity ---------------------------------
-
-@dataclass(frozen=True)
-class MatrixView:
-    rows: int
-    cols: int
-    entries: tuple[int, ...]  # row-major
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise TheoryError("matrix entry count mismatch")
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-
-def _as_evaluator(model: FinSetModel, op: OpSymbol | Morphism):
-    """Accept an operation symbol or any morphism with target 1."""
-    if isinstance(op, Morphism):
-        if op.target != 1:
-            raise TheoryError("matrix actions need maps with target 1")
-        return op.source, lambda args: model.eval_morphism(op, args)[0]
-    return op.arity, lambda args: model.apply(op.name, args)
-
-
-def act_left(model: FinSetModel, alpha: OpSymbol | Morphism,
-             mat: MatrixView) -> tuple[int, ...]:
-    """Apply alpha to each column; the matrix must have arity-many rows."""
-    arity, evaluate = _as_evaluator(model, alpha)
-    if mat.rows != arity:
-        raise TheoryError("row count must equal the operation arity")
-    return tuple(evaluate(mat.col(j)) for j in range(mat.cols))
-
-
-def act_right(model: FinSetModel, mat: MatrixView,
-              beta: OpSymbol | Morphism) -> tuple[int, ...]:
-    """Apply beta to each row; the matrix must have arity-many columns."""
-    arity, evaluate = _as_evaluator(model, beta)
-    if mat.cols != arity:
-        raise TheoryError("column count must equal the operation arity")
-    return tuple(evaluate(mat.row(i)) for i in range(mat.rows))
-
+# -- semantic commutativity ----------------------------------------------------
 
 @dataclass(frozen=True)
 class SemanticCommutativityReport:
     verdict: str
     pairs: tuple[tuple[str, str, bool], ...]
-    witness: tuple[str, str, MatrixView] | None
+    witness: tuple[str, str, tuple[int, ...]] | None
 
 
 def semantic_commutativity_check(model: FinSetModel) -> SemanticCommutativityReport:
-    """Column action then row action must equal row action then column action."""
+    """Every commutativity square of two basis operations must hold in the model.
+
+    The witness is the first separating input of the first failing square:
+    for basis operations of arities m and k it is an m x k matrix, row-major.
+    """
     pairs = []
     witness = None
     for a in model.theory.basis_ops():
         for b in model.theory.basis_ops():
-            ok = True
-            for entries in all_tuples(model.size, a.arity * b.arity):
-                mat = MatrixView(a.arity, b.arity, tuple(entries))
-                via_cols = model.apply(b.name, act_left(model, a, mat))
-                via_rows = model.apply(a.name, act_right(model, mat, b))
-                if via_cols != via_rows:
-                    ok = False
-                    if witness is None:
-                        witness = (a.name, b.name, mat)
-                    break
-            pairs.append((a.name, b.name, ok))
+            env = separating_input(
+                model, *commutativity_square(generator_morphism(a), generator_morphism(b)))
+            pairs.append((a.name, b.name, env is None))
+            if witness is None and env is not None:
+                witness = (a.name, b.name, env)
     verdict = "Passes" if all(ok for _, _, ok in pairs) else "Fails"
     return SemanticCommutativityReport(verdict, tuple(pairs), witness)
 

@@ -40,14 +40,12 @@ from .cells import (
     SigmaTable,
     TwoTheoryPresentation,
     derive_sigma,
+    is_invertible_pasting,
     pasting_components,
 )
 from .fincat import FinFunctor, FinNat, enumerate_functors
 from .search import search
-from .theory import (
-    generator_morphism,
-    unit_insertion,
-)
+from .theory import Equal, check_unital, generator_morphism
 
 
 @dataclass(frozen=True)
@@ -62,12 +60,6 @@ class BinaryMultimap:
             if n == name:
                 return c
         raise CellError(f"no left cell for {name}")
-
-    def right(self, name: str) -> tuple[int, ...]:
-        for n, c in self.cells_right:
-            if n == name:
-                return c
-        raise CellError(f"no right cell for {name}")
 
 
 def _pair(y_count: int, x_idx: int, y_idx: int) -> int:
@@ -454,28 +446,16 @@ class EhReport2d:
 
 
 def eckmann_hilton_2d(theory2: TwoTheoryPresentation, sigma: SigmaTable) -> EhReport2d:
-    from .cells import is_invertible_pasting
-    from .theory import Equal, decide_equal, identity, compose
-
     base = theory2.base
     basis = base.basis_ops()
     no_unary = all(g.arity != 1 for g in basis)
     units = [g for g in basis if g.arity == 0]
     unital = []
     for g in basis:
-        if g.arity <= 1:
-            continue
-        ok = False
-        for u in units:
-            verdicts = []
-            for k in range(g.arity):
-                comp = compose(unit_insertion(generator_morphism(u), k, g.arity),
-                               generator_morphism(g))
-                verdicts.append(decide_equal(base, comp, identity(1)))
-            if all(isinstance(v, Equal) for v in verdicts):
-                ok = True
-                break
-        unital.append((g.name, ok))
+        if g.arity > 1:
+            ok = any(all(isinstance(v, Equal) for v in check_unital(base, g, u).values())
+                     for u in units)
+            unital.append((g.name, ok))
     diag = []
     for g in basis:
         cell = derive_sigma(theory2, sigma, generator_morphism(g), generator_morphism(g))

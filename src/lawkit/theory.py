@@ -190,13 +190,9 @@ def transpose(m: int, k: int) -> Morphism:
     return Morphism(src, k * m, comps)
 
 
-def tensor_ops(f: Morphism, g: Morphism) -> Morphism:
+def col_then_row(f: Morphism, g: Morphism) -> Morphism:
     """Columns-then-rows composite m*k -> n*l: (f·k) then (n·g)."""
     return compose(power_right(f, g.source), power_left(g, f.target))
-
-
-def col_then_row(f: Morphism, g: Morphism) -> Morphism:
-    return tensor_ops(f, g)
 
 
 def row_then_col(f: Morphism, g: Morphism) -> Morphism:
@@ -270,9 +266,6 @@ class TheoryPresentation:
 
     def basis_ops(self) -> list[OpSymbol]:
         return [self.op(b) for b in self.basis]
-
-    def units(self) -> list[OpSymbol]:
-        return [g for g in self.generators if g.arity == 0]
 
     def rewrite_rules(self) -> list[tuple[str, Term, Term]]:
         """Component-wise oriented rules (name, lhs pattern, rhs pattern)."""
@@ -519,12 +512,6 @@ def decide_equal(theory: TheoryPresentation, f: Morphism, g: Morphism,
 class CommutativityReport:
     verdict: str                     # "Commutative" | "NotCommutative" | "Inconclusive"
     pairs: tuple[tuple[str, str, EqualityVerdict], ...]
-
-    def pair(self, a: str, b: str) -> EqualityVerdict:
-        for x, y, v in self.pairs:
-            if (x, y) == (a, b):
-                return v
-        raise KeyError((a, b))
 
 
 def commutativity_square(alpha: Morphism, beta: Morphism) -> tuple[Morphism, Morphism]:

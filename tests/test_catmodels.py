@@ -164,12 +164,13 @@ def test_convolution_examples():
 
 
 def test_lift_hom_fixtures():
-    for model_name, sigma_name in (("poset_meet", "sigma_comm_flat"),
-                                   ("graded_lines", "sigma_comm_flat"),
-                                   ("poset_involution", "sigma_inv")):
+    for model_name, sigma_name, weakness in (("poset_meet", "sigma_comm_flat", "pseudo"),
+                                             ("graded_lines", "sigma_comm_flat", "pseudo"),
+                                             ("poset_involution", "sigma_inv", "lax")):
         model = fx.model(model_name)
         for op in model.theory.base.basis_ops():
-            hom = lift_hom(model, fx.sigma(sigma_name), generator_morphism(op))
+            hom = lift_hom(model, fx.sigma(sigma_name), generator_morphism(op), weakness,
+                           power_cat_model(model, op.arity))
             assert validate_lax_hom(hom) == [], (model_name, op.name)
 
 
@@ -262,7 +263,8 @@ def test_lift_cells_carry_the_braiding_sign():
     model = fx.model("graded_lines")
     from lawkit.theory import generator_morphism
     lift = lift_hom(model, fx.sigma("sigma_comm_flat"),
-                    generator_morphism(fx.theory("t_comm_flat").base.op("m")))
+                    generator_morphism(fx.theory("t_comm_flat").base.op("m")), "pseudo",
+                    power_cat_model(model, 2))
     assert validate_lax_hom(lift) == []
     cell = lift.cell("m")
     dom = model.power(4)
@@ -298,6 +300,12 @@ def reference_functor_power(fun, src_pow, dst_pow):
     arr_map = tuple(dst_pow.encode_arr(tuple(fun.arr_map[p] for p in src_pow.decode_arr(a)))
                     for a in range(src_pow.n_arrows))
     return FinFunctor(src_pow.cat, dst_pow.cat, obj_map, arr_map)
+
+
+def product_identity(prod, o):
+    """The identity arrow on object ``o`` of a product category, factor by factor."""
+    return prod.encode_arr(tuple(c.identity[p]
+                                 for c, p in zip(prod.factors, prod.decode_obj(o))))
 
 
 def _first_projection_variant(model):
@@ -380,7 +388,7 @@ class FromScratch:
         outer_src, outer_tgt = self.boundary(X, Y, hom.f1, f, hom.weakness)
         if is_inert(f):
             return FinNat(outer_src, outer_tgt,
-                          tuple(Y.power(f.target).identity_arr(outer_src.obj_map[o])
+                          tuple(product_identity(Y.power(f.target), outer_src.obj_map[o])
                                 for o in range(outer_src.source.n_objects)))
         if _is_plain_generator(f):
             return hom.cell(f.components[0].op.name)

@@ -476,8 +476,8 @@ def shipped_pastings():
         doc, _ = dsl.parse_file(path)
         for theory2 in doc.theories:
             for _, lhs, rhs in theory2.cell_equations:
-                out[(theory2.name, lhs)] = (theory2, lhs)
-                out[(theory2.name, rhs)] = (theory2, rhs)
+                out[(theory2.base.name, lhs)] = (theory2, lhs)
+                out[(theory2.base.name, rhs)] = (theory2, rhs)
         for for_theory, sigma in doc.sigmas:
             theory2 = doc.theory(for_theory)
             found = [p for _, p in sigma.entries]
@@ -500,7 +500,7 @@ def shipped_pastings():
                     found.extend(gray2_column_instance(theory2, sigma, Gen(cellsym), g))
                     found.extend(gray2_row_instance(theory2, sigma, g, Gen(cellsym)))
             for p in found:
-                out[(theory2.name, p)] = (theory2, p)
+                out[(theory2.base.name, p)] = (theory2, p)
     return list(out.values())
 
 

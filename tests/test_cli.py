@@ -176,10 +176,13 @@ def test_bad_finset_table_is_an_input_error_for_every_command(tmp_path, argv):
     ("eq e : swap(1,3) . m(x1,x2) = x1;", "3:10: swap(1,3) outside context 1"),
     ("cell c : m(x1,x2) => m(x2,x1);\n  cell c : m(x1,x2) => m(x1,x2);",
      "4:8: duplicate 2-cell 'c'"),
+    # Identifiers and numbers are ASCII: other letters and digits are stray characters.
+    ("op p : \u00b2 -> 1;", "3:10: unexpected character '\u00b2'"),
+    ("op p\u00e9 : 2 -> 1;", "3:7: unexpected character '\u00e9'"),
 ])
 def test_malformed_theory_items_are_positioned_input_errors(tmp_path, body, diagnostic):
     path = tmp_path / "t.law"
-    path.write_text(f"theory t {{\n  op m : 2 -> 1;\n  {body}\n}}\n")
+    path.write_text(f"theory t {{\n  op m : 2 -> 1;\n  {body}\n}}\n", encoding="utf-8")
     assert _input_error_detail(["check-theory", path]) == diagnostic
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import string
 from dataclasses import fields
 from pathlib import Path
 
@@ -184,6 +186,102 @@ def test_syntax_error_carries_position():
     assert (d.line, d.col) == (3, 1)
 
 
+# -- the tokenizer against the character loop it replaced -----------------------------------
+
+_PUNCT = ("->", "=>", "{", "}", "(", ")", "[", "]", "<", ">", ",", ";", ":", ".", "=")
+
+
+def reference_tokenize(text: str) -> list[dsl.Token]:
+    out = []
+    i = 0
+    line, col = 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == '"':
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise dsl.ParseError(line, col, "unterminated string")
+            out.append(dsl.Token("string", text[i + 1:j], line, col))
+            col += j - i + 1
+            i = j + 1
+            continue
+        matched = False
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                out.append(dsl.Token("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                matched = True
+                break
+        if matched:
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(dsl.Token("nat", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(dsl.Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise dsl.ParseError(line, col, f"unexpected character {c!r}")
+    out.append(dsl.Token("eof", "", line, col))
+    return out
+
+
+def _lex(tokenize, text):
+    try:
+        return tokenize(text)
+    except dsl.ParseError as e:
+        return str(e.diagnostic)
+
+
+def _one_character_mutants(text: str, count: int, seed: int):
+    """Seeded insertions, substitutions and deletions of one ASCII character."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        at = rng.randrange(len(text) + 1)
+        c = rng.choice(string.printable)
+        yield rng.choice((text[:at] + c + text[at:],
+                          text[:at] + c + text[at + 1:],
+                          text[:at] + text[at + 1:]))
+
+
+LEXICAL_CORNERS = ["", "--", "a --c", "a\n--c", '"x\ny" z', '""', '"open', "-", "-->",
+                   "->=>==>", "12ab_3 x1", "a\r\tb", "\x0c", "_x", '"a"b"c']
+
+
+def test_tokenize_matches_the_character_loop():
+    texts = [path.read_text(encoding="utf-8") for path in fx.law_files()]
+    corpus = texts + LEXICAL_CORNERS
+    for seed, text in enumerate(texts):
+        corpus += _one_character_mutants(text, 100, seed)
+    outcomes = [_lex(dsl.tokenize, text) for text in corpus]
+    assert outcomes == [_lex(reference_tokenize, text) for text in corpus]
+    assert sum(isinstance(o, str) for o in outcomes) > 100  # diagnostics are compared too
+
+
 def test_unresolved_reference_diagnostic():
     doc, src = dsl.parse("sigma s for missing weakness strict { }")
     assert doc is None
@@ -366,7 +464,7 @@ def test_rendered_pastings_parse_back(corpus):
     """render_pasting(p), written as a sigma entry, parses back to p."""
     by_theory = {}
     for theory2, p in corpus():
-        by_theory.setdefault(theory2.name, (theory2, []))[1].append(p)
+        by_theory.setdefault(theory2.base.name, (theory2, []))[1].append(p)
     for name, (theory2, pastings) in by_theory.items():
         op = theory2.base.generators[0].name  # every entry under one known pair
         entries = "".join(f"  ({op}, {op}) = {render_pasting(p)};\n" for p in pastings)

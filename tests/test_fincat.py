@@ -1,11 +1,7 @@
 import itertools
 
-import pytest
-
 from lawkit.fincat import (
-    CatError,
     CategoryViolation,
-    FinCategory,
     FinFunctor,
     build_category,
     compose_functors,

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import pytest
 
@@ -7,13 +8,9 @@ from conftest import shipped_models
 from lawkit import finset, fixtures as fx
 from lawkit.finset import (
     FinSetModel,
-    MatrixView,
     ModelHom,
     Violation,
-    act_left,
-    act_right,
     all_tuples,
-    compose_homs,
     enumerate_homs,
     enumerate_models,
     eh_uniqueness_probe,
@@ -21,7 +18,16 @@ from lawkit.finset import (
     semantic_commutativity_check,
     validate_model,
 )
-from lawkit.theory import TheoryError, transpose
+from lawkit.theory import (
+    Morphism,
+    OpSymbol,
+    TheoryError,
+    generator_morphism,
+    identity,
+    power_left,
+    power_right,
+    transpose,
+)
 from references import proj_morphism
 
 
@@ -29,6 +35,7 @@ T_ASS = fx.theory("t_ass").base
 T_COMM = fx.theory("t_comm").base
 T_POINTED = fx.theory("t_pointed").base
 T_INV_1D = fx.theory("t_inv_1d").base
+T_SEMIRING = fx.theory("t_semiring").base
 
 Z2 = {"m": (0, 1, 1, 0), "u": (0,)}
 AND = {"m": (0, 0, 0, 1), "u": (1,)}
@@ -111,26 +118,96 @@ def test_enumeration_matches_oracle():
         assert got_keys == want_keys
 
 
+# -- matrix actions, the reference for the semantic commutativity check ---------
+
+@dataclass(frozen=True)
+class MatrixView:
+    rows: int
+    cols: int
+    entries: tuple[int, ...]  # row-major
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows * self.cols:
+            raise TheoryError("matrix entry count mismatch")
+
+    def row(self, i: int) -> tuple[int, ...]:
+        return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def col(self, j: int) -> tuple[int, ...]:
+        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+
+
+def _as_evaluator(model: FinSetModel, op: OpSymbol | Morphism):
+    """Accept an operation symbol or any morphism with target 1."""
+    if isinstance(op, Morphism):
+        if op.target != 1:
+            raise TheoryError("matrix actions need maps with target 1")
+        return op.source, lambda args: model.eval_morphism(op, args)[0]
+    return op.arity, lambda args: model.apply(op.name, args)
+
+
+def act_left(model: FinSetModel, alpha: OpSymbol | Morphism,
+             mat: MatrixView) -> tuple[int, ...]:
+    """Apply alpha to each column; the matrix must have arity-many rows."""
+    arity, evaluate = _as_evaluator(model, alpha)
+    if mat.rows != arity:
+        raise TheoryError("row count must equal the operation arity")
+    return tuple(evaluate(mat.col(j)) for j in range(mat.cols))
+
+
+def act_right(model: FinSetModel, mat: MatrixView,
+              beta: OpSymbol | Morphism) -> tuple[int, ...]:
+    """Apply beta to each row; the matrix must have arity-many columns."""
+    arity, evaluate = _as_evaluator(model, beta)
+    if mat.cols != arity:
+        raise TheoryError("column count must equal the operation arity")
+    return tuple(evaluate(mat.row(i)) for i in range(mat.rows))
+
+
+def reference_semantic_commutativity_check(model: FinSetModel):
+    """Column action then row action must equal row action then column
+    action; (verdict, pairs, witness) with the witness matrix's entries."""
+    pairs = []
+    witness = None
+    for a in model.theory.basis_ops():
+        for b in model.theory.basis_ops():
+            ok = True
+            for entries in all_tuples(model.size, a.arity * b.arity):
+                mat = MatrixView(a.arity, b.arity, tuple(entries))
+                via_cols = model.apply(b.name, act_left(model, a, mat))
+                via_rows = model.apply(a.name, act_right(model, mat, b))
+                if via_cols != via_rows:
+                    ok = False
+                    if witness is None:
+                        witness = (a.name, b.name, mat.entries)
+                    break
+            pairs.append((a.name, b.name, ok))
+    verdict = "Passes" if all(ok for _, _, ok in pairs) else "Fails"
+    return verdict, tuple(pairs), witness
+
+
 def test_act_left_identity_and_projection():
     model = validate_model(T_COMM, 2, Z2)
-    mat = MatrixView(1, 3, (1, 0, 1))
-    ident = T_COMM.op("m")
-    # identity-arity-1 behaviour via a 1-row matrix and the nullary-free op
-    from lawkit.theory import OpSymbol
     assert act_left(model, OpSymbol("u", 0), MatrixView(0, 2, ())) == \
         (model.apply("u", ()),) * 2
 
 
 def test_act_left_example():
+    # the column action is the power f·k of the square's first leg
     model = validate_model(T_COMM, 2, Z2)
     mat = MatrixView(2, 2, (1, 0, 1, 1))
     assert act_left(model, T_COMM.op("m"), mat) == (0, 1)
+    assert model.eval_morphism(power_right(generator_morphism(T_COMM.op("m")), 2),
+                               mat.entries) == (0, 1)
 
 
 def test_act_right_row_application():
+    # the row action is the power k·f of the square's other leg
     model = validate_model(T_COMM, 2, Z2)
     mat = MatrixView(2, 2, (1, 0, 1, 1))
     assert act_right(model, mat, T_COMM.op("m")) == (1, 0)
+    assert model.eval_morphism(power_left(generator_morphism(T_COMM.op("m")), 2),
+                               mat.entries) == (1, 0)
 
 
 def test_act_transpose_factorization():
@@ -155,8 +232,21 @@ def test_semantic_commutativity():
     selfmaps = validate_model(T_ASS, 4, {"m": tuple(table), "u": (0,)})
     report = semantic_commutativity_check(selfmaps)
     assert report.verdict == "Fails"
-    a, b, mat = report.witness
-    assert (a, b) == ("m", "m") and mat.rows == 2 and mat.cols == 2
+    a, b, env = report.witness
+    assert (a, b) == ("m", "m") and len(env) == 4
+
+
+def test_semantic_commutativity_matches_matrix_actions():
+    checked = failing = 0
+    for theory in (T_ASS, T_COMM, T_POINTED, T_INV_1D, T_SEMIRING):
+        for size in (1, 2, 3):
+            for model in enumerate_models(theory, size):
+                report = semantic_commutativity_check(model)
+                assert (report.verdict, report.pairs, report.witness) == \
+                    reference_semantic_commutativity_check(model)
+                checked += 1
+                failing += report.verdict == "Fails"
+    assert (checked, failing) == (124, 46)
 
 
 def test_enumerate_homs_examples():
@@ -190,6 +280,12 @@ def test_enumerate_homs_matches_product_then_filter():
         reference = [m for m in itertools.product(range(target.size), repeat=source.size)
                      if is_hom(source, target, m)]
         assert [h.mapping for h in enumerate_homs(source, target)] == reference
+
+
+def compose_homs(f: ModelHom, g: ModelHom) -> ModelHom:
+    if f.target != g.source:
+        raise TheoryError("hom composition mismatch")
+    return ModelHom(f.source, g.target, tuple(g.mapping[v] for v in f.mapping))
 
 
 def test_homs_closed_under_composition():
@@ -233,7 +329,6 @@ def test_eh_uniqueness_bound(monkeypatch):
 
 
 def test_act_with_identity_and_projection_morphisms():
-    from lawkit.theory import identity
     model = validate_model(T_COMM, 2, Z2)
     mat = MatrixView(1, 3, (1, 0, 1))
     assert act_left(model, identity(1), mat) == (1, 0, 1)

@@ -22,7 +22,7 @@ from lawkit.multimaps import (
     internal_bialgebras,
     uncurry,
 )
-from lawkit.catmodels import internal_hom, enumerate_homs_w
+from lawkit.catmodels import internal_hom
 
 
 def test_multimaps_into_terminal():
@@ -189,9 +189,9 @@ def test_closed_structure_mixed_trio():
 def test_eh_local_iso_probe_lifts_each_operation_once(monkeypatch):
     lifted = []
 
-    def counted(model, sigma, beta, *args):
+    def counted(model, sigma, beta, weakness, src_power):
         lifted.append((model, beta))
-        return lift_hom(model, sigma, beta, *args)
+        return lift_hom(model, sigma, beta, weakness, src_power)
 
     monkeypatch.setattr(multimaps, "lift_hom", counted)
     gl = fx.model("graded_lines")

@@ -21,7 +21,6 @@ from lawkit.theory import (
     col_then_row,
     compose,
     generator_morphism,
-    identity,
     normalize_morphism,
     row_then_col,
 )

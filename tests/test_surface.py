@@ -1,35 +1,245 @@
-"""Every public top-level function and class in ``src/lawkit`` has a caller
-in ``src/lawkit``.
+"""Every public function, class, method and property in ``src/lawkit`` has a
+caller in ``src/lawkit``, and no module imports a name it never uses.
 
 A name that only tests reach belongs in the tests; a name nothing reaches
 belongs nowhere.  The one exemption is ``cli.main``, the ``lawkit`` console
 entry point that ``pyproject.toml`` names.
+
+References are resolved, not matched by name, so one definition cannot hide
+behind another of the same name:
+
+* a top-level name is reached by its bare name in its own module, by a name
+  imported from its module, or as ``module.name``;
+* a member ``C.m`` is reached by ``x.m`` where ``x`` has a type related to
+  ``C`` by inheritance.  Types are read from ``self``, annotations of
+  parameters, fields and return values, ``isinstance`` tests and
+  constructor calls.  Where the type of ``x`` is unknown, ``x.m`` counts only
+  when no other class defines a member ``m``.
+
+References inside a definition itself (recursion) do not count.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 
 from conftest import ROOT
 
 SRC = ROOT / "src" / "lawkit"
+TESTS = ROOT / "tests"
 ENTRY_POINTS = {("cli", "main")}
 
 
-def _referenced_names(tree: ast.AST) -> Counter:
-    names: Counter = Counter()
-    for node in ast.walk(tree):
+def _is_class(t: str) -> bool:
+    return t[0] not in "*["
+
+
+def _parse(directory):
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(directory.glob("*.py"))}
+
+
+class Source:
+    """The classes, members and top-level functions of the ``src/lawkit`` modules."""
+
+    def __init__(self, trees: dict[str, ast.Module]):
+        self.trees = trees
+        self.classes = {node.name: node for tree in trees.values() for node in tree.body
+                        if isinstance(node, ast.ClassDef)}
+        self.functions = defaultdict(list)
+        for tree in trees.values():
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    self.functions[node.name].append(node)
+        self.members = {name: self._members(node) for name, node in self.classes.items()}
+        self.owners = defaultdict(set)
+        for cls, members in self.members.items():
+            for member in members:
+                self.owners[member].add(cls)
+
+    @staticmethod
+    def _members(node: ast.ClassDef) -> dict[str, ast.AST]:
+        members = {}
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                members[item.name] = item
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                members[item.target.id] = item
+        return members
+
+    def ancestors(self, cls: str) -> list[str]:
+        out = [cls]
+        for base in self.classes[cls].bases:
+            if isinstance(base, ast.Name) and base.id in self.classes:
+                out += self.ancestors(base.id)
+        return out
+
+    def related(self, a: str, b: str) -> bool:
+        return a in self.ancestors(b) or b in self.ancestors(a)
+
+    def annotation(self, node) -> frozenset:
+        """Classes an annotation names; ``*C`` stands for a tuple or list of C,
+        ``[C`` for a dict with values C."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return self.annotation(ast.parse(node.value, mode="eval").body)
+        if isinstance(node, ast.Name) and node.id in self.classes:
+            return frozenset({node.id})
+        if isinstance(node, ast.BinOp):  # C | None
+            return self.annotation(node.left) | self.annotation(node.right)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+                and node.value.id in ("tuple", "list"):
+            args = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+            if len(args) == 1 or (len(args) == 2 and isinstance(args[1], ast.Constant)):
+                return frozenset("*" + c for c in self.annotation(args[0]) if _is_class(c))
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+                and node.value.id == "dict" and isinstance(node.slice, ast.Tuple):
+            return frozenset("[" + c for c in self.annotation(node.slice.elts[1]) if _is_class(c))
+        return frozenset()
+
+    def member_type(self, types, attr: str, called: bool) -> frozenset:
+        out = set()
+        for cls in filter(_is_class, types):
+            for owner in self.ancestors(cls):
+                member = self.members[owner].get(attr)
+                if isinstance(member, ast.AnnAssign):
+                    out |= self.annotation(member.annotation)
+                elif member is not None and (called or any(
+                        isinstance(d, ast.Name) and d.id == "property"
+                        for d in member.decorator_list)):
+                    out |= self.annotation(member.returns)
+                if member is not None:
+                    break
+        return frozenset(out)
+
+    def returns(self, name: str) -> frozenset:
+        return frozenset().union(*(self.annotation(f.returns) for f in self.functions[name]))
+
+
+class Scope:
+    """Flow-insensitive types of the local names of one function (or of a
+    module's top-level statements), nested functions included."""
+
+    def __init__(self, src: Source, root: ast.AST, cls: str | None):
+        self.src = src
+        self.env = defaultdict(set)
+        if cls is not None and root.args.args:
+            self.env[root.args.args[0].arg].add(cls)
+        for _ in range(3):  # let assignments see the types of earlier ones
+            for node in ast.walk(root):
+                self._learn(node)
+
+    def _learn(self, node):
+        src, env = self.src, self.env
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            for arg in node.args.args + node.args.kwonlyargs:
+                env[arg.arg] |= src.annotation(arg.annotation)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and isinstance(node.args[0], ast.Name):
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                if isinstance(kind, ast.Name) and kind.id in src.classes:
+                    env[node.args[0].id].add(kind.id)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    env[target.id] |= self.type(node.value)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            env[node.target.id] |= src.annotation(node.annotation)
+        elif isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name):
+            env[node.target.id] |= {t[1:] for t in self.type(node.iter) if t.startswith("*")}
+
+    def type(self, node) -> frozenset:
+        src = self.src
         if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            names[node.name] += 1
-    return names
+            return frozenset(self.env.get(node.id, ()))
+        if isinstance(node, ast.Attribute):
+            return src.member_type(self.type(node.value), node.attr, False)
+        if isinstance(node, ast.Subscript):
+            return frozenset(t[1:] for t in self.type(node.value) if not _is_class(t))
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in src.classes:
+                return frozenset({name})
+            if isinstance(func, ast.Attribute) and self.type(func.value):
+                return src.member_type(self.type(func.value), func.attr, True)
+            return src.returns(name)
+        return frozenset()
+
+
+def _member_references(src: Source) -> Counter:
+    """(class, member) -> number of resolved ``x.member`` references."""
+    refs: Counter = Counter()
+
+    def scan(root, cls=None, defining=None):
+        scope = Scope(src, root, cls)
+        for node in ast.walk(root):
+            if not isinstance(node, ast.Attribute):
+                continue
+            types = set(filter(_is_class, scope.type(node.value)))
+            for owner in src.owners.get(node.attr, ()):
+                if (owner, node.attr) == defining:
+                    continue
+                if types and not any(src.related(owner, t) for t in types):
+                    continue
+                if not types and len(src.owners[node.attr]) > 1:
+                    continue
+                refs[owner, node.attr] += 1
+
+    for tree in src.trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        scan(item, node.name, (node.name, item.name))
+            elif isinstance(node, ast.FunctionDef):
+                scan(node)
+        scan(ast.Module([n for n in tree.body
+                         if not isinstance(n, (ast.FunctionDef, ast.ClassDef))], []))
+    return refs
+
+
+def _top_level_references(trees: dict[str, ast.Module]) -> Counter:
+    """(module, name) -> number of references that resolve to that module."""
+    defined = {module: {n.name for n in tree.body
+                        if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+               for module, tree in trees.items()}
+    refs: Counter = Counter()
+    for module, tree in trees.items():
+        imported, modules = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        imported[alias.asname or alias.name] = (node.module, alias.name)
+        owner_of_definition = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for inner in ast.walk(node):
+                    owner_of_definition[id(inner)] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                if node.id in defined[module]:
+                    target = (module, node.id)
+                elif node.id in imported:
+                    target = imported[node.id]
+                else:
+                    continue
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                target = (modules[node.value.id], node.attr)
+            else:
+                continue
+            if target != (module, owner_of_definition.get(id(node))):
+                refs[target] += 1
+    return refs
 
 
 def unreferenced_public_names() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    everywhere = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    trees = _parse(SRC)
+    src = Source(trees)
+    top = _top_level_references(trees)
+    members = _member_references(src)
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -37,11 +247,35 @@ def unreferenced_public_names() -> list[str]:
                 continue
             if node.name.startswith("_") or (module, node.name) in ENTRY_POINTS:
                 continue
-            # References inside the definition itself (recursion) do not count.
-            if everywhere[node.name] == _referenced_names(node)[node.name]:
+            if not top[module, node.name]:
                 unused.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_") \
+                            and not members[node.name, item.name]:
+                        unused.append(f"{module}.{node.name}.{item.name}")
+    return unused
+
+
+def unused_imports(trees: dict[str, ast.Module]) -> list[str]:
+    unused = []
+    for module, tree in trees.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{module}: {bound}")
     return unused
 
 
 def test_every_public_name_has_a_caller_in_src():
     assert unreferenced_public_names() == []
+
+
+def test_every_import_is_used():
+    assert unused_imports(_parse(SRC)) == []
+    assert unused_imports(_parse(TESTS)) == []
