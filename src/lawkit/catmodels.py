@@ -20,10 +20,11 @@ import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from . import fincat
+from . import fincat, finset
 from .cells import (
     CellError,
     Gen,
+    Inverse,
     PowerR,
     SigmaTable,
     TwoTheoryPresentation,
@@ -31,6 +32,8 @@ from .cells import (
     _is_plain_generator,
     derive_sigma,
     evaluate_pasting,
+    pasting_components,
+    power_rows,
 )
 from .fincat import (
     EnumerationBound,
@@ -547,23 +550,16 @@ def tuple_homs(homs: list[LaxHom], target_power: CatModel, source_model: CatMode
 
 
 def power_hom(hom: LaxHom, n: int, src_power: CatModel, dst_power: CatModel) -> LaxHom:
-    """The induced hom X^n -> Y^n acting coordinatewise."""
+    """The induced hom X^n -> Y^n acting coordinatewise: its cell at an
+    m-ary generator is n copies of ``hom``'s, one per column of the m x n
+    matrix that an object of (X^n)^m is."""
     X, Y = hom.source, hom.target
     f1 = functor_power(hom.f1, n, X.power(n), Y.power(n))
     f1 = FinFunctor(src_power.carrier, dst_power.carrier, f1.obj_map, f1.arr_map)
-    tables = []
-    for gen in X.theory.base.generators:
-        m = gen.arity
-        dom = X.power(m * n)
-        comps = []
-        for o in range(dom.n_objects):
-            objs = dom.decode_obj(o)
-            arrows: list[int] = [0] * n
-            for j in range(n):
-                col = tuple(objs[i * n + j] for i in range(m))
-                arrows[j] = hom.cell(gen.name).components[X.power(m).encode_obj(col)]
-            comps.append(Y.power(n).encode_arr(tuple(arrows)))
-        tables.append(comps)
+    encode = Y.power(n).encode_arr
+    tables = [list(map(encode, power_rows([(c,) for c in hom.cell(gen.name).components],
+                                          gen.arity, n, X.carrier.n_objects, True)))
+              for gen in X.theory.base.generators]
     return hom_from_components(src_power, dst_power, hom.weakness, f1, tables)
 
 
@@ -743,7 +739,6 @@ def lift_hom(model: CatModel, sigma: SigmaTable, beta: Morphism, weakness: str,
     Structure cells are the evaluated exchange cells sigma_{alpha, beta}.
     A colax lift inverts them, which needs an invertible table.
     """
-    from .cells import Inverse
     if beta.target != 1:
         raise CellError("lift expects a map with target 1")
     f1 = model.functor_of(beta)
@@ -753,7 +748,7 @@ def lift_hom(model: CatModel, sigma: SigmaTable, beta: Morphism, weakness: str,
         pasting = derive_sigma(model.theory, sigma, generator_morphism(gen), beta)
         if weakness == "colax":
             pasting = Inverse(pasting)
-        tables.append(evaluate_pasting(pasting, model).components)
+        tables.append(pasting_components(pasting, model))
     return hom_from_components(src_power, model, weakness, f1, tables)
 
 
@@ -799,7 +794,7 @@ def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,
     cell_nats = []
     for cellsym in theory2.cells:
         a = cellsym.source.source
-        ynat = evaluate_pasting(Gen(cellsym), Y)
+        ycomps = Y.cell_nat(cellsym.name).components
         hpow = fincat.power(homcat.cat, a)
         src_fun = hommodel.functor_of(cellsym.source)
         tgt_fun = hommodel.functor_of(cellsym.target)
@@ -807,7 +802,7 @@ def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,
         for o in range(hpow.n_objects):
             homs = [objects[i] for i in hpow.decode_obj(o)]
             mod_comps = tuple(
-                ynat.components[Y.power(a).encode_obj(tuple(h.f1.obj_map[x] for h in homs))]
+                ycomps[Y.power(a).encode_obj(tuple(h.f1.obj_map[x] for h in homs))]
                 for x in range(n_x))
             comps.append(arrow_index(src_fun.obj_map[o], tgt_fun.obj_map[o], mod_comps))
         cell_nats.append((cellsym.name, FinNat(src_fun, tgt_fun, tuple(comps))))
@@ -824,7 +819,6 @@ def convolution_algebra(model: CatModel, algebra: LaxHom, coalgebra: LaxHom):
     o_coalgebra ; X(op)(f_1,...,f_n) ; o_algebra.
     Returns (FinSetModel on the hom-set, list of carrier arrow ids).
     """
-    from . import finset
     if algebra.weakness != "lax" or coalgebra.weakness != "colax":
         raise CellError("convolution needs a lax algebra and a colax coalgebra")
     cat = model.carrier

@@ -14,17 +14,19 @@ models, which is where non-coherent tables (e.g. a braiding that is not a
 symmetry) fail.
 
 Pasting evaluation is written against a small model protocol:
-``model.functor_of(morphism)``, ``model.cell_nat(name)``,
-``model.power(n)`` (a fincat.ProductCategory), and ``model.carrier``.
+``model.cell_nat(name)``, ``model.power(n)`` (a fincat.ProductCategory),
+``model.eval_morphism_obj``/``eval_morphism_arr``, ``model.carrier``, and
+``model.functor_of(morphism)`` for ``evaluate_pasting``'s boundaries.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
 from . import theory as _theory
-from .fincat import FinNat
+from .fincat import FinNat, encode
 from .theory import (
     Apply,
     Morphism,
@@ -277,6 +279,16 @@ def boundaries_agree(theory: TheoryPresentation, f: Morphism, g: Morphism) -> bo
     return boundary_normal_form(theory, f) == boundary_normal_form(theory, g)
 
 
+def spans_square(theory: TheoryPresentation, a: str, b: str, entry: Pasting) -> bool:
+    """Whether ``entry`` runs between the two sides of the commutativity
+    square of the operations ``a`` and ``b``, modulo the equations: the
+    boundaries every sigma entry for ``(a, b)`` must have."""
+    want_src, want_tgt = commutativity_square(
+        generator_morphism(theory.op(a)), generator_morphism(theory.op(b)))
+    return boundaries_agree(theory, entry.source(), want_src) and \
+        boundaries_agree(theory, entry.target(), want_tgt)
+
+
 def validate_pasting(theory2: TwoTheoryPresentation, p: Pasting) -> list[str]:
     """Well-formedness: vertical boundaries agree modulo the equations, and
     inverses only wrap invertible content."""
@@ -318,111 +330,102 @@ def validate_two_theory(theory2: TwoTheoryPresentation) -> list[str]:
 def pasting_components(p: Pasting, model) -> tuple[int, ...]:
     """Component table of a pasting: one arrow of C^t per object of C^s,
     where s and t are the boundary contexts.  Never materializes functors,
-    so it stays cheap on large matrix contexts."""
-    if isinstance(p, Id):
-        f = p.morphism
-        dom = model.power(f.source)
-        cod = model.power(f.target)
-        carrier = model.carrier
-        out = []
-        for o in range(dom.n_objects):
-            objs = model.eval_morphism_obj(f, dom.decode_obj(o))
-            out.append(cod.encode_arr(tuple(carrier.identity[x] for x in objs)))
-        return tuple(out)
-    if isinstance(p, Gen):
-        return model.cell_nat(p.cell.name).components
-    if isinstance(p, Inverse):
-        comps = pasting_components(p.inner, model)
-        cod = model.power(p.inner.source().target)
-        carrier = model.carrier
-        out = []
-        for c in comps:
-            parts = cod.decode_arr(c)
-            inv = []
-            for a in parts:
-                ia = carrier.inverse(a)
-                if ia is None:
-                    raise CellError("pasting inverse of a non-invertible component")
-                inv.append(ia)
-            out.append(cod.encode_arr(tuple(inv)))
-        return tuple(out)
-    if isinstance(p, Vert):
-        a = pasting_components(p.first, model)
-        b = pasting_components(p.second, model)
-        cod = model.power(p.first.source().target)
-        carrier = model.carrier
-        out = []
-        for x, y in zip(a, b):
-            xp = cod.decode_arr(x)
-            yp = cod.decode_arr(y)
-            out.append(cod.encode_arr(tuple(carrier.then(i, j) for i, j in zip(xp, yp))))
-        return tuple(out)
-    if isinstance(p, HWhiskerL):
-        comps = pasting_components(p.inner, model)
-        dom = model.power(p.left.source)
-        mid = model.power(p.inner.source().source)
-        out = []
-        for o in range(dom.n_objects):
-            objs = model.eval_morphism_obj(p.left, dom.decode_obj(o))
-            out.append(comps[mid.encode_obj(objs)])
-        return tuple(out)
-    if isinstance(p, HWhiskerR):
-        comps = pasting_components(p.inner, model)
-        mid = model.power(p.inner.source().target)
-        cod = model.power(p.right.target)
-        out = []
-        for c in comps:
-            arrs = mid.decode_arr(c)
-            out.append(cod.encode_arr(model.eval_morphism_arr(p.right, arrs)))
-        return tuple(out)
-    if isinstance(p, (PowerL, PowerR)):
-        rows = isinstance(p, PowerL)
-        inner = p.inner
-        k = p.k
-        comps = pasting_components(inner, model)
-        m = inner.source().source
-        n = inner.source().target
-        dom = model.power(m * k)
-        inner_dom = model.power(m)
-        inner_cod = model.power(n)
-        out_cod = model.power(n * k)
-        out = []
-        for o in range(dom.n_objects):
-            objs = dom.decode_obj(o)
-            if rows:
-                blocks = [objs[i * m:(i + 1) * m] for i in range(k)]
-            else:
-                blocks = [tuple(objs[i * k + j] for i in range(m)) for j in range(k)]
-            arrows = [inner_cod.decode_arr(comps[inner_dom.encode_obj(tuple(b))])
-                      for b in blocks]
-            cells_out = [0] * (n * k)
-            for b, arrow in enumerate(arrows):
-                for t in range(n):
-                    if rows:
-                        cells_out[b * n + t] = arrow[t]
-                    else:
-                        cells_out[t * k + b] = arrow[t]
-            out.append(out_cod.encode_arr(tuple(cells_out)))
-        return tuple(out)
-    if isinstance(p, Par):
-        parts = p.parts
-        nats = [pasting_components(q, model) for q in parts]
-        srcs = [q.source() for q in parts]
-        dom = model.power(sum(s.source for s in srcs))
-        cod = model.power(sum(s.target for s in srcs))
-        out = []
-        for o in range(dom.n_objects):
-            objs = dom.decode_obj(o)
-            arrow_parts: list[int] = []
-            off = 0
-            for comps, s in zip(nats, srcs):
-                block = objs[off:off + s.source]
-                off += s.source
-                c = comps[model.power(s.source).encode_obj(tuple(block))]
-                arrow_parts.extend(model.power(s.target).decode_arr(c))
-            out.append(cod.encode_arr(tuple(arrow_parts)))
-        return tuple(out)
-    raise CellError(f"unknown pasting node {p!r}")
+    so it stays cheap on large matrix contexts.  The boundaries are built
+    once, here, so an ill-typed pasting raises ``TheoryError``."""
+    p.target()
+    cod = model.power(p.source().target)
+    return tuple(map(cod.encode_arr, _rows(p, model)[1]))
+
+
+def _rows(p: Pasting, model) -> tuple[int, list[tuple[int, ...]]]:
+    """``(s, rows)``: the source context s of p and, for every object of C^s
+    in code order, the tuple of carrier arrows p has at that object."""
+    return _ROW_BUILDERS[type(p)](p, model)
+
+
+def _id_rows(p, model):
+    f, carrier = p.morphism, model.carrier
+    return f.source, [tuple(carrier.identity[x] for x in model.eval_morphism_obj(f, objs))
+                      for objs in itertools.product(range(carrier.n_objects), repeat=f.source)]
+
+
+def _gen_rows(p, model):
+    cod = model.power(p.cell.source.target)
+    return p.cell.source.source, list(map(cod.decode_arr,
+                                          model.cell_nat(p.cell.name).components))
+
+
+def _inverse_rows(p, model):
+    s, rows = _rows(p.inner, model)
+    out = [tuple(map(model.carrier.inverse, row)) for row in rows]
+    if any(None in row for row in out):
+        raise CellError("pasting inverse of a non-invertible component")
+    return s, out
+
+
+def _vert_rows(p, model):
+    s, first = _rows(p.first, model)
+    s2, second = _rows(p.second, model)
+    if s != s2 or first and len(first[0]) != len(second[0]):
+        raise CellError("the sides of a vertical composite have different contexts")
+    then = model.carrier.then
+    return s, [tuple(map(then, x, y)) for x, y in zip(first, second)]
+
+
+def _whisker_left_rows(p, model):
+    _, rows = _rows(p.inner, model)
+    code, objects = model.power(p.left.target).encode_obj, range(model.carrier.n_objects)
+    return p.left.source, [rows[code(model.eval_morphism_obj(p.left, objs))]
+                           for objs in itertools.product(objects, repeat=p.left.source)]
+
+
+def _whisker_right_rows(p, model):
+    s, rows = _rows(p.inner, model)
+    return s, [model.eval_morphism_arr(p.right, row) for row in rows]
+
+
+def _power_rows(p, model, by_columns: bool):
+    m, rows = _rows(p.inner, model)
+    return m * p.k, power_rows(rows, m, p.k, model.carrier.n_objects, by_columns)
+
+
+def _par_rows(p, model):
+    parts = [_rows(q, model) for q in p.parts]
+    # The code of an object of C^(s_1 + ... + s_j) is the tuple of its blocks' codes.
+    blocks = itertools.product(*(rows for _, rows in parts))
+    return sum(s for s, _ in parts), [sum(r, ()) for r in blocks]
+
+
+_ROW_BUILDERS = {
+    Id: _id_rows,
+    Gen: _gen_rows,
+    Inverse: _inverse_rows,
+    Vert: _vert_rows,
+    HWhiskerL: _whisker_left_rows,
+    HWhiskerR: _whisker_right_rows,
+    PowerL: functools.partial(_power_rows, by_columns=False),
+    PowerR: functools.partial(_power_rows, by_columns=True),
+    Par: _par_rows,
+}
+
+
+def power_rows(rows, m: int, k: int, n_objects: int,
+               by_columns: bool) -> list[tuple[int, ...]]:
+    """The table of k copies of a cell on C^m whose table is ``rows``, one
+    arrow tuple per object of C^(m*k) in code order, on a carrier with
+    ``n_objects`` objects.  By rows (``powL``) copy i reads the i-th block
+    of m consecutive objects and the arrow tuples are concatenated.  By
+    columns (``powR``) the objects form an m x k matrix, copy j reads its
+    j-th column, and the arrow tuples are the columns of the result.  This
+    is the one place that knows how a power lays out a cell table."""
+    if not by_columns:
+        return [sum(r, ()) for r in itertools.product(rows, repeat=k)]
+    radices = (n_objects,) * m
+    out = []
+    for objs in itertools.product(range(n_objects), repeat=m * k):
+        columns = [rows[encode(objs[j::k], radices)] for j in range(k)]
+        out.append(tuple(itertools.chain.from_iterable(zip(*columns))))
+    return out
 
 
 def evaluate_pasting(p: Pasting, model) -> FinNat:
@@ -711,10 +714,7 @@ def check_sigma_coherence(theory2: TwoTheoryPresentation, sigma: SigmaTable,
     # Entry typing: boundaries, strictness, invertibility.
     for (a, b), entry in sigma.entries:
         checked += 1
-        want_src, want_tgt = commutativity_square(
-            generator_morphism(base.op(a)), generator_morphism(base.op(b)))
-        if not boundaries_agree(base, entry.source(), want_src) or \
-           not boundaries_agree(base, entry.target(), want_tgt):
+        if not spans_square(base, a, b, entry):
             issues.append(CoherenceIssue("entry-boundary", f"({a},{b})", None))
         if sigma.weakness == "strict" and not is_identity_pasting(entry):
             issues.append(CoherenceIssue("strict-entry", f"({a},{b}) is not an identity", None))

@@ -192,31 +192,32 @@ def cmd_commutative(args, doc):
     return (EXIT_FAILED if failed else EXIT_OK), verdicts, witnesses
 
 
-def cmd_sigma_check(args, doc):
+def _check_sigma(args, doc):
+    """The picked table with its theory and probes, and its sigma-check outcome."""
     for_theory, sigma = _pick_sigma(doc, args.sigma)
     theory2 = doc.theory(for_theory)
-    probes = _cat_models_for(doc, for_theory, args.models)
+    probes = [m for _, m in _cat_models_for(doc, for_theory, args.models)]
     if not probes:
         raise InputError("no probe models available")
-    report = check_sigma_coherence(theory2, sigma, [m for _, m in probes])
+    report = check_sigma_coherence(theory2, sigma, probes)
     verdicts = [{"name": sigma.name, "verdict": report.verdict,
                  "detail": f"{report.checked} instances on {len(probes)} probes"}]
     witnesses = [{"check": i.check, "detail": i.detail, "verdict": _jsonable(i.verdict)}
                  for i in report.issues]
-    return (EXIT_OK if report.verdict == "Coherent" else EXIT_FAILED), verdicts, witnesses
+    code = EXIT_OK if report.verdict == "Coherent" else EXIT_FAILED
+    return (theory2, sigma, probes), (code, verdicts, witnesses)
+
+
+def cmd_sigma_check(args, doc):
+    return _check_sigma(args, doc)[1]
 
 
 def cmd_assoc_derived(args, doc):
-    for_theory, sigma = _pick_sigma(doc, args.sigma)
-    theory2 = doc.theory(for_theory)
-    probes = _cat_models_for(doc, for_theory, args.models)
-    if not probes:
-        raise InputError("no probe models available")
-    pre = check_sigma_coherence(theory2, sigma, [m for _, m in probes])
-    if pre.verdict != "Coherent":
-        return EXIT_INCONCLUSIVE, [{"name": sigma.name, "verdict": "SkippedIncoherent",
-                                    "detail": None}], []
-    report = derived_associativity_check(theory2, sigma, [m for _, m in probes])
+    """An incoherent table gets its sigma-check verdict and witnesses."""
+    (theory2, sigma, probes), coherence = _check_sigma(args, doc)
+    if coherence[0] != EXIT_OK:
+        return coherence
+    report = derived_associativity_check(theory2, sigma, probes)
     verdicts = [{"name": sigma.name, "verdict": report.verdict,
                  "detail": f"{report.checked} triples"}]
     witnesses = [{"check": i.check, "detail": i.detail} for i in report.issues]

@@ -67,6 +67,7 @@ from .cells import (
     TwoTheoryPresentation,
     Vert,
     WEAKNESSES,
+    spans_square,
 )
 from .finset import FinSetModel, validate_model
 from .fincat import FinCategory, FinFunctor, FinNat, build_category, graded_scalar_category
@@ -630,7 +631,7 @@ def _parse_sigma(p: _Parser, theories: list[TwoTheoryPresentation]) -> tuple[str
     ops = list(theory2.base.generators)
     names = {g.name for g in ops}
     while not p.accept("punct", "}"):
-        p.expect("punct", "(")
+        start = p.expect("punct", "(")
         a = _known(p, names, "operation")
         p.expect("punct", ",")
         b = _known(p, names, "operation")
@@ -638,6 +639,8 @@ def _parse_sigma(p: _Parser, theories: list[TwoTheoryPresentation]) -> tuple[str
         p.expect("punct", "=")
         pasting = _parse_pasting(p, cells, ops)
         p.expect("punct", ";")
+        if not _built_at(p, start, spans_square, theory2.base, a, b, pasting):
+            p.fail_at(start, f"sigma entry ({a}, {b}) does not span its commutativity square")
         entries.append(((a, b), pasting))
     return theory_name, SigmaTable(name, weakness, tuple(entries), symmetric)
 

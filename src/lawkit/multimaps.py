@@ -27,6 +27,8 @@ from .catmodels import (
     enumerate_homs_w,
     enumerate_modifications,
     hom_from_components,
+    internal_algebras,
+    internal_coalgebras,
     internal_hom,
     lift_hom,
     power_cat_model,
@@ -578,7 +580,6 @@ def bilax_check(fbar: LaxHom, funder: LaxHom, sigma: SigmaTable) -> BilaxReport:
 def internal_bialgebras(model: CatModel, sigma: SigmaTable) -> tuple[HomCategory, list]:
     """Pairs of an internal algebra and coalgebra on one object that are
     mutually compatible; arrows are carrier arrows respecting both."""
-    from .catmodels import internal_algebras, internal_coalgebras
     algs = internal_algebras(model)
     coalgs = internal_coalgebras(model)
     pairs = []

@@ -25,12 +25,14 @@ from lawkit.catmodels import (
     enumerate_modifications,
     functor_power,
     hom_cell_boundary,
+    hom_from_components,
     identity_modification,
     internal_algebras,
     internal_coalgebras,
     internal_hom,
     lift_hom,
     power_cat_model,
+    power_hom,
     terminal_model,
     tuple_homs,
     validate_cat_model,
@@ -222,6 +224,42 @@ def test_power_model_consistency():
     sq = power_cat_model(model, 2)
     assert validate_cat_model(sq) == []
     assert sq.carrier == model.power(2).cat
+
+
+def reference_power_hom(hom, n, src_power, dst_power):
+    """``power_hom`` with its own column interleave: each object of
+    (X^n)^m is decoded, and its n columns encoded, one by one."""
+    X, Y = hom.source, hom.target
+    f1 = functor_power(hom.f1, n, X.power(n), Y.power(n))
+    f1 = FinFunctor(src_power.carrier, dst_power.carrier, f1.obj_map, f1.arr_map)
+    tables = []
+    for gen in X.theory.base.generators:
+        m = gen.arity
+        dom = X.power(m * n)
+        comps = []
+        for o in range(dom.n_objects):
+            objs = dom.decode_obj(o)
+            arrows = [0] * n
+            for j in range(n):
+                col = tuple(objs[i * n + j] for i in range(m))
+                arrows[j] = hom.cell(gen.name).components[X.power(m).encode_obj(col)]
+            comps.append(Y.power(n).encode_arr(tuple(arrows)))
+        tables.append(comps)
+    return hom_from_components(src_power, dst_power, hom.weakness, f1, tables)
+
+
+def test_power_hom_matches_the_column_interleave():
+    models = [fx.model(name) for name in ("poset_meet", "poset_join", "graded_lines")]
+    compared = 0
+    for n in (1, 2, 3):
+        powers = {id(X): power_cat_model(X, n) for X in models}
+        for X in models:
+            for Y in models:
+                for hom in enumerate_homs_w(X, Y, "lax"):
+                    args = (hom, n, powers[id(X)], powers[id(Y)])
+                    assert power_hom(*args) == reference_power_hom(*args)
+                    compared += 1
+    assert compared == 84
 
 
 def test_compose_homs_associative_on_algebras():

@@ -52,6 +52,7 @@ from lawkit.theory import (
     power_left,
     power_right,
 )
+from conftest import shipped_models
 from references import proj_morphism
 
 
@@ -667,3 +668,145 @@ def test_unknown_pasting_node_is_a_cell_error():
                       cells._pasting_weight):
         with pytest.raises(CellError, match="unknown pasting node"):
             traversal(Stray())
+
+
+# -- the row evaluator against the per-class ladder it replaced --------------------------
+
+def _ladder_components(p, model):
+    """The component table of p, one node class per branch, decoding and
+    re-encoding power-category codes at every node: the reference for
+    ``pasting_components``."""
+    if isinstance(p, Id):
+        f = p.morphism
+        dom = model.power(f.source)
+        cod = model.power(f.target)
+        out = []
+        for o in range(dom.n_objects):
+            objs = model.eval_morphism_obj(f, dom.decode_obj(o))
+            out.append(cod.encode_arr(tuple(model.carrier.identity[x] for x in objs)))
+        return tuple(out)
+    if isinstance(p, Gen):
+        return model.cell_nat(p.cell.name).components
+    if isinstance(p, Inverse):
+        comps = _ladder_components(p.inner, model)
+        cod = model.power(p.inner.source().target)
+        out = []
+        for c in comps:
+            inv = []
+            for a in cod.decode_arr(c):
+                ia = model.carrier.inverse(a)
+                if ia is None:
+                    raise CellError("pasting inverse of a non-invertible component")
+                inv.append(ia)
+            out.append(cod.encode_arr(tuple(inv)))
+        return tuple(out)
+    if isinstance(p, Vert):
+        a = _ladder_components(p.first, model)
+        b = _ladder_components(p.second, model)
+        cod = model.power(p.first.source().target)
+        out = []
+        for x, y in zip(a, b):
+            xp, yp = cod.decode_arr(x), cod.decode_arr(y)
+            out.append(cod.encode_arr(tuple(model.carrier.then(i, j) for i, j in zip(xp, yp))))
+        return tuple(out)
+    if isinstance(p, HWhiskerL):
+        comps = _ladder_components(p.inner, model)
+        dom = model.power(p.left.source)
+        mid = model.power(p.inner.source().source)
+        return tuple(comps[mid.encode_obj(model.eval_morphism_obj(p.left, dom.decode_obj(o)))]
+                     for o in range(dom.n_objects))
+    if isinstance(p, HWhiskerR):
+        comps = _ladder_components(p.inner, model)
+        mid = model.power(p.inner.source().target)
+        cod = model.power(p.right.target)
+        return tuple(cod.encode_arr(model.eval_morphism_arr(p.right, mid.decode_arr(c)))
+                     for c in comps)
+    if isinstance(p, (PowerL, PowerR)):
+        rows = isinstance(p, PowerL)
+        k = p.k
+        comps = _ladder_components(p.inner, model)
+        m, n = p.inner.source().source, p.inner.source().target
+        dom, out_cod = model.power(m * k), model.power(n * k)
+        inner_dom, inner_cod = model.power(m), model.power(n)
+        out = []
+        for o in range(dom.n_objects):
+            objs = dom.decode_obj(o)
+            if rows:
+                blocks = [objs[i * m:(i + 1) * m] for i in range(k)]
+            else:
+                blocks = [tuple(objs[i * k + j] for i in range(m)) for j in range(k)]
+            arrows = [inner_cod.decode_arr(comps[inner_dom.encode_obj(tuple(b))])
+                      for b in blocks]
+            cells_out = [0] * (n * k)
+            for b, arrow in enumerate(arrows):
+                for t in range(n):
+                    if rows:
+                        cells_out[b * n + t] = arrow[t]
+                    else:
+                        cells_out[t * k + b] = arrow[t]
+            out.append(out_cod.encode_arr(tuple(cells_out)))
+        return tuple(out)
+    if isinstance(p, Par):
+        nats = [_ladder_components(q, model) for q in p.parts]
+        srcs = [q.source() for q in p.parts]
+        dom = model.power(sum(s.source for s in srcs))
+        cod = model.power(sum(s.target for s in srcs))
+        out = []
+        for o in range(dom.n_objects):
+            objs = dom.decode_obj(o)
+            arrow_parts = []
+            off = 0
+            for comps, s in zip(nats, srcs):
+                block = objs[off:off + s.source]
+                off += s.source
+                c = comps[model.power(s.source).encode_obj(tuple(block))]
+                arrow_parts.extend(model.power(s.target).decode_arr(c))
+            out.append(cod.encode_arr(tuple(arrow_parts)))
+        return tuple(out)
+    raise CellError(f"unknown pasting node {p!r}")
+
+
+def _vert_sides_differ(p):
+    """Whether a vertical composite in p joins sides with different contexts."""
+    if isinstance(p, Vert):
+        a, b = p.first.source(), p.second.source()
+        if (a.source, a.target) != (b.source, b.target):
+            return True
+    return any(_vert_sides_differ(q) for q in cells._parts(p))
+
+
+def _table_or_error(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("corpus", [shipped_pastings, random_pastings])
+def test_row_evaluator_matches_the_ladder(corpus):
+    """On every (pasting, model of its theory) pair, ``pasting_components``
+    gives the ladder's table, or raises what the ladder raises, except that
+    an ill-typed boundary is a ``TheoryError`` and a vertical composite of
+    sides with different contexts is a ``CellError``: the ladder truncated
+    such a composite to its shorter side, or decoded it at the wrong
+    context, and often returned a table."""
+    outcomes = Counter()
+    models = shipped_models("fincat", "moncat")
+    for theory2, p in corpus():
+        for model in (m for m in models if m.theory == theory2):
+            want = _table_or_error(_ladder_components, p, model)
+            got = _table_or_error(pasting_components, p, model)
+            if _table_or_error(lambda: (p.source(), p.target())) is TheoryError:
+                assert got is TheoryError, p
+                outcomes["ill-typed"] += 1
+            elif _vert_sides_differ(p):
+                assert got is CellError, p
+                outcomes["vertical sides differ"] += 1
+            else:
+                assert got == want, (p, model.carrier)
+                outcomes["table" if isinstance(want, tuple) else "raises"] += 1
+    if corpus is shipped_pastings:
+        assert outcomes == {"table": 205}
+    else:
+        assert outcomes == {"table": 1734, "raises": 4, "ill-typed": 8,
+                            "vertical sides differ": 54}

@@ -92,6 +92,19 @@ def test_sigma_check_exit_codes():
     assert "gray2-vertical" in text
 
 
+def test_assoc_derived_on_an_incoherent_table_reports_its_incoherence():
+    def report(command):
+        code, text = invoke(["--format", "json", "--no-timings", command,
+                             law_path("t_braid.law")])
+        return code, json.loads(text)
+
+    code, derived = report("assoc-derived")
+    assert code == EXIT_FAILED
+    assert [v["verdict"] for v in derived["verdicts"]] == ["Incoherent"]
+    assert [w["check"] for w in derived["witnesses"]] == ["gray2-vertical", "gray2-horizontal"]
+    assert derived["witnesses"] == report("sigma-check")[1]["witnesses"]
+
+
 def test_input_error_exit_code():
     assert invoke(["commutative", "no/such/file.law"])[0] == EXIT_INPUT
     assert invoke(["homs", law_path("t_ass.law"),

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import string
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -461,20 +461,20 @@ def test_empty_juxtaposition_and_empty_tuple_parse():
 
 @pytest.mark.parametrize("corpus", [shipped_pastings, random_pastings])
 def test_rendered_pastings_parse_back(corpus):
-    """render_pasting(p), written as a sigma entry, parses back to p."""
+    """render_pasting(p), written as both sides of a cell equation, parses
+    back to p.  Cell equations are not typed where they are parsed, so they
+    carry ill-typed pastings too."""
     by_theory = {}
     for theory2, p in corpus():
         by_theory.setdefault(theory2.base.name, (theory2, []))[1].append(p)
     for name, (theory2, pastings) in by_theory.items():
-        op = theory2.base.generators[0].name  # every entry under one known pair
-        entries = "".join(f"  ({op}, {op}) = {render_pasting(p)};\n" for p in pastings)
-        text = (serialize(dsl.Document(theories=(theory2,)))
-                + f"sigma rt for {name} weakness lax {{\n{entries}}}\n")
-        doc, source = dsl.parse(text)
+        carrier = replace(theory2, cell_equations=theory2.cell_equations + tuple(
+            (f"rt{i}", p, p) for i, p in enumerate(pastings)))
+        doc, source = dsl.parse(serialize(dsl.Document(theories=(carrier,))))
         assert source.diagnostics == [], (name, source.diagnostics)
-        parsed = [q for _, q in doc.sigma("rt")[1].entries]
-        for p, q in zip(pastings, parsed, strict=True):
-            assert q == p, render_pasting(p)
+        parsed = doc.theory(name).cell_equations[len(theory2.cell_equations):]
+        for p, (_, q, r) in zip(pastings, parsed, strict=True):
+            assert q == p == r, render_pasting(p)
 
 
 def test_readme_lists_the_combinator_table():

@@ -3,7 +3,9 @@
 Each mutant replaces, deletes or inserts one character from the DSL's lexical
 alphabet.  Whatever the edit does, lawkit must end within its budget with an
 exit code from {0, 1, 2, 3} and print no traceback: a mutant may be valid,
-violated, bounded or malformed, never a crash or a hang.
+violated, bounded or malformed, never a crash or a hang.  Three sigma entries
+of ``t_comm_flat.law`` mutated to the wrong boundaries are malformed input
+under every command that reads the table.
 """
 
 import os
@@ -16,7 +18,7 @@ import sys
 import pytest
 
 from conftest import ROOT
-from lawkit.fixtures import law_files
+from lawkit.fixtures import law_files, law_path
 
 ALPHABET = string.ascii_lowercase + string.digits + '(){}[]<>,;:.=-_" \n'
 SEEDS = (41, 42)
@@ -52,8 +54,40 @@ def test_mutant_ends_with_a_truthful_exit_code(tmp_path, seed, k, name, text, ed
     for path in law_files():
         shutil.copy(path, tmp_path / path.name)
     (tmp_path / name).write_text(text)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src")] + sys.path))
-    done = subprocess.run([sys.executable, "-m", "lawkit.cli", "check-theory", str(tmp_path / name)],
-                          capture_output=True, text=True, env=env, timeout=BUDGET_S)
+    done = _lawkit("check-theory", tmp_path / name)
     assert done.returncode in (0, 1, 2, 3), (edit, done.stderr)
     assert "Traceback" not in done.stderr, (edit, done.stderr)
+
+
+# (line, mutated entry): each was one character away from its shipped entry.
+SIGMA_MUTANTS = (
+    (19, "  (m, m) = whiskR(id(x8), m(m(x1,x2),x3));"),
+    (21, "  (u, m) = id([1] u);"),
+    (22, "  (u, u) = id([05] u);"),
+)
+TABLE_COMMANDS = (
+    ("check-theory",), ("sigma-check",), ("eh", "--dim", "2"),
+    ("hom-internal", "--source", "poset_meet", "--target", "graded_lines"),
+    ("fox",), ("closed-check", "--x", "poset_meet", "--y", "poset_meet", "--z", "poset_meet"),
+)
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS, ids=[c[0] for c in TABLE_COMMANDS])
+@pytest.mark.parametrize("line, entry", SIGMA_MUTANTS, ids=[f"line{m[0]}" for m in SIGMA_MUTANTS])
+def test_sigma_entry_with_wrong_boundaries_is_malformed_input(tmp_path, line, entry, command):
+    lines = law_path("t_comm_flat.law").read_text().split("\n")
+    assert lines[line - 1].split("=")[0] == entry.split("=")[0]
+    lines[line - 1] = entry
+    path = tmp_path / "t_comm_flat.law"
+    path.write_text("\n".join(lines))
+    done = _lawkit(command[0], path, *command[1:])
+    assert done.returncode == 3, (done.stdout, done.stderr)
+    assert f"input: Error  {line}:3: " in done.stdout
+    assert "Traceback" not in done.stderr, done.stderr
+
+
+def _lawkit(command, path, *args):
+    """``lawkit command path args`` in a child process, within the budget."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src")] + sys.path))
+    return subprocess.run([sys.executable, "-m", "lawkit.cli", command, str(path), *args],
+                          capture_output=True, text=True, env=env, timeout=BUDGET_S)
