@@ -15,8 +15,11 @@ exchange cells.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -54,6 +57,7 @@ from .theory import (
     Apply,
     Morphism,
     Proj,
+    _shape,
     generator_morphism,
     is_inert,
     par as par_morphism,
@@ -74,6 +78,9 @@ class CatModel:
     _functors: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _closures: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _boundaries: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _agreements: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    # Each pasting node's rows (see cells.pasting_components), keyed on the node.
+    _rows: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def power(self, n: int) -> ProductCategory:
         if n not in self._powers:
@@ -92,6 +99,24 @@ class CatModel:
                 return f
         raise CellError(f"model has no 2-cell {name}")
 
+    @functools.cached_property
+    def op_problems(self) -> tuple[ModelViolation, ...]:
+        """The op functors' violations, in generator order.  Each is checked
+        on the composable pairs of its source power, which
+        ``fincat.ProductCategory.composites`` builds from the carrier's."""
+        problems = []
+        for g in self.theory.base.generators:
+            try:
+                fun = self.op_functor(g.name)
+            except CellError:
+                problems.append(ModelViolation("missing-op", g.name))
+                continue
+            if fun.source != self.power(g.arity).cat or fun.target != self.carrier:
+                problems.append(ModelViolation("op-shape", g.name))
+            elif validate_functor(fun) is not None:
+                problems.append(ModelViolation("op-functor", g.name))
+        return tuple(problems)
+
     def functor_of(self, f: Morphism) -> FinFunctor:
         if f in self._functors:
             return self._functors[f]
@@ -108,11 +133,60 @@ class CatModel:
         self._functors[f] = fun
         return fun
 
-    def eval_morphism_obj(self, f: Morphism, objs: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(c(objs) for c in self._compiled(f, False))
+    def functors_agree(self, f: Morphism, g: Morphism) -> bool:
+        """Whether ``functor_of(f) == functor_of(g)``, without tabulating either.
 
-    def eval_morphism_arr(self, f: Morphism, arrs: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(c(arrs) for c in self._compiled(f, True))
+        Parallel sides are compared pointwise over the variables that occur
+        in them; every other coordinate stays 0, since neither side reads it.
+        They are compared on every object and on every arrow, or, once every
+        op functor is a functor, on every one-variable arrow
+        ``(id, ..., a, ..., id)`` only: both sides are then functors, and
+        every arrow of C^n is a composite of one-variable arrows.  The second
+        way is taken where it reads fewer points, counting the pairs that
+        checking the op functors reads.  The number of points is checked
+        against ``fincat.POWER_BOUND`` before any is evaluated.  Memoized per
+        pair."""
+        key = (f, g)
+        if key not in self._agreements:
+            self._agreements[key] = self._agree(f, g)
+        return self._agreements[key]
+
+    def _agree(self, f: Morphism, g: Morphism) -> bool:
+        if (f.source, f.target) != (g.source, g.target):
+            return self.functor_of(f) == self.functor_of(g)
+        c = self.carrier
+        if f.source and not c.n_objects:
+            return True  # C^n is empty
+        occurs: Counter = Counter()
+        for t in f.components + g.components:
+            _shape(t, occurs)
+
+        def block(domain, at=None, rest=None) -> list:
+            """A domain per variable: ``domain`` at the variable ``at`` (at
+            every one that occurs when None), ``rest`` at the others that
+            occur, and 0 at those that do not; its points are the product."""
+            return [(0,) if i not in occurs else domain if at in (None, i) else rest
+                    for i in range(f.source)]
+
+        objects, arrows = [block(range(c.n_objects))], [block(c.arrows())]
+        k, moving = len(occurs), [a for a in c.arrows() if not c.is_identity(a)]
+        full, few = c.n_arrows ** k, k and k * len(moving) * c.n_objects ** (k - 1)
+        if few < full:
+            # Checking the op functors reads each one's composable pairs.
+            pairs = sum(c.src.count(b) * c.dst.count(b) for b in range(c.n_objects))
+            if few + sum(pairs ** op.arity for op in self.theory.base.generators) < full \
+                    and not self.op_problems:
+                arrows = [block(moving, i, c.identity) for i in sorted(occurs)]
+        size = sum(math.prod(map(len, b)) for b in objects + arrows)
+        if size > fincat.POWER_BOUND:
+            raise EnumerationBound(f"comparing two functors at {size} points "
+                                   f"exceeds bound {fincat.POWER_BOUND}")
+        for on_arrows, blocks in ((False, objects), (True, arrows)):
+            lhs, rhs = self._encoder(f, on_arrows), self._encoder(g, on_arrows)
+            for b in blocks:
+                if list(map(lhs, itertools.product(*b))) != list(map(rhs, itertools.product(*b))):
+                    return False
+        return True
 
     def _compiled(self, f: Morphism, arrows: bool) -> tuple:
         """One closure per component of ``f``, on objects or on arrows."""
@@ -171,20 +245,14 @@ class ModelViolation:
 
 
 def validate_cat_model(model: CatModel) -> list[ModelViolation]:
-    problems = []
-    base = model.theory.base
-    for g in base.generators:
-        try:
-            fun = model.op_functor(g.name)
-        except CellError:
-            problems.append(ModelViolation("missing-op", g.name))
-            continue
-        if fun.source != model.power(g.arity).cat or fun.target != model.carrier:
-            problems.append(ModelViolation("op-shape", g.name))
-        elif validate_functor(fun) is not None:
-            problems.append(ModelViolation("op-functor", g.name))
-    for eq in base.equations:
-        if model.functor_of(eq.lhs) != model.functor_of(eq.rhs):
+    """The model's violations: its op functors', then each base equation's,
+    each cell's and each cell equation's, in the theory's order.  Equations
+    and the boundaries of a cell equation's sides are compared by
+    ``CatModel.functors_agree``; a cell equation's sides by their components
+    on objects."""
+    problems = list(model.op_problems)
+    for eq in model.theory.base.equations:
+        if not model.functors_agree(eq.lhs, eq.rhs):
             problems.append(ModelViolation("equation", eq.name))
     for cell in model.theory.cells:
         try:
@@ -200,7 +268,9 @@ def validate_cat_model(model: CatModel) -> list[ModelViolation]:
         if cell.invertible and any(model.carrier.inverse(c) is None for c in nat.components):
             problems.append(ModelViolation("cell-invertibility", cell.name))
     for name, lhs, rhs in model.theory.cell_equations:
-        if evaluate_pasting(lhs, model) != evaluate_pasting(rhs, model):
+        same = pasting_components(lhs, model) == pasting_components(rhs, model)
+        if not (same and model.functors_agree(lhs.source(), rhs.source())
+                and model.functors_agree(lhs.target(), rhs.target())):
             problems.append(ModelViolation("cell-equation", name))
     return problems
 
@@ -447,8 +517,7 @@ class HomCoherence:
         violation = ModelViolation("hom-equation", eq.name)
         X, Y, f1, w = self.X, self.Y, self.f1, self.weakness
         # Sides equal in both models have equal boundaries over every f1.
-        if (X.functor_of(eq.lhs) != X.functor_of(eq.rhs)
-                or Y.functor_of(eq.lhs) != Y.functor_of(eq.rhs)) and \
+        if not (X.functors_agree(eq.lhs, eq.rhs) and Y.functors_agree(eq.lhs, eq.rhs)) and \
            _cell_boundary(X, Y, f1, eq.lhs, w) != _cell_boundary(X, Y, f1, eq.rhs, w):
             return CoherenceCheck(-1, violation, lambda cells: False)
         l_slot, lhs = self.extension(eq.lhs)

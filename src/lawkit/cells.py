@@ -14,9 +14,13 @@ models, which is where non-coherent tables (e.g. a braiding that is not a
 symmetry) fail.
 
 Pasting evaluation is written against a small model protocol:
-``model.cell_nat(name)``, ``model.power(n)`` (a fincat.ProductCategory),
-``model.eval_morphism_obj``/``eval_morphism_arr``, ``model.carrier``, and
-``model.functor_of(morphism)`` for ``evaluate_pasting``'s boundaries.
+``model.carrier``, ``model.cell_nat(name)``, ``model.power(n)`` (a
+fincat.ProductCategory), ``model._compiled(f, arrows)`` (one closure per
+component of a morphism), ``model._encoder(f, arrows)`` (the row-major code
+of their values) and ``model._rows``, a dict in which each node's rows are
+kept.  ``evaluate_pasting`` also reads ``model.functor_of(morphism)`` for the
+boundaries; it builds the cells of a power model.  Validating a model reads
+components only (``catmodels.validate_cat_model``).
 """
 
 from __future__ import annotations
@@ -339,13 +343,19 @@ def pasting_components(p: Pasting, model) -> tuple[int, ...]:
 
 def _rows(p: Pasting, model) -> tuple[int, list[tuple[int, ...]]]:
     """``(s, rows)``: the source context s of p and, for every object of C^s
-    in code order, the tuple of carrier arrows p has at that object."""
-    return _ROW_BUILDERS[type(p)](p, model)
+    in code order, the tuple of carrier arrows p has at that object.  Each
+    node is built once per model and kept in ``model._rows``; callers never
+    mutate what it returns."""
+    hit = model._rows.get(p)
+    if hit is None:
+        hit = model._rows[p] = _ROW_BUILDERS[type(p)](p, model)
+    return hit
 
 
 def _id_rows(p, model):
     f, carrier = p.morphism, model.carrier
-    return f.source, [tuple(carrier.identity[x] for x in model.eval_morphism_obj(f, objs))
+    comps, identity = model._compiled(f, False), carrier.identity
+    return f.source, [tuple(identity[c(objs)] for c in comps)
                       for objs in itertools.product(range(carrier.n_objects), repeat=f.source)]
 
 
@@ -374,14 +384,15 @@ def _vert_rows(p, model):
 
 def _whisker_left_rows(p, model):
     _, rows = _rows(p.inner, model)
-    code, objects = model.power(p.left.target).encode_obj, range(model.carrier.n_objects)
-    return p.left.source, [rows[code(model.eval_morphism_obj(p.left, objs))]
-                           for objs in itertools.product(objects, repeat=p.left.source)]
+    code = model._encoder(p.left, False)
+    return p.left.source, [rows[code(objs)] for objs in itertools.product(
+        range(model.carrier.n_objects), repeat=p.left.source)]
 
 
 def _whisker_right_rows(p, model):
     s, rows = _rows(p.inner, model)
-    return s, [model.eval_morphism_arr(p.right, row) for row in rows]
+    comps = model._compiled(p.right, True)
+    return s, [tuple(c(row) for c in comps) for row in rows]
 
 
 def _power_rows(p, model, by_columns: bool):

@@ -68,6 +68,7 @@ from .cells import (
     Vert,
     WEAKNESSES,
     spans_square,
+    validate_pasting,
 )
 from .finset import FinSetModel, validate_model
 from .fincat import FinCategory, FinFunctor, FinNat, build_category, graded_scalar_category
@@ -641,6 +642,8 @@ def _parse_sigma(p: _Parser, theories: list[TwoTheoryPresentation]) -> tuple[str
         p.expect("punct", ";")
         if not _built_at(p, start, spans_square, theory2.base, a, b, pasting):
             p.fail_at(start, f"sigma entry ({a}, {b}) does not span its commutativity square")
+        for problem in _built_at(p, start, validate_pasting, theory2, pasting):
+            p.fail_at(start, f"sigma entry ({a}, {b}): {problem}")
         entries.append(((a, b), pasting))
     return theory_name, SigmaTable(name, weakness, tuple(entries), symmetric)
 

@@ -38,7 +38,7 @@ class FinCategory:
     comp: tuple[tuple[int, int, int], ...]  # (f, g, f-then-g); empty when lazy
 
     _comp_map: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
-    _then_fn: object = field(default=None, compare=False, repr=False, hash=False)
+    _product: ProductCategory | None = field(default=None, compare=False, repr=False, hash=False)
     _inverse_cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
@@ -65,9 +65,20 @@ class FinCategory:
         hit = self._comp_map.get((f, g))
         if hit is not None:
             return hit
-        if self._then_fn is not None:
-            return self._then_fn(f, g)  # type: ignore[operator]
+        if self._product is not None:
+            return self._product.then_arr(f, g)
         raise CatError(f"missing composite for ({f}, {g})")
+
+    def composites(self) -> list[list[tuple[int, int]]]:
+        """For each arrow ``f``, the pairs ``(g, f;g)`` over the arrows ``g``
+        composable after ``f``, in ascending ``g``: the composable pairs in
+        the order of a scan over all pairs ``(f, g)``."""
+        if self._product is not None:
+            return self._product.composites()
+        after: list[list[int]] = [[] for _ in range(self.n_objects)]
+        for g in self.arrows():
+            after[self.src[g]].append(g)
+        return [[(g, self.then(f, g)) for g in after[self.dst[f]]] for f in self.arrows()]
 
     def is_identity(self, f: int) -> bool:
         return self.identity[self.src[f]] == f
@@ -234,6 +245,19 @@ class ProductCategory:
         parts = decode(a, self._arr_radices)
         return encode(tuple(c.dst[p] for c, p in zip(self.factors, parts)), self._obj_radices)
 
+    def composites(self) -> list[list[tuple[int, int]]]:
+        """``FinCategory.composites`` of the product, built by extension from
+        the factors' own, one factor at a time; the size is checked first."""
+        tables = [c.composites() for c in self.factors]
+        size = math.prod(sum(map(len, t)) for t in tables)
+        if size > POWER_BOUND:
+            raise EnumerationBound(f"{size} composable pairs exceed bound {POWER_BOUND}")
+        out: list[list[tuple[int, int]]] = [[(0, 0)]]
+        for table, radix in zip(tables, self._arr_radices):
+            out = [[(g * radix + g2, h * radix + h2) for g, h in row for g2, h2 in row2]
+                   for row in out for row2 in table]
+        return out
+
     @property
     def cat(self) -> FinCategory:
         if self._cat is None:
@@ -247,7 +271,7 @@ class ProductCategory:
                 dst = row_major([c.dst for c in self.factors], objs)
                 identity = row_major([c.identity for c in self.factors], self._arr_radices)
                 self._cat = FinCategory(self.n_objects, src, dst, identity, (),
-                                        _then_fn=self.then_arr)
+                                        _product=self)
         return self._cat
 
 
@@ -297,12 +321,9 @@ def validate_functor(fun: FinFunctor) -> CategoryViolation | None:
         if fun.arr_map[c.identity[a]] != d.identity[fun.obj_map[a]]:
             return CategoryViolation("functor-identity", (a,))
     # Composable pairs only, in the order of a scan over all pairs (f, g).
-    out: list[list[int]] = [[] for _ in range(c.n_objects)]
-    for g in c.arrows():
-        out[c.src[g]].append(g)
-    for f in c.arrows():
-        for g in out[c.dst[f]]:
-            if fun.arr_map[c.then(f, g)] != d.then(fun.arr_map[f], fun.arr_map[g]):
+    for f, pairs in enumerate(fun.source.composites()):
+        for g, h in pairs:
+            if fun.arr_map[h] != d.then(fun.arr_map[f], fun.arr_map[g]):
                 return CategoryViolation("functor-composition", (f, g))
     return None
 

@@ -112,8 +112,8 @@ def _exchange_condition(theory2: TwoTheoryPresentation, exchange_cell,
     for a in theory2.base.basis_ops():
         for b in theory2.base.basis_ops():
             m, k = a.arity, b.arity
-            am = generator_morphism(a)
-            bm = generator_morphism(b)
+            (a_arr,) = Z._compiled(generator_morphism(a), True)
+            (b_arr,) = Z._compiled(generator_morphism(b), True)
             sig = exchange_cell(a, b)
             zmk = Z.power(m * k)
             for xs in itertools.product(range(X.carrier.n_objects), repeat=m):
@@ -127,12 +127,12 @@ def _exchange_condition(theory2: TwoTheoryPresentation, exchange_cell,
                     # rows first: b on each row, then the left cell at (xs, b(ys))
                     row_arrows = tuple(cells_right[b.name][x * Y.power(k).n_objects + yet]
                                        for x in xs)
-                    a_of_rows = Z.eval_morphism_arr(am, row_arrows)[0]
+                    a_of_rows = a_arr(row_arrows)
                     chain_a = zc.then(a_of_rows,
                                       cells_left[a.name][_pair(ny, xet, by)])
                     # columns first: a on each column, then the right cell at (a(xs), ys)
                     col_arrows = tuple(cells_left[a.name][_pair(ny, xet, y)] for y in ys)
-                    b_of_cols = Z.eval_morphism_arr(bm, col_arrows)[0]
+                    b_of_cols = b_arr(col_arrows)
                     chain_b = zc.then(b_of_cols,
                                       cells_right[b.name][ax * Y.power(k).n_objects + yet])
                     if chain_a != zc.then(sig[fmat], chain_b):

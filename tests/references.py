@@ -6,6 +6,7 @@ set up inputs.
 
 from lawkit.catmodels import CatModel, LaxHom, hom_from_components
 from lawkit.fincat import (
+    CategoryViolation,
     CatError,
     FinCategory,
     FinFunctor,
@@ -71,6 +72,25 @@ def group_delooping(n: int) -> FinCategory:
 
 def identity_functor(cat: FinCategory) -> FinFunctor:
     return FinFunctor(cat, cat, tuple(range(cat.n_objects)), tuple(range(cat.n_arrows)))
+
+
+def reference_validate_functor(fun: FinFunctor) -> CategoryViolation | None:
+    """Every check over every pair of arrows, composable or not, composing
+    through ``then`` (on a lazy power, through ``ProductCategory.then_arr``)."""
+    c, d = fun.source, fun.target
+    for f in c.arrows():
+        g = fun.arr_map[f]
+        if d.src[g] != fun.obj_map[c.src[f]] or d.dst[g] != fun.obj_map[c.dst[f]]:
+            return CategoryViolation("functor-endpoints", (f,))
+    for a in range(c.n_objects):
+        if fun.arr_map[c.identity[a]] != d.identity[fun.obj_map[a]]:
+            return CategoryViolation("functor-identity", (a,))
+    for f in c.arrows():
+        for g in c.arrows():
+            if c.dst[f] == c.src[g] and \
+               fun.arr_map[c.then(f, g)] != d.then(fun.arr_map[f], fun.arr_map[g]):
+                return CategoryViolation("functor-composition", (f, g))
+    return None
 
 
 def whisker_left(fun: FinFunctor, nat: FinNat) -> FinNat:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -42,6 +43,7 @@ from lawkit.catmodels import (
 from lawkit.cells import (
     CellError,
     Gen,
+    Id,
     _decompose,
     _is_plain_generator,
     evaluate_pasting,
@@ -60,8 +62,14 @@ from lawkit.fincat import (
     validate_nat,
     vert_nat,
 )
-from lawkit.theory import Morphism, Proj, generator_morphism, is_inert, par
-from references import discrete_category, identity_hom, whisker_left, whisker_right
+from lawkit.theory import Apply, Morphism, Proj, compose, generator_morphism, is_inert, par
+from references import (
+    discrete_category,
+    identity_hom,
+    reference_validate_functor,
+    whisker_left,
+    whisker_right,
+)
 
 # Discrete two objects swapped by the involution.
 TWO_OBJECT_INVOLUTION = """
@@ -985,3 +993,215 @@ def test_equation_sides_with_unequal_boundaries_fail_the_equation():
             [c for c, v in zip(candidates, verdicts) if not v]
     # Over a functor that keeps an arrow, the sides' boundaries differ.
     assert failed >= 4
+
+
+# -- validate_cat_model against the tabulating validator it replaced ----------------------
+
+NEGATING_INVOLUTION = """
+import "t_inv.law";
+model negation_z3 of t_inv in moncat {
+  grading 1; scalars 3;
+  functor inv { obj [0]; arr [0, 2, 1]; }
+  nat iota = [0];
+}
+"""
+
+
+def reference_validate_cat_model(model):
+    """Every op functor scanned over all pairs of arrows of its source power,
+    and every equation, cell boundary and cell equation compared on tabulated
+    functors over the whole power: the reference for ``validate_cat_model``."""
+    problems = []
+    base = model.theory.base
+    for g in base.generators:
+        try:
+            fun = model.op_functor(g.name)
+        except CellError:
+            problems.append(ModelViolation("missing-op", g.name))
+            continue
+        if fun.source != model.power(g.arity).cat or fun.target != model.carrier:
+            problems.append(ModelViolation("op-shape", g.name))
+        elif reference_validate_functor(fun) is not None:
+            problems.append(ModelViolation("op-functor", g.name))
+    for eq in base.equations:
+        if model.functor_of(eq.lhs) != model.functor_of(eq.rhs):
+            problems.append(ModelViolation("equation", eq.name))
+    for cell in model.theory.cells:
+        try:
+            nat = model.cell_nat(cell.name)
+        except CellError:
+            problems.append(ModelViolation("missing-cell", cell.name))
+            continue
+        if nat.source != model.functor_of(cell.source) or nat.target != model.functor_of(cell.target):
+            problems.append(ModelViolation("cell-boundary", cell.name))
+            continue
+        if validate_nat(nat) is not None:
+            problems.append(ModelViolation("cell-naturality", cell.name))
+        if cell.invertible and any(model.carrier.inverse(c) is None for c in nat.components):
+            problems.append(ModelViolation("cell-invertibility", cell.name))
+    for name, lhs, rhs in model.theory.cell_equations:
+        if evaluate_pasting(lhs, model) != evaluate_pasting(rhs, model):
+            problems.append(ModelViolation("cell-equation", name))
+    return problems
+
+
+def _fresh(model, **changes):
+    """A copy of ``model`` with empty memos and the given fields replaced."""
+    fields = {name: getattr(model, name)
+              for name in ("theory", "carrier", "op_functors", "cell_nats")}
+    return CatModel(**{**fields, **changes})
+
+
+def _corruptions(model, rng):
+    """Seeded one-entry corruptions of ``model``: an op functor's arrow,
+    a cell's component, and an equation's or a cell equation's side."""
+    out = []
+    if model.carrier.n_arrows > 1:
+        i = rng.randrange(len(model.op_functors))
+        name, fun = model.op_functors[i]
+        a = rng.randrange(len(fun.arr_map))
+        wrong = rng.choice([f for f in model.carrier.arrows() if f != fun.arr_map[a]])
+        arr_map = fun.arr_map[:a] + (wrong,) + fun.arr_map[a + 1:]
+        ops = list(model.op_functors)
+        ops[i] = (name, replace(fun, arr_map=arr_map))
+        out.append(_fresh(model, op_functors=tuple(ops)))
+        if model.cell_nats:
+            i = rng.randrange(len(model.cell_nats))
+            name, nat = model.cell_nats[i]
+            o = rng.randrange(len(nat.components))
+            wrong = rng.choice([f for f in model.carrier.arrows() if f != nat.components[o]])
+            cells = list(model.cell_nats)
+            cells[i] = (name, replace(nat, components=nat.components[:o] + (wrong,)
+                                      + nat.components[o + 1:]))
+            out.append(_fresh(model, cell_nats=tuple(cells)))
+    theory2 = model.theory
+    base = theory2.base
+    if base.equations:
+        # One equation's right side with its variables read in reverse, and
+        # one equation's left side replaced by its first variable.
+        i = rng.randrange(len(base.equations))
+        eq = base.equations[i]
+        n = eq.rhs.source
+        reverse = Morphism(n, n, tuple(Proj(n - 1 - j, n) for j in range(n)))
+        for changed in (replace(eq, rhs=compose(reverse, eq.rhs)),
+                        replace(eq, lhs=Morphism(n, 1, (Proj(0, n),))) if n else eq):
+            equations = list(base.equations)
+            equations[i] = changed
+            out.append(_fresh(model, theory=replace(
+                theory2, base=replace(base, equations=tuple(equations)))))
+    if len(theory2.cell_equations) > 1:
+        # Two cell equations trade their left sides.
+        i, j = rng.sample(range(len(theory2.cell_equations)), 2)
+        eqs = list(theory2.cell_equations)
+        (ni, li, ri), (nj, lj, rj) = eqs[i], eqs[j]
+        eqs[i], eqs[j] = (ni, lj, ri), (nj, li, rj)
+        out.append(_fresh(model, theory=replace(theory2, cell_equations=tuple(eqs))))
+    return out
+
+
+def _violations_or_error(validate, model):
+    try:
+        return validate(model)
+    except Exception as e:
+        return type(e)
+
+
+def test_validate_cat_model_matches_the_tabulating_reference():
+    rng = random.Random(16)
+    models = shipped_models("fincat", "moncat")
+    assert fx.model("graded_lines_mutant") in models
+    flat = [fx.model(name) for name in ("poset_meet", "poset_join", "graded_lines")]
+    homs = [internal_hom(x, y, fx.sigma("sigma_comm_flat"), "lax")[0] for x in flat for y in flat]
+    # Sides whose components agree at every object, on functors that differ
+    # at an arrow: the involution negates the scalars of Z/3.
+    negation = fx.parse(NEGATING_INVOLUTION).cat_model("negation_z3")
+    inv = generator_morphism(negation.theory.base.op("inv"))
+    negation = _fresh(negation, theory=replace(negation.theory, cell_equations=(
+        *negation.theory.cell_equations, ("inv_is_id", Id(inv), Id(Morphism(1, 1, (Proj(0, 1),)))))))
+    assert ModelViolation("cell-equation", "inv_is_id") in validate_cat_model(negation)
+    cases = [*models, *homs, negation]
+    for model in models:
+        for _ in range(3):
+            cases += _corruptions(model, rng)
+    # On the larger hom models the sides are compared at one-variable arrows.
+    for model in homs:
+        cases += _corruptions(model, rng)
+    kinds = Counter()
+    for model in cases:
+        want = _violations_or_error(reference_validate_cat_model, _fresh(model))
+        got = _violations_or_error(validate_cat_model, _fresh(model))
+        assert got == want, model.carrier
+        kinds.update([v.kind for v in want] if isinstance(want, list) else [want.__name__])
+        kinds["valid"] += want == []
+    assert {"valid", "op-functor", "equation", "cell-boundary", "cell-naturality",
+            "cell-equation", "CatError"} <= set(kinds), kinds
+
+
+def test_validating_the_graded_hom_model_composes_no_power_arrows(monkeypatch):
+    model = fx.model("graded_lines")
+    hom_model, _ = internal_hom(model, model, fx.sigma("sigma_comm_flat"), "lax")
+    calls = Counter()
+    then_arr = fincat.ProductCategory.then_arr
+
+    def counted(self, f, g):
+        calls["then_arr"] += 1
+        return then_arr(self, f, g)
+
+    monkeypatch.setattr(fincat.ProductCategory, "then_arr", counted)
+    assert validate_cat_model(_fresh(hom_model)) == []
+    assert calls["then_arr"] == 0
+    # The tabulating validator composes every composable pair of H^2.
+    assert reference_validate_cat_model(_fresh(hom_model)) == []
+    assert calls["then_arr"] == 14_400
+
+
+def _twisted_model():
+    """A t_ass_flat model on Z/2-graded Z/3-lines whose tensor scales its
+    second argument's scalar by 1 or 2 by its grade: a functor, associative
+    on objects, not on arrows, and how it fails depends on the grades of
+    the variables that do not move."""
+    theory2 = fx.theory("t_ass_flat")
+    carrier = fincat.graded_scalar_category(2, 3)
+    sq = power(carrier, 2)
+    scale = (1, 2)
+    obj_map = tuple((x + y) % 2 for x, y in map(sq.decode_obj, range(sq.n_objects)))
+    arr_map = tuple(((f // 3 + g // 3) % 2) * 3 + (f % 3 + scale[g // 3] * (g % 3)) % 3
+                    for f, g in map(sq.decode_arr, range(sq.n_arrows)))
+    ops = (("m", FinFunctor(sq.cat, carrier, obj_map, arr_map)),
+           ("u", FinFunctor(power(carrier, 0).cat, carrier, (0,), (0,))))
+    return CatModel(theory2, carrier, ops)
+
+
+def test_functors_agree_matches_tabulated_functors():
+    """On every pair of a seeded set of four-variable words, with valid op
+    functors (compared at one-variable arrows) and with a broken one
+    (compared at every arrow), ``functors_agree`` is the equality of the
+    tabulated functors."""
+    rng = random.Random(4)
+    model = _twisted_model()
+    m, u = model.theory.base.op("m"), model.theory.base.op("u")
+
+    def word(leaves):
+        if len(leaves) == 1:
+            return leaves[0]
+        i = rng.randrange(1, len(leaves))
+        return Apply(m, (word(leaves[:i]), word(leaves[i:])), 4)
+
+    variables = [Proj(i, 4) for i in range(4)]
+    words = [Morphism(4, 1, (word(rng.sample(variables, 4) + [Apply(u, (), 4)] * rng.randrange(2)),))
+             for _ in range(12)]
+    # The tensor of two scalars 1 at grade 0 made 0: no one-variable arrow reads it.
+    name, fun = model.op_functors[0]
+    at = power(model.carrier, 2).encode_arr((1, 1))
+    broken = _fresh(model, op_functors=(
+        (name, replace(fun, arr_map=fun.arr_map[:at] + (0,) + fun.arr_map[at + 1:])),
+        model.op_functors[1]))
+    outcomes = Counter()
+    for current in (model, broken):
+        for f, g in itertools.product(words, repeat=2):
+            fresh = _fresh(current)
+            got = fresh.functors_agree(f, g)
+            assert got == (current.functor_of(f) == current.functor_of(g)), (f, g)
+            outcomes[current is model, got] += 1
+    assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}
+    assert not model.op_problems and broken.op_problems

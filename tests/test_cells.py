@@ -1,3 +1,4 @@
+import io
 import random
 from collections import Counter
 from functools import cache
@@ -672,6 +673,11 @@ def test_unknown_pasting_node_is_a_cell_error():
 
 # -- the row evaluator against the per-class ladder it replaced --------------------------
 
+def _evaluate(model, f, xs, arrows):
+    """The tuple of f's components at the objects (or arrows) xs."""
+    return tuple(c(xs) for c in model._compiled(f, arrows))
+
+
 def _ladder_components(p, model):
     """The component table of p, one node class per branch, decoding and
     re-encoding power-category codes at every node: the reference for
@@ -682,7 +688,7 @@ def _ladder_components(p, model):
         cod = model.power(f.target)
         out = []
         for o in range(dom.n_objects):
-            objs = model.eval_morphism_obj(f, dom.decode_obj(o))
+            objs = _evaluate(model, f, dom.decode_obj(o), False)
             out.append(cod.encode_arr(tuple(model.carrier.identity[x] for x in objs)))
         return tuple(out)
     if isinstance(p, Gen):
@@ -713,13 +719,13 @@ def _ladder_components(p, model):
         comps = _ladder_components(p.inner, model)
         dom = model.power(p.left.source)
         mid = model.power(p.inner.source().source)
-        return tuple(comps[mid.encode_obj(model.eval_morphism_obj(p.left, dom.decode_obj(o)))]
+        return tuple(comps[mid.encode_obj(_evaluate(model, p.left, dom.decode_obj(o), False))]
                      for o in range(dom.n_objects))
     if isinstance(p, HWhiskerR):
         comps = _ladder_components(p.inner, model)
         mid = model.power(p.inner.source().target)
         cod = model.power(p.right.target)
-        return tuple(cod.encode_arr(model.eval_morphism_arr(p.right, mid.decode_arr(c)))
+        return tuple(cod.encode_arr(_evaluate(model, p.right, mid.decode_arr(c), True))
                      for c in comps)
     if isinstance(p, (PowerL, PowerR)):
         rows = isinstance(p, PowerL)
@@ -810,3 +816,23 @@ def test_row_evaluator_matches_the_ladder(corpus):
     else:
         assert outcomes == {"table": 1734, "raises": 4, "ill-typed": 8,
                             "vertical sides differ": 54}
+
+
+@pytest.mark.parametrize("argv, code, builds", [
+    (["assoc-derived", "t_comm_flat.law"], 0, 330),
+    (["sigma-check", "t_braid.law"], 1, 74),
+])
+def test_each_pasting_node_is_built_once_per_model(monkeypatch, argv, code, builds):
+    """The derived exchange cells share nodes across instances, and
+    ``pastings_equal`` evaluates both sides on every probe: each distinct
+    (node, model) pair is built once (990 and 200 builds without the memo)."""
+    from lawkit import cli
+
+    seen = []
+    for cls, build in list(cells._ROW_BUILDERS.items()):
+        def counted(p, model, build=build):
+            seen.append((p, id(model)))
+            return build(p, model)
+        monkeypatch.setitem(cells._ROW_BUILDERS, cls, counted)
+    assert cli.run([argv[0], str(fx.law_path(argv[1]))], io.StringIO()) == code
+    assert len(seen) == len(set(seen)) == builds

@@ -1,7 +1,6 @@
 import itertools
 
 from lawkit.fincat import (
-    CategoryViolation,
     FinFunctor,
     build_category,
     compose_functors,
@@ -21,6 +20,7 @@ from references import (
     group_delooping,
     identity_functor,
     poset_category,
+    reference_validate_functor,
     whisker_left,
     whisker_right,
 )
@@ -133,24 +133,6 @@ def test_nat_validation_flags_bad_component():
     bad_nat = identity_nat(ident)
     from lawkit.fincat import FinNat
     assert validate_nat(FinNat(ident, ident, (2, 1))) is not None
-
-
-def reference_validate_functor(fun):
-    """Every check over every pair of arrows, composable or not."""
-    c, d = fun.source, fun.target
-    for f in c.arrows():
-        g = fun.arr_map[f]
-        if d.src[g] != fun.obj_map[c.src[f]] or d.dst[g] != fun.obj_map[c.dst[f]]:
-            return CategoryViolation("functor-endpoints", (f,))
-    for a in range(c.n_objects):
-        if fun.arr_map[c.identity[a]] != d.identity[fun.obj_map[a]]:
-            return CategoryViolation("functor-identity", (a,))
-    for f in c.arrows():
-        for g in c.arrows():
-            if c.dst[f] == c.src[g] and \
-               fun.arr_map[c.then(f, g)] != d.then(fun.arr_map[f], fun.arr_map[g]):
-                return CategoryViolation("functor-composition", (f, g))
-    return None
 
 
 def test_validate_functor_finds_the_first_violation_of_a_full_scan():

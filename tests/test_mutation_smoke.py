@@ -3,9 +3,10 @@
 Each mutant replaces, deletes or inserts one character from the DSL's lexical
 alphabet.  Whatever the edit does, lawkit must end within its budget with an
 exit code from {0, 1, 2, 3} and print no traceback: a mutant may be valid,
-violated, bounded or malformed, never a crash or a hang.  Three sigma entries
-of ``t_comm_flat.law`` mutated to the wrong boundaries are malformed input
-under every command that reads the table.
+violated, bounded or malformed, never a crash or a hang.  Sigma entries of
+``t_comm_flat.law`` mutated to the wrong boundaries, at the root or at an inner
+vertical composite, are malformed input under every command that reads the
+table.
 """
 
 import os
@@ -59,11 +60,16 @@ def test_mutant_ends_with_a_truthful_exit_code(tmp_path, seed, k, name, text, ed
     assert "Traceback" not in done.stderr, (edit, done.stderr)
 
 
-# (line, mutated entry): each was one character away from its shipped entry.
+# (line, mutated entry): each was one character away from its shipped entry,
+# except the last, which stacks the shipped entry E as vert(vert(E, E), E): its
+# root spans the square, but the inner vertical composites do not meet.
+SHIPPED_MM = "whiskR(par(id(x1), c, id(x1)), m(m(x1,x2),x3))"
 SIGMA_MUTANTS = (
-    (19, "  (m, m) = whiskR(id(x8), m(m(x1,x2),x3));"),
-    (21, "  (u, m) = id([1] u);"),
-    (22, "  (u, u) = id([05] u);"),
+    pytest.param(19, "  (m, m) = whiskR(id(x8), m(m(x1,x2),x3));", id="line19"),
+    pytest.param(21, "  (u, m) = id([1] u);", id="line21"),
+    pytest.param(22, "  (u, u) = id([05] u);", id="line22"),
+    pytest.param(19, f"  (m, m) = vert(vert({SHIPPED_MM}, {SHIPPED_MM}), {SHIPPED_MM});",
+                 id="line19-inner-vert"),
 )
 TABLE_COMMANDS = (
     ("check-theory",), ("sigma-check",), ("eh", "--dim", "2"),
@@ -73,7 +79,7 @@ TABLE_COMMANDS = (
 
 
 @pytest.mark.parametrize("command", TABLE_COMMANDS, ids=[c[0] for c in TABLE_COMMANDS])
-@pytest.mark.parametrize("line, entry", SIGMA_MUTANTS, ids=[f"line{m[0]}" for m in SIGMA_MUTANTS])
+@pytest.mark.parametrize("line, entry", SIGMA_MUTANTS)
 def test_sigma_entry_with_wrong_boundaries_is_malformed_input(tmp_path, line, entry, command):
     lines = law_path("t_comm_flat.law").read_text().split("\n")
     assert lines[line - 1].split("=")[0] == entry.split("=")[0]
