@@ -25,12 +25,10 @@ from dataclasses import dataclass, field
 
 from . import fincat, finset
 from .cells import (
-    CellError,
     Gen,
     Inverse,
     PowerR,
     SigmaTable,
-    TwoTheoryPresentation,
     _decompose,
     _is_plain_generator,
     derive_sigma,
@@ -39,7 +37,6 @@ from .cells import (
     power_rows,
 )
 from .fincat import (
-    EnumerationBound,
     FinCategory,
     FinFunctor,
     FinNat,
@@ -52,11 +49,13 @@ from .fincat import (
     validate_nat,
     vert_nat,
 )
-from .search import search
+from .search import EnumerationBound, search
 from .theory import (
     Apply,
+    CellError,
     Morphism,
     Proj,
+    TwoTheoryPresentation,
     _shape,
     generator_morphism,
     is_inert,

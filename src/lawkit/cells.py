@@ -32,11 +32,15 @@ from dataclasses import dataclass, replace
 from . import theory as _theory
 from .fincat import FinNat, encode
 from .theory import (
+    WEAKNESSES,
     Apply,
+    CellError,
     Morphism,
     Proj,
     TheoryError,
     TheoryPresentation,
+    TwoCellSymbol,
+    TwoTheoryPresentation,
     commutativity_square,
     compose,
     generator_morphism,
@@ -49,22 +53,6 @@ from .theory import (
     row_then_col,
     transpose,
 )
-
-
-class CellError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class TwoCellSymbol:
-    name: str
-    source: Morphism
-    target: Morphism
-    invertible: bool = False
-
-    def __post_init__(self):
-        if (self.source.source, self.source.target) != (self.target.source, self.target.target):
-            raise CellError(f"2-cell {self.name}: boundary morphisms not parallel")
 
 
 # -- pasting expression nodes --------------------------------------------------
@@ -257,20 +245,7 @@ def simplify_pasting(p: Pasting) -> Pasting:
     return node
 
 
-# -- presentations with 2-cells --------------------------------------------------
-
-@dataclass(frozen=True)
-class TwoTheoryPresentation:
-    base: TheoryPresentation
-    cells: tuple[TwoCellSymbol, ...] = ()
-    cell_equations: tuple[tuple[str, Pasting, Pasting], ...] = ()
-
-    def cell(self, name: str) -> TwoCellSymbol:
-        for c in self.cells:
-            if c.name == name:
-                return c
-        raise CellError(f"unknown 2-cell {name}")
-
+# -- well-formedness ------------------------------------------------------------
 
 def boundary_normal_form(theory: TheoryPresentation, f: Morphism) -> Morphism:
     nf, _, ok = normalize_morphism(theory, f)
@@ -450,9 +425,6 @@ def evaluate_pasting(p: Pasting, model) -> FinNat:
 
 
 # -- exchange tables ---------------------------------------------------------------
-
-WEAKNESSES = ("strict", "pseudo", "lax", "colax")
-
 
 @dataclass(frozen=True)
 class SigmaTable:

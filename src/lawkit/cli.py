@@ -16,32 +16,9 @@ import time
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
-from . import dsl, finset, theory
-from .catmodels import (
-    EnumerationBound,
-    internal_algebras,
-    internal_coalgebras,
-    algebra_view,
-    convolution_algebra,
-    internal_hom,
-    validate_cat_model,
-)
-from .cells import (
-    WEAKNESSES,
-    CellError,
-    check_sigma_coherence,
-    derived_associativity_check,
-    validate_two_theory,
-    yang_baxter_check,
-)
-from .multimaps import (
-    bilax_check,
-    closed_check,
-    eckmann_hilton_2d,
-    eh_local_iso_probe,
-    fox_comonad,
-    internal_bialgebras,
-)
+from . import catmodels, cells, dsl, finset, multimaps, theory
+from .search import EnumerationBound
+from .theory import WEAKNESSES, CellError
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -130,7 +107,9 @@ def cmd_check_theory(args, doc):
     verdicts = []
     failed = False
     for t in doc.theories:
-        problems = validate_two_theory(t)
+        # Only cell equations have anything to validate; without them
+        # ``cells`` stays unloaded.
+        problems = cells.validate_two_theory(t) if t.cell_equations else []
         verdicts.append({"name": t.base.name,
                          "verdict": "Valid" if not problems else "Invalid",
                          "detail": problems or None})
@@ -145,7 +124,7 @@ def cmd_check_theory(args, doc):
                 failed = True
         else:
             model = doc.cat_model(m.name)
-            problems = validate_cat_model(model)
+            problems = catmodels.validate_cat_model(model)
             verdicts.append({"name": m.name,
                              "verdict": "Valid" if not problems else "Invalid",
                              "detail": _jsonable(problems) or None})
@@ -199,7 +178,7 @@ def _check_sigma(args, doc):
     probes = [m for _, m in _cat_models_for(doc, for_theory, args.models)]
     if not probes:
         raise InputError("no probe models available")
-    report = check_sigma_coherence(theory2, sigma, probes)
+    report = cells.check_sigma_coherence(theory2, sigma, probes)
     verdicts = [{"name": sigma.name, "verdict": report.verdict,
                  "detail": f"{report.checked} instances on {len(probes)} probes"}]
     witnesses = [{"check": i.check, "detail": i.detail, "verdict": _jsonable(i.verdict)}
@@ -217,7 +196,7 @@ def cmd_assoc_derived(args, doc):
     (theory2, sigma, probes), coherence = _check_sigma(args, doc)
     if coherence[0] != EXIT_OK:
         return coherence
-    report = derived_associativity_check(theory2, sigma, probes)
+    report = cells.derived_associativity_check(theory2, sigma, probes)
     verdicts = [{"name": sigma.name, "verdict": report.verdict,
                  "detail": f"{report.checked} triples"}]
     witnesses = [{"check": i.check, "detail": i.detail} for i in report.issues]
@@ -234,7 +213,7 @@ def cmd_yang_baxter(args, doc):
     if model_name is None:
         raise InputError("no model given and no yang_baxter directive found")
     model = doc.cat_model(model_name)
-    report = yang_baxter_check(model, tensor, braiding)
+    report = cells.yang_baxter_check(model, tensor, braiding)
     verdicts = [{"name": model_name, "verdict": report.verdict,
                  "detail": f"{report.triples_checked} triples"}]
     witnesses = [{"check": i.check, "triple": list(i.triple)} for i in report.issues]
@@ -267,12 +246,12 @@ def cmd_homs(args, doc):
 
 def _intalg_like(args, doc, colax: bool):
     model = doc.cat_model(args.model)
-    cat = internal_coalgebras(model) if colax else internal_algebras(model)
+    cat = catmodels.internal_coalgebras(model) if colax else catmodels.internal_algebras(model)
     kind = "IntCoalg" if colax else "IntAlg"
     verdicts = [{"name": f"{kind}({args.model})",
                  "verdict": str(cat.cat.n_objects),
                  "detail": f"{cat.cat.n_arrows} arrows"}]
-    witnesses = [_jsonable(algebra_view(h)) for h in cat.objects]
+    witnesses = [_jsonable(catmodels.algebra_view(h)) for h in cat.objects]
     return EXIT_OK, verdicts, witnesses
 
 
@@ -287,7 +266,7 @@ def cmd_intcoalg(args, doc):
 def cmd_intbialg(args, doc):
     _, sigma = _pick_sigma(doc, args.sigma)
     model = doc.cat_model(args.model)
-    cat, pairs = internal_bialgebras(model, sigma)
+    cat, pairs = multimaps.internal_bialgebras(model, sigma)
     verdicts = [{"name": f"IntBialg({args.model})",
                  "verdict": str(cat.cat.n_objects),
                  "detail": f"{cat.cat.n_arrows} arrows"}]
@@ -297,8 +276,8 @@ def cmd_intbialg(args, doc):
 
 def cmd_convolve(args, doc):
     model = doc.cat_model(args.model)
-    algs = internal_algebras(model).objects
-    coalgs = internal_coalgebras(model).objects
+    algs = catmodels.internal_algebras(model).objects
+    coalgs = catmodels.internal_coalgebras(model).objects
     if not algs or not coalgs:
         return EXIT_FAILED, [{"name": args.model, "verdict": "NoAlgebras",
                               "detail": None}], []
@@ -310,7 +289,7 @@ def cmd_convolve(args, doc):
     a = algs[args.algebra]
     c = coalgs[args.coalgebra]
     try:
-        conv, hom = convolution_algebra(model, a, c)
+        conv, hom = catmodels.convolution_algebra(model, a, c)
     except CellError as e:
         return EXIT_FAILED, [{"name": args.model, "verdict": "Fails",
                               "detail": str(e)}], []
@@ -326,14 +305,15 @@ def cmd_hom_internal(args, doc):
     Y = doc.cat_model(args.target)
     name = f"Hom({args.source},{args.target})"
     try:
-        hom_model, homcat = internal_hom(X, Y, sigma, args.weakness)
+        hom_model, homcat = catmodels.internal_hom(X, Y, sigma, args.weakness)
     except CellError as e:
         return EXIT_FAILED, [{"name": name, "verdict": "Fails", "detail": str(e)}], []
-    problems = validate_cat_model(hom_model)
+    problems = catmodels.validate_cat_model(hom_model)
     verdicts = [{"name": name,
                  "verdict": "Valid" if not problems else "Invalid",
                  "detail": f"{homcat.cat.n_objects} objects, {homcat.cat.n_arrows} arrows"}]
-    witnesses = [_jsonable(algebra_view(h)) for h in homcat.objects] if args.list else []
+    witnesses = ([_jsonable(catmodels.algebra_view(h)) for h in homcat.objects]
+                 if args.list else [])
     return (EXIT_OK if not problems else EXIT_FAILED), verdicts, witnesses
 
 
@@ -344,7 +324,7 @@ def cmd_closed_check(args, doc):
     Z = doc.cat_model(args.z)
     name = f"Mul({args.x},{args.y};{args.z})"
     try:
-        report = closed_check(X, Y, Z, sigma, args.weakness)
+        report = multimaps.closed_check(X, Y, Z, sigma, args.weakness)
     except CellError as e:
         return EXIT_FAILED, [{"name": name, "verdict": "Fails", "detail": str(e)}], []
     verdicts = [{"name": name,
@@ -359,7 +339,7 @@ def cmd_fox(args, doc):
     models = _cat_models_for(doc, for_theory, args.models)
     if not models:
         raise InputError("no models available")
-    report = fox_comonad(sigma, models)
+    report = multimaps.fox_comonad(sigma, models)
     verdicts = []
     witnesses = []
     for r in report.models:
@@ -400,7 +380,7 @@ def cmd_eh(args, doc):
             raise InputError(f"--theory {args.theory} is not the theory of sigma table "
                              f"{sigma.name}, which is for {for_theory}")
         theory2 = doc.theory(for_theory)
-        report = eckmann_hilton_2d(theory2, sigma)
+        report = multimaps.eckmann_hilton_2d(theory2, sigma)
         verdicts.append({"name": theory2.base.name,
                          "verdict": "Passes" if report.passes else "Fails",
                          "detail": _jsonable(report)})
@@ -409,7 +389,7 @@ def cmd_eh(args, doc):
         if report.passes and len(models) >= 1:
             for xn, X in models:
                 for yn, Y in models:
-                    probe = eh_local_iso_probe(X, Y, sigma)
+                    probe = multimaps.eh_local_iso_probe(X, Y, sigma)
                     ok = probe.objects_bijective and probe.arrows_bijective
                     verdicts.append({"name": f"lift({xn},{yn})",
                                      "verdict": "Bijection" if ok else "Fails",
@@ -425,8 +405,8 @@ def cmd_eh(args, doc):
 def cmd_bilax(args, doc):
     _, sigma = _pick_sigma(doc, args.sigma)
     model = doc.cat_model(args.model)
-    algs = internal_algebras(model).objects
-    coalgs = internal_coalgebras(model).objects
+    algs = catmodels.internal_algebras(model).objects
+    coalgs = catmodels.internal_coalgebras(model).objects
     verdicts = []
     witnesses = []
     failed = False
@@ -434,7 +414,7 @@ def cmd_bilax(args, doc):
         for j, c in enumerate(coalgs):
             if a.point() != c.point():
                 continue
-            report = bilax_check(a, c, sigma)
+            report = multimaps.bilax_check(a, c, sigma)
             verdicts.append({"name": f"alg{i}/coalg{j}@{a.point()}",
                              "verdict": report.verdict, "detail": None})
             if report.verdict != "Bilax":

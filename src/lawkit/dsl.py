@@ -49,31 +49,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from . import fincat
-from .catmodels import CatModel
-from .cells import (
-    CellError,
-    Gen,
-    HWhiskerL,
-    HWhiskerR,
-    Id,
-    Inverse,
-    Par,
-    Pasting,
-    PowerL,
-    PowerR,
-    SigmaTable,
-    TwoCellSymbol,
-    TwoTheoryPresentation,
-    Vert,
-    WEAKNESSES,
-    spans_square,
-    validate_pasting,
-)
+from . import catmodels, cells, fincat
 from .finset import FinSetModel, validate_model
-from .fincat import FinCategory, FinFunctor, FinNat, build_category, graded_scalar_category
 from .theory import (
+    WEAKNESSES,
     Apply,
+    CellError,
     Equation,
     Morphism,
     OpSymbol,
@@ -81,6 +62,8 @@ from .theory import (
     Term,
     TheoryError,
     TheoryPresentation,
+    TwoCellSymbol,
+    TwoTheoryPresentation,
     compose,
     identity,
 )
@@ -165,7 +148,7 @@ class ModelDecl:
 @dataclass(frozen=True)
 class Document:
     theories: tuple[TwoTheoryPresentation, ...] = ()
-    sigmas: tuple[tuple[str, SigmaTable], ...] = ()  # (for-theory, table)
+    sigmas: tuple[tuple[str, cells.SigmaTable], ...] = ()  # (for-theory, table)
     models: tuple[ModelDecl, ...] = ()
     checks: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
@@ -175,7 +158,7 @@ class Document:
                 return t
         raise KeyError(f"no theory named {name}")
 
-    def sigma(self, name: str) -> tuple[str, SigmaTable]:
+    def sigma(self, name: str) -> tuple[str, cells.SigmaTable]:
         for for_theory, s in self.sigmas:
             if s.name == name:
                 return for_theory, s
@@ -201,7 +184,7 @@ class Document:
             raise ModelViolation(f"model {name} violates {result.equation} at {result.env}")
         return result
 
-    def cat_model(self, name: str) -> CatModel:
+    def cat_model(self, name: str) -> catmodels.CatModel:
         decl = self.model_decl(name)
         theory2 = self.theory(decl.theory)
         if decl.kind == "fincat":
@@ -455,30 +438,32 @@ def parse_morphism_expr(p: _Parser, base_ops: list[OpSymbol],
     return out
 
 
-# keyword -> (node class, argument kinds in field order).  A kind is a
-# "pasting", a "morphism" expression, a "count" or a list of "pastings"
-# running to the closing parenthesis.  The parser and the tests' serializer
-# both read this table; a keyword beats a 2-cell of the same name.
+# keyword -> (node class in ``cells``, argument kinds in field order).  A
+# kind is a "pasting", a "morphism" expression, a "count" or a list of
+# "pastings" running to the closing parenthesis.  The parser and the tests'
+# serializer both read this table; a keyword beats a 2-cell of the same name.
+# Nodes are named, not held, so that importing ``dsl`` leaves ``cells``
+# unloaded.
 _COMBINATORS = {
-    "id": (Id, ("morphism",)),
-    "inv": (Inverse, ("pasting",)),
-    "vert": (Vert, ("pasting", "pasting")),
-    "whiskL": (HWhiskerL, ("morphism", "pasting")),
-    "whiskR": (HWhiskerR, ("pasting", "morphism")),
-    "powL": (PowerL, ("count", "pasting")),
-    "powR": (PowerR, ("pasting", "count")),
-    "par": (Par, ("pastings",)),
+    "id": ("Id", ("morphism",)),
+    "inv": ("Inverse", ("pasting",)),
+    "vert": ("Vert", ("pasting", "pasting")),
+    "whiskL": ("HWhiskerL", ("morphism", "pasting")),
+    "whiskR": ("HWhiskerR", ("pasting", "morphism")),
+    "powL": ("PowerL", ("count", "pasting")),
+    "powR": ("PowerR", ("pasting", "count")),
+    "par": ("Par", ("pastings",)),
 }
 
 
 def _parse_pasting(p: _Parser, theory2_cells: dict[str, TwoCellSymbol],
-                   base_ops: list[OpSymbol]) -> Pasting:
+                   base_ops: list[OpSymbol]) -> cells.Pasting:
     t = p.peek()
     if t.kind != "ident":
         p.fail("expected a pasting expression")
     name = t.value
     if name in _COMBINATORS:
-        cls, kinds = _COMBINATORS[name]
+        node, kinds = _COMBINATORS[name]
         p.next()
         p.expect("punct", "(")
         args = []
@@ -487,10 +472,10 @@ def _parse_pasting(p: _Parser, theory2_cells: dict[str, TwoCellSymbol],
                 p.expect("punct", ",")
             args.append(_parse_pasting_argument(p, kind, theory2_cells, base_ops))
         p.expect("punct", ")")
-        return cls(*args)
+        return getattr(cells, node)(*args)
     if name in theory2_cells:
         p.next()
-        return Gen(theory2_cells[name])
+        return cells.Gen(theory2_cells[name])
     p.fail(f"unknown pasting combinator or cell {name!r}")
 
 
@@ -518,7 +503,7 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
     ops: list[OpSymbol] = []
     basis_tokens: list[Token] = []
     equations: list[Equation] = []
-    cells: dict[str, TwoCellSymbol] = {}
+    cell_symbols: dict[str, TwoCellSymbol] = {}
     cell_equations = []
     while not p.accept("punct", "}"):
         kw = p.ident()
@@ -552,7 +537,7 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
         elif kw == "cell":
             name_token = p.peek()
             cell_name = p.ident()
-            if cell_name in cells:
+            if cell_name in cell_symbols:
                 p.fail_last(f"duplicate 2-cell {cell_name!r}")
             p.expect("punct", ":")
             src = parse_morphism_expr(p, ops)
@@ -561,14 +546,14 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
             invertible = bool(p.accept("ident", "invertible"))
             p.expect("punct", ";")
             src, tgt = _pad_parallel(src, tgt)
-            cells[cell_name] = _built_at(p, name_token, TwoCellSymbol,
-                                         cell_name, src, tgt, invertible)
+            cell_symbols[cell_name] = _built_at(p, name_token, TwoCellSymbol,
+                                                cell_name, src, tgt, invertible)
         elif kw == "celleq":
             ce_name = p.ident()
             p.expect("punct", ":")
-            lhs_p = _parse_pasting(p, cells, ops)
+            lhs_p = _parse_pasting(p, cell_symbols, ops)
             p.expect("punct", "=")
-            rhs_p = _parse_pasting(p, cells, ops)
+            rhs_p = _parse_pasting(p, cell_symbols, ops)
             p.expect("punct", ";")
             cell_equations.append((ce_name, lhs_p, rhs_p))
         else:
@@ -578,7 +563,7 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
             p.fail_at(t, f"basis element {t.value} is not a generator")
     basis = tuple(t.value for t in basis_tokens) or None  # None: every operation
     base = TheoryPresentation(name, tuple(ops), tuple(equations), basis)
-    return TwoTheoryPresentation(base, tuple(cells.values()), tuple(cell_equations))
+    return TwoTheoryPresentation(base, tuple(cell_symbols.values()), tuple(cell_equations))
 
 
 def _built_at(p: _Parser, token: Token, make, *args):
@@ -611,7 +596,8 @@ def _known(p: _Parser, names, what: str) -> str:
     return name
 
 
-def _parse_sigma(p: _Parser, theories: list[TwoTheoryPresentation]) -> tuple[str, SigmaTable]:
+def _parse_sigma(p: _Parser,
+                 theories: list[TwoTheoryPresentation]) -> tuple[str, cells.SigmaTable]:
     name = p.ident()
     p.expect("ident", "for")
     theory_name = p.ident()
@@ -628,7 +614,7 @@ def _parse_sigma(p: _Parser, theories: list[TwoTheoryPresentation]) -> tuple[str
     symmetric = bool(p.accept("ident", "symmetric"))
     p.expect("punct", "{")
     entries = []
-    cells = {c.name: c for c in theory2.cells}
+    cell_symbols = {c.name: c for c in theory2.cells}
     ops = list(theory2.base.generators)
     names = {g.name for g in ops}
     while not p.accept("punct", "}"):
@@ -638,14 +624,14 @@ def _parse_sigma(p: _Parser, theories: list[TwoTheoryPresentation]) -> tuple[str
         b = _known(p, names, "operation")
         p.expect("punct", ")")
         p.expect("punct", "=")
-        pasting = _parse_pasting(p, cells, ops)
+        pasting = _parse_pasting(p, cell_symbols, ops)
         p.expect("punct", ";")
-        if not _built_at(p, start, spans_square, theory2.base, a, b, pasting):
+        if not _built_at(p, start, cells.spans_square, theory2.base, a, b, pasting):
             p.fail_at(start, f"sigma entry ({a}, {b}) does not span its commutativity square")
-        for problem in _built_at(p, start, validate_pasting, theory2, pasting):
+        for problem in _built_at(p, start, cells.validate_pasting, theory2, pasting):
             p.fail_at(start, f"sigma entry ({a}, {b}): {problem}")
         entries.append(((a, b), pasting))
-    return theory_name, SigmaTable(name, weakness, tuple(entries), symmetric)
+    return theory_name, cells.SigmaTable(name, weakness, tuple(entries), symmetric)
 
 
 def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl:
@@ -656,7 +642,7 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
     if theory2 is None:
         p.fail_last(f"model references unknown theory {theory_name!r}")
     ops = {g.name for g in theory2.base.generators}
-    cells = {c.name for c in theory2.cells}
+    cell_names = {c.name for c in theory2.cells}
     p.expect("ident", "in")
     kind = p.ident()
     if kind not in ("finset", "fincat", "moncat"):
@@ -714,7 +700,7 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
             elif kw == "functor":
                 functors.append(_parse_functor_decl(p, ops))
             elif kw == "nat":
-                nats.append(_parse_nat_decl(p, cells))
+                nats.append(_parse_nat_decl(p, cell_names))
             else:
                 p.fail_last(f"unknown fincat item {kw!r}")
         # Arrows may be declared after the composites that name them.
@@ -748,14 +734,14 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
             unit = _known(p, ops, "operation")
             p.expect("punct", ";")
         elif kw == "braiding":
-            bname = _known(p, cells, "2-cell")
+            bname = _known(p, cell_names, "2-cell")
             p.expect("punct", "=")
             braidings.append((bname, p.nat_matrix()))
             p.expect("punct", ";")
         elif kw == "functor":
             functors.append(_parse_functor_decl(p, ops))
         elif kw == "nat":
-            nats.append(_parse_nat_decl(p, cells))
+            nats.append(_parse_nat_decl(p, cell_names))
         else:
             p.fail_last(f"unknown moncat item {kw!r}")
     return ModelDecl(name, theory_name, "moncat",
@@ -787,8 +773,8 @@ def _parse_functor_decl(p: _Parser, ops) -> FunctorDecl:
     return FunctorDecl(fname, obj, None if auto else (arr if arr is not None else ()))
 
 
-def _parse_nat_decl(p: _Parser, cells) -> NatDecl:
-    nname = _known(p, cells, "2-cell")
+def _parse_nat_decl(p: _Parser, cell_names) -> NatDecl:
+    nname = _known(p, cell_names, "2-cell")
     if p.accept("ident", "auto"):
         p.expect("punct", ";")
         return NatDecl(nname, None)
@@ -806,7 +792,7 @@ def parse(text: str, path: str = "<string>",
         tokens = tokenize(text)
         p = _Parser(tokens)
         theories: list[TwoTheoryPresentation] = []
-        sigmas: list[tuple[str, SigmaTable]] = []
+        sigmas: list[tuple[str, cells.SigmaTable]] = []
         models: list[ModelDecl] = []
         checks: list[tuple[str, tuple[str, ...]]] = []
         while p.peek().kind != "eof":
@@ -857,7 +843,7 @@ def parse_file(path) -> tuple[Document | None, SourceFile]:
 
 # -- elaboration of categorical model blocks -----------------------------------------------
 
-def _elaborate_fincat(theory2: TwoTheoryPresentation, decl: FinCatDecl) -> CatModel:
+def _elaborate_fincat(theory2: TwoTheoryPresentation, decl: FinCatDecl) -> catmodels.CatModel:
     n = decl.objects
     names = [f"id{a}" for a in range(n)] + [a for a, _, _ in decl.arrows]
     if len(set(names)) != len(names):
@@ -871,7 +857,7 @@ def _elaborate_fincat(theory2: TwoTheoryPresentation, decl: FinCatDecl) -> CatMo
     comp = {}
     for f, g, h in decl.composites:
         comp[(index[f], index[g])] = index[h]
-    cat = build_category(n, src, dst, list(range(n)), comp)
+    cat = fincat.build_category(n, src, dst, list(range(n)), comp)
     violation = fincat.validate_category(cat)
     if violation is not None:
         # Every datum is an arrow id (an object's for "identity", which is also its id arrow).
@@ -880,12 +866,11 @@ def _elaborate_fincat(theory2: TwoTheoryPresentation, decl: FinCatDecl) -> CatMo
     return _attach_tables(theory2, cat, decl.functors, decl.nats)
 
 
-def _elaborate_moncat(theory2: TwoTheoryPresentation, decl: MonCatDecl) -> CatModel:
-    cat = graded_scalar_category(decl.grading, decl.scalars)
+def _elaborate_moncat(theory2: TwoTheoryPresentation, decl: MonCatDecl) -> catmodels.CatModel:
+    cat = fincat.graded_scalar_category(decl.grading, decl.scalars)
     functors = list(decl.functors)
     nats = list(decl.nats)
-    ops: list[tuple[str, FinFunctor]] = []
-    cells: list[tuple[str, FinNat]] = []
+    ops: list[tuple[str, fincat.FinFunctor]] = []
     if decl.tensor is not None:
         sq = fincat.power(cat, 2)
         obj_map = tuple((x + y) % decl.grading
@@ -898,10 +883,10 @@ def _elaborate_moncat(theory2: TwoTheoryPresentation, decl: MonCatDecl) -> CatMo
             y, t = divmod(g, decl.scalars)
             arr_map.append(((x + y) % decl.grading) * decl.scalars
                            + (s + t) % decl.scalars)
-        ops.append((decl.tensor, FinFunctor(sq.cat, cat, obj_map, tuple(arr_map))))
+        ops.append((decl.tensor, fincat.FinFunctor(sq.cat, cat, obj_map, tuple(arr_map))))
     if decl.unit is not None:
-        ops.append((decl.unit, FinFunctor(fincat.power(cat, 0).cat, cat,
-                                          (0,), (cat.identity[0],))))
+        ops.append((decl.unit, fincat.FinFunctor(fincat.power(cat, 0).cat, cat,
+                                                 (0,), (cat.identity[0],))))
     model = _attach_tables(theory2, cat, tuple(functors), tuple(nats), extra_ops=tuple(ops))
     if decl.braidings:
         sq = fincat.power(cat, 2)
@@ -916,17 +901,18 @@ def _elaborate_moncat(theory2: TwoTheoryPresentation, decl: MonCatDecl) -> CatMo
                 x, y = sq.decode_obj(o)
                 comps.append(((x + y) % decl.grading) * decl.scalars
                              + rows[x][y] % decl.scalars)
-            braid_cells.append((bname, FinNat(model.functor_of(cellsym.source),
-                                              model.functor_of(cellsym.target),
-                                              tuple(comps))))
-        model = CatModel(theory2, cat, model.op_functors,
-                         model.cell_nats + tuple(braid_cells))
+            braid_cells.append((bname, fincat.FinNat(model.functor_of(cellsym.source),
+                                                     model.functor_of(cellsym.target),
+                                                     tuple(comps))))
+        model = catmodels.CatModel(theory2, cat, model.op_functors,
+                                   model.cell_nats + tuple(braid_cells))
     return model
 
 
-def _attach_tables(theory2: TwoTheoryPresentation, cat: FinCategory,
+def _attach_tables(theory2: TwoTheoryPresentation, cat: fincat.FinCategory,
                    functors: tuple[FunctorDecl, ...], nats: tuple[NatDecl, ...],
-                   extra_ops: tuple[tuple[str, FinFunctor], ...] = ()) -> CatModel:
+                   extra_ops: tuple[tuple[str, fincat.FinFunctor], ...] = ()
+                   ) -> catmodels.CatModel:
     ops = list(extra_ops)
     have = {n for n, _ in ops}
     for decl in functors:
@@ -951,13 +937,13 @@ def _attach_tables(theory2: TwoTheoryPresentation, cat: FinCategory,
                 raise ValueError(f"functor {decl.name}: arrow table has the wrong size")
             if any(f >= cat.n_arrows for f in arr):
                 raise ValueError(f"functor {decl.name}: arrow out of range")
-        ops.append((decl.name, FinFunctor(dom.cat, cat, decl.obj, arr)))
+        ops.append((decl.name, fincat.FinFunctor(dom.cat, cat, decl.obj, arr)))
         have.add(decl.name)
     for g in theory2.base.generators:
         if g.name not in have:
             raise ValueError(f"model gives no table for operation {g.name}")
-    skeleton = CatModel(theory2, cat, tuple(ops))
-    cells = []
+    skeleton = catmodels.CatModel(theory2, cat, tuple(ops))
+    cell_nats = []
     for decl in nats:
         cellsym = theory2.cell(decl.name)
         fsrc = skeleton.functor_of(cellsym.source)
@@ -976,5 +962,5 @@ def _attach_tables(theory2: TwoTheoryPresentation, cat: FinCategory,
                 raise ValueError(f"nat {decl.name}: component table has the wrong size")
             if any(c >= cat.n_arrows for c in comps):
                 raise ValueError(f"nat {decl.name}: component out of range")
-        cells.append((decl.name, FinNat(fsrc, ftgt, comps)))
-    return CatModel(theory2, cat, tuple(ops), tuple(cells))
+        cell_nats.append((decl.name, fincat.FinNat(fsrc, ftgt, comps)))
+    return catmodels.CatModel(theory2, cat, tuple(ops), tuple(cell_nats))

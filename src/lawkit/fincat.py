@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .search import search
+from .search import EnumerationBound, search
 
 # Largest table, in entries, built for a product category or a functor on one.
 POWER_BOUND = 1 << 22
@@ -23,10 +23,6 @@ FUNCTOR_ENUMERATION_BOUND = 1 << 22
 
 class CatError(Exception):
     pass
-
-
-class EnumerationBound(Exception):
-    """Raised instead of sampling when a search space exceeds its bound."""
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from pathlib import Path
 
 from .. import dsl
 from ..catmodels import CatModel
-from ..cells import SigmaTable, TwoTheoryPresentation
-from ..theory import TheoryPresentation
+from ..cells import SigmaTable
+from ..theory import TheoryPresentation, TwoTheoryPresentation
 
 _LAW_DIR = Path(__file__).parent / "law"
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from . import catmodels, fincat
 from .catmodels import (
     CatModel,
-    EnumerationBound,
     HomCategory,
     HomCoherence,
     LaxHom,
@@ -38,16 +37,14 @@ from .catmodels import (
     validate_modification,
 )
 from .cells import (
-    CellError,
     SigmaTable,
-    TwoTheoryPresentation,
     derive_sigma,
     is_invertible_pasting,
     pasting_components,
 )
 from .fincat import FinFunctor, FinNat, enumerate_functors
-from .search import search
-from .theory import Equal, check_unital, generator_morphism
+from .search import EnumerationBound, search
+from .theory import CellError, Equal, TwoTheoryPresentation, check_unital, generator_morphism
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ Zhang, IJCAI 1995)."""
 from __future__ import annotations
 
 
+class EnumerationBound(Exception):
+    """Raised instead of sampling when a search space exceeds its bound."""
+
+
 def search(domain, checks):
     """Yield, as tuples and in lexicographic order, every assignment of the
     ``len(checks)`` slots, assigned in order and depth first, that passes its

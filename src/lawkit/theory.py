@@ -22,6 +22,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .cells import Pasting
 
 # Most rewrite steps one normalization may take: of a term by the equations,
 # or of a pasting by the cell equations.
@@ -284,6 +288,44 @@ def _check_ops_declared(t: Term, byname: dict[str, OpSymbol]) -> None:
             raise TheoryError(f"equation uses undeclared operation {t.op.name}/{t.op.arity}")
         for a in t.args:
             _check_ops_declared(a, byname)
+
+
+# -- presentations with 2-cells -----------------------------------------------
+# Pure data: parsing a theory reads nothing of ``cells``, which evaluates
+# pastings, so a one-dimensional file never loads it.
+
+class CellError(Exception):
+    """Malformed 2-cell, pasting or exchange table, or a 2-dimensional
+    construction that does not apply."""
+
+
+# How strictly a hom or an exchange table preserves the operations.
+WEAKNESSES = ("strict", "pseudo", "lax", "colax")
+
+
+@dataclass(frozen=True)
+class TwoCellSymbol:
+    name: str
+    source: Morphism
+    target: Morphism
+    invertible: bool = False
+
+    def __post_init__(self):
+        if (self.source.source, self.source.target) != (self.target.source, self.target.target):
+            raise CellError(f"2-cell {self.name}: boundary morphisms not parallel")
+
+
+@dataclass(frozen=True)
+class TwoTheoryPresentation:
+    base: TheoryPresentation
+    cells: tuple[TwoCellSymbol, ...] = ()
+    cell_equations: tuple[tuple[str, Pasting, Pasting], ...] = ()
+
+    def cell(self, name: str) -> TwoCellSymbol:
+        for c in self.cells:
+            if c.name == name:
+                return c
+        raise CellError(f"unknown 2-cell {name}")
 
 
 # -- rewriting ---------------------------------------------------------------

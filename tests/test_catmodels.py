@@ -41,7 +41,6 @@ from lawkit.catmodels import (
     validate_modification,
 )
 from lawkit.cells import (
-    CellError,
     Gen,
     Id,
     _decompose,
@@ -49,7 +48,6 @@ from lawkit.cells import (
     evaluate_pasting,
 )
 from lawkit.fincat import (
-    EnumerationBound,
     FinFunctor,
     FinNat,
     build_category,
@@ -62,7 +60,17 @@ from lawkit.fincat import (
     validate_nat,
     vert_nat,
 )
-from lawkit.theory import Apply, Morphism, Proj, compose, generator_morphism, is_inert, par
+from lawkit.search import EnumerationBound
+from lawkit.theory import (
+    Apply,
+    CellError,
+    Morphism,
+    Proj,
+    compose,
+    generator_morphism,
+    is_inert,
+    par,
+)
 from references import (
     discrete_category,
     identity_hom,

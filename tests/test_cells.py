@@ -7,7 +7,6 @@ import pytest
 
 from lawkit import cells, dsl, fixtures as fx
 from lawkit.cells import (
-    CellError,
     Distinguished,
     EqualOnProbes,
     Gen,
@@ -21,7 +20,6 @@ from lawkit.cells import (
     PowerR,
     SigmaTable,
     SyntacticallyEqual,
-    TwoTheoryPresentation,
     Vert,
     check_sigma_coherence,
     derive_sigma,
@@ -42,10 +40,13 @@ from lawkit.cells import (
 )
 from lawkit.theory import (
     Apply,
+    CellError,
     Morphism,
     Proj,
     TheoryError,
     TheoryPresentation,
+    TwoCellSymbol,
+    TwoTheoryPresentation,
     compose,
     generator_morphism,
     identity,
@@ -288,7 +289,6 @@ def test_validate_pasting():
     # boundary check must flag the composite
     issues = validate_pasting(fx.theory("t_comm_flat"), bad)
     assert issues and "boundaries" in issues[0]
-    from lawkit.cells import TwoCellSymbol
     noninv = TwoCellSymbol("t", m, m, invertible=False)
     assert validate_pasting(fx.theory("t_comm_flat"), Inverse(Gen(noninv))) != []
 

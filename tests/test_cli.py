@@ -305,7 +305,7 @@ def test_wrong_argument_count_points_at_the_operation(tmp_path):
     ("m(m(x1,x2),x3) =", "m(m(x1,x2),x38) ="),
     ("= m(x1,m(x2,x3))", "= m(x1,m(x2,x38))"),
 ])
-def test_huge_equation_arity_hits_the_power_bound(tmp_path, old, new):
+def test_huge_arity_enumerates_occurring_variables(tmp_path, old, new):
     # One-character mutants of t_ass_flat.law whose equation has 38 variables,
     # four of which occur: only those are enumerated, not the 38th power of
     # the carrier, so the shipped models get a verdict within the bound.
@@ -344,6 +344,80 @@ def test_huge_equation_arity_over_a_finite_set_gets_a_verdict(tmp_path, old, new
                           capture_output=True, text=True, env=env, timeout=10)
     assert done.returncode == EXIT_FAILED, done.stderr
     assert "violates assoc" in done.stdout
+
+
+def _child(*args):
+    """``python args...`` in a fresh interpreter that imports lawkit from
+    ``src`` and writes no bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src")] + sys.path))
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                          text=True, env=env, cwd=ROOT, timeout=60)
+
+
+# Imports lawkit.cli, runs the command in its arguments and prints
+# which lawkit modules are registered and which have executed.  A module
+# loaded on first use is an instance of a ModuleType subclass until then.
+_LOAD_PROBE = """
+import io, json, sys, types
+def executed():
+    return sorted(name for name, module in sys.modules.items()
+                  if name.partition(".")[0] == "lawkit" and type(module) is types.ModuleType)
+import lawkit.cli
+at_import = executed()
+code = lawkit.cli.run(sys.argv[1:], io.StringIO())
+print(json.dumps({"registered": sorted(n for n in sys.modules if n.startswith("lawkit.")),
+                  "at_import": at_import, "executed": executed(), "code": code}))
+"""
+LAYERS = ("cli", "dsl", "theory", "finset", "fincat", "catmodels", "cells", "multimaps")
+LAYERS_2D = ("catmodels", "cells", "fincat", "multimaps")
+EXECUTED_1D = ["lawkit", "lawkit.cli", "lawkit.dsl", "lawkit.finset", "lawkit.search",
+               "lawkit.theory"]
+
+
+def _load_probe(*argv):
+    done = _child("-c", _LOAD_PROBE, *argv)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv, code, n_executed, layers_2d", [
+    (["check-theory", "t_ass.law"], EXIT_OK, 6, ()),
+    (["commutative", "t_comm.law"], EXIT_OK, 6, ()),
+    (["models", "t_ass.law", "--size", "9"], EXIT_INCONCLUSIVE, 6, ()),
+    (["check-theory", "stray"], EXIT_INPUT, 6, ()),
+    (["hom-internal", "t_comm_flat.law", "--source", "poset_meet", "--target", "poset_meet"],
+     EXIT_OK, 9, ("catmodels", "cells", "fincat")),
+    (["closed-check", "t_comm_flat.law", "--x", "poset_meet", "--y", "poset_meet",
+      "--z", "poset_meet"], EXIT_OK, 10, LAYERS_2D),
+], ids=["check-theory", "commutative", "models-over-bound", "stray-character", "hom-internal",
+        "closed-check"])
+def test_a_command_executes_only_the_layers_it_uses(tmp_path, argv, code, n_executed,
+                                                    layers_2d):
+    # "stray" is t_comm_flat.law with an '@' the tokenizer rejects.
+    path = (_mutant(tmp_path, "t_comm_flat.law", "theory", "@theory") if argv[1] == "stray"
+            else law_path(argv[1]))
+    probe = _load_probe(argv[0], path, *argv[2:])
+    assert {f"lawkit.{layer}" for layer in LAYERS} <= set(probe["registered"])
+    assert probe["at_import"] == EXECUTED_1D
+    assert probe["code"] == code
+    assert len(probe["executed"]) == n_executed
+    assert probe["executed"] == sorted(EXECUTED_1D + [f"lawkit.{x}" for x in layers_2d])
+
+
+@pytest.mark.parametrize("name, two_dimensional", [("commutative_t_ass", False),
+                                                   ("hom_internal_poset", True)])
+def test_traced_cli_reports_like_the_cli(tmp_path, name, two_dimensional):
+    # perfbench/traced_cli.py wraps all eight layers from outside, reading
+    # them from sys.modules, so it loads the 2-D layers itself.
+    argv = _argv_for(name)
+    dump = tmp_path / "dump.json"
+    traced = _child(ROOT / "perfbench" / "traced_cli.py", dump, *argv)
+    plain = _child("-m", "lawkit.cli", *argv)
+    assert traced.returncode == plain.returncode, traced.stderr
+    assert traced.stdout == plain.stdout
+    layers = {node[3] for node in json.loads(dump.read_text())["nodes"]}
+    assert ("catmodels" in layers) == two_dimensional
 
 
 def _input_error_detail(argv):

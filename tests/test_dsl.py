@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lawkit import dsl, fixtures as fx
+from lawkit import cells, dsl, fixtures as fx
 from lawkit.catmodels import validate_cat_model
 from lawkit.cells import Gen, HWhiskerL, Par, Pasting, Vert
 from lawkit.theory import Morphism, render_term
@@ -20,7 +20,8 @@ from test_cells import random_pastings, shipped_pastings
 
 # node class -> (keyword, (field name, kind) per argument), from the parser's table.
 _RENDERINGS = {cls: (keyword, tuple(zip((f.name for f in fields(cls)), kinds)))
-               for keyword, (cls, kinds) in dsl._COMBINATORS.items()}
+               for keyword, (node, kinds) in dsl._COMBINATORS.items()
+               for cls in [getattr(cells, node)]}
 
 
 def render_morphism(m: Morphism) -> str:

@@ -4,7 +4,6 @@ from lawkit import catmodels
 from lawkit import fixtures as fx
 from lawkit import multimaps
 from lawkit.catmodels import (
-    EnumerationBound,
     internal_algebras,
     internal_coalgebras,
     lift_hom,
@@ -23,6 +22,7 @@ from lawkit.multimaps import (
     uncurry,
 )
 from lawkit.catmodels import internal_hom
+from lawkit.search import EnumerationBound
 
 
 def test_multimaps_into_terminal():

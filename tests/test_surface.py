@@ -9,7 +9,9 @@ References are resolved, not matched by name, so one definition cannot hide
 behind another of the same name:
 
 * a top-level name is reached by its bare name in its own module, by a name
-  imported from its module, or as ``module.name``;
+  imported from its module, or as ``module.name`` after ``from . import
+  module``, unless a parameter or local variable of the function shadows
+  ``module``;
 * a member ``C.m`` is reached by ``x.m`` where ``x`` has a type related to
   ``C`` by inheritance.  Types are read from ``self``, annotations of
   parameters, fields and return values, ``isinstance`` tests and
@@ -212,6 +214,15 @@ def _top_level_references(trees: dict[str, ast.Module]) -> Counter:
                         modules[alias.asname or alias.name] = alias.name
                     else:
                         imported[alias.asname or alias.name] = (node.module, alias.name)
+        shadowed = set()  # ids of the Name nodes that read a local, not a module
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                args = fn.args
+                local = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                local |= {n.id for n in ast.walk(fn)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+                shadowed |= {id(n) for n in ast.walk(fn)
+                             if isinstance(n, ast.Name) and n.id in local and n.id in modules}
         owner_of_definition = {}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -226,7 +237,7 @@ def _top_level_references(trees: dict[str, ast.Module]) -> Counter:
                 else:
                     continue
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                    and node.value.id in modules:
+                    and node.value.id in modules and id(node.value) not in shadowed:
                 target = (modules[node.value.id], node.attr)
             else:
                 continue
@@ -235,8 +246,7 @@ def _top_level_references(trees: dict[str, ast.Module]) -> Counter:
     return refs
 
 
-def unreferenced_public_names() -> list[str]:
-    trees = _parse(SRC)
+def unreferenced_public_names(trees: dict[str, ast.Module]) -> list[str]:
     src = Source(trees)
     top = _top_level_references(trees)
     members = _member_references(src)
@@ -273,7 +283,23 @@ def unused_imports(trees: dict[str, ast.Module]) -> list[str]:
 
 
 def test_every_public_name_has_a_caller_in_src():
-    assert unreferenced_public_names() == []
+    assert unreferenced_public_names(_parse(SRC)) == []
+
+
+def test_module_qualified_references_resolve_to_their_module():
+    # `live` is reached as `a.live`; `dead` only through a parameter and a
+    # local variable that shadow the module `a`.
+    trees = {
+        "a": ast.parse("def live(): pass\n"
+                       "def dead(): pass\n"),
+        "b": ast.parse("from . import a\n"
+                       "def _use(): return a.live()\n"
+                       "def _param(a): return a.dead()\n"
+                       "def _local():\n"
+                       "    a = {}\n"
+                       "    return a.dead()\n"),
+    }
+    assert unreferenced_public_names(trees) == ["a.dead"]
 
 
 def test_every_import_is_used():
