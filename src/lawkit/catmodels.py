@@ -18,8 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -51,14 +49,13 @@ from .fincat import (
 )
 from .search import EnumerationBound, search
 from .theory import (
-    Apply,
     CellError,
     Morphism,
-    Proj,
     TwoTheoryPresentation,
-    _shape,
+    compile_term,
     generator_morphism,
     is_inert,
+    occurring_variables,
     par as par_morphism,
     power_right,
 )
@@ -136,15 +133,14 @@ class CatModel:
         """Whether ``functor_of(f) == functor_of(g)``, without tabulating either.
 
         Parallel sides are compared pointwise over the variables that occur
-        in them; every other coordinate stays 0, since neither side reads it.
-        They are compared on every object and on every arrow, or, once every
-        op functor is a functor, on every one-variable arrow
-        ``(id, ..., a, ..., id)`` only: both sides are then functors, and
-        every arrow of C^n is a composite of one-variable arrows.  The second
-        way is taken where it reads fewer points, counting the pairs that
-        checking the op functors reads.  The number of points is checked
-        against ``fincat.POWER_BOUND`` before any is evaluated.  Memoized per
-        pair."""
+        in them (``theory.occurring_variables``).  They are compared on every
+        object and on every arrow, or, once every op functor is a functor, on
+        every one-variable arrow ``(id, ..., a, ..., id)`` only: both sides
+        are then functors, and every arrow of C^n is a composite of
+        one-variable arrows.  The second way is taken where it reads fewer
+        points, counting the pairs that checking the op functors reads.  The
+        number of points is checked against ``fincat.POWER_BOUND`` before any
+        is evaluated.  Memoized per pair."""
         key = (f, g)
         if key not in self._agreements:
             self._agreements[key] = self._agree(f, g)
@@ -156,9 +152,7 @@ class CatModel:
         c = self.carrier
         if f.source and not c.n_objects:
             return True  # C^n is empty
-        occurs: Counter = Counter()
-        for t in f.components + g.components:
-            _shape(t, occurs)
+        occurs = occurring_variables(f, g)
 
         def block(domain, at=None, rest=None) -> list:
             """A domain per variable: ``domain`` at the variable ``at`` (at
@@ -175,7 +169,7 @@ class CatModel:
             pairs = sum(c.src.count(b) * c.dst.count(b) for b in range(c.n_objects))
             if few + sum(pairs ** op.arity for op in self.theory.base.generators) < full \
                     and not self.op_problems:
-                arrows = [block(moving, i, c.identity) for i in sorted(occurs)]
+                arrows = [block(moving, i, c.identity) for i in occurs]
         size = sum(math.prod(map(len, b)) for b in objects + arrows)
         if size > fincat.POWER_BOUND:
             raise EnumerationBound(f"comparing two functors at {size} points "
@@ -188,38 +182,15 @@ class CatModel:
         return True
 
     def _compiled(self, f: Morphism, arrows: bool) -> tuple:
-        """One closure per component of ``f``, on objects or on arrows."""
+        """``theory.compile_term`` of each component of ``f``, on objects or arrows."""
         key = (f, arrows)
         if key not in self._closures:
-            self._closures[key] = tuple(self._compile(t, arrows) for t in f.components)
+            if arrows:
+                table, radix = lambda name: self.op_functor(name).arr_map, self.carrier.n_arrows
+            else:
+                table, radix = lambda name: self.op_functor(name).obj_map, self.carrier.n_objects
+            self._closures[key] = tuple(compile_term(t, table, radix) for t in f.components)
         return self._closures[key]
-
-    def _compile(self, t, arrows: bool):
-        """A closure sending an argument tuple to the value of the term ``t``;
-        an operation's arguments index its table row-major."""
-        if isinstance(t, Proj):
-            return operator.itemgetter(t.index)
-        assert isinstance(t, Apply)
-        fun = self.op_functor(t.op.name)
-        table = fun.arr_map if arrows else fun.obj_map
-        radix = self.carrier.n_arrows if arrows else self.carrier.n_objects
-        args = [self._compile(a, arrows) for a in t.args]
-        if not args:
-            value = table[0]
-            return lambda xs: value
-        if len(args) == 1:
-            (a,) = args
-            return lambda xs: table[a(xs)]
-        if len(args) == 2:
-            a, b = args
-            return lambda xs: table[a(xs) * radix + b(xs)]
-
-        def apply(xs):
-            idx = 0
-            for a in args:
-                idx = idx * radix + a(xs)
-            return table[idx]
-        return apply
 
     def _encoder(self, f: Morphism, arrows: bool):
         """A closure sending an argument tuple to the row-major code of the

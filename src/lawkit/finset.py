@@ -7,22 +7,20 @@ X^0 is the one-element set, so nullary tables have exactly one cell.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .search import search
 from .theory import (
-    Apply,
     Morphism,
     Proj,
     Term,
     TheoryError,
     TheoryPresentation,
-    _shape,
-    commutativity_square,
+    compile_term,
     generator_morphism,
+    occurring_variables,
+    power_right,
 )
 
 # Most table cells, summed over the generators, a model enumeration may fill.
@@ -58,14 +56,8 @@ class FinSetModel:
     def apply(self, op: str, args: tuple[int, ...]) -> int:
         return self.table(op)[table_index(args, self.size)]
 
-    def eval_term(self, t: Term, env: tuple[int, ...]) -> int:
-        if isinstance(t, Proj):
-            return env[t.index]
-        assert isinstance(t, Apply)
-        return self.apply(t.op.name, tuple(self.eval_term(a, env) for a in t.args))
-
     def eval_morphism(self, f: Morphism, env: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.eval_term(c, env) for c in f.components)
+        return tuple(compile_term(c, self.table, self.size)(env) for c in f.components)
 
 
 @dataclass(frozen=True)
@@ -91,37 +83,29 @@ def make_model(theory: TheoryPresentation, size: int,
 
 def validate_model(theory: TheoryPresentation, size: int,
                    tables: dict[str, tuple[int, ...]]) -> FinSetModel | Violation:
-    """Accept iff every equation holds on every input tuple.
-
-    Only the variables that occur in an equation are enumerated; every other
-    coordinate stays 0, since it cannot change either side.  The first
-    violating tuple in lexicographic order has those coordinates at 0, so the
-    witness is the one a scan of all tuples finds.
-    """
+    """Accept iff every equation holds on every input tuple; else the first
+    failing equation at its first separating input."""
     model = make_model(theory, size, tables)
     for eq in theory.equations:
-        arity = eq.lhs.source
-        if arity and not size:
-            continue  # the empty carrier has no input tuples
-        occurrences = Counter()
-        for t in eq.lhs.components + eq.rhs.components:
-            _shape(t, occurrences)
-        used = sorted(occurrences)
-        env = [0] * arity
-        for values in all_tuples(size, len(used)):
-            for i, v in zip(used, values):
-                env[i] = v
-            lv = model.eval_morphism(eq.lhs, env)
-            rv = model.eval_morphism(eq.rhs, env)
-            if lv != rv:
-                return Violation(eq.name, tuple(env), lv, rv)
+        env = separating_input(model, eq.lhs, eq.rhs)
+        if env is not None:
+            return Violation(eq.name, env, model.eval_morphism(eq.lhs, env),
+                             model.eval_morphism(eq.rhs, env))
     return model
 
 
 def separating_input(model: FinSetModel, f: Morphism, g: Morphism) -> tuple[int, ...] | None:
-    for env in all_tuples(model.size, f.source):
-        if model.eval_morphism(f, env) != model.eval_morphism(g, env):
-            return env
+    """The first input tuple, in lexicographic order, at which the parallel
+    ``f`` and ``g`` differ, or None.  Only the variables that occur in them
+    are enumerated (``theory.occurring_variables``)."""
+    sides = [(compile_term(lhs, model.table, model.size), compile_term(rhs, model.table, model.size))
+             for lhs, rhs in zip(f.components, g.components)]
+    read = occurring_variables(f, g)
+    domains = [range(model.size) if i in read else (0,) for i in range(f.source)]
+    for env in itertools.product(*domains):
+        for lhs, rhs in sides:
+            if lhs(env) != rhs(env):
+                return env
     return None
 
 
@@ -145,38 +129,47 @@ def enumerate_models(theory: TheoryPresentation, size: int):
     for g in theory.generators:
         offset[g.name], at = at, at + size ** g.arity
 
-    def value(t: Term, env: tuple[int, ...], a: list[int]) -> int | None:
-        """t at env, or None while a cell it reads is unassigned."""
+    def compile_instance(t: Term, env: tuple[int, ...], fixed: list[int]):
+        """A closure sending the assigned prefix to the value of ``t`` at
+        ``env``, or to None while a cell it reads is unassigned; appends to
+        ``fixed`` the cells whose arguments ``env`` alone fixes."""
         if isinstance(t, Proj):
-            return env[t.index]
-        args = []
-        for s in t.args:
-            v = value(s, env, a)
-            if v is None:
-                return None
-            args.append(v)
-        cell = offset[t.op.name] + table_index(args, size)
-        return a[cell] if cell < len(a) else None
+            value = env[t.index]
+            return lambda a: value
+        base = offset[t.op.name]
+        if all(isinstance(s, Proj) for s in t.args):
+            cell = base + table_index([env[s.index] for s in t.args], size)
+            fixed.append(cell)
+            return lambda a: a[cell] if cell < len(a) else None
+        args = [compile_instance(s, env, fixed) for s in t.args]
 
-    def innermost_cells(t: Term, env: tuple[int, ...]):
-        if isinstance(t, Apply):
-            if all(isinstance(s, Proj) for s in t.args):
-                yield offset[t.op.name] + table_index([env[s.index] for s in t.args], size)
-            for s in t.args:
-                yield from innermost_cells(s, env)
+        def apply(a):
+            idx = 0
+            for arg in args:
+                v = arg(a)
+                if v is None:
+                    return None
+                idx = idx * size + v
+            cell = base + idx
+            return a[cell] if cell < len(a) else None
+        return apply
 
-    def holds(lhs: Term, rhs: Term, env: tuple[int, ...], a: list[int]) -> bool | None:
-        lv, rv = value(lhs, env, a), value(rhs, env, a)
-        return None if lv is None or rv is None else lv == rv
+    def holds(lhs, rhs):
+        """True or False once both sides are defined, None before."""
+        def check(a):
+            lv, rv = lhs(a), rhs(a)
+            return None if lv is None or rv is None else lv == rv
+        return check
 
     checks: list[list] = [[] for _ in range(total_cells)]
     for eq in theory.equations:
         for lhs, rhs in zip(eq.lhs.components, eq.rhs.components):
             for env in all_tuples(size, eq.lhs.source):
-                cells = [*innermost_cells(lhs, env), *innermost_cells(rhs, env)]
-                if cells:
-                    checks[max(cells)].append(functools.partial(holds, lhs, rhs, env))
-                elif not holds(lhs, rhs, env, []):
+                fixed: list[int] = []
+                check = holds(compile_instance(lhs, env, fixed), compile_instance(rhs, env, fixed))
+                if fixed:
+                    checks[max(fixed)].append(check)
+                elif not check([]):
                     return  # an equation between projections fails at this size
 
     for flat in search(lambda i, a: range(size), checks):
@@ -217,29 +210,18 @@ def enumerate_homs(source: FinSetModel, target: FinSetModel) -> list[ModelHom]:
 
 
 def power_model(model: FinSetModel, n: int) -> FinSetModel:
-    """The n-th power: carrier size**n with pointwise operations.
-
-    Elements encode tuples row-major: (a_0,...,a_{n-1}) -> sum a_i * size^(n-1-i).
-    """
+    """The n-th power: carrier size**n with pointwise operations.  Elements
+    encode tuples row-major, (a_0,...,a_{n-1}) -> sum a_i * size^(n-1-i), so
+    an operation's arguments are the rows of an arity x n matrix, and it acts
+    on each column (``power_right``)."""
     size = model.size
-    psize = size ** n
-
-    def encode(tup: tuple[int, ...]) -> int:
-        return table_index(tup, size)
-
-    decode_cache = list(itertools.product(range(size), repeat=n))
-
     tables = {}
     for g in model.theory.generators:
-        table = []
-        for args in all_tuples(psize, g.arity):
-            tuples = [decode_cache[a] for a in args]
-            result = tuple(
-                model.apply(g.name, tuple(t[i] for t in tuples)) for i in range(n)
-            )
-            table.append(encode(result))
-        tables[g.name] = tuple(table)
-    return make_model(model.theory, psize, tables)
+        columns = [compile_term(c, model.table, size)
+                   for c in power_right(generator_morphism(g), n).components]
+        tables[g.name] = tuple(table_index([c(xs) for c in columns], size)
+                               for xs in all_tuples(size, g.arity * n))
+    return make_model(model.theory, size ** n, tables)
 
 
 # -- semantic commutativity ----------------------------------------------------
@@ -259,13 +241,11 @@ def semantic_commutativity_check(model: FinSetModel) -> SemanticCommutativityRep
     """
     pairs = []
     witness = None
-    for a in model.theory.basis_ops():
-        for b in model.theory.basis_ops():
-            env = separating_input(
-                model, *commutativity_square(generator_morphism(a), generator_morphism(b)))
-            pairs.append((a.name, b.name, env is None))
-            if witness is None and env is not None:
-                witness = (a.name, b.name, env)
+    for a, b, lhs, rhs in model.theory.commutativity_squares:
+        env = separating_input(model, lhs, rhs)
+        pairs.append((a, b, env is None))
+        if witness is None and env is not None:
+            witness = (a, b, env)
     verdict = "Passes" if all(ok for _, _, ok in pairs) else "Fails"
     return SemanticCommutativityReport(verdict, tuple(pairs), witness)
 

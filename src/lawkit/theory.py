@@ -19,7 +19,9 @@ models.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -271,6 +273,13 @@ class TheoryPresentation:
     def basis_ops(self) -> list[OpSymbol]:
         return [self.op(b) for b in self.basis]
 
+    @functools.cached_property
+    def commutativity_squares(self) -> tuple[tuple[str, str, Morphism, Morphism], ...]:
+        """``(a, b, *commutativity_square(a, b))`` per ordered basis pair."""
+        return tuple((a.name, b.name, *commutativity_square(generator_morphism(a),
+                                                            generator_morphism(b)))
+                     for a in self.basis_ops() for b in self.basis_ops())
+
     def rewrite_rules(self) -> list[tuple[str, Term, Term]]:
         """Component-wise oriented rules (name, lhs pattern, rhs pattern)."""
         rules = []
@@ -502,6 +511,47 @@ def normalize_morphism(theory: TheoryPresentation,
     return Morphism(f.source, f.target, tuple(comps)), traces, ok
 
 
+# -- evaluation in table-backed models ----------------------------------------
+
+def compile_term(t: Term, table, radix: int):
+    """A closure sending an argument tuple to the value of ``t``, where the
+    operation ``name`` has the flat table ``table(name)``, indexed row-major
+    by its arguments, ``radix`` values each: the one evaluator of terms in
+    models in ``Set`` and, on object or arrow tables, in ``Cat``."""
+    if isinstance(t, Proj):
+        return operator.itemgetter(t.index)
+    assert isinstance(t, Apply)
+    cells = table(t.op.name)
+    args = [compile_term(a, table, radix) for a in t.args]
+    if not args:
+        value = cells[0]
+        return lambda xs: value
+    if len(args) == 1:
+        (a,) = args
+        return lambda xs: cells[a(xs)]
+    if len(args) == 2:
+        a, b = args
+        return lambda xs: cells[a(xs) * radix + b(xs)]
+
+    def apply(xs):
+        idx = 0
+        for a in args:
+            idx = idx * radix + a(xs)
+        return cells[idx]
+    return apply
+
+
+def occurring_variables(f: Morphism, g: Morphism) -> tuple[int, ...]:
+    """The variables that occur in ``f`` or ``g``, in increasing order.
+    Parallel morphisms are compared at every value of these and at 0 in
+    every other variable, which neither side reads; so their first
+    separating input in lexicographic order is the one a full scan finds."""
+    occurs: Counter = Counter()
+    for t in f.components + g.components:
+        _shape(t, occurs)
+    return tuple(sorted(occurs))
+
+
 # -- equality decision --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -564,15 +614,13 @@ def commutativity_square(alpha: Morphism, beta: Morphism) -> tuple[Morphism, Mor
 def check_commutative(theory: TheoryPresentation, model_bound: int = 4) -> CommutativityReport:
     pairs = []
     verdict = "Commutative"
-    for a in theory.basis_ops():
-        for b in theory.basis_ops():
-            lhs, rhs = commutativity_square(generator_morphism(a), generator_morphism(b))
-            v = decide_equal(theory, lhs, rhs, model_bound)
-            pairs.append((a.name, b.name, v))
-            if isinstance(v, NotEqual):
-                verdict = "NotCommutative"
-            elif isinstance(v, Unknown) and verdict != "NotCommutative":
-                verdict = "Inconclusive"
+    for a, b, lhs, rhs in theory.commutativity_squares:
+        v = decide_equal(theory, lhs, rhs, model_bound)
+        pairs.append((a, b, v))
+        if isinstance(v, NotEqual):
+            verdict = "NotCommutative"
+        elif isinstance(v, Unknown) and verdict != "NotCommutative":
+            verdict = "Inconclusive"
     return CommutativityReport(verdict, tuple(pairs))
 
 

@@ -1,8 +1,10 @@
 """Constructions that more than one test module builds on and no command
-runs: small categories, whiskering, identity homomorphisms, and morphism
-builders.  Tests compare production paths against these or use them to
-set up inputs.
+runs: a term evaluator and model validation by full scan, small categories,
+whiskering, identity homomorphisms, and morphism builders.  Tests compare
+production paths against these or use them to set up inputs.
 """
+
+import itertools
 
 from lawkit.catmodels import CatModel, LaxHom, hom_from_components
 from lawkit.fincat import (
@@ -14,7 +16,39 @@ from lawkit.fincat import (
     build_category,
     compose_functors,
 )
-from lawkit.theory import Morphism, Proj, TheoryError
+from lawkit.finset import FinSetModel, Violation
+from lawkit.theory import Morphism, Proj, Term, TheoryError
+
+
+# -- terms and finite-set models ---------------------------------------------------
+
+def reference_value(t: Term, table, radix: int, env) -> int:
+    """The value of ``t`` at ``env`` by recursion over the term, where the
+    operation ``name`` has the flat table ``table(name)``, indexed row-major
+    by its arguments, ``radix`` values each."""
+    if isinstance(t, Proj):
+        return env[t.index]
+    idx = 0
+    for a in t.args:
+        idx = idx * radix + reference_value(a, table, radix, env)
+    return table(t.op.name)[idx]
+
+
+def reference_eval_morphism(model: FinSetModel, f: Morphism, env) -> tuple[int, ...]:
+    return tuple(reference_value(c, model.table, model.size, env) for c in f.components)
+
+
+def reference_validate_model(theory, size, tables):
+    """Scan every input tuple of every equation's full context."""
+    model = FinSetModel(theory, size, tuple((g.name, tuple(tables[g.name]))
+                                            for g in theory.generators))
+    for eq in theory.equations:
+        for env in itertools.product(range(size), repeat=eq.lhs.source):
+            lv = reference_eval_morphism(model, eq.lhs, env)
+            rv = reference_eval_morphism(model, eq.rhs, env)
+            if lv != rv:
+                return Violation(eq.name, env, lv, rv)
+    return model
 
 
 # -- morphisms ---------------------------------------------------------------------

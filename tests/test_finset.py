@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -5,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import shipped_models
-from lawkit import finset, fixtures as fx
+from lawkit import finset, fixtures as fx, theory as theory_module
 from lawkit.finset import (
     FinSetModel,
     ModelHom,
@@ -14,21 +15,30 @@ from lawkit.finset import (
     enumerate_homs,
     enumerate_models,
     eh_uniqueness_probe,
+    make_model,
     power_model,
     semantic_commutativity_check,
+    separating_input,
     validate_model,
 )
 from lawkit.theory import (
+    Apply,
     Morphism,
     OpSymbol,
+    Proj,
     TheoryError,
+    commutativity_square,
     generator_morphism,
     identity,
     power_left,
     power_right,
     transpose,
 )
-from references import proj_morphism
+from references import (
+    proj_morphism,
+    reference_eval_morphism,
+    reference_validate_model,
+)
 
 
 T_ASS = fx.theory("t_ass").base
@@ -63,17 +73,6 @@ theory t_skip {
 """).theories[0].base
 
 
-def reference_validate_model(theory, size, tables):
-    """Scan every input tuple of every equation's full context."""
-    model = FinSetModel(theory, size, tuple((g.name, tables[g.name]) for g in theory.generators))
-    for eq in theory.equations:
-        for env in itertools.product(range(size), repeat=eq.lhs.source):
-            lv, rv = model.eval_morphism(eq.lhs, env), model.eval_morphism(eq.rhs, env)
-            if lv != rv:
-                return Violation(eq.name, env, lv, rv)
-    return model
-
-
 def test_validate_model_matches_full_scan():
     checked = violations = 0
     for theory in (T_ASS, T_COMM, T_SKIP):
@@ -91,6 +90,69 @@ def test_validate_model_matches_full_scan():
     assert checked > 500 and violations > 400
 
 
+def reference_separating_input(model, f, g):
+    """The first of all input tuples, in lexicographic order, at which f and g differ."""
+    for env in itertools.product(range(model.size), repeat=f.source):
+        if reference_eval_morphism(model, f, env) != reference_eval_morphism(model, g, env):
+            return env
+    return None
+
+
+def _skipping_pairs():
+    """Parallel pairs that leave variables out: the equations of T_SKIP, and
+    pairs in four variables that read only x2 and x4, only x3, or none."""
+    m, u = T_SKIP.op("m"), T_SKIP.op("u")
+
+    def x(i):
+        return Proj(i - 1, 4)
+
+    def mm(a, b):
+        return Apply(m, (a, b), 4)
+
+    def pair(lhs, rhs):
+        return Morphism(4, len(lhs), tuple(lhs)), Morphism(4, len(rhs), tuple(rhs))
+
+    return [(eq.lhs, eq.rhs) for eq in T_SKIP.equations] + [
+        pair([mm(x(2), x(4)), x(4)], [mm(x(4), x(2)), x(4)]),
+        pair([mm(x(3), x(3))], [x(3)]),
+        pair([mm(x(3), Apply(u, (), 4))], [x(3)]),
+        pair([Apply(u, (), 4)], [mm(Apply(u, (), 4), Apply(u, (), 4))]),
+    ]
+
+
+def test_separating_input_matches_full_scan():
+    pairs = _skipping_pairs()
+    separated = equal = 0
+    for size in (1, 2, 3):
+        n_cells = size ** 2 + 1
+        tables = itertools.product(range(size), repeat=n_cells)
+        for flat in itertools.islice(tables, 0, None, max(1, size ** n_cells // 60)):
+            model = make_model(T_SKIP, size, {"m": flat[:-1], "u": flat[-1:]})
+            for f, g in pairs:
+                hit = separating_input(model, f, g)
+                assert hit == reference_separating_input(model, f, g)
+                separated += hit is not None
+                equal += hit is None
+    assert (separated, equal) == (453, 111)
+
+
+def test_separating_input_on_the_empty_carrier():
+    magma = fx.parse("""
+    theory t_mag {
+      op m : 2 -> 1;
+      eq comm : m(x1,x2) = m(x2,x1);
+      eq left : m(x1,x3) = x1;
+    }
+    """).theories[0].base
+    empty = make_model(magma, 0, {"m": ()})
+    for eq in magma.equations:
+        assert separating_input(empty, eq.lhs, eq.rhs) is None
+        assert reference_separating_input(empty, eq.lhs, eq.rhs) is None
+    assert validate_model(magma, 0, {"m": ()}) == empty
+    nothing = Morphism(2, 0, ())
+    assert separating_input(empty, nothing, nothing) is None
+
+
 def test_validate_selfmaps_monoid():
     # all self-maps of {0,1} under composition: id, swap, const0, const1
     maps = [(0, 1), (1, 0), (0, 0), (1, 1)]
@@ -106,6 +168,13 @@ def test_enumerate_models_counts():
     assert len(list(enumerate_models(T_ASS, 1))) == 1
     assert len(list(enumerate_models(T_ASS, 2))) == 4
     assert len(list(enumerate_models(T_COMM, 2))) == 4
+
+
+def test_size_four_monoids_come_in_table_order():
+    models = list(enumerate_models(T_ASS, 4))
+    assert len(models) == 624  # labelled monoids on four elements, OEIS A058129
+    keys = [tuple(v for _, table in model.tables for v in table) for model in models]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_enumeration_matches_oracle():
@@ -142,7 +211,7 @@ def _as_evaluator(model: FinSetModel, op: OpSymbol | Morphism):
     if isinstance(op, Morphism):
         if op.target != 1:
             raise TheoryError("matrix actions need maps with target 1")
-        return op.source, lambda args: model.eval_morphism(op, args)[0]
+        return op.source, lambda args: reference_eval_morphism(model, op, args)[0]
     return op.arity, lambda args: model.apply(op.name, args)
 
 
@@ -247,6 +316,21 @@ def test_semantic_commutativity_matches_matrix_actions():
                 checked += 1
                 failing += report.verdict == "Fails"
     assert (checked, failing) == (124, 46)
+
+
+def test_semantic_check_builds_each_square_once_per_theory(monkeypatch):
+    built = []
+
+    def square(alpha, beta):
+        built.append((alpha, beta))
+        return commutativity_square(alpha, beta)
+
+    monkeypatch.setattr(theory_module, "commutativity_square", square)
+    fresh = dataclasses.replace(T_SEMIRING)
+    models = [m for size in (1, 2) for m in enumerate_models(fresh, size)]
+    for model in models:
+        semantic_commutativity_check(model)
+    assert len(models) > 1 and len(built) == len(fresh.basis_ops()) ** 2
 
 
 def test_enumerate_homs_examples():

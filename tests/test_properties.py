@@ -13,18 +13,29 @@ from lawkit.fincat import (
     graded_scalar_category,
     vert_nat,
 )
-from lawkit.finset import FinSetModel, all_tuples, validate_model
+from conftest import shipped_models
+from lawkit.finset import FinSetModel, all_tuples, make_model, validate_model
 from lawkit.theory import (
     Apply,
     Morphism,
+    OpSymbol,
     Proj,
+    TheoryPresentation,
     col_then_row,
+    compile_term,
     compose,
     generator_morphism,
     normalize_morphism,
     row_then_col,
 )
-from references import group_delooping, poset_category, whisker_left, whisker_right
+from references import (
+    group_delooping,
+    poset_category,
+    reference_eval_morphism,
+    reference_value,
+    whisker_left,
+    whisker_right,
+)
 
 
 T_ASS = fx.theory("t_ass").base
@@ -67,6 +78,53 @@ def test_substitution_evaluation_law_per_fixture_theory():
             for env in all_tuples(2, 2):
                 assert model.eval_morphism(fg, env) == \
                     model.eval_morphism(g, model.eval_morphism(f, env))
+
+
+def _arities(t):
+    return set() if isinstance(t, Proj) else \
+        {t.op.arity}.union(*(_arities(a) for a in t.args))
+
+
+def test_compiled_terms_match_the_reference_on_finset_tables():
+    # Operations of arity 0 to 3 reach every closure shape of compile_term.
+    theory = TheoryPresentation("t_arities", tuple(
+        OpSymbol(name, arity) for name, arity in (("c", 0), ("n", 1), ("m", 2), ("t", 3))))
+    rng = random.Random(19)
+    seen = set()
+    for size in (1, 2, 3):
+        for _ in range(4):
+            model = make_model(theory, size, {
+                g.name: tuple(rng.randrange(size) for _ in range(size ** g.arity))
+                for g in theory.generators})
+            for _ in range(50):
+                f = Morphism(3, 2, tuple(_random_term(rng, theory.generators, 3, 4)
+                                         for _ in range(2)))
+                seen.update(*map(_arities, f.components))
+                compiled = [compile_term(c, model.table, size) for c in f.components]
+                for env in all_tuples(size, 3):
+                    want = reference_eval_morphism(model, f, env)
+                    assert tuple(c(env) for c in compiled) == want
+                    assert model.eval_morphism(f, env) == want
+    assert seen == {0, 1, 2, 3}
+
+
+def test_compiled_terms_match_the_reference_on_cat_model_tables():
+    rng = random.Random(23)
+    for model in shipped_models("fincat", "moncat"):
+        gens = model.theory.base.generators
+        c = model.carrier
+        for arrows, radix in ((False, c.n_objects), (True, c.n_arrows)):
+            def table(name):
+                fun = model.op_functor(name)
+                return fun.arr_map if arrows else fun.obj_map
+            for _ in range(20):
+                f = Morphism(2, 1, (_random_term(rng, gens, 2, 4),))
+                (t,) = f.components
+                closure = compile_term(t, table, radix)
+                (via_model,) = model._compiled(f, arrows)
+                for env in all_tuples(radix, 2):
+                    want = reference_value(t, table, radix, env)
+                    assert closure(env) == via_model(env) == want
 
 
 def test_normalization_sound_per_fixture_theory():

@@ -12,8 +12,9 @@ from lawkit.fincat import (
     validate_functor,
     validate_nat,
 )
-from lawkit.finset import FinSetModel, enumerate_models, validate_model
+from lawkit.finset import FinSetModel, enumerate_models
 from lawkit.search import search
+from references import reference_validate_model
 
 
 T_ASS = fx.theory("t_ass").base
@@ -123,7 +124,7 @@ def reference_models(theory, size):
         for name, n in shapes:
             tables[name] = flat[at:at + n]
             at += n
-        model = validate_model(theory, size, tables)
+        model = reference_validate_model(theory, size, tables)
         if isinstance(model, FinSetModel):
             out.append(model)
     return out

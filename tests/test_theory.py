@@ -40,7 +40,12 @@ from lawkit.theory import (
     transpose,
     unit_insertion,
 )
-from references import proj_morphism, tupling
+from references import (
+    proj_morphism,
+    reference_eval_morphism,
+    reference_validate_model,
+    tupling,
+)
 
 
 T_ASS = fx.theory("t_ass").base
@@ -177,7 +182,8 @@ def test_decide_equal_commutativity():
     assert verdict.model.size <= 4
     # the witness really separates the two maps
     env = verdict.witness
-    assert verdict.model.eval_morphism(swapped, env) != verdict.model.eval_morphism(m, env)
+    assert reference_eval_morphism(verdict.model, swapped, env) != \
+        reference_eval_morphism(verdict.model, m, env)
 
 
 def test_check_commutative_fixtures():
@@ -513,8 +519,10 @@ def test_decide_equal_witnesses_replay():
             v = decide_equal(theory, f, g, model_bound=3)
             verdicts[type(v)] += 1
             if isinstance(v, NotEqual):
-                assert validate_model(theory, v.model.size, dict(v.model.tables)) == v.model
-                assert v.model.eval_morphism(f, v.witness) != v.model.eval_morphism(g, v.witness)
+                assert reference_validate_model(theory, v.model.size,
+                                                dict(v.model.tables)) == v.model
+                assert reference_eval_morphism(v.model, f, v.witness) != \
+                    reference_eval_morphism(v.model, g, v.witness)
             else:
                 assert isinstance(v, Equal)
                 for start, traces in ((f, v.lhs_trace), (g, v.rhs_trace)):
