@@ -50,6 +50,7 @@ from .fincat import (
 from .search import EnumerationBound, search
 from .theory import (
     CellError,
+    InputError,
     Morphism,
     TwoTheoryPresentation,
     compile_term,
@@ -90,10 +91,12 @@ class CatModel:
         raise CellError(f"model has no operation {name}")
 
     def cell_nat(self, name: str) -> FinNat:
+        """A model block may leave a 2-cell without a ``nat``: reading it is
+        an input fault."""
         for n, f in self.cell_nats:
             if n == name:
                 return f
-        raise CellError(f"model has no 2-cell {name}")
+        raise InputError(f"model has no 2-cell {name}")
 
     @functools.cached_property
     def op_problems(self) -> tuple[ModelViolation, ...]:
@@ -219,15 +222,18 @@ def validate_cat_model(model: CatModel) -> list[ModelViolation]:
     each cell's and each cell equation's, in the theory's order.  Equations
     and the boundaries of a cell equation's sides are compared by
     ``CatModel.functors_agree``; a cell equation's sides by their components
-    on objects."""
+    on objects.  The cell equations are evaluated only once every cell is
+    present, parallel, natural and as invertible as declared, since pastings
+    are evaluated on those components."""
     problems = list(model.op_problems)
     for eq in model.theory.base.equations:
         if not model.functors_agree(eq.lhs, eq.rhs):
             problems.append(ModelViolation("equation", eq.name))
+    cells_from = len(problems)
     for cell in model.theory.cells:
         try:
             nat = model.cell_nat(cell.name)
-        except CellError:
+        except InputError:
             problems.append(ModelViolation("missing-cell", cell.name))
             continue
         if nat.source != model.functor_of(cell.source) or nat.target != model.functor_of(cell.target):
@@ -237,6 +243,8 @@ def validate_cat_model(model: CatModel) -> list[ModelViolation]:
             problems.append(ModelViolation("cell-naturality", cell.name))
         if cell.invertible and any(model.carrier.inverse(c) is None for c in nat.components):
             problems.append(ModelViolation("cell-invertibility", cell.name))
+    if len(problems) > cells_from:
+        return problems
     for name, lhs, rhs in model.theory.cell_equations:
         same = pasting_components(lhs, model) == pasting_components(rhs, model)
         if not (same and model.functors_agree(lhs.source(), rhs.source())

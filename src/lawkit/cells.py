@@ -31,10 +31,12 @@ from dataclasses import dataclass, replace
 
 from . import theory as _theory
 from .fincat import FinNat, encode
+from .search import EnumerationBound
 from .theory import (
     WEAKNESSES,
     Apply,
     CellError,
+    InputError,
     Morphism,
     Proj,
     TheoryError,
@@ -250,7 +252,8 @@ def simplify_pasting(p: Pasting) -> Pasting:
 def boundary_normal_form(theory: TheoryPresentation, f: Morphism) -> Morphism:
     nf, _, ok = normalize_morphism(theory, f)
     if not ok:
-        raise CellError("boundary normalization exceeded budget")
+        raise EnumerationBound(f"boundary normalization exceeded the rewrite budget "
+                               f"{_theory.REWRITE_BUDGET}")
     return nf
 
 
@@ -269,8 +272,10 @@ def spans_square(theory: TheoryPresentation, a: str, b: str, entry: Pasting) -> 
 
 
 def validate_pasting(theory2: TwoTheoryPresentation, p: Pasting) -> list[str]:
-    """Well-formedness: vertical boundaries agree modulo the equations, and
-    inverses only wrap invertible content."""
+    """Well-formedness: every node's boundaries compose, vertical boundaries
+    agree modulo the equations, and inverses only wrap invertible content.
+    A node whose boundaries do not compose, at the root or inside it, is the
+    one problem reported."""
     problems: list[str] = []
 
     def walk(q: Pasting):
@@ -285,22 +290,9 @@ def validate_pasting(theory2: TwoTheoryPresentation, p: Pasting) -> list[str]:
     try:
         p.source()
         p.target()
+        walk(p)
     except TheoryError as e:
         return [f"ill-typed pasting: {e}"]
-    walk(p)
-    return problems
-
-
-def validate_two_theory(theory2: TwoTheoryPresentation) -> list[str]:
-    problems = []
-    for name, lhs, rhs in theory2.cell_equations:
-        for side, p in (("lhs", lhs), ("rhs", rhs)):
-            for issue in validate_pasting(theory2, p):
-                problems.append(f"cell equation {name} ({side}): {issue}")
-        if not boundaries_agree(theory2.base, lhs.source(), rhs.source()):
-            problems.append(f"cell equation {name}: sources differ")
-        if not boundaries_agree(theory2.base, lhs.target(), rhs.target()):
-            problems.append(f"cell equation {name}: targets differ")
     return problems
 
 
@@ -344,7 +336,7 @@ def _inverse_rows(p, model):
     s, rows = _rows(p.inner, model)
     out = [tuple(map(model.carrier.inverse, row)) for row in rows]
     if any(None in row for row in out):
-        raise CellError("pasting inverse of a non-invertible component")
+        raise InputError("a model inverts a 2-cell whose components are not all invertible")
     return s, out
 
 
@@ -539,7 +531,7 @@ def derive_sigma(theory2: TwoTheoryPresentation, sigma: SigmaTable,
     if entry is None:
         if sigma.weakness == "strict":
             return Id(row_then_col(f, g))
-        raise CellError(f"sigma table {sigma.name} has no entry for ({a.name}, {b.name})")
+        raise InputError(f"sigma table {sigma.name} has no entry for ({a.name}, {b.name})")
     return entry
 
 
@@ -694,11 +686,9 @@ def check_sigma_coherence(theory2: TwoTheoryPresentation, sigma: SigmaTable,
     base = theory2.base
     basis = _basis_morphisms(theory2)
 
-    # Entry typing: boundaries, strictness, invertibility.
+    # Entry strictness and invertibility; ``dsl`` types each entry's boundaries.
     for (a, b), entry in sigma.entries:
         checked += 1
-        if not spans_square(base, a, b, entry):
-            issues.append(CoherenceIssue("entry-boundary", f"({a},{b})", None))
         if sigma.weakness == "strict" and not is_identity_pasting(entry):
             issues.append(CoherenceIssue("strict-entry", f"({a},{b}) is not an identity", None))
         if sigma.weakness in ("strict", "pseudo") and not is_invertible_pasting(entry):
@@ -813,8 +803,13 @@ def yang_baxter_check(model, tensor_op: str = "m", braiding_cell: str = "b") -> 
 
     The braiding component at objects (x, y) is an arrow x@y -> y@x; the
     hexagons expand the braiding of a tensor product, and the braid relation
-    compares the two rebracketings of the three-strand crossing.
+    compares the two rebracketings of the three-strand crossing.  A tensor
+    that is not a binary operation of the model's theory, or a braiding the
+    model gives no 2-cell, raises InputError.
     """
+    base = model.theory.base
+    if not any(g.name == tensor_op and g.arity == 2 for g in base.generators):
+        raise InputError(f"tensor {tensor_op} is not a binary operation of {base.name}")
     cat = model.carrier
     tensor = model.op_functor(tensor_op)
     braid = model.cell_nat(braiding_cell)

@@ -1,7 +1,24 @@
 """Batch entry point: dispatch verifications over .law files, emit reports.
 
-Exit codes: 0 all verdicts positive; 1 a check failed and the report carries
-a witness; 2 inconclusive or a search bound was exceeded; 3 malformed input.
+Exit codes, each from one source:
+
+  0  every verdict is positive;
+  1  a check failed, and the report carries its witness (or, under
+     ``convolve``, ``hom-internal`` and ``closed-check``, the reason a
+     construction does not apply);
+  2  ``search.EnumerationBound``: a declared bound or budget was hit;
+  3  ``theory.InputError``, or a command line argparse rejects: the input is
+     at fault.  Input is the command line and the files it names: a file
+     that cannot be read, parsed or elaborated (an import cycle is reported
+     at its ``import``), an ill-typed sigma entry or cell equation (at its
+     position), a name that names nothing fit for its place (a theory, table,
+     model, operation or 2-cell, a model that is not a model of the command's
+     theory, a ``yang-baxter`` tensor that is not a binary operation), a pair
+     of operations a sigma table has no entry for, or a model whose tables
+     break its theory where a command needs them to hold;
+  4  anything else: a lawkit bug.  ``main`` prints the traceback to stderr;
+     ``run`` lets the exception propagate.
+
 Reports are deterministic; pass --no-timings to make the JSON byte-stable.
 """
 
@@ -18,16 +35,13 @@ from pathlib import Path
 
 from . import catmodels, cells, dsl, finset, multimaps, theory
 from .search import EnumerationBound
-from .theory import WEAKNESSES, CellError
+from .theory import WEAKNESSES, CellError, InputError
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
-
-
-class InputError(Exception):
-    pass
+EXIT_BUG = 4
 
 
 def _jsonable(x):
@@ -94,26 +108,19 @@ def _pick_sigma(doc: dsl.Document, name: str | None):
 
 
 def _cat_models_for(doc: dsl.Document, theory_name: str, names: list[str] | None):
-    decls = [m for m in doc.models if m.kind in ("fincat", "moncat")
-             and m.theory == theory_name]
     if names:
-        return [(n, doc.cat_model(n)) for n in names]
-    return [(m.name, doc.cat_model(m.name)) for m in decls]
+        return [(n, doc.cat_model(n, of=theory_name)) for n in names]
+    return [(m.name, doc.cat_model(m.name)) for m in doc.models
+            if m.kind in ("fincat", "moncat") and m.theory == theory_name]
 
 
 # -- subcommand handlers --------------------------------------------------------------------
 
 def cmd_check_theory(args, doc):
-    verdicts = []
+    # A theory that parses is valid: ``dsl`` types its cell equations.
+    verdicts = [{"name": t.base.name, "verdict": "Valid", "detail": None}
+                for t in doc.theories]
     failed = False
-    for t in doc.theories:
-        # Only cell equations have anything to validate; without them
-        # ``cells`` stays unloaded.
-        problems = cells.validate_two_theory(t) if t.cell_equations else []
-        verdicts.append({"name": t.base.name,
-                         "verdict": "Valid" if not problems else "Invalid",
-                         "detail": problems or None})
-        failed = failed or bool(problems)
     for m in doc.models:
         if m.kind == "finset":
             try:
@@ -208,7 +215,9 @@ def cmd_yang_baxter(args, doc):
     if model_name is None:
         for kind, cargs in doc.checks:
             if kind == "yang_baxter":
-                model_name, tensor, braiding = cargs[0], cargs[1], cargs[2]
+                if len(cargs) != 3:
+                    raise InputError("check yang_baxter takes a model, a tensor and a braiding")
+                model_name, tensor, braiding = cargs
                 break
     if model_name is None:
         raise InputError("no model given and no yang_baxter directive found")
@@ -236,7 +245,7 @@ def cmd_models(args, doc):
 
 def cmd_homs(args, doc):
     source = doc.finset_model(args.source)
-    target = doc.finset_model(args.target)
+    target = doc.finset_model(args.target, of=source.theory.name)
     homs = finset.enumerate_homs(source, target)
     verdicts = [{"name": f"{args.source}->{args.target}", "verdict": str(len(homs)),
                  "detail": None}]
@@ -264,8 +273,8 @@ def cmd_intcoalg(args, doc):
 
 
 def cmd_intbialg(args, doc):
-    _, sigma = _pick_sigma(doc, args.sigma)
-    model = doc.cat_model(args.model)
+    for_theory, sigma = _pick_sigma(doc, args.sigma)
+    model = doc.cat_model(args.model, of=for_theory)
     cat, pairs = multimaps.internal_bialgebras(model, sigma)
     verdicts = [{"name": f"IntBialg({args.model})",
                  "verdict": str(cat.cat.n_objects),
@@ -301,8 +310,8 @@ def cmd_convolve(args, doc):
 
 def cmd_hom_internal(args, doc):
     for_theory, sigma = _pick_sigma(doc, args.sigma)
-    X = doc.cat_model(args.source)
-    Y = doc.cat_model(args.target)
+    X = doc.cat_model(args.source, of=for_theory)
+    Y = doc.cat_model(args.target, of=for_theory)
     name = f"Hom({args.source},{args.target})"
     try:
         hom_model, homcat = catmodels.internal_hom(X, Y, sigma, args.weakness)
@@ -318,10 +327,8 @@ def cmd_hom_internal(args, doc):
 
 
 def cmd_closed_check(args, doc):
-    _, sigma = _pick_sigma(doc, args.sigma)
-    X = doc.cat_model(args.x)
-    Y = doc.cat_model(args.y)
-    Z = doc.cat_model(args.z)
+    for_theory, sigma = _pick_sigma(doc, args.sigma)
+    X, Y, Z = (doc.cat_model(name, of=for_theory) for name in (args.x, args.y, args.z))
     name = f"Mul({args.x},{args.y};{args.z})"
     try:
         report = multimaps.closed_check(X, Y, Z, sigma, args.weakness)
@@ -366,7 +373,7 @@ def cmd_eh(args, doc):
                          "detail": _jsonable(report)})
         failed = not report.passes
         for name in args.models or []:
-            model = doc.finset_model(name)
+            model = doc.finset_model(name, of=theory2.base.name)
             probe = finset.eh_uniqueness_probe(theory2.base, model)
             verdicts.append({"name": f"uniqueness({name})",
                              "verdict": "Unique" if probe.unique else "NotUnique",
@@ -403,8 +410,8 @@ def cmd_eh(args, doc):
 
 
 def cmd_bilax(args, doc):
-    _, sigma = _pick_sigma(doc, args.sigma)
-    model = doc.cat_model(args.model)
+    for_theory, sigma = _pick_sigma(doc, args.sigma)
+    model = doc.cat_model(args.model, of=for_theory)
     algs = catmodels.internal_algebras(model).objects
     coalgs = catmodels.internal_coalgebras(model).objects
     verdicts = []
@@ -513,12 +520,12 @@ def run(argv: list[str], out=sys.stdout) -> int:
     try:
         doc = load_document(args.file)
         code, verdicts, witnesses = HANDLERS[args.command](args, doc)
-    except (InputError, KeyError, FileNotFoundError, ValueError) as e:
+    except InputError as e:
         report = make_report(args.command, [], [{"name": "input", "verdict": "Error",
-                                                 "detail": _error_detail(e)}], [], None)
+                                                 "detail": str(e)}], [], None)
         emit_report(report, args.format, out)
         return EXIT_INPUT
-    except (EnumerationBound, theory.TheoryError, CellError) as e:
+    except EnumerationBound as e:
         report = make_report(args.command, [args.file],
                              [{"name": "bounds", "verdict": "Inconclusive",
                                "detail": str(e)}], [], None)
@@ -530,15 +537,15 @@ def run(argv: list[str], out=sys.stdout) -> int:
     return code
 
 
-def _error_detail(e: Exception) -> str:
-    """The message of ``e``; ``str`` of a ``KeyError`` would quote it."""
-    if isinstance(e, KeyError) and len(e.args) == 1 and isinstance(e.args[0], str):
-        return e.args[0]
-    return str(e)
-
-
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+    except Exception:
+        # Printed as Python prints an uncaught exception; Python's own exit
+        # code, 1, would pose as a failed check.
+        sys.excepthook(*sys.exc_info())
+        code = EXIT_BUG
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -40,14 +40,18 @@ class and argument kinds in field order (``whiskR(pasting, morphism)``,
 the serializer the tests use for round trips, so ``par()`` and ``<>`` parse
 back as it writes them.  A theory block's diagnostics point at the offending
 token: a duplicate operation or 2-cell, a basis name that is not an
-operation, a variable outside its context, or an equation or 2-cell whose
-sides are not parallel.
+operation, a variable outside its context, an equation or 2-cell whose
+sides are not parallel, or a cell equation (at its name) whose sides are
+ill-typed or not parallel modulo the block's equations.  A sigma entry is
+typed where it is parsed, and reported at its ``(``.  Every other fault of
+the input raises ``theory.InputError``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import catmodels, cells, fincat
 from .finset import FinSetModel, validate_model
@@ -56,6 +60,7 @@ from .theory import (
     Apply,
     CellError,
     Equation,
+    InputError,
     Morphism,
     OpSymbol,
     Proj,
@@ -92,7 +97,7 @@ class ParseError(Exception):
         self.diagnostic = Diagnostic(line, col, message)
 
 
-class ModelViolation(ValueError):
+class ModelViolation(InputError):
     """A finite-set model whose tables are well-formed but break an equation."""
 
 
@@ -156,42 +161,45 @@ class Document:
         for t in self.theories:
             if t.base.name == name:
                 return t
-        raise KeyError(f"no theory named {name}")
+        raise InputError(f"no theory named {name}")
 
     def sigma(self, name: str) -> tuple[str, cells.SigmaTable]:
         for for_theory, s in self.sigmas:
             if s.name == name:
                 return for_theory, s
-        raise KeyError(f"no sigma table named {name}")
+        raise InputError(f"no sigma table named {name}")
 
-    def model_decl(self, name: str) -> ModelDecl:
+    def model_decl(self, name: str, of: str | None = None) -> ModelDecl:
+        """The model named ``name``; with ``of``, it must be a model of that theory."""
         for m in self.models:
             if m.name == name:
+                if of is not None and m.theory != of:
+                    raise InputError(f"{name} is a model of {m.theory}, not of {of}")
                 return m
-        raise KeyError(f"no model named {name}")
+        raise InputError(f"no model named {name}")
 
-    def finset_model(self, name: str) -> FinSetModel:
-        decl = self.model_decl(name)
+    def finset_model(self, name: str, of: str | None = None) -> FinSetModel:
+        decl = self.model_decl(name, of)
         if decl.kind != "finset":
-            raise KeyError(f"{name} is not a finite-set model")
+            raise InputError(f"{name} is not a finite-set model")
         theory2 = self.theory(decl.theory)
         assert isinstance(decl.payload, FinSetDecl)
         try:
             result = validate_model(theory2.base, decl.payload.size, dict(decl.payload.tables))
         except TheoryError as e:
-            raise ValueError(f"model {name}: {e}") from None
+            raise InputError(f"model {name}: {e}") from None
         if not isinstance(result, FinSetModel):
             raise ModelViolation(f"model {name} violates {result.equation} at {result.env}")
         return result
 
-    def cat_model(self, name: str) -> catmodels.CatModel:
-        decl = self.model_decl(name)
+    def cat_model(self, name: str, of: str | None = None) -> catmodels.CatModel:
+        decl = self.model_decl(name, of)
         theory2 = self.theory(decl.theory)
         if decl.kind == "fincat":
             return _elaborate_fincat(theory2, decl.payload)  # type: ignore[arg-type]
         if decl.kind == "moncat":
             return _elaborate_moncat(theory2, decl.payload)  # type: ignore[arg-type]
-        raise KeyError(f"{name} is not a categorical model")
+        raise InputError(f"{name} is not a categorical model")
 
 
 # -- tokenizer ----------------------------------------------------------------------------
@@ -207,8 +215,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):  # not a dataclass: one is built per lexeme, and a tuple builds fastest
     kind: str  # ident | nat | punct | string | eof
     value: str
     line: int
@@ -505,6 +512,7 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
     equations: list[Equation] = []
     cell_symbols: dict[str, TwoCellSymbol] = {}
     cell_equations = []
+    cell_equation_tokens: list[Token] = []
     while not p.accept("punct", "}"):
         kw = p.ident()
         if kw == "op":
@@ -549,6 +557,7 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
             cell_symbols[cell_name] = _built_at(p, name_token, TwoCellSymbol,
                                                 cell_name, src, tgt, invertible)
         elif kw == "celleq":
+            cell_equation_tokens.append(p.peek())
             ce_name = p.ident()
             p.expect("punct", ":")
             lhs_p = _parse_pasting(p, cell_symbols, ops)
@@ -563,7 +572,17 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
             p.fail_at(t, f"basis element {t.value} is not a generator")
     basis = tuple(t.value for t in basis_tokens) or None  # None: every operation
     base = TheoryPresentation(name, tuple(ops), tuple(equations), basis)
-    return TwoTheoryPresentation(base, tuple(cell_symbols.values()), tuple(cell_equations))
+    theory2 = TwoTheoryPresentation(base, tuple(cell_symbols.values()), tuple(cell_equations))
+    # Each cell equation relates two well-formed, parallel pastings, modulo
+    # every equation of the block.
+    for token, (ce_name, lhs_p, rhs_p) in zip(cell_equation_tokens, cell_equations):
+        for side, pasting in (("lhs", lhs_p), ("rhs", rhs_p)):
+            for problem in cells.validate_pasting(theory2, pasting):
+                p.fail_at(token, f"cell equation {ce_name} ({side}): {problem}")
+        if not (cells.boundaries_agree(base, lhs_p.source(), rhs_p.source())
+                and cells.boundaries_agree(base, lhs_p.target(), rhs_p.target())):
+            p.fail_at(token, f"cell equation {ce_name}: its sides are not parallel")
+    return theory2
 
 
 def _built_at(p: _Parser, token: Token, make, *args):
@@ -628,7 +647,7 @@ def _parse_sigma(p: _Parser,
         p.expect("punct", ";")
         if not _built_at(p, start, cells.spans_square, theory2.base, a, b, pasting):
             p.fail_at(start, f"sigma entry ({a}, {b}) does not span its commutativity square")
-        for problem in _built_at(p, start, cells.validate_pasting, theory2, pasting):
+        for problem in cells.validate_pasting(theory2, pasting):
             p.fail_at(start, f"sigma entry ({a}, {b}): {problem}")
         entries.append(((a, b), pasting))
     return theory_name, cells.SigmaTable(name, weakness, tuple(entries), symmetric)
@@ -810,11 +829,15 @@ def parse(text: str, path: str = "<string>",
                     args.append(p.ident())
                 checks.append((kind, tuple(args)))
             elif kw == "import":
+                import_token = p.tokens[p.pos - 1]
                 fname = p.expect("string").value
                 p.expect("punct", ";")
                 if loader is None:
                     p.fail("imports need a loader")
-                sub_doc = loader(fname)
+                try:
+                    sub_doc = loader(fname)
+                except InputError as e:
+                    p.fail_at(import_token, str(e))
                 theories.extend(sub_doc.theories)
                 sigmas.extend(sub_doc.sigmas)
                 models.extend(sub_doc.models)
@@ -827,18 +850,31 @@ def parse(text: str, path: str = "<string>",
         return None, source
 
 
-def parse_file(path) -> tuple[Document | None, SourceFile]:
+def parse_file(path, _importers: tuple = ()) -> tuple[Document | None, SourceFile]:
+    """Parse the file at ``path``, reading its imports beside it.  A file
+    that cannot be read as UTF-8 raises InputError; so does an import of a
+    file that is importing it, which ``parse`` reports at the ``import``.
+    ``_importers`` are the resolved paths of the files importing this one."""
     from pathlib import Path
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path}: not UTF-8 at byte {e.start}") from None
 
     def loader(fname: str) -> Document:
-        doc, src = parse_file(path.parent / fname)
+        chain = _importers + (path.resolve(),)
+        if (path.parent / fname).resolve() in chain:
+            raise InputError(f"import cycle through {fname}")
+        doc, src = parse_file(path.parent / fname, chain)
         if doc is None:
             raise ParseError(src.diagnostics[0].line, src.diagnostics[0].col,
                              f"{fname}: {src.diagnostics[0].message}")
         return doc
 
-    return parse(path.read_text(encoding="utf-8"), str(path), loader=loader)
+    return parse(text, str(path), loader=loader)
 
 
 # -- elaboration of categorical model blocks -----------------------------------------------
@@ -847,10 +883,10 @@ def _elaborate_fincat(theory2: TwoTheoryPresentation, decl: FinCatDecl) -> catmo
     n = decl.objects
     names = [f"id{a}" for a in range(n)] + [a for a, _, _ in decl.arrows]
     if len(set(names)) != len(names):
-        raise ValueError("duplicate arrow names")
+        raise InputError("duplicate arrow names")
     for aname, s, d in decl.arrows:
         if s >= n or d >= n:
-            raise ValueError(f"arrow {aname}: endpoint out of range")
+            raise InputError(f"arrow {aname}: endpoint out of range")
     src = list(range(n)) + [s for _, s, _ in decl.arrows]
     dst = list(range(n)) + [d for _, _, d in decl.arrows]
     index = {nm: i for i, nm in enumerate(names)}
@@ -862,7 +898,7 @@ def _elaborate_fincat(theory2: TwoTheoryPresentation, decl: FinCatDecl) -> catmo
     if violation is not None:
         # Every datum is an arrow id (an object's for "identity", which is also its id arrow).
         where = ", ".join(names[x] for x in violation.data)
-        raise ValueError(f"not a category: {violation.kind} at ({where})")
+        raise InputError(f"not a category: {violation.kind} at ({where})")
     return _attach_tables(theory2, cat, decl.functors, decl.nats)
 
 
@@ -893,8 +929,8 @@ def _elaborate_moncat(theory2: TwoTheoryPresentation, decl: MonCatDecl) -> catmo
         braid_cells = []
         for bname, rows in decl.braidings:
             if len(rows) != decl.grading or any(len(r) != decl.grading for r in rows):
-                raise ValueError(f"braiding {bname}: matrix is not "
-                                 f"{decl.grading} x {decl.grading}")
+                raise InputError(f"braiding {bname}: matrix is not "
+                                  f"{decl.grading} x {decl.grading}")
             cellsym = theory2.cell(bname)
             comps = []
             for o in range(sq.n_objects):
@@ -919,29 +955,29 @@ def _attach_tables(theory2: TwoTheoryPresentation, cat: fincat.FinCategory,
         op = theory2.base.op(decl.name)
         dom = fincat.power(cat, op.arity)
         if len(decl.obj) != dom.n_objects:
-            raise ValueError(f"functor {decl.name}: object table has the wrong size")
+            raise InputError(f"functor {decl.name}: object table has the wrong size")
         if any(o >= cat.n_objects for o in decl.obj):
-            raise ValueError(f"functor {decl.name}: object out of range")
+            raise InputError(f"functor {decl.name}: object out of range")
         if decl.arr is None:
             arr = []
             for a in range(dom.n_arrows):
                 hom = cat.hom(decl.obj[dom.arr_src(a)], decl.obj[dom.arr_dst(a)])
                 if len(hom) != 1:
-                    raise ValueError(f"functor {decl.name}: arrows are not forced; "
-                                     "give an explicit table")
+                    raise InputError(f"functor {decl.name}: arrows are not forced; "
+                                      "give an explicit table")
                 arr.append(hom[0])
             arr = tuple(arr)
         else:
             arr = decl.arr
             if len(arr) != dom.n_arrows:
-                raise ValueError(f"functor {decl.name}: arrow table has the wrong size")
+                raise InputError(f"functor {decl.name}: arrow table has the wrong size")
             if any(f >= cat.n_arrows for f in arr):
-                raise ValueError(f"functor {decl.name}: arrow out of range")
+                raise InputError(f"functor {decl.name}: arrow out of range")
         ops.append((decl.name, fincat.FinFunctor(dom.cat, cat, decl.obj, arr)))
         have.add(decl.name)
     for g in theory2.base.generators:
         if g.name not in have:
-            raise ValueError(f"model gives no table for operation {g.name}")
+            raise InputError(f"model gives no table for operation {g.name}")
     skeleton = catmodels.CatModel(theory2, cat, tuple(ops))
     cell_nats = []
     for decl in nats:
@@ -953,14 +989,14 @@ def _attach_tables(theory2: TwoTheoryPresentation, cat: fincat.FinCategory,
             for o in range(fsrc.source.n_objects):
                 hom = cat.hom(fsrc.obj_map[o], ftgt.obj_map[o])
                 if len(hom) != 1:
-                    raise ValueError(f"nat {decl.name}: components are not forced")
+                    raise InputError(f"nat {decl.name}: components are not forced")
                 comps.append(hom[0])
             comps = tuple(comps)
         else:
             comps = decl.components
             if len(comps) != fsrc.source.n_objects:
-                raise ValueError(f"nat {decl.name}: component table has the wrong size")
+                raise InputError(f"nat {decl.name}: component table has the wrong size")
             if any(c >= cat.n_arrows for c in comps):
-                raise ValueError(f"nat {decl.name}: component out of range")
+                raise InputError(f"nat {decl.name}: component out of range")
         cell_nats.append((decl.name, fincat.FinNat(fsrc, ftgt, comps)))
     return catmodels.CatModel(theory2, cat, tuple(ops), tuple(cell_nats))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .search import search
+from .search import EnumerationBound, search
 from .theory import (
     Morphism,
     Proj,
@@ -94,15 +94,20 @@ def validate_model(theory: TheoryPresentation, size: int,
     return model
 
 
+def _inputs(size: int, f: Morphism, g: Morphism):
+    """The input tuples of the parallel ``f`` and ``g`` on a carrier of
+    ``size``, in lexicographic order, over the variables that occur in them
+    (``theory.occurring_variables``), with 0 in the others."""
+    read = occurring_variables(f, g)
+    return itertools.product(*(range(size) if i in read else (0,) for i in range(f.source)))
+
+
 def separating_input(model: FinSetModel, f: Morphism, g: Morphism) -> tuple[int, ...] | None:
     """The first input tuple, in lexicographic order, at which the parallel
-    ``f`` and ``g`` differ, or None.  Only the variables that occur in them
-    are enumerated (``theory.occurring_variables``)."""
+    ``f`` and ``g`` differ, or None."""
     sides = [(compile_term(lhs, model.table, model.size), compile_term(rhs, model.table, model.size))
              for lhs, rhs in zip(f.components, g.components)]
-    read = occurring_variables(f, g)
-    domains = [range(model.size) if i in read else (0,) for i in range(f.source)]
-    for env in itertools.product(*domains):
+    for env in _inputs(model.size, f, g):
         for lhs, rhs in sides:
             if lhs(env) != rhs(env):
                 return env
@@ -117,13 +122,14 @@ def enumerate_models(theory: TheoryPresentation, size: int):
     There is one search slot per table cell, generators in order.  Each
     component of an equation instance is first checked at the last slot among
     its innermost cells, and prunes the branch as soon as both sides are
-    defined and disagree.
+    defined and disagree.  An equation's instances are its ``_inputs``.
     """
     if size < 1:
         raise TheoryError("carrier size must be >= 1")
     total_cells = sum(size ** g.arity for g in theory.generators)
     if total_cells > MODEL_CELL_LIMIT:
-        raise TheoryError(f"enumeration over {total_cells} cells exceeds limit {MODEL_CELL_LIMIT}")
+        raise EnumerationBound(f"enumeration over {total_cells} cells exceeds limit "
+                               f"{MODEL_CELL_LIMIT}")
 
     offset, at = {}, 0
     for g in theory.generators:
@@ -164,7 +170,7 @@ def enumerate_models(theory: TheoryPresentation, size: int):
     checks: list[list] = [[] for _ in range(total_cells)]
     for eq in theory.equations:
         for lhs, rhs in zip(eq.lhs.components, eq.rhs.components):
-            for env in all_tuples(size, eq.lhs.source):
+            for env in _inputs(size, eq.lhs, eq.rhs):
                 fixed: list[int] = []
                 check = holds(compile_instance(lhs, env, fixed), compile_instance(rhs, env, fixed))
                 if fixed:
@@ -267,7 +273,7 @@ def eh_uniqueness_probe(theory: TheoryPresentation, model: FinSetModel) -> EhUni
     satisfy the one-dimensional collapse preconditions.
     """
     if model.size > EH_PROBE_SIZE_BOUND:
-        raise TheoryError(f"carrier {model.size} exceeds probe bound {EH_PROBE_SIZE_BOUND}")
+        raise EnumerationBound(f"carrier {model.size} exceeds probe bound {EH_PROBE_SIZE_BOUND}")
     candidates: list[list[tuple[int, ...]]] = []
     powers: dict[int, FinSetModel] = {}
     for g in theory.generators:

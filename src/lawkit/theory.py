@@ -38,6 +38,12 @@ class TheoryError(Exception):
     """Malformed term, morphism, or presentation."""
 
 
+class InputError(Exception):
+    """The user's input is at fault: a file that cannot be read or parsed, a
+    name that names nothing fit for its place, or a model whose tables break
+    its theory.  The command line reports it, and only it, with exit 3."""
+
+
 @dataclass(frozen=True)
 class OpSymbol:
     name: str
@@ -289,6 +295,28 @@ class TheoryPresentation:
                 rules.append((eq.name + suffix, l, r))
         return rules
 
+    @functools.cached_property
+    def rule_table(self) -> tuple[tuple[str, Term, Term, int, tuple[tuple[int, int], ...]], ...]:
+        """The rules that can fire, each with the size change of one of its
+        steps, as ``normalize`` takes them; built once per theory.
+
+        A rule whose lhs leaves one of its variables unbound never fires, so
+        it is dropped.  A step turns ``lhs[b]`` into ``rhs[b]``, which
+        changes the size by the Apply nodes rhs has over lhs (``growth``)
+        plus, for each variable, its extra occurrences in rhs times the size
+        of its binding (``weights``).
+        """
+        table = []
+        for name, lhs, rhs in self.rewrite_rules():
+            lhs_occ, rhs_occ = Counter(), Counter()
+            growth = _shape(rhs, rhs_occ) - _shape(lhs, lhs_occ)
+            if len(lhs_occ) < lhs.context:
+                continue
+            weights = tuple((v, rhs_occ[v] - n) for v, n in sorted(lhs_occ.items())
+                            if rhs_occ[v] != n)
+            table.append((name, lhs, rhs, growth, weights))
+        return tuple(table)
+
 
 def _check_ops_declared(t: Term, byname: dict[str, OpSymbol]) -> None:
     if isinstance(t, Apply):
@@ -382,26 +410,6 @@ def _shape(t: Term, occurrences: Counter) -> int:
     return 1 + sum(_shape(a, occurrences) for a in t.args)
 
 
-def _rule_table(rules) -> list[tuple[str, Term, Term, int, tuple[tuple[int, int], ...]]]:
-    """The rules that can fire, each with the size change of one of its steps.
-
-    A rule whose lhs leaves one of its variables unbound never fires, so it is
-    dropped.  A step turns ``lhs[b]`` into ``rhs[b]``, which changes the size
-    by the Apply nodes rhs has over lhs (``growth``) plus, for each variable,
-    its extra occurrences in rhs times the size of its binding (``weights``).
-    """
-    table = []
-    for name, lhs, rhs in rules:
-        lhs_occ, rhs_occ = Counter(), Counter()
-        growth = _shape(rhs, rhs_occ) - _shape(lhs, lhs_occ)
-        if len(lhs_occ) < lhs.context:
-            continue
-        weights = tuple((v, rhs_occ[v] - n) for v, n in sorted(lhs_occ.items())
-                        if rhs_occ[v] != n)
-        table.append((name, lhs, rhs, growth, weights))
-    return table
-
-
 def _compare(a: Term, b: Term) -> int:
     """Sign of the term key order of ``a`` against ``b``.
 
@@ -426,12 +434,13 @@ def _compare(a: Term, b: Term) -> int:
     return (len(a.args) > len(b.args)) - (len(a.args) < len(b.args))
 
 
-def normalize(t: Term, rules, budget: int) -> tuple[Term, list[RewriteStep], bool]:
+def normalize(t: Term, table, budget: int) -> tuple[Term, list[RewriteStep], bool]:
     """Rewrite leftmost-innermost to a fixpoint; returns (normal form, trace, within_budget).
 
-    A step at a subterm must strictly decrease it in the term order: size
-    first, then the key order of ``_compare``.  The first rule, in order,
-    that matches, binds all its variables and passes that guard fires.
+    ``table`` is a theory's ``rule_table``.  A step at a subterm must
+    strictly decrease it in the term order: size first, then the key order
+    of ``_compare``.  The first rule, in order, that matches, binds all its
+    variables and passes that guard fires.
 
     One bottom-up pass: each subterm is tried once its arguments are normal,
     and after a step only the nodes the rule's rhs built are tried again.
@@ -446,7 +455,6 @@ def normalize(t: Term, rules, budget: int) -> tuple[Term, list[RewriteStep], boo
     trace: list[RewriteStep] = []
     if budget <= 0:
         return t, trace, False
-    table = _rule_table(rules)
     path: list[int] = []
 
     def step(sub: Apply) -> tuple[Term, Term] | None:
@@ -501,10 +509,9 @@ def normalize(t: Term, rules, budget: int) -> tuple[Term, list[RewriteStep], boo
 
 def normalize_morphism(theory: TheoryPresentation,
                        f: Morphism) -> tuple[Morphism, list[list[RewriteStep]], bool]:
-    rules = theory.rewrite_rules()
     comps, traces, ok = [], [], True
     for c in f.components:
-        nf, tr, within = normalize(c, rules, REWRITE_BUDGET)
+        nf, tr, within = normalize(c, theory.rule_table, REWRITE_BUDGET)
         comps.append(nf)
         traces.append(tr)
         ok = ok and within

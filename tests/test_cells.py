@@ -35,12 +35,12 @@ from lawkit.cells import (
     simplify_pasting,
     transpose_conjugate,
     validate_pasting,
-    validate_two_theory,
     yang_baxter_check,
 )
 from lawkit.theory import (
     Apply,
     CellError,
+    InputError,
     Morphism,
     Proj,
     TheoryError,
@@ -56,12 +56,6 @@ from lawkit.theory import (
 )
 from conftest import shipped_models
 from references import proj_morphism
-
-
-def test_two_theory_validation():
-    assert validate_two_theory(fx.theory("t_comm_flat")) == []
-    assert validate_two_theory(fx.theory("t_braid")) == []
-    assert validate_two_theory(fx.theory("t_inv")) == []
 
 
 def test_pasting_boundaries():
@@ -291,6 +285,17 @@ def test_validate_pasting():
     assert issues and "boundaries" in issues[0]
     noninv = TwoCellSymbol("t", m, m, invertible=False)
     assert validate_pasting(fx.theory("t_comm_flat"), Inverse(Gen(noninv))) != []
+    # The root's boundaries are c's, but the inner whisker's do not compose.
+    nested = Vert(Vert(c, HWhiskerL(Morphism(1, 0, ()), c)), c)
+    assert validate_pasting(fx.theory("t_comm_flat"), nested) == [
+        "ill-typed pasting: compose mismatch: 0 != 2"]
+
+
+def test_yang_baxter_refuses_names_unfit_for_their_place():
+    with pytest.raises(InputError, match="tensor u is not a binary operation"):
+        yang_baxter_check(fx.model("graded_lines"), "u", "c")
+    with pytest.raises(InputError, match="model has no 2-cell cc"):
+        yang_baxter_check(fx.model("graded_lines"), "m", "cc")
 
 
 # -- the structural traversals against their per-class reference ladders ----------------
@@ -417,9 +422,9 @@ def _ladder_validate(theory2, p):
     try:
         p.source()
         p.target()
+        walk(p)
     except TheoryError as e:
         return [f"ill-typed pasting: {e}"]
-    walk(p)
     return problems
 
 

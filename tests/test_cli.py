@@ -1,7 +1,9 @@
+import ast
 import functools
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 import lawkit
 from conftest import ROOT
+from lawkit import cli
 from lawkit.cli import (
     EXIT_FAILED,
     EXIT_INCONCLUSIVE,
@@ -167,6 +170,21 @@ def test_bad_model_tables_are_input_errors(tmp_path, old, new, message, name):
     code, text = invoke(["check-theory", _mutant(tmp_path, name, old, new)])
     assert code == EXIT_INPUT
     assert message in text
+
+
+@pytest.mark.parametrize("new, problems", [
+    ("", [{"kind": "missing-cell", "detail": "c"}]),
+    ("  nat c = [2, 0, 0, 1];\n", [{"kind": "cell-naturality", "detail": "c"},
+                                    {"kind": "cell-invertibility", "detail": "c"}]),
+], ids=["missing", "unnatural"])
+def test_check_theory_reports_a_model_whose_cell_is_bad_as_invalid(tmp_path, new, problems):
+    # The cell equations are not evaluated on a cell that failed its checks.
+    path = _mutant(tmp_path, "t_comm_flat.law", "  nat c auto;\n", new)
+    code, text = invoke(["--format", "json", "check-theory", path])
+    assert code == EXIT_FAILED
+    verdicts = {v["name"]: v for v in json.loads(text)["verdicts"]}
+    assert verdicts["poset_meet"]["verdict"] == "Invalid"
+    assert verdicts["poset_meet"]["detail"] == problems
 
 
 @pytest.mark.parametrize("argv", [
@@ -346,13 +364,27 @@ def test_huge_equation_arity_over_a_finite_set_gets_a_verdict(tmp_path, old, new
     assert "violates assoc" in done.stdout
 
 
-def _child(*args):
+@pytest.mark.parametrize("argv, code, verdict", [
+    (["commutative"], EXIT_INCONCLUSIVE, "(m,m): Unknown"),
+    (["eh", "--dim", "1"], EXIT_FAILED, "'non_unital': ['m']"),
+    (["eh", "--dim", "2"], EXIT_FAILED, "'unital': [['m', False]]"),
+], ids=["commutative", "eh-dim1", "eh-dim2"])
+def test_model_search_enumerates_only_occurring_variables(tmp_path, argv, code, verdict):
+    # A one-character mutant of t_comm_flat.law whose lunit reads x21: model
+    # search used to compile one instance of it per input, 2^21 at size 2.
+    path = _mutant(tmp_path, "t_comm_flat.law", "m(u,x1) = x1;", "m(u,x1) = x21;")
+    done = _child("-m", "lawkit.cli", argv[0], path, *argv[1:], timeout=10)
+    assert done.returncode == code, done.stderr
+    assert verdict in done.stdout
+
+
+def _child(*args, timeout=60):
     """``python args...`` in a fresh interpreter that imports lawkit from
     ``src`` and writes no bytecode."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src")] + sys.path))
     return subprocess.run([sys.executable, *map(str, args)], capture_output=True,
-                          text=True, env=env, cwd=ROOT, timeout=60)
+                          text=True, env=env, cwd=ROOT, timeout=timeout)
 
 
 # Imports lawkit.cli, runs the command in its arguments and prints
@@ -471,6 +503,103 @@ def test_models_size_below_one_is_input_error(size):
 def test_lookup_errors_are_reported_without_quotes(argv, detail):
     argv = [argv[0], law_path(argv[1])] + argv[2:]
     assert _input_error_detail(argv) == detail
+
+
+# Input faults the tokenizer and the grammar cannot see, each in its own file
+# beside copies of the shipped ones: (shipped file, old text, new text), or the
+# text of a file named after the fault.
+_FAULTS = {
+    "no-uu-entry": ("t_comm_flat.law", "  (u, u) = id([0] u);\n", ""),
+    "symmetry": ("t_comm_flat.law", "vert(c, whiskL(swap(1,2), c))", "vert(c, c)"),
+    "no-nat": ("t_comm_flat.law", "  nat c auto;\n", ""),
+    "imports-1d": 'import "t_comm.law";\nimport "t_inv.law";\n',
+    "imports-2d": 'import "t_comm_flat.law";\nimport "t_inv.law";\n',
+    "self-import": 'import "self-import.law";\n',
+    "missing-import": 'import "absent.law";\n',
+}
+
+
+def _faulty_file(tmp_path, fault):
+    for path in law_files():
+        shutil.copy(path, tmp_path / path.name)
+    if fault == "shipped":
+        return tmp_path / "t_comm_flat.law"
+    if fault == "directory":
+        (tmp_path / fault).mkdir()
+        return tmp_path / fault
+    if isinstance(_FAULTS[fault], str):
+        path = tmp_path / f"{fault}.law"
+        path.write_text(_FAULTS[fault])
+        return path
+    return Path(_mutant(tmp_path, *_FAULTS[fault]))
+
+
+NO_ENTRY = "sigma table sigma_comm_flat has no entry for (u, u)"
+ILL_TYPED = "16:10: cell equation symmetry (lhs): vertical composite boundaries do not meet"
+POSET_MEET = ("--source", "poset_meet", "--target", "poset_meet")
+MEET_CUBE = ("--x", "poset_meet", "--y", "poset_meet", "--z", "poset_meet")
+NOT_T_COMM = "swap_set is a model of t_inv, not of t_comm"
+NOT_T_COMM_FLAT = "poset_involution is a model of t_inv, not of t_comm_flat"
+INPUT_FAULTS = [
+    ("no-uu-entry", ["sigma-check"], NO_ENTRY),
+    ("no-uu-entry", ["eh", "--dim", "2"], NO_ENTRY),
+    ("no-uu-entry", ["fox"], NO_ENTRY),
+    ("no-uu-entry", ["assoc-derived"], NO_ENTRY),
+    ("no-uu-entry", ["hom-internal", *POSET_MEET], NO_ENTRY),
+    ("no-uu-entry", ["closed-check", *MEET_CUBE], NO_ENTRY),
+    ("symmetry", ["check-theory"], ILL_TYPED),
+    ("symmetry", ["sigma-check"], ILL_TYPED),
+    ("symmetry", ["hom-internal", *POSET_MEET], ILL_TYPED),
+    ("no-nat", ["sigma-check"], "model has no 2-cell c"),
+    ("shipped", ["yang-baxter", "--model", "graded_lines", "--braiding", "cc"],
+     "model has no 2-cell cc"),
+    ("shipped", ["yang-baxter", "--model", "graded_lines", "--tensor", "u", "--braiding", "c"],
+     "tensor u is not a binary operation of t_comm_flat"),
+    ("imports-1d", ["homs", "--source", "z2_add", "--target", "swap_set"], NOT_T_COMM),
+    ("imports-1d", ["eh", "--dim", "1", "--theory", "t_comm", "--models", "swap_set"],
+     NOT_T_COMM),
+    ("imports-2d", ["closed-check", "--x", "poset_meet", "--y", "poset_meet",
+                    "--z", "poset_involution"], NOT_T_COMM_FLAT),
+    ("imports-2d", ["sigma-check", "--models", "poset_involution"], NOT_T_COMM_FLAT),
+    ("imports-2d", ["fox", "--models", "poset_involution"], NOT_T_COMM_FLAT),
+    ("directory", ["check-theory"], "cannot read {path}: Is a directory"),
+    ("self-import", ["check-theory"], "1:1: import cycle through self-import.law"),
+    ("missing-import", ["check-theory"],
+     "1:1: cannot read {path.parent}/absent.law: No such file or directory"),
+]
+
+
+@pytest.mark.parametrize("fault, argv, detail", INPUT_FAULTS,
+                         ids=[f"{f}-{a[0]}-{i}" for i, (f, a, _) in enumerate(INPUT_FAULTS)])
+def test_input_faults_exit_3_where_they_are_found(tmp_path, fault, argv, detail):
+    path = _faulty_file(tmp_path, fault)
+    done = _child("-m", "lawkit.cli", "--format", "json", "--no-timings",
+                  argv[0], path, *argv[1:])
+    assert "Traceback" not in done.stderr, done.stderr
+    assert done.returncode == EXIT_INPUT, done.stdout
+    assert json.loads(done.stdout)["verdicts"] == [
+        {"name": "input", "verdict": "Error", "detail": detail.format(path=path)}]
+
+
+def test_a_table_missing_an_entry_is_checked_only_where_a_cell_is_derived(tmp_path):
+    assert invoke(["check-theory", _faulty_file(tmp_path, "no-uu-entry")])[0] == EXIT_OK
+
+
+def test_run_lets_an_internal_error_propagate(monkeypatch):
+    def broken(args, doc):
+        raise RuntimeError("a lawkit bug")
+    monkeypatch.setitem(cli.HANDLERS, "check-theory", broken)
+    with pytest.raises(RuntimeError, match="a lawkit bug"):
+        invoke(["check-theory", law_path("t_ass.law")])
+
+
+def test_run_maps_exit_codes_from_two_exception_types_and_argparse():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (run_def,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "run"]
+    caught = [ast.unparse(node.type) for node in ast.walk(run_def)
+              if isinstance(node, ast.ExceptHandler)]
+    assert caught == ["SystemExit", "InputError", "EnumerationBound"]
 
 
 def test_json_reports_match_schema_and_are_deterministic():

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import string
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from lawkit import cells, dsl, fixtures as fx
 from lawkit.catmodels import validate_cat_model
 from lawkit.cells import Gen, HWhiskerL, Par, Pasting, Vert
-from lawkit.theory import Morphism, render_term
+from lawkit.theory import InputError, Morphism, render_term
 from test_catmodels import TWO_OBJECT_INVOLUTION
 from test_cells import random_pastings, shipped_pastings
 
@@ -363,7 +363,7 @@ def test_finset_model_block():
     doc, _ = dsl.parse_file(fx.law_path("t_comm.law"))
     model = doc.finset_model("z2_add")
     assert model.size == 2 and model.table("m") == (0, 1, 1, 0)
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="no model named nope"):
         doc.finset_model("nope")
 
 
@@ -373,7 +373,7 @@ theory t { op m : 2 -> 1; eq idem : m(x1,x1) = x1; }
 model bad of t in finset { carrier 2; table m = [0, 1, 1, 0]; }
 """
     doc, _ = dsl.parse(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="model bad violates idem"):
         doc.finset_model("bad")
 
 
@@ -453,29 +453,27 @@ def test_a_combinator_keyword_beats_a_cell_of_the_same_name():
     assert [str(d) for d in source.diagnostics] == ["4:18: expected '(', found '='"]
 
 
+def _parse_pasting(theory2, text):
+    """``text`` read by the pasting parser alone, which types nothing, so
+    ill-typed pastings keep their syntax coverage."""
+    p = dsl._Parser(dsl.tokenize(text))
+    pasting = dsl._parse_pasting(p, {c.name: c for c in theory2.cells},
+                                 list(theory2.base.generators))
+    p.expect("eof")
+    return pasting
+
+
 def test_empty_juxtaposition_and_empty_tuple_parse():
-    doc, source = dsl.parse(_PASTING_THEORY % "vert(par(), whiskL([1] <>, par()))")
-    assert source.diagnostics == []
-    (_, lhs, _), = doc.theory("t").cell_equations
-    assert lhs == Vert(Par(()), HWhiskerL(Morphism(1, 0, ()), Par(())))
+    doc, _ = dsl.parse(_PASTING_THEORY % "c")
+    assert _parse_pasting(doc.theory("t"), "vert(par(), whiskL([1] <>, par()))") == \
+        Vert(Par(()), HWhiskerL(Morphism(1, 0, ()), Par(())))
 
 
 @pytest.mark.parametrize("corpus", [shipped_pastings, random_pastings])
 def test_rendered_pastings_parse_back(corpus):
-    """render_pasting(p), written as both sides of a cell equation, parses
-    back to p.  Cell equations are not typed where they are parsed, so they
-    carry ill-typed pastings too."""
-    by_theory = {}
+    """render_pasting(p) parses back to p, ill-typed pastings included."""
     for theory2, p in corpus():
-        by_theory.setdefault(theory2.base.name, (theory2, []))[1].append(p)
-    for name, (theory2, pastings) in by_theory.items():
-        carrier = replace(theory2, cell_equations=theory2.cell_equations + tuple(
-            (f"rt{i}", p, p) for i, p in enumerate(pastings)))
-        doc, source = dsl.parse(serialize(dsl.Document(theories=(carrier,))))
-        assert source.diagnostics == [], (name, source.diagnostics)
-        parsed = doc.theory(name).cell_equations[len(theory2.cell_equations):]
-        for p, (_, q, r) in zip(pastings, parsed, strict=True):
-            assert q == p == r, render_pasting(p)
+        assert _parse_pasting(theory2, render_pasting(p)) == p, render_pasting(p)
 
 
 def test_readme_lists_the_combinator_table():

@@ -21,6 +21,7 @@ from lawkit.finset import (
     separating_input,
     validate_model,
 )
+from lawkit.search import EnumerationBound
 from lawkit.theory import (
     Apply,
     Morphism,
@@ -408,7 +409,7 @@ def test_eh_uniqueness_probe():
 def test_eh_uniqueness_bound(monkeypatch):
     maps = validate_model(T_COMM, 2, Z2)
     monkeypatch.setattr(finset, "EH_PROBE_SIZE_BOUND", 1)
-    with pytest.raises(TheoryError):
+    with pytest.raises(EnumerationBound, match="carrier 2 exceeds probe bound 1"):
         eh_uniqueness_probe(T_COMM, maps)
 
 

@@ -3,10 +3,10 @@
 Each mutant replaces, deletes or inserts one character from the DSL's lexical
 alphabet.  Whatever the edit does, lawkit must end within its budget with an
 exit code from {0, 1, 2, 3} and print no traceback: a mutant may be valid,
-violated, bounded or malformed, never a crash or a hang.  Sigma entries of
-``t_comm_flat.law`` mutated to the wrong boundaries, at the root or at an inner
-vertical composite, are malformed input under every command that reads the
-table.
+violated, bounded or malformed, never a crash or a hang.  Sigma entries and
+cell equations of ``t_comm_flat.law`` mutated to the wrong boundaries, at the
+root or at an inner vertical composite, are malformed input under every
+command that reads the file.  Only a lawkit bug exits 4.
 """
 
 import os
@@ -61,15 +61,20 @@ def test_mutant_ends_with_a_truthful_exit_code(tmp_path, seed, k, name, text, ed
 
 
 # (line, mutated entry): each was one character away from its shipped entry,
-# except the last, which stacks the shipped entry E as vert(vert(E, E), E): its
-# root spans the square, but the inner vertical composites do not meet.
+# except the last two, which stack the shipped entry E.  In vert(vert(E, E), E)
+# the root spans the square, but the inner vertical composites do not meet; in
+# vert(vert(E, X), E) the inner X whiskers c by a map of the wrong arity, so
+# X's boundaries do not compose, which only a walk below the root finds.
 SHIPPED_MM = "whiskR(par(id(x1), c, id(x1)), m(m(x1,x2),x3))"
+ILL_TYPED_NODE = "whiskL([1] <>, c)"
 SIGMA_MUTANTS = (
     pytest.param(19, "  (m, m) = whiskR(id(x8), m(m(x1,x2),x3));", id="line19"),
     pytest.param(21, "  (u, m) = id([1] u);", id="line21"),
     pytest.param(22, "  (u, u) = id([05] u);", id="line22"),
     pytest.param(19, f"  (m, m) = vert(vert({SHIPPED_MM}, {SHIPPED_MM}), {SHIPPED_MM});",
                  id="line19-inner-vert"),
+    pytest.param(19, f"  (m, m) = vert(vert({SHIPPED_MM}, {ILL_TYPED_NODE}), {SHIPPED_MM});",
+                 id="line19-inner-ill-typed"),
 )
 TABLE_COMMANDS = (
     ("check-theory",), ("sigma-check",), ("eh", "--dim", "2"),
@@ -78,22 +83,67 @@ TABLE_COMMANDS = (
 )
 
 
+# The shipped symmetry with its second crossing unswapped: c then c, whose
+# boundaries do not meet; and c then c with an ill-typed node between them.
+# Each is reported at the equation's name.
+CELL_EQUATION_MUTANTS = (
+    pytest.param(16, "  celleq symmetry : vert(c, c) = id(m(x1,x2));", id="line16-symmetry"),
+    pytest.param(16, f"  celleq symmetry : vert(vert(c, {ILL_TYPED_NODE}), c) = id(m(x1,x2));",
+                 id="line16-inner-ill-typed"),
+)
+
+
 @pytest.mark.parametrize("command", TABLE_COMMANDS, ids=[c[0] for c in TABLE_COMMANDS])
 @pytest.mark.parametrize("line, entry", SIGMA_MUTANTS)
 def test_sigma_entry_with_wrong_boundaries_is_malformed_input(tmp_path, line, entry, command):
-    lines = law_path("t_comm_flat.law").read_text().split("\n")
-    assert lines[line - 1].split("=")[0] == entry.split("=")[0]
-    lines[line - 1] = entry
-    path = tmp_path / "t_comm_flat.law"
-    path.write_text("\n".join(lines))
-    done = _lawkit(command[0], path, *command[1:])
+    done = _mutated_line(tmp_path, line, entry, command)
     assert done.returncode == 3, (done.stdout, done.stderr)
     assert f"input: Error  {line}:3: " in done.stdout
     assert "Traceback" not in done.stderr, done.stderr
 
 
+@pytest.mark.parametrize("command", TABLE_COMMANDS, ids=[c[0] for c in TABLE_COMMANDS])
+@pytest.mark.parametrize("line, equation", CELL_EQUATION_MUTANTS)
+def test_ill_typed_cell_equation_is_malformed_input(tmp_path, line, equation, command):
+    done = _mutated_line(tmp_path, line, equation, command)
+    assert done.returncode == 3, (done.stdout, done.stderr)
+    assert f"input: Error  {line}:10: cell equation symmetry (lhs): " in done.stdout
+    assert "Traceback" not in done.stderr, done.stderr
+
+
+def _mutated_line(tmp_path, line, text, command):
+    """``command`` on t_comm_flat.law with line ``line`` replaced by ``text``,
+    which keeps the line's first two words."""
+    lines = law_path("t_comm_flat.law").read_text().split("\n")
+    assert lines[line - 1].split()[:2] == text.split()[:2]
+    lines[line - 1] = text
+    path = tmp_path / "t_comm_flat.law"
+    path.write_text("\n".join(lines))
+    return _lawkit(command[0], path, *command[1:])
+
+
+def test_an_internal_error_exits_4_with_its_traceback():
+    # A handler raising what no input can cause stands for a lawkit bug.
+    script = ("import sys\n"
+              "import lawkit.cli as cli\n"
+              "def broken(args, doc):\n"
+              "    raise RuntimeError('a lawkit bug')\n"
+              "cli.HANDLERS['check-theory'] = broken\n"
+              "sys.argv[1:] = ['check-theory', sys.argv[1]]\n"
+              "cli.main()\n")
+    done = subprocess.run([sys.executable, "-c", script, str(law_path("t_ass.law"))],
+                          capture_output=True, text=True, env=_env(), timeout=BUDGET_S)
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert "Traceback (most recent call last)" in done.stderr
+    assert done.stderr.endswith("RuntimeError: a lawkit bug\n")
+
+
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src")] + sys.path))
+
+
 def _lawkit(command, path, *args):
     """``lawkit command path args`` in a child process, within the budget."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src")] + sys.path))
     return subprocess.run([sys.executable, "-m", "lawkit.cli", command, str(path), *args],
-                          capture_output=True, text=True, env=env, timeout=BUDGET_S)
+                          capture_output=True, text=True, env=_env(), timeout=BUDGET_S)

@@ -449,39 +449,38 @@ def _right_nested(n):
 def _parity_cases():
     for name in SHIPPED_THEORIES:
         theory = fx.theory(name).base
-        rules = theory.rewrite_rules()
         for eq in theory.equations:
             for side in (eq.lhs, eq.rhs):
                 for c in side.components:
-                    yield rules, c
+                    yield theory, c
         for a in theory.basis_ops():
             for b in theory.basis_ops():
                 for side in commutativity_square(generator_morphism(a), generator_morphism(b)):
                     for c in side.components:
-                        yield rules, c
+                        yield theory, c
     rng = random.Random(2024)
     for theory in (T_ASS, T_COMM):
-        rules = theory.rewrite_rules()
         for _ in range(150):
             arity = rng.randrange(1, 5)
             leaves = [rng.randrange(arity) for _ in range(rng.randrange(0, 10))]
-            yield rules, _word(rng, theory, leaves, arity)
-    yield T_ASS.rewrite_rules(), _left_nested(40)
+            yield theory, _word(rng, theory, leaves, arity)
+    yield T_ASS, _left_nested(40)
     f_op = OpSymbol("f", 1)
     growing = TheoryPresentation("t_inv_like", (f_op,), (Equation(
         "e", identity(1), Morphism(1, 1, (ap(f_op, [ap(f_op, [Proj(0, 1)], 1)], 1),))),))
     for t in (Proj(0, 1), ap(f_op, [Proj(0, 1)], 1), ap(f_op, [ap(f_op, [Proj(0, 1)], 1)], 1)):
-        yield growing.rewrite_rules(), t
+        yield growing, t
 
 
 def test_normalize_matches_restart_reference():
     cases = list(_parity_cases())
     assert len(cases) > 300
     steps = 0
-    for rules, t in cases:
+    for theory, t in cases:
         for budget in (1, 2, 3, 10_000):
-            nf, trace, within = normalize(t, rules, budget)
-            ref_nf, ref_trace, ref_within = _reference_normalize(t, rules, budget)
+            nf, trace, within = normalize(t, theory.rule_table, budget)
+            ref_nf, ref_trace, ref_within = _reference_normalize(t, theory.rewrite_rules(),
+                                                                 budget)
             assert (nf, within) == (ref_nf, ref_within), (render_term(t), budget)
             assert [(s.rule, s.path, s.before, s.after) for s in trace] == ref_trace, \
                 (render_term(t), budget)
@@ -490,7 +489,7 @@ def test_normalize_matches_restart_reference():
 
 
 def test_normalize_deep_and_long_terms():
-    rules = T_ASS.rewrite_rules()
+    rules = T_ASS.rule_table
     deep = _right_nested(901)
     nf, trace, within = normalize(deep, rules, REWRITE_BUDGET)
     assert nf is deep and trace == [] and within
