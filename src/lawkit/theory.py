@@ -24,7 +24,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .cells import Pasting
@@ -296,17 +296,22 @@ class TheoryPresentation:
         return rules
 
     @functools.cached_property
-    def rule_table(self) -> tuple[tuple[str, Term, Term, int, tuple[tuple[int, int], ...]], ...]:
-        """The rules that can fire, each with the size change of one of its
-        steps, as ``normalize`` takes them; built once per theory.
+    def rule_table(self) -> dict[str | None, tuple[tuple, ...]]:
+        """The rules that can fire, compiled and indexed by the name of the
+        head operation of their lhs, as ``normalize`` takes them; built once
+        per theory.
 
-        A rule whose lhs leaves one of its variables unbound never fires, so
-        it is dropped.  A step turns ``lhs[b]`` into ``rhs[b]``, which
-        changes the size by the Apply nodes rhs has over lhs (``growth``)
-        plus, for each variable, its extra occurrences in rhs times the size
-        of its binding (``weights``).
+        Key ``None`` holds the rules whose lhs is a lone variable; they match
+        under every head, so each head's rules have them merged in at their
+        positions, and first-match order is that of ``rewrite_rules``.  A rule
+        whose lhs leaves one of its variables unbound never fires, so it is
+        dropped.  A step turns ``lhs[b]`` into ``rhs[b]``, which changes the
+        size by the Apply nodes rhs has over lhs (``growth``) plus, for each
+        variable, its extra occurrences in rhs times the size of its binding
+        (``weights``).  Each rule is the tuple ``(name, match, compare, build,
+        rhs, growth, weights, width)`` of ``_compile_rule``.
         """
-        table = []
+        rules = []
         for name, lhs, rhs in self.rewrite_rules():
             lhs_occ, rhs_occ = Counter(), Counter()
             growth = _shape(rhs, rhs_occ) - _shape(lhs, lhs_occ)
@@ -314,8 +319,10 @@ class TheoryPresentation:
                 continue
             weights = tuple((v, rhs_occ[v] - n) for v, n in sorted(lhs_occ.items())
                             if rhs_occ[v] != n)
-            table.append((name, lhs, rhs, growth, weights))
-        return tuple(table)
+            head = lhs.op.name if isinstance(lhs, Apply) else None
+            rules.append((head, _compile_rule(name, lhs, rhs, growth, weights)))
+        return {key: tuple(rule for head, rule in rules if head in (key, None))
+                for key in {head for head, _ in rules}}
 
 
 def _check_ops_declared(t: Term, byname: dict[str, OpSymbol]) -> None:
@@ -367,38 +374,92 @@ class TwoTheoryPresentation:
 
 # -- rewriting ---------------------------------------------------------------
 
-def match(pattern: Term, t: Term, binding: dict[int, Term]) -> dict[int, Term] | None:
-    """First-order matching; pattern projections are (possibly repeated) metavariables."""
-    if isinstance(pattern, Proj):
-        bound = binding.get(pattern.index)
-        if bound is None:
-            out = dict(binding)
-            out[pattern.index] = t
-            return out
-        return binding if bound == t else None
-    assert isinstance(pattern, Apply)
-    if not isinstance(t, Apply) or t.op != pattern.op:
-        return None
-    for pa, ta in zip(pattern.args, t.args):
-        binding = match(pa, ta, binding)  # type: ignore[assignment]
-        if binding is None:
-            return None
-    return binding
-
-
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):  # not a dataclass: one is built per step fired
     rule: str
     path: tuple[int, ...]
     before: Term
     after: Term
 
 
-def _instantiate(rhs: Term, binding: dict[int, Term], context: int) -> Term:
+def _compile_rule(name: str, lhs: Term, rhs: Term, growth: int,
+                  weights: tuple[tuple[int, int], ...]) -> tuple:
+    """One rule specialized to closures over a flat list of ``lhs.context``
+    slots, one per variable:
+
+      * ``match(t, slots)`` is true when ``t`` is an instance of ``lhs``,
+        and then has bound each variable's slot to its subterm of ``t``
+        (the first occurrence, left to right; a repeated variable must be
+        ``==`` to it);
+      * ``compare(t, slots)`` is the sign of ``_compare`` of the rhs
+        instance against ``t``, found without building the instance;
+      * ``build(slots, context)`` builds the rhs instance.
+    """
+    return (name, _compile_match(lhs, set()), _compile_compare(rhs), _compile_build(rhs),
+            rhs, growth, weights, lhs.context)
+
+
+def _compile_match(pattern: Term, bound: set[int]):
+    """``f(t, slots)``: does ``t`` match ``pattern``, given the variables in
+    ``bound`` (those left of ``pattern``) bound in ``slots``?  Adds the
+    variables of ``pattern`` to ``bound``."""
+    if isinstance(pattern, Proj):
+        i = pattern.index
+        if i in bound:
+            return lambda t, slots: slots[i] == t
+        bound.add(i)
+
+        def bind(t, slots):
+            slots[i] = t
+            return True
+        return bind
+    assert isinstance(pattern, Apply)
+    name, k = pattern.op.name, pattern.op.arity
+    args = [_compile_match(a, bound) for a in pattern.args]
+    if not args:
+        return lambda t, slots: type(t) is Apply and t.op.name == name and not t.args
+    if k == 2:
+        a, b = args
+        return lambda t, slots: (type(t) is Apply and t.op.name == name and len(t.args) == 2
+                                 and a(t.args[0], slots) and b(t.args[1], slots))
+    return lambda t, slots: (type(t) is Apply and t.op.name == name and len(t.args) == k
+                             and all(f(x, slots) for f, x in zip(args, t.args)))
+
+
+def _compile_compare(rhs: Term):
+    """``f(t, slots)``: the sign of ``_compare(instance, t)``, where
+    ``instance`` is ``rhs`` with each variable replaced by its slot."""
     if isinstance(rhs, Proj):
-        return binding[rhs.index]
+        i = rhs.index
+        return lambda t, slots: _compare(slots[i], t)
     assert isinstance(rhs, Apply)
-    return Apply(rhs.op, tuple(_instantiate(a, binding, context) for a in rhs.args), context)
+    name, k = rhs.op.name, rhs.op.arity
+    args = [_compile_compare(a) for a in rhs.args]
+
+    def compare(t, slots):
+        if type(t) is not Apply:
+            return 1
+        if t.op.name != name:
+            return -1 if name < t.op.name else 1
+        for f, x in zip(args, t.args):
+            c = f(x, slots)
+            if c:
+                return c
+        return (k > len(t.args)) - (k < len(t.args))
+    return compare
+
+
+def _compile_build(rhs: Term):
+    """``f(slots, context)``: ``rhs`` with each variable replaced by its slot."""
+    if isinstance(rhs, Proj):
+        i = rhs.index
+        return lambda slots, context: slots[i]
+    assert isinstance(rhs, Apply)
+    op = rhs.op
+    args = [_compile_build(a) for a in rhs.args]
+    if len(args) == 2:
+        a, b = args
+        return lambda slots, context: Apply(op, (a(slots, context), b(slots, context)), context)
+    return lambda slots, context: Apply(op, tuple(f(slots, context) for f in args), context)
 
 
 def _shape(t: Term, occurrences: Counter) -> int:
@@ -440,7 +501,8 @@ def normalize(t: Term, table, budget: int) -> tuple[Term, list[RewriteStep], boo
     ``table`` is a theory's ``rule_table``.  A step at a subterm must
     strictly decrease it in the term order: size first, then the key order
     of ``_compare``.  The first rule, in order, that matches, binds all its
-    variables and passes that guard fires.
+    variables and passes that guard fires.  The guard is decided on the
+    bindings, so a refused step builds nothing.
 
     One bottom-up pass: each subterm is tried once its arguments are normal,
     and after a step only the nodes the rule's rhs built are tried again.
@@ -456,21 +518,22 @@ def normalize(t: Term, table, budget: int) -> tuple[Term, list[RewriteStep], boo
     if budget <= 0:
         return t, trace, False
     path: list[int] = []
+    anyhead = table.get(None, ())
 
     def step(sub: Apply) -> tuple[Term, Term] | None:
         """Fire the first rule that decreases ``sub``: (its rhs, the new subterm), or None."""
-        for name, lhs, rhs, growth, weights in table:
-            binding = match(lhs, sub, {})
-            if binding is None:
+        for name, match, compare, build, rhs, growth, weights, width in \
+                table.get(sub.op.name, anyhead):
+            slots: list[Term | None] = [None] * width
+            if not match(sub, slots):
                 continue
             for v, w in weights:
-                growth += w * binding[v].size()
-            if growth > 0:
+                growth += w * slots[v].size()
+            if growth > 0 or growth == 0 and compare(sub, slots) >= 0:
                 continue
-            new = _instantiate(rhs, binding, sub.context)
-            if growth < 0 or _compare(new, sub) < 0:
-                trace.append(RewriteStep(name, tuple(path), sub, new))
-                return rhs, new
+            new = build(slots, sub.context)
+            trace.append(RewriteStep(name, tuple(path), sub, new))
+            return rhs, new
         return None
 
     def norm(sub: Apply, built: Term | None) -> Term:

@@ -1,5 +1,5 @@
-"""Constructions that more than one test module builds on and no command
-runs: a term evaluator and model validation by full scan, small categories,
+"""Constructions that tests build on and no command runs: a term evaluator,
+first-order matching and model validation by full scan, small categories,
 whiskering, identity homomorphisms, and morphism builders.  Tests compare
 production paths against these or use them to set up inputs.
 """
@@ -17,7 +17,7 @@ from lawkit.fincat import (
     compose_functors,
 )
 from lawkit.finset import FinSetModel, Violation
-from lawkit.theory import Morphism, Proj, Term, TheoryError
+from lawkit.theory import Apply, Morphism, Proj, Term, TheoryError
 
 
 # -- terms and finite-set models ---------------------------------------------------
@@ -32,6 +32,26 @@ def reference_value(t: Term, table, radix: int, env) -> int:
     for a in t.args:
         idx = idx * radix + reference_value(a, table, radix, env)
     return table(t.op.name)[idx]
+
+
+def match(pattern: Term, t: Term, binding: dict[int, Term]) -> dict[int, Term] | None:
+    """First-order matching; pattern projections are (possibly repeated)
+    metavariables, bound on first occurrence and compared with ``==`` after."""
+    if isinstance(pattern, Proj):
+        bound = binding.get(pattern.index)
+        if bound is None:
+            out = dict(binding)
+            out[pattern.index] = t
+            return out
+        return binding if bound == t else None
+    assert isinstance(pattern, Apply)
+    if not isinstance(t, Apply) or t.op != pattern.op:
+        return None
+    for pa, ta in zip(pattern.args, t.args):
+        binding = match(pa, ta, binding)  # type: ignore[assignment]
+        if binding is None:
+            return None
+    return binding
 
 
 def reference_eval_morphism(model: FinSetModel, f: Morphism, env) -> tuple[int, ...]:

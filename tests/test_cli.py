@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import lawkit
 from conftest import ROOT
 from lawkit import cli
 from lawkit.cli import (
@@ -33,8 +32,8 @@ def invoke(argv, chdir=None):
 
 
 def validate_report(report) -> list[str]:
-    """Structural validation against the shipped ``report_schema.json`` (a JSON Schema subset)."""
-    schema = json.loads((Path(lawkit.__file__).parent / "report_schema.json").read_text())
+    """Structural validation against ``report_schema.json`` (a JSON Schema subset) beside this file."""
+    schema = json.loads((Path(__file__).parent / "report_schema.json").read_text())
     problems = []
 
     def check(value, schema, path):

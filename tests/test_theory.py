@@ -28,7 +28,6 @@ from lawkit.theory import (
     eh_preconditions_1d,
     generator_morphism,
     identity,
-    match,
     normalize,
     normalize_morphism,
     par,
@@ -41,6 +40,7 @@ from lawkit.theory import (
     unit_insertion,
 )
 from references import (
+    match,
     proj_morphism,
     reference_eval_morphism,
     reference_validate_model,
@@ -464,12 +464,73 @@ def _parity_cases():
             arity = rng.randrange(1, 5)
             leaves = [rng.randrange(arity) for _ in range(rng.randrange(0, 10))]
             yield theory, _word(rng, theory, leaves, arity)
+    for _ in range(120):
+        yield T_SEMIRING, _semiring_term(rng, rng.randrange(1, 5), rng.randrange(1, 4))
+    for _ in range(60):
+        yield T_IDEM, _idem_term(rng, rng.randrange(1, 5), rng.randrange(1, 3))
     yield T_ASS, _left_nested(40)
     f_op = OpSymbol("f", 1)
     growing = TheoryPresentation("t_inv_like", (f_op,), (Equation(
         "e", identity(1), Morphism(1, 1, (ap(f_op, [ap(f_op, [Proj(0, 1)], 1)], 1),))),))
     for t in (Proj(0, 1), ap(f_op, [Proj(0, 1)], 1), ap(f_op, [ap(f_op, [Proj(0, 1)], 1)], 1)):
         yield growing, t
+    # Size-preserving rules that change the head: the order guard compares
+    # operation names.  Then a lone-variable lhs between two rules on ``f``.
+    g_op, c_op = OpSymbol("g", 1), OpSymbol("c", 0)
+    x = Proj(0, 1)
+
+    def unary(*ops):
+        """``ops`` applied to ``x``, outermost first; a nullary op ends the word."""
+        t = x
+        for op in reversed(ops):
+            t = ap(op, [t], 1) if op.arity else ap(op, [], 1)
+        return t
+    swap = TheoryPresentation("t_swap", (f_op, g_op), (
+        Equation("fg", Morphism(1, 1, (unary(f_op, g_op),)), Morphism(1, 1, (unary(g_op, f_op),))),
+        Equation("gf", Morphism(1, 1, (unary(g_op, f_op),)), Morphism(1, 1, (unary(f_op, g_op),)))))
+    for ops in ((f_op, g_op), (g_op, f_op), (g_op, g_op, f_op), (g_op, f_op, g_op, f_op)):
+        yield swap, unary(*ops)
+    collapse = TheoryPresentation("t_collapse", (f_op, c_op), (
+        Equation("ff", Morphism(1, 1, (unary(f_op, f_op),)), Morphism(1, 1, (unary(f_op),))),
+        Equation("drop", identity(1), Morphism(1, 1, (unary(c_op),))),
+        Equation("fc", Morphism(1, 1, (unary(f_op, c_op),)), Morphism(1, 1, (unary(c_op),)))))
+    for ops in ((f_op, f_op), (f_op, c_op), (f_op, f_op, f_op, c_op), (c_op,), (), (f_op,)):
+        yield collapse, unary(*ops)
+
+
+def _semiring_term(rng, depth, context):
+    """A random term over ``t_semiring``; about one inner node in four is
+    ``add(mul(a, b), mul(a, c))``, the shape of the non-linear ``distrib``."""
+    if depth == 0 or rng.random() < 0.2:
+        leaf = rng.choice(["zero", "one"] + ["x"] * 4)
+        if leaf == "x":
+            return Proj(rng.randrange(context), context)
+        return Apply(T_SEMIRING.op(leaf), (), context)
+    add, mul = T_SEMIRING.op("add"), T_SEMIRING.op("mul")
+    if rng.random() < 0.25:
+        a = _semiring_term(rng, depth - 1, context)
+        return ap(add, [ap(mul, [a, _semiring_term(rng, depth - 1, context)], context),
+                        ap(mul, [a, _semiring_term(rng, depth - 1, context)], context)],
+                  context)
+    op = rng.choice([add, mul])
+    return ap(op, [_semiring_term(rng, depth - 1, context) for _ in range(2)], context)
+
+
+T_IDEM_M = OpSymbol("m", 2)
+T_IDEM = TheoryPresentation("t_idem", (T_IDEM_M,), (Equation(
+    "idem", Morphism(1, 1, (ap(T_IDEM_M, [Proj(0, 1), Proj(0, 1)], 1),)), identity(1)),))
+
+
+def _idem_term(rng, depth, context):
+    """A random term over ``t_idem``; about one inner node in three has two
+    equal arguments, built apart, so only ``==`` finds them equal."""
+    if depth == 0 or rng.random() < 0.2:
+        return Proj(rng.randrange(context), context)
+    a = _idem_term(rng, depth - 1, context)
+    if rng.random() < 0.35:
+        twin = substitute(a, tuple(Proj(i, context) for i in range(context)), context)
+        return ap(T_IDEM_M, [a, twin], context)
+    return ap(T_IDEM_M, [a, _idem_term(rng, depth - 1, context)], context)
 
 
 def test_normalize_matches_restart_reference():
@@ -498,6 +559,68 @@ def test_normalize_deep_and_long_terms():
     assert within and nf == _right_nested(n)
     assert len(trace) == (n - 1) * (n - 2) // 2 == 7021
     assert {s.rule for s in trace} == {"assoc"}
+
+
+def _subterms(t):
+    yield t
+    if isinstance(t, Apply):
+        for a in t.args:
+            yield from _subterms(a)
+
+
+def test_compiled_matchers_bind_what_match_binds():
+    """Every compiled rule's matcher, tried on every subterm of the parity
+    cases, binds the very subterms the reference ``match`` binds, or fails
+    where it fails; on a match, its comparator gives the sign of the key
+    order of the instance its builder builds against the subterm."""
+    tried = bound = repeated = 0
+    for theory, t in _parity_cases():
+        lhs_of = {name: lhs for name, lhs, _ in theory.rewrite_rules()}
+        compiled = {rule[0]: rule for rules in theory.rule_table.values() for rule in rules}
+        assert len(lhs_of) == len(theory.rewrite_rules())
+        for sub in _subterms(t):
+            for name, matcher, *_, width in compiled.values():
+                slots = [None] * width
+                ref = match(lhs_of[name], sub, {})
+                tried += 1
+                if matcher(sub, slots):
+                    assert ref is not None, (name, render_term(sub))
+                    assert all(slots[i] is ref[i] for i in range(width)), (name, render_term(sub))
+                    _, _, compare, build, rhs, *_ = compiled[name]
+                    new = build(slots, sub.context)
+                    assert new == substitute(rhs, slots, sub.context)
+                    key, ref_key = _reference_key(new), _reference_key(sub)
+                    assert compare(sub, slots) == (key > ref_key) - (key < ref_key)
+                    bound += 1
+                    repeated += name in ("idem", "distrib")
+                else:
+                    assert ref is None, (name, render_term(sub))
+    assert tried > 20_000 and bound > 2000 and repeated > 50
+
+
+def test_refused_steps_build_no_terms(monkeypatch):
+    """The order guard is decided before the rhs instance is built: a normal
+    word builds nothing, though under t_comm ``comm`` matches at both of its
+    nodes and ``comm_assoc`` at its root; a fired step builds its rhs nodes."""
+    x = [Proj(i, 3) for i in range(3)]
+    normal = ap(M, [x[0], ap(M, [x[1], x[2]], 3)], 3)
+    left = ap(M, [ap(M, [x[0], x[1]], 3), x[2]], 3)
+    tables = (T_ASS.rule_table, T_COMM.rule_table)
+    built = []
+    post_init = Apply.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(Apply, "__post_init__", counting)
+    for table in tables:
+        nf, trace, within = normalize(normal, table, REWRITE_BUDGET)
+        assert nf is normal and trace == [] and within
+    assert built == []
+    for table in tables:
+        nf, trace, within = normalize(left, table, REWRITE_BUDGET)
+        assert nf == normal and [s.rule for s in trace] == ["assoc"]
+    assert len(built) == 4
 
 
 def test_decide_equal_witnesses_replay():
