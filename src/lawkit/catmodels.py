@@ -20,6 +20,7 @@ import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import fincat, finset
 from .cells import (
@@ -211,8 +212,7 @@ class CatModel:
         return encode
 
 
-@dataclass(frozen=True)
-class ModelViolation:
+class ModelViolation(NamedTuple):
     kind: str
     detail: str
 
@@ -283,8 +283,7 @@ def power_cat_model(model: CatModel, n: int) -> CatModel:
 
 # -- homomorphisms of models -----------------------------------------------------
 
-@dataclass(frozen=True)
-class LaxHom:
+class LaxHom(NamedTuple):
     source: CatModel
     target: CatModel
     weakness: str  # strict | pseudo | lax | colax
@@ -363,8 +362,7 @@ def hom_from_components(X: CatModel, Y: CatModel, weakness: str, f1: FinFunctor,
 
 # -- coherence of homomorphisms ---------------------------------------------------
 
-@dataclass(frozen=True)
-class CoherenceCheck:
+class CoherenceCheck(NamedTuple):
     """One law on a hom's structure cells, listed in generator order:
     ``holds(cells)`` reads no cell after ``cells[slot]`` (none at all when
     ``slot`` is -1), and a failure is reported as ``violation``."""
@@ -644,8 +642,7 @@ def enumerate_homs_w(X: CatModel, Y: CatModel, weakness: str) -> list[LaxHom]:
 
 # -- modifications ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Modification:
+class Modification(NamedTuple):
     source: LaxHom
     target: LaxHom
     component: FinNat  # between the underlying functors
@@ -765,15 +762,10 @@ def internal_coalgebras(model: CatModel) -> HomCategory:
     return build_hom_category(terminal_model(model.theory), model, "colax")
 
 
-@dataclass(frozen=True)
-class InternalAlgebra:
-    obj: int
-    structure: tuple[tuple[str, int], ...]  # generator -> structure arrow
-
-
-def algebra_view(hom: LaxHom) -> InternalAlgebra:
-    return InternalAlgebra(hom.point(),
-                           tuple((name, nat.components[0]) for name, nat in hom.cells))
+def algebra_view(hom: LaxHom) -> dict:
+    """A hom's underlying object and, per generator, its structure arrow."""
+    return {"obj": hom.point(),
+            "structure": tuple((name, nat.components[0]) for name, nat in hom.cells)}
 
 
 # -- lifting along an exchange table --------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import theory as _theory
 from .fincat import FinNat, encode
@@ -549,73 +550,26 @@ def _row_par(theory2: TwoTheoryPresentation, sigma: SigmaTable,
 
 # -- relative equality of pastings ---------------------------------------------------
 
-@dataclass(frozen=True)
-class SyntacticallyEqual:
-    pass
-
-
-@dataclass(frozen=True)
-class EqualOnProbes:
-    probes: int
-
-
-@dataclass(frozen=True)
-class Distinguished:
+class Distinguished(NamedTuple):
     probe: int
     obj: int
     left: int
     right: int
 
 
-RelativeVerdict = SyntacticallyEqual | EqualOnProbes | Distinguished
-
-
-def _rewrite_with_cell_equations(p: Pasting, equations, budget: int) -> Pasting:
-    def rewrite_once(q: Pasting) -> Pasting | None:
-        for _, lhs, rhs in equations:
-            if q == lhs:
-                return rhs
-            if q == rhs:
-                return lhs
-        parts = _parts(q)
-        for i, part in enumerate(parts):
-            hit = rewrite_once(part)
-            if hit is not None:
-                return _with_parts(q, parts[:i] + (hit,) + parts[i + 1:])
+def pastings_equal(p: Pasting, q: Pasting, probes: list) -> Distinguished | None:
+    """The first probe object at which the components of ``p`` and ``q``
+    differ, or None: syntactic equality after ``simplify_pasting``, else
+    equality on every probe model."""
+    if simplify_pasting(p) == simplify_pasting(q):
         return None
-
-    seen = {p}
-    for _ in range(budget):
-        candidate = rewrite_once(p)
-        if candidate is None or candidate in seen:
-            break
-        if _pasting_weight(candidate) <= _pasting_weight(p):
-            p = candidate
-            seen.add(p)
-        else:
-            break
-    return p
-
-
-def _pasting_weight(p: Pasting) -> int:
-    return 1 + sum(_pasting_weight(q) for q in _parts(p))
-
-
-def pastings_equal(theory2: TwoTheoryPresentation, p: Pasting, q: Pasting,
-                   probes: list) -> RelativeVerdict:
-    """Equality relative to probe models, with a syntactic fast path."""
-    budget = _theory.REWRITE_BUDGET
-    sp = _rewrite_with_cell_equations(simplify_pasting(p), theory2.cell_equations, budget)
-    sq = _rewrite_with_cell_equations(simplify_pasting(q), theory2.cell_equations, budget)
-    if sp == sq:
-        return SyntacticallyEqual()
     for idx, model in enumerate(probes):
         np_ = pasting_components(p, model)
         nq = pasting_components(q, model)
         for o, (l, r) in enumerate(zip(np_, nq)):
             if l != r:
                 return Distinguished(idx, o, l, r)
-    return EqualOnProbes(len(probes))
+    return None
 
 
 # -- gray-style coherence instances ---------------------------------------------------
@@ -661,15 +615,13 @@ def transpose_conjugate(p: Pasting, m: int, k: int, n: int, l: int) -> Pasting:
     return HWhiskerR(HWhiskerL(transpose(m, k), p), transpose(l, n))
 
 
-@dataclass(frozen=True)
-class CoherenceIssue:
+class CoherenceIssue(NamedTuple):
     check: str
     detail: str
-    verdict: RelativeVerdict | None
+    verdict: Distinguished | None
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(NamedTuple):
     verdict: str  # Coherent | Incoherent
     checked: int
     issues: tuple[CoherenceIssue, ...]
@@ -715,8 +667,8 @@ def check_sigma_coherence(theory2: TwoTheoryPresentation, sigma: SigmaTable,
                 else:
                     lhs = derive_sigma(theory2, sigma, g, eq.lhs)
                     rhs = derive_sigma(theory2, sigma, g, eq.rhs)
-                v = pastings_equal(theory2, lhs, rhs, probes)
-                if isinstance(v, Distinguished):
+                v = pastings_equal(lhs, rhs, probes)
+                if v is not None:
                     issues.append(CoherenceIssue(
                         f"gray1-{slot}", f"equation {eq.name} against {g!r}", v))
 
@@ -726,14 +678,14 @@ def check_sigma_coherence(theory2: TwoTheoryPresentation, sigma: SigmaTable,
         for g in basis:
             checked += 1
             lhs, rhs = gray2_column_instance(theory2, sigma, t, g)
-            v = pastings_equal(theory2, lhs, rhs, probes)
-            if isinstance(v, Distinguished):
+            v = pastings_equal(lhs, rhs, probes)
+            if v is not None:
                 issues.append(CoherenceIssue(
                     "gray2-vertical", f"cell {cellsym.name} in column slot against {g!r}", v))
             checked += 1
             lhs, rhs = gray2_row_instance(theory2, sigma, g, t)
-            v = pastings_equal(theory2, lhs, rhs, probes)
-            if isinstance(v, Distinguished):
+            v = pastings_equal(lhs, rhs, probes)
+            if v is not None:
                 issues.append(CoherenceIssue(
                     "gray2-horizontal", f"cell {cellsym.name} in row slot against {g!r}", v))
 
@@ -746,8 +698,8 @@ def check_sigma_coherence(theory2: TwoTheoryPresentation, sigma: SigmaTable,
                     derive_sigma(theory2, sigma, b, a),
                     a.source, b.source, a.target, b.target)
                 roundtrip = Vert(fwd, bwd)
-                v = pastings_equal(theory2, roundtrip, Id(fwd.source()), probes)
-                if isinstance(v, Distinguished):
+                v = pastings_equal(roundtrip, Id(fwd.source()), probes)
+                if v is not None:
                     issues.append(CoherenceIssue(
                         "symmetry", f"sigma({b!r},{a!r}) o sigma({a!r},{b!r}) != id", v))
 
@@ -775,8 +727,8 @@ def derived_associativity_check(theory2: TwoTheoryPresentation, sigma: SigmaTabl
             for g in basis:
                 checked += 1
                 lhs, rhs = gray2_column_instance(theory2, sigma, s, g)
-                v = pastings_equal(theory2, lhs, rhs, probes)
-                if isinstance(v, Distinguished):
+                v = pastings_equal(lhs, rhs, probes)
+                if v is not None:
                     issues.append(CoherenceIssue(
                         "associativity", f"triple ({a!r},{b!r},{g!r})", v))
     verdict = "Coherent" if not issues else "Incoherent"
@@ -785,14 +737,12 @@ def derived_associativity_check(theory2: TwoTheoryPresentation, sigma: SigmaTabl
 
 # -- direct braiding checks on a monoidal model ----------------------------------------
 
-@dataclass(frozen=True)
-class BraidIssue:
+class BraidIssue(NamedTuple):
     check: str
     triple: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BraidReport:
+class BraidReport(NamedTuple):
     verdict: str
     triples_checked: int
     issues: tuple[BraidIssue, ...]

@@ -30,7 +30,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 from . import catmodels, cells, dsl, finset, multimaps, theory
@@ -45,8 +44,8 @@ EXIT_BUG = 4
 
 
 def _jsonable(x):
-    if is_dataclass(x) and not isinstance(x, type):
-        return {k: _jsonable(v) for k, v in asdict(x).items()}
+    if hasattr(x, "_asdict"):  # a record; before the tuple branch, which would list it
+        return {k: _jsonable(v) for k, v in x._asdict().items()}
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -114,6 +113,11 @@ def _cat_models_for(doc: dsl.Document, theory_name: str, names: list[str] | None
             if m.kind in ("fincat", "moncat") and m.theory == theory_name]
 
 
+def _at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise InputError(f"{flag} must be at least 1, got {value}")
+
+
 # -- subcommand handlers --------------------------------------------------------------------
 
 def cmd_check_theory(args, doc):
@@ -140,6 +144,7 @@ def cmd_check_theory(args, doc):
 
 
 def cmd_commutative(args, doc):
+    _at_least_one("--max-size", args.max_size)
     theory2 = _pick_theory(doc, args.theory)
     base = theory2.base
     witnesses = []
@@ -231,8 +236,8 @@ def cmd_yang_baxter(args, doc):
 
 def cmd_models(args, doc):
     theory2 = _pick_theory(doc, args.theory)
-    if args.size < 1:
-        raise InputError(f"--size must be at least 1, got {args.size}")
+    _at_least_one("--size", args.size)
+    _at_least_one("--max-size", args.max_size)
     if args.size > args.max_size:
         raise EnumerationBound(f"size {args.size} exceeds bound {args.max_size}")
     models = list(finset.enumerate_models(theory2.base, args.size))
@@ -346,19 +351,19 @@ def cmd_fox(args, doc):
     models = _cat_models_for(doc, for_theory, args.models)
     if not models:
         raise InputError("no models available")
-    report = multimaps.fox_comonad(sigma, models)
     verdicts = []
     witnesses = []
-    for r in report.models:
+    failed = False
+    for r in multimaps.fox_comonad(sigma, models):
+        holds = r.counit_underlying and r.counit_functorial and r.coassociativity
+        failed = failed or not holds
         verdicts.append({"name": r.model,
-                         "verdict": "Holds" if (r.counit_underlying and
-                                                r.counit_functorial and
-                                                r.coassociativity) else "Fails",
+                         "verdict": "Holds" if holds else "Fails",
                          "detail": f"delta iso: {r.delta_is_iso}, "
                                    f"|IntAlg| {r.intalg_size} -> {r.double_size}"})
         if r.missing:
             witnesses.append({"model": r.model, "missing_objects": list(r.missing)})
-    return (EXIT_OK if report.verdict == "Holds" else EXIT_FAILED), verdicts, witnesses
+    return (EXIT_FAILED if failed else EXIT_OK), verdicts, witnesses
 
 
 def cmd_eh(args, doc):

@@ -74,8 +74,7 @@ from .theory import (
 )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     col: int
     message: str
@@ -103,27 +102,23 @@ class ModelViolation(InputError):
 
 # -- declarations, as parsed -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FinSetDecl:
+class FinSetDecl(NamedTuple):
     size: int
     tables: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class FunctorDecl:
+class FunctorDecl(NamedTuple):
     name: str
     obj: tuple[int, ...]
     arr: tuple[int, ...] | None  # None = derive into a thin target
 
 
-@dataclass(frozen=True)
-class NatDecl:
+class NatDecl(NamedTuple):
     name: str
     components: tuple[int, ...] | None  # None = unique arrows in a thin target
 
 
-@dataclass(frozen=True)
-class FinCatDecl:
+class FinCatDecl(NamedTuple):
     objects: int
     arrows: tuple[tuple[str, int, int], ...]
     composites: tuple[tuple[str, str, str], ...]
@@ -131,8 +126,7 @@ class FinCatDecl:
     nats: tuple[NatDecl, ...]
 
 
-@dataclass(frozen=True)
-class MonCatDecl:
+class MonCatDecl(NamedTuple):
     grading: int
     scalars: int
     tensor: str | None
@@ -142,16 +136,14 @@ class MonCatDecl:
     nats: tuple[NatDecl, ...]
 
 
-@dataclass(frozen=True)
-class ModelDecl:
+class ModelDecl(NamedTuple):
     name: str
     theory: str
     kind: str  # finset | fincat | moncat
     payload: FinSetDecl | FinCatDecl | MonCatDecl
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     theories: tuple[TwoTheoryPresentation, ...] = ()
     sigmas: tuple[tuple[str, cells.SigmaTable], ...] = ()  # (for-theory, table)
     models: tuple[ModelDecl, ...] = ()
@@ -215,7 +207,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-class Token(NamedTuple):  # not a dataclass: one is built per lexeme, and a tuple builds fastest
+class Token(NamedTuple):
     kind: str  # ident | nat | punct | string | eof
     value: str
     line: int
@@ -322,8 +314,7 @@ class _RawTerm:
         return max((a.max_var() for a in self.args), default=0)
 
 
-@dataclass(frozen=True)
-class _RawAtom:
+class _RawAtom(NamedTuple):
     kind: str  # terms | swap | id
     terms: tuple[_RawTerm, ...] = ()
     a: int = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .search import EnumerationBound, search
 
@@ -92,8 +93,7 @@ class FinCategory:
         return out
 
 
-@dataclass(frozen=True)
-class CategoryViolation:
+class CategoryViolation(NamedTuple):
     kind: str
     data: tuple
 
@@ -332,8 +332,7 @@ def compose_functors(f: FinFunctor, g: FinFunctor) -> FinFunctor:
                       tuple(g.arr_map[a] for a in f.arr_map))
 
 
-@dataclass(frozen=True)
-class FinNat:
+class FinNat(NamedTuple):
     source: FinFunctor
     target: FinFunctor
     components: tuple[int, ...]  # arrow in the common target per source object

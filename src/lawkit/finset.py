@@ -8,7 +8,7 @@ X^0 is the one-element set, so nullary tables have exactly one cell.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .search import EnumerationBound, search
 from .theory import (
@@ -41,8 +41,7 @@ def all_tuples(size: int, arity: int):
     return itertools.product(range(size), repeat=arity)
 
 
-@dataclass(frozen=True)
-class FinSetModel:
+class FinSetModel(NamedTuple):
     theory: TheoryPresentation
     size: int
     tables: tuple[tuple[str, tuple[int, ...]], ...]  # generator order of the theory
@@ -60,8 +59,7 @@ class FinSetModel:
         return tuple(compile_term(c, self.table, self.size)(env) for c in f.components)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     equation: str
     env: tuple[int, ...]
     lhs_value: tuple[int, ...]
@@ -186,8 +184,7 @@ def enumerate_models(theory: TheoryPresentation, size: int):
 
 # -- homomorphisms -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelHom:
+class ModelHom(NamedTuple):
     source: FinSetModel
     target: FinSetModel
     mapping: tuple[int, ...]
@@ -232,8 +229,7 @@ def power_model(model: FinSetModel, n: int) -> FinSetModel:
 
 # -- semantic commutativity ----------------------------------------------------
 
-@dataclass(frozen=True)
-class SemanticCommutativityReport:
+class SemanticCommutativityReport(NamedTuple):
     verdict: str
     pairs: tuple[tuple[str, str, bool], ...]
     witness: tuple[str, str, tuple[int, ...]] | None
@@ -258,8 +254,7 @@ def semantic_commutativity_check(model: FinSetModel) -> SemanticCommutativityRep
 
 # -- uniqueness of the doubled structure ---------------------------------------
 
-@dataclass(frozen=True)
-class EhUniquenessReport:
+class EhUniquenessReport(NamedTuple):
     count: int
     unique: bool
     structures: tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]

@@ -12,7 +12,7 @@ evaluated exchange cell of Z.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catmodels, fincat
 from .catmodels import (
@@ -47,8 +47,7 @@ from .search import EnumerationBound, search
 from .theory import CellError, Equal, TwoTheoryPresentation, check_unital, generator_morphism
 
 
-@dataclass(frozen=True)
-class BinaryMultimap:
+class BinaryMultimap(NamedTuple):
     weakness: str
     f11: FinFunctor  # (X x Y)-carrier -> Z-carrier
     cells_left: tuple[tuple[str, tuple[int, ...]], ...]   # f_{a,1}, indexed (x-power, y)
@@ -289,8 +288,7 @@ def uncurry(g: LaxHom, X: CatModel, Y: CatModel, Z: CatModel,
     return BinaryMultimap(weakness, f11, tuple(cells_left), tuple(cells_right))
 
 
-@dataclass(frozen=True)
-class ClosedStructureReport:
+class ClosedStructureReport(NamedTuple):
     multimap_count: int
     hom_count: int
     bijection: bool
@@ -331,8 +329,7 @@ def closed_check(X: CatModel, Y: CatModel, Z: CatModel, sigma: SigmaTable,
 
 # -- the comonad of internal algebras ----------------------------------------------------
 
-@dataclass(frozen=True)
-class FoxModelReport:
+class FoxModelReport(NamedTuple):
     model: str
     counit_underlying: bool
     counit_functorial: bool
@@ -341,12 +338,6 @@ class FoxModelReport:
     intalg_size: int
     double_size: int
     missing: tuple[int, ...]  # objects of the doubled category missed by delta
-
-
-@dataclass(frozen=True)
-class FoxReport:
-    verdict: str
-    models: tuple[FoxModelReport, ...]
 
 
 def _intalg_model(X: CatModel, sigma: SigmaTable) -> tuple[CatModel, HomCategory]:
@@ -371,7 +362,10 @@ def _delta_object(A_idx: int, H_model: CatModel, homcat: HomCategory,
     return H2cat.object_index(hom_from_components(term, H_model, "lax", f1, tables))
 
 
-def fox_comonad(sigma: SigmaTable, models: list[tuple[str, CatModel]]) -> FoxReport:
+def fox_comonad(sigma: SigmaTable,
+                models: list[tuple[str, CatModel]]) -> tuple[FoxModelReport, ...]:
+    """Per model, the comonad laws of its internal algebras and whether the
+    comultiplication is an isomorphism onto the doubled category."""
     reports = []
     for name, X in models:
         H_model, homcat = _intalg_model(X, sigma)
@@ -427,16 +421,12 @@ def fox_comonad(sigma: SigmaTable, models: list[tuple[str, CatModel]]) -> FoxRep
         reports.append(FoxModelReport(
             name, counit_underlying, counit_functorial, coassoc, iso,
             len(homcat.objects), len(h2cat.objects), missing))
-    verdict = "Holds" if all(
-        r.counit_underlying and r.counit_functorial and r.coassociativity
-        for r in reports) else "Fails"
-    return FoxReport(verdict, tuple(reports))
+    return tuple(reports)
 
 
 # -- Eckmann-Hilton conditions and the local-isomorphism probe ----------------------------
 
-@dataclass(frozen=True)
-class EhReport2d:
+class EhReport2d(NamedTuple):
     passes: bool
     no_unary_active: bool
     unital: tuple[tuple[str, bool], ...]
@@ -470,8 +460,7 @@ def eckmann_hilton_2d(theory2: TwoTheoryPresentation, sigma: SigmaTable) -> EhRe
     return EhReport2d(passes, no_unary, tuple(unital), tuple(diag), units_ok)
 
 
-@dataclass(frozen=True)
-class LocalIsoReport:
+class LocalIsoReport(NamedTuple):
     hom_count: int
     lifted_count: int
     objects_bijective: bool
@@ -530,8 +519,7 @@ def eh_local_iso_probe(X: CatModel, Y: CatModel, sigma: SigmaTable) -> LocalIsoR
 
 # -- bilax structures ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BilaxReport:
+class BilaxReport(NamedTuple):
     verdict: str
     condition_lax_over_colax: bool
     condition_colax_over_lax: bool

@@ -29,8 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     from .cells import Pasting
 
-# Most rewrite steps one normalization may take: of a term by the equations,
-# or of a pasting by the cell equations.
+# Most rewrite steps one normalization of a term by the equations may take.
 REWRITE_BUDGET = 10_000
 
 
@@ -359,8 +358,7 @@ class TwoCellSymbol:
             raise CellError(f"2-cell {self.name}: boundary morphisms not parallel")
 
 
-@dataclass(frozen=True)
-class TwoTheoryPresentation:
+class TwoTheoryPresentation(NamedTuple):
     base: TheoryPresentation
     cells: tuple[TwoCellSymbol, ...] = ()
     cell_equations: tuple[tuple[str, Pasting, Pasting], ...] = ()
@@ -374,7 +372,7 @@ class TwoTheoryPresentation:
 
 # -- rewriting ---------------------------------------------------------------
 
-class RewriteStep(NamedTuple):  # not a dataclass: one is built per step fired
+class RewriteStep(NamedTuple):
     rule: str
     path: tuple[int, ...]
     before: Term
@@ -624,21 +622,18 @@ def occurring_variables(f: Morphism, g: Morphism) -> tuple[int, ...]:
 
 # -- equality decision --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Equal:
+class Equal(NamedTuple):
     lhs_trace: tuple
     rhs_trace: tuple
     normal_form: Morphism
 
 
-@dataclass(frozen=True)
-class NotEqual:
+class NotEqual(NamedTuple):
     model: "object"           # finset.FinSetModel
     witness: tuple[int, ...]  # input tuple separating the two morphisms
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(NamedTuple):
     reason: str
     budget: int
     model_bound: int
@@ -670,8 +665,7 @@ def decide_equal(theory: TheoryPresentation, f: Morphism, g: Morphism,
 
 # -- commutativity, unitality, Eckmann-Hilton preconditions -------------------
 
-@dataclass(frozen=True)
-class CommutativityReport:
+class CommutativityReport(NamedTuple):
     verdict: str                     # "Commutative" | "NotCommutative" | "Inconclusive"
     pairs: tuple[tuple[str, str, EqualityVerdict], ...]
 
@@ -710,8 +704,7 @@ def check_unital(theory: TheoryPresentation, alpha: OpSymbol, unit: OpSymbol,
     return out
 
 
-@dataclass(frozen=True)
-class EhReport1d:
+class EhReport1d(NamedTuple):
     passes: bool
     unit: str | None
     merged_units: tuple[tuple[str, str], ...]

@@ -1,20 +1,21 @@
 """Shipped example theories, exchange-cell tables, and probe models.
 
-Every fixture is elaborated by ``lawkit.dsl``: from the ``.law`` files under
-``law/``, or from the short DSL text below for the one-dimensional theories no
-``.law`` file declares.  Lookups go by the names those blocks declare, e.g.
-``theory("t_comm_flat")``, ``sigma("sigma_braid")``, ``model("poset_meet")``.
+Every fixture is elaborated by ``lawkit.dsl``: from the ``.law`` files that
+ship with the package under ``lawkit/fixtures/law/``, or from the short DSL
+text below for the one-dimensional theories no ``.law`` file declares.
+Lookups go by the names those blocks declare, e.g. ``theory("t_comm_flat")``,
+``sigma("sigma_braid")``, ``model("poset_meet")``.
 """
 
 from functools import cache
 from pathlib import Path
 
-from .. import dsl
-from ..catmodels import CatModel
-from ..cells import SigmaTable
-from ..theory import TheoryPresentation, TwoTheoryPresentation
+from lawkit import dsl
+from lawkit.catmodels import CatModel
+from lawkit.cells import SigmaTable
+from lawkit.theory import TheoryPresentation, TwoTheoryPresentation
 
-_LAW_DIR = Path(__file__).parent / "law"
+_LAW_DIR = Path(dsl.__file__).parent / "fixtures" / "law"
 
 _ONE_DIMENSIONAL = """
 theory t_pointed { op u : 0 -> 1; }
@@ -109,3 +110,15 @@ def monoid_theory(name: str, size: int, table, unit: int) -> TheoryPresentation:
                   for i in range(size) for j in range(size))
     text = f"theory {name} {{ {ops}{eqs}eq unit_act : r{unit}(x1) = x1; }}"
     return parse(text).theory(name).base
+
+
+def shipped_models(*kinds):
+    """Every model of the given kinds (finset, fincat, moncat) that the
+    shipped .law files declare, once per name."""
+    models = {}
+    for doc in _law_documents().values():
+        for decl in doc.models:
+            if decl.kind in kinds and decl.name not in models:
+                models[decl.name] = (doc.finset_model(decl.name) if decl.kind == "finset"
+                                     else doc.cat_model(decl.name))
+    return list(models.values())

@@ -7,8 +7,8 @@ verdict tag, or a table compared for equality.
 
 import itertools
 
+import fixtures as fx
 import oracles
-from lawkit import fixtures as fx
 from lawkit.catmodels import (
     internal_algebras,
     internal_coalgebras,
@@ -178,14 +178,11 @@ def test_criterion_08_fox_comonad():
     eh_models = [("poset", fx.sigma("sigma_comm_flat"), fx.model("poset_meet")),
                  ("pointed", fx.sigma("sigma_pointed_flat"), fx.model("pointed_poset"))]
     for name, sigma, model in eh_models:
-        report = fox_comonad(sigma, [(name, model)])
-        r = report.models[0]
-        assert report.verdict == "Holds"
+        (r,) = fox_comonad(sigma, [(name, model)])
         assert r.counit_underlying and r.counit_functorial and r.coassociativity
         assert r.delta_is_iso, name
 
-    report = fox_comonad(fx.sigma("sigma_inv"), [("inv", fx.model("scalar_involution"))])
-    r = report.models[0]
+    (r,) = fox_comonad(fx.sigma("sigma_inv"), [("inv", fx.model("scalar_involution"))])
     assert r.counit_underlying and r.counit_functorial and r.coassociativity
     assert not r.delta_is_iso
     assert r.missing, "a second lift must be exhibited"

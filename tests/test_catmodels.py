@@ -6,9 +6,9 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from conftest import shipped_models
+import fixtures as fx
+from fixtures import shipped_models
 from lawkit import catmodels, fincat
-from lawkit import fixtures as fx
 from lawkit.catmodels import (
     CatModel,
     HomCategory,
@@ -157,7 +157,7 @@ def test_pointed_algebras_are_slices():
 def test_delooping_comonoids_pair_delta_epsilon():
     model = fx.model("delooping_z2")
     C = internal_coalgebras(model)
-    structures = {tuple(dict(algebra_view(h).structure).items()) for h in C.objects}
+    structures = {tuple(dict(algebra_view(h)["structure"]).items()) for h in C.objects}
     assert structures == {(("m", 0), ("u", 0)), (("m", 1), ("u", 1))}
 
 
@@ -690,19 +690,19 @@ def test_hom_category_lookups_confirm_their_hits():
     h, m = homcat.objects[0], homcat.arrows[0]
     # The same tables with another weakness: the key hits, the check refuses.
     with pytest.raises(CellError, match="not an object"):
-        homcat.object_index(replace(h, weakness="colax"))
+        homcat.object_index(h._replace(weakness="colax"))
     with pytest.raises(CellError, match="not an object"):
-        homcat.object_index(replace(h, cells=h.cells[::-1]))
+        homcat.object_index(h._replace(cells=h.cells[::-1]))
     with pytest.raises(CellError, match="not an arrow"):
         homcat.arrow_index(Modification(m.source, m.target,
-                                        replace(m.component, components=(99,))))
+                                        m.component._replace(components=(99,))))
     with pytest.raises(CellError, match="not an object"):
-        homcat.arrow_index(replace(m, source=replace(h, weakness="colax")))
+        homcat.arrow_index(m._replace(source=h._replace(weakness="colax")))
 
     # Objects that differ only in the arrow map, or only in a cell, are told apart.
     f1 = replace(h.f1, arr_map=h.f1.arr_map[::-1])
-    cell = replace(h.cells[0][1], components=h.cells[0][1].components[::-1])
-    for twin in (replace(h, f1=f1), replace(h, cells=((h.cells[0][0], cell),) + h.cells[1:])):
+    cell = h.cells[0][1]._replace(components=h.cells[0][1].components[::-1])
+    for twin in (h._replace(f1=f1), h._replace(cells=((h.cells[0][0], cell),) + h.cells[1:])):
         assert twin != h
         pair = HomCategory(discrete_category(2), (h, twin), ())
         assert (pair.object_index(h), pair.object_index(twin)) == (0, 1)
@@ -828,8 +828,8 @@ def reference_candidates(X, Y, weakness):
 def _variants(hom):
     """The hom under every weakness, without its last cell, and with one
     component of one cell swapped for another arrow between its endpoints."""
-    yield from (replace(hom, weakness=w) for w in WEAKNESSES)
-    yield replace(hom, cells=hom.cells[:-1])
+    yield from (hom._replace(weakness=w) for w in WEAKNESSES)
+    yield hom._replace(cells=hom.cells[:-1])
     carrier = hom.target.carrier
     for i, (name, nat) in enumerate(hom.cells):
         for o, c in enumerate(nat.components):
@@ -837,8 +837,8 @@ def _variants(hom):
                 if alt != c:
                     comps = nat.components[:o] + (alt,) + nat.components[o + 1:]
                     cells = list(hom.cells)
-                    cells[i] = (name, replace(nat, components=comps))
-                    yield replace(hom, cells=tuple(cells))
+                    cells[i] = (name, nat._replace(components=comps))
+                    yield hom._replace(cells=tuple(cells))
 
 
 def test_pruned_hom_search_matches_product_reference():
@@ -945,7 +945,7 @@ def _modification_candidates(f, g):
             for comps in itertools.product(*homsets)]
     if mods:
         other = "colax" if f.weakness == "lax" else "lax"
-        mods += [Modification(f, replace(g, weakness=other), mods[0].component),
+        mods += [Modification(f, g._replace(weakness=other), mods[0].component),
                  Modification(g, f, mods[0].component)]
     return mods
 
@@ -1083,8 +1083,8 @@ def _corruptions(model, rng):
             o = rng.randrange(len(nat.components))
             wrong = rng.choice([f for f in model.carrier.arrows() if f != nat.components[o]])
             cells = list(model.cell_nats)
-            cells[i] = (name, replace(nat, components=nat.components[:o] + (wrong,)
-                                      + nat.components[o + 1:]))
+            cells[i] = (name, nat._replace(components=nat.components[:o] + (wrong,)
+                                           + nat.components[o + 1:]))
             out.append(_fresh(model, cell_nats=tuple(cells)))
     theory2 = model.theory
     base = theory2.base
@@ -1099,15 +1099,15 @@ def _corruptions(model, rng):
                         replace(eq, lhs=Morphism(n, 1, (Proj(0, n),))) if n else eq):
             equations = list(base.equations)
             equations[i] = changed
-            out.append(_fresh(model, theory=replace(
-                theory2, base=replace(base, equations=tuple(equations)))))
+            out.append(_fresh(model, theory=theory2._replace(
+                base=replace(base, equations=tuple(equations)))))
     if len(theory2.cell_equations) > 1:
         # Two cell equations trade their left sides.
         i, j = rng.sample(range(len(theory2.cell_equations)), 2)
         eqs = list(theory2.cell_equations)
         (ni, li, ri), (nj, lj, rj) = eqs[i], eqs[j]
         eqs[i], eqs[j] = (ni, lj, ri), (nj, li, rj)
-        out.append(_fresh(model, theory=replace(theory2, cell_equations=tuple(eqs))))
+        out.append(_fresh(model, theory=theory2._replace(cell_equations=tuple(eqs))))
     return out
 
 
@@ -1128,7 +1128,7 @@ def test_validate_cat_model_matches_the_tabulating_reference():
     # at an arrow: the involution negates the scalars of Z/3.
     negation = fx.parse(NEGATING_INVOLUTION).cat_model("negation_z3")
     inv = generator_morphism(negation.theory.base.op("inv"))
-    negation = _fresh(negation, theory=replace(negation.theory, cell_equations=(
+    negation = _fresh(negation, theory=negation.theory._replace(cell_equations=(
         *negation.theory.cell_equations, ("inv_is_id", Id(inv), Id(Morphism(1, 1, (Proj(0, 1),)))))))
     assert ModelViolation("cell-equation", "inv_is_id") in validate_cat_model(negation)
     cases = [*models, *homs, negation]

@@ -5,10 +5,11 @@ from functools import cache
 
 import pytest
 
-from lawkit import cells, dsl, fixtures as fx
+import fixtures as fx
+from fixtures import shipped_models
+from lawkit import cells, dsl
 from lawkit.cells import (
     Distinguished,
-    EqualOnProbes,
     Gen,
     HWhiskerL,
     Id,
@@ -19,7 +20,6 @@ from lawkit.cells import (
     PowerL,
     PowerR,
     SigmaTable,
-    SyntacticallyEqual,
     Vert,
     check_sigma_coherence,
     derive_sigma,
@@ -54,7 +54,6 @@ from lawkit.theory import (
     power_left,
     power_right,
 )
-from conftest import shipped_models
 from references import proj_morphism
 
 
@@ -95,7 +94,7 @@ def test_inert_exchange_is_identity():
 
 def test_pastings_equal_reflexivity():
     p = Gen(fx.theory("t_comm_flat").cells[0])
-    assert isinstance(pastings_equal(fx.theory("t_comm_flat"), p, p, []), SyntacticallyEqual)
+    assert pastings_equal(p, p, []) is None
 
 
 def test_braid_sides_distinguished():
@@ -103,7 +102,7 @@ def test_braid_sides_distinguished():
     b = Gen(theory2.cells[0])
     m = generator_morphism(theory2.base.op("m"))
     lhs, rhs = gray2_column_instance(theory2, fx.sigma("sigma_braid"), b, m)
-    verdict = pastings_equal(theory2, lhs, rhs, [fx.model("graded_lines_z3")])
+    verdict = pastings_equal(lhs, rhs, [fx.model("graded_lines_z3")])
     assert isinstance(verdict, Distinguished)
 
 
@@ -112,8 +111,7 @@ def test_inv_gray2_equal_on_probes():
     iota = Gen(theory2.cells[0])
     inv = generator_morphism(theory2.base.op("inv"))
     lhs, rhs = gray2_column_instance(theory2, fx.sigma("sigma_inv"), iota, inv)
-    verdict = pastings_equal(theory2, lhs, rhs, [fx.model("scalar_involution")])
-    assert isinstance(verdict, (EqualOnProbes, SyntacticallyEqual))
+    assert pastings_equal(lhs, rhs, [fx.model("scalar_involution")]) is None
 
 
 def test_sigma_coherence_fixtures():
@@ -386,20 +384,6 @@ def _ladder_simplify(p):
     return p
 
 
-def _ladder_weight(p):
-    if isinstance(p, (Id, Gen)):
-        return 1
-    if isinstance(p, Inverse):
-        return 1 + _ladder_weight(p.inner)
-    if isinstance(p, Vert):
-        return 1 + _ladder_weight(p.first) + _ladder_weight(p.second)
-    if isinstance(p, (HWhiskerL, HWhiskerR, PowerL, PowerR)):
-        return 1 + _ladder_weight(p.inner)
-    if isinstance(p, Par):
-        return 1 + sum(_ladder_weight(q) for q in p.parts)
-    raise CellError("unknown node")
-
-
 def _ladder_validate(theory2, p):
     problems = []
 
@@ -426,52 +410,6 @@ def _ladder_validate(theory2, p):
     except TheoryError as e:
         return [f"ill-typed pasting: {e}"]
     return problems
-
-
-def _ladder_rewrite(p, equations, budget):
-    def rewrite_once(q):
-        for _, lhs, rhs in equations:
-            if q == lhs:
-                return rhs
-            if q == rhs:
-                return lhs
-        if isinstance(q, Vert):
-            for attr, other in (("first", q.second), ("second", q.first)):
-                hit = rewrite_once(getattr(q, attr))
-                if hit is not None:
-                    return Vert(hit, other) if attr == "first" else Vert(other, hit)
-        if isinstance(q, (HWhiskerL, HWhiskerR, PowerL, PowerR, Inverse)):
-            hit = rewrite_once(q.inner)
-            if hit is not None:
-                if isinstance(q, HWhiskerL):
-                    return HWhiskerL(q.left, hit)
-                if isinstance(q, HWhiskerR):
-                    return HWhiskerR(hit, q.right)
-                if isinstance(q, PowerL):
-                    return PowerL(q.k, hit)
-                if isinstance(q, PowerR):
-                    return PowerR(hit, q.k)
-                return Inverse(hit)
-        if isinstance(q, Par):
-            for i, part in enumerate(q.parts):
-                hit = rewrite_once(part)
-                if hit is not None:
-                    parts = list(q.parts)
-                    parts[i] = hit
-                    return Par(tuple(parts))
-        return None
-
-    seen = {p}
-    for _ in range(budget):
-        candidate = rewrite_once(p)
-        if candidate is None or candidate in seen:
-            break
-        if _ladder_weight(candidate) <= _ladder_weight(p):
-            p = candidate
-            seen.add(p)
-        else:
-            break
-    return p
 
 
 @cache
@@ -643,22 +581,12 @@ def test_traversals_match_the_reference_ladders(corpus):
     for theory2, p in corpus():
         assert is_invertible_pasting(p) == _ladder_is_invertible(p), p
         assert is_identity_pasting(p) == _ladder_is_identity(p), p
-        assert cells._pasting_weight(p) == _ladder_weight(p), p
         assert validate_pasting(theory2, p) == _ladder_validate(theory2, p), p
         s = _outcome(simplify_pasting, p)
         assert s == _outcome(_ladder_simplify, p), p
         simplified += isinstance(s, Pasting)
-        for q in (p, s) if isinstance(s, Pasting) else (p,):
-            assert cells._rewrite_with_cell_equations(q, theory2.cell_equations, 50) == \
-                _ladder_rewrite(q, theory2.cell_equations, 50), q
     # Most pastings are well-typed enough to simplify; the rest raise alike.
     assert simplified >= 0.8 * len(corpus())
-
-
-def test_rewriting_is_exercised_by_the_random_corpus():
-    moved = sum(_ladder_rewrite(p, theory2.cell_equations, 50) != p
-                for theory2, p in random_pastings())
-    assert moved >= 50
 
 
 def test_parts_and_with_parts_rebuild_every_node():
@@ -670,8 +598,7 @@ def test_unknown_pasting_node_is_a_cell_error():
     class Stray(Pasting):
         pass
 
-    for traversal in (is_invertible_pasting, is_identity_pasting, simplify_pasting,
-                      cells._pasting_weight):
+    for traversal in (is_invertible_pasting, is_identity_pasting, simplify_pasting):
         with pytest.raises(CellError, match="unknown pasting node"):
             traversal(Stray())
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import ROOT
+from fixtures import law_files, law_path
 from lawkit import cli
 from lawkit.cli import (
     EXIT_FAILED,
@@ -20,7 +21,6 @@ from lawkit.cli import (
     _parser,
     run,
 )
-from lawkit.fixtures import law_files, law_path
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -554,6 +554,11 @@ INPUT_FAULTS = [
      "model has no 2-cell cc"),
     ("shipped", ["yang-baxter", "--model", "graded_lines", "--tensor", "u", "--braiding", "c"],
      "tensor u is not a binary operation of t_comm_flat"),
+    ("shipped", ["commutative", "--max-size", "0"], "--max-size must be at least 1, got 0"),
+    ("shipped", ["commutative", "--mode", "semantic", "--max-size", "0"],
+     "--max-size must be at least 1, got 0"),
+    ("shipped", ["models", "--size", "1", "--max-size", "0"],
+     "--max-size must be at least 1, got 0"),
     ("imports-1d", ["homs", "--source", "z2_add", "--target", "swap_set"], NOT_T_COMM),
     ("imports-1d", ["eh", "--dim", "1", "--theory", "t_comm", "--models", "swap_set"],
      NOT_T_COMM),

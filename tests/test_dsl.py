@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from lawkit import cells, dsl, fixtures as fx
+import fixtures as fx
+from lawkit import cells, dsl
 from lawkit.catmodels import validate_cat_model
 from lawkit.cells import Gen, HWhiskerL, Par, Pasting, Vert
 from lawkit.theory import InputError, Morphism, render_term

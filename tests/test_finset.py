@@ -5,8 +5,9 @@ from dataclasses import dataclass
 import pytest
 
 import oracles
-from conftest import shipped_models
-from lawkit import finset, fixtures as fx, theory as theory_module
+import fixtures as fx
+from fixtures import shipped_models
+from lawkit import finset, theory as theory_module
 from lawkit.finset import (
     FinSetModel,
     ModelHom,

@@ -19,7 +19,7 @@ import sys
 import pytest
 
 from conftest import ROOT
-from lawkit.fixtures import law_files, law_path
+from fixtures import law_files, law_path
 
 ALPHABET = string.ascii_lowercase + string.digits + '(){}[]<>,;:.=-_" \n'
 SEEDS = (41, 42)

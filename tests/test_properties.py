@@ -5,7 +5,8 @@ determinism."""
 import io
 import random
 
-from lawkit import fixtures as fx
+import fixtures as fx
+from fixtures import shipped_models
 from lawkit.cli import run
 from lawkit.fincat import (
     enumerate_functors,
@@ -13,7 +14,6 @@ from lawkit.fincat import (
     graded_scalar_category,
     vert_nat,
 )
-from conftest import shipped_models
 from lawkit.finset import FinSetModel, all_tuples, make_model, validate_model
 from lawkit.theory import (
     Apply,

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
+import fixtures as fx
 from lawkit import dsl
-from lawkit import fixtures as fx
 from lawkit.fincat import (
     FinFunctor,
     FinNat,

@@ -1,5 +1,6 @@
 """Every public function, class, method and property in ``src/lawkit`` has a
-caller in ``src/lawkit``, and no module imports a name it never uses.
+caller in ``src/lawkit``, no module imports a name it never uses, and every
+``@dataclass`` uses something a ``typing.NamedTuple`` cannot give.
 
 A name that only tests reach belongs in the tests; a name nothing reaches
 belongs nowhere.  The one exemption is ``cli.main``, the ``lawkit`` console
@@ -280,6 +281,51 @@ def unused_imports(trees: dict[str, ast.Module]) -> list[str]:
                     if bound not in used:
                         unused.append(f"{module}: {bound}")
     return unused
+
+
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        ast.unparse(d).partition("(")[0] == "dataclass" for d in node.decorator_list)
+
+
+def _uses_a_dataclass_feature(item) -> bool:
+    if isinstance(item, ast.FunctionDef):
+        return item.name == "__post_init__" or any(
+            ast.unparse(d).endswith("cached_property") for d in item.decorator_list)
+    return isinstance(item, ast.AnnAssign) and isinstance(item.value, ast.Call) \
+        and ast.unparse(item.value.func) == "field"
+
+
+def records_that_could_be_tuples(trees: dict[str, ast.Module]) -> list[str]:
+    """The ``@dataclass`` classes with no ``__post_init__``, no ``field(...)``,
+    no ``cached_property`` and no dataclass base or subclass: a record that
+    needs none of these is a ``typing.NamedTuple``, which is cheaper to define
+    and to build."""
+    dataclasses = {node.name: (module, node) for module, tree in trees.items()
+                   for node in tree.body if _is_dataclass(node)}
+    inheriting = set()
+    for name, (_, node) in dataclasses.items():
+        bases = {b.id for b in node.bases if isinstance(b, ast.Name)} & dataclasses.keys()
+        if bases:
+            inheriting |= bases | {name}
+    return [f"{module}.{name}" for name, (module, node) in dataclasses.items()
+            if name not in inheriting and not any(map(_uses_a_dataclass_feature, node.body))]
+
+
+def test_every_dataclass_uses_what_a_tuple_lacks():
+    assert records_that_could_be_tuples(_parse(SRC)) == []
+
+
+def test_records_that_could_be_tuples_sees_each_dataclass_feature():
+    tree = ast.parse("@dataclass(frozen=True)\nclass Plain:\n    x: int\n"
+                     "@dataclass\nclass Checked:\n    def __post_init__(self): pass\n"
+                     "@dataclass\nclass Memo:\n    m: dict = field(default_factory=dict)\n"
+                     "@dataclass\nclass Cached:\n    @functools.cached_property\n"
+                     "    def c(self): pass\n"
+                     "@dataclass\nclass Base:\n    pass\n"
+                     "@dataclass\nclass Derived(Base):\n    y: int = 0\n"
+                     "class Record(NamedTuple):\n    z: int\n")
+    assert records_that_could_be_tuples({"m": tree}) == ["m.Plain"]
 
 
 def test_every_public_name_has_a_caller_in_src():

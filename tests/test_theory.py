@@ -3,7 +3,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from lawkit import fixtures as fx
+import fixtures as fx
 from lawkit.finset import FinSetModel, validate_model
 from lawkit.theory import (
     Apply,
