@@ -50,7 +50,6 @@ from .fincat import (
 )
 from .search import EnumerationBound, search
 from .theory import (
-    CellError,
     InputError,
     Morphism,
     TwoTheoryPresentation,
@@ -63,6 +62,9 @@ from .theory import (
 )
 
 HOM_ENUMERATION_BOUND = 256
+# Reasons ``internal_hom`` and ``multimaps.curry`` give for not applying.
+NOT_AN_OBJECT = "hom is not an object of this category"
+NOT_AN_ARROW = "modification is not an arrow of this category"
 
 
 @dataclass(frozen=True)
@@ -89,11 +91,11 @@ class CatModel:
         for n, f in self.op_functors:
             if n == name:
                 return f
-        raise CellError(f"model has no operation {name}")
+        raise LookupError(f"model has no operation {name}")
 
     def cell_nat(self, name: str) -> FinNat:
-        """A model block may leave a 2-cell without a ``nat``: reading it is
-        an input fault."""
+        """Reading a 2-cell the model has no ``nat`` for is an input fault: a
+        looked-up model has one for each 2-cell of its theory (``problems``)."""
         for n, f in self.cell_nats:
             if n == name:
                 return f
@@ -106,15 +108,35 @@ class CatModel:
         ``fincat.ProductCategory.composites`` builds from the carrier's."""
         problems = []
         for g in self.theory.base.generators:
-            try:
-                fun = self.op_functor(g.name)
-            except CellError:
-                problems.append(ModelViolation("missing-op", g.name))
-                continue
+            fun = self.op_functor(g.name)
             if fun.source != self.power(g.arity).cat or fun.target != self.carrier:
                 problems.append(ModelViolation("op-shape", g.name))
             elif validate_functor(fun) is not None:
                 problems.append(ModelViolation("op-functor", g.name))
+        return tuple(problems)
+
+    @functools.cached_property
+    def problems(self) -> tuple[ModelViolation, ...]:
+        """The model's violations short of its cell equations: its op
+        functors', then each base equation's and each cell's, in the
+        theory's order.  Equations are compared by ``functors_agree``.
+        ``dsl.Document.cat_model`` refuses a model that has any."""
+        problems = list(self.op_problems)
+        for eq in self.theory.base.equations:
+            if not self.functors_agree(eq.lhs, eq.rhs):
+                problems.append(ModelViolation("equation", eq.name))
+        nats = dict(self.cell_nats)
+        for cell in self.theory.cells:
+            nat = nats.get(cell.name)
+            if nat is None:
+                problems.append(ModelViolation("missing-cell", cell.name))
+            elif nat.source != self.functor_of(cell.source) or nat.target != self.functor_of(cell.target):
+                problems.append(ModelViolation("cell-boundary", cell.name))
+            else:
+                if validate_nat(nat) is not None:
+                    problems.append(ModelViolation("cell-naturality", cell.name))
+                if cell.invertible and any(self.carrier.inverse(c) is None for c in nat.components):
+                    problems.append(ModelViolation("cell-invertibility", cell.name))
         return tuple(problems)
 
     def functor_of(self, f: Morphism) -> FinFunctor:
@@ -218,39 +240,15 @@ class ModelViolation(NamedTuple):
 
 
 def validate_cat_model(model: CatModel) -> list[ModelViolation]:
-    """The model's violations: its op functors', then each base equation's,
-    each cell's and each cell equation's, in the theory's order.  Equations
-    and the boundaries of a cell equation's sides are compared by
-    ``CatModel.functors_agree``; a cell equation's sides by their components
-    on objects.  The cell equations are evaluated only once every cell is
-    present, parallel, natural and as invertible as declared, since pastings
-    are evaluated on those components."""
-    problems = list(model.op_problems)
-    for eq in model.theory.base.equations:
-        if not model.functors_agree(eq.lhs, eq.rhs):
-            problems.append(ModelViolation("equation", eq.name))
-    cells_from = len(problems)
-    for cell in model.theory.cells:
-        try:
-            nat = model.cell_nat(cell.name)
-        except InputError:
-            problems.append(ModelViolation("missing-cell", cell.name))
-            continue
-        if nat.source != model.functor_of(cell.source) or nat.target != model.functor_of(cell.target):
-            problems.append(ModelViolation("cell-boundary", cell.name))
-            continue
-        if validate_nat(nat) is not None:
-            problems.append(ModelViolation("cell-naturality", cell.name))
-        if cell.invertible and any(model.carrier.inverse(c) is None for c in nat.components):
-            problems.append(ModelViolation("cell-invertibility", cell.name))
-    if len(problems) > cells_from:
-        return problems
-    for name, lhs, rhs in model.theory.cell_equations:
-        same = pasting_components(lhs, model) == pasting_components(rhs, model)
-        if not (same and model.functors_agree(lhs.source(), rhs.source())
-                and model.functors_agree(lhs.target(), rhs.target())):
-            problems.append(ModelViolation("cell-equation", name))
-    return problems
+    """``CatModel.problems``, or, on a model with none, each failing cell
+    equation, in the theory's order: its sides compared by their components
+    on objects and their boundaries by ``CatModel.functors_agree``."""
+    if model.problems:
+        return list(model.problems)
+    return [ModelViolation("cell-equation", name) for name, lhs, rhs in model.theory.cell_equations
+            if not (pasting_components(lhs, model) == pasting_components(rhs, model)
+                    and model.functors_agree(lhs.source(), rhs.source())
+                    and model.functors_agree(lhs.target(), rhs.target()))]
 
 
 def terminal_model(theory2: TwoTheoryPresentation) -> CatModel:
@@ -294,7 +292,7 @@ class LaxHom(NamedTuple):
         for n, c in self.cells:
             if n == name:
                 return c
-        raise CellError(f"hom has no structure cell for {name}")
+        raise LookupError(f"hom has no structure cell for {name}")
 
     def point(self) -> int:
         """Underlying object, for homs out of the terminal model."""
@@ -354,7 +352,7 @@ def hom_from_components(X: CatModel, Y: CatModel, weakness: str, f1: FinFunctor,
         if tables is not None:
             cells.append((g.name, FinNat(src, tgt, tuple(tables[i]))))
         elif src != tgt:
-            raise CellError(f"expected a strict homomorphism at {g.name}")
+            raise ValueError(f"expected a strict homomorphism at {g.name}")
         else:
             cells.append((g.name, identity_nat(src)))
     return LaxHom(X, Y, weakness, f1, tuple(cells))
@@ -533,16 +531,8 @@ def validate_lax_hom(hom: LaxHom) -> list[ModelViolation]:
     if validate_functor(hom.f1) is not None:
         return [ModelViolation("hom-functor", "underlying map")]
     coherence = HomCoherence(hom.source, hom.target, hom.weakness, hom.f1)
-    problems = []
-    cells = []
-    for i, g in enumerate(hom.source.theory.base.generators):
-        try:
-            nat = hom.cell(g.name)
-        except CellError:
-            problems.append(ModelViolation("hom-missing-cell", g.name))
-            continue
-        problems += coherence.cell_violations(i, nat)
-        cells.append(nat)
+    cells = [hom.cell(g.name) for g in hom.source.theory.base.generators]
+    problems = [p for i, nat in enumerate(cells) for p in coherence.cell_violations(i, nat)]
     if problems:
         return problems
     return [law.violation for law in coherence.laws if not law.holds(cells)]
@@ -554,9 +544,9 @@ def compose_homs(f: LaxHom, g: LaxHom) -> LaxHom:
     (colax): the vertical composite of ``F^n`` whiskered into ``g``'s cell
     and ``f``'s cell whiskered by ``G``."""
     if f.target is not g.source and f.target != g.source:
-        raise CellError("hom composition mismatch")
+        raise ValueError("hom composition mismatch")
     if f.weakness != g.weakness:
-        raise CellError("hom composition across weaknesses")
+        raise ValueError("hom composition across weaknesses")
     f1 = compose_functors(f.f1, g.f1)
     then = g.target.carrier.then
     g_arr = g.f1.arr_map
@@ -696,7 +686,7 @@ def identity_modification(f: LaxHom) -> Modification:
 
 def compose_modifications(s: Modification, t: Modification) -> Modification:
     if s.target != t.source:
-        raise CellError("modification composition mismatch")
+        raise ValueError("modification composition mismatch")
     return Modification(s.source, t.target, vert_nat(s.component, t.component))
 
 
@@ -718,18 +708,25 @@ class HomCategory:
         for i, m in enumerate(self.arrows):
             self._index.setdefault((self.cat.src[i], self.cat.dst[i], m.component.components), i)
 
-    def object_index(self, hom: LaxHom) -> int:
+    def find_object(self, hom: LaxHom) -> int | None:
+        """The index of the object ``hom``, or None if it is none."""
         i = self._index.get(_object_key(hom))
-        if i is None or self.objects[i] != hom:
-            raise CellError("hom is not an object of this category")
+        return i if i is not None and self.objects[i] == hom else None
+
+    def find_arrow(self, mod: Modification) -> int | None:
+        """The index of the arrow ``mod``, or None if it is none."""
+        i = self._index.get((self.find_object(mod.source), self.find_object(mod.target),
+                             mod.component.components))
+        return i if i is not None and self.arrows[i] == mod else None
+
+    def object_index(self, hom: LaxHom) -> int:
+        if (i := self.find_object(hom)) is None:
+            raise LookupError(NOT_AN_OBJECT)
         return i
 
     def arrow_index(self, mod: Modification) -> int:
-        key = (self.object_index(mod.source), self.object_index(mod.target),
-               mod.component.components)
-        i = self._index.get(key)
-        if i is None or self.arrows[i] != mod:
-            raise CellError("modification is not an arrow of this category")
+        if (i := self.find_arrow(mod)) is None:
+            raise LookupError(NOT_AN_ARROW)
         return i
 
 
@@ -779,7 +776,7 @@ def lift_hom(model: CatModel, sigma: SigmaTable, beta: Morphism, weakness: str,
     A colax lift inverts them, which needs an invertible table.
     """
     if beta.target != 1:
-        raise CellError("lift expects a map with target 1")
+        raise ValueError("lift expects a map with target 1")
     f1 = model.functor_of(beta)
     f1 = FinFunctor(src_power.carrier, model.carrier, f1.obj_map, f1.arr_map)
     tables = []
@@ -792,9 +789,11 @@ def lift_hom(model: CatModel, sigma: SigmaTable, beta: Morphism, weakness: str,
 
 
 def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,
-                 weakness: str) -> tuple[CatModel, HomCategory]:
+                 weakness: str) -> tuple[CatModel, HomCategory] | str:
     """The homomorphism category made into a model: operations act by
-    postcomposition with the lifted operations of Y."""
+    postcomposition with the lifted operations of Y; or the reason it does
+    not apply: a lifted operation sends a tuple of homs to no object (under
+    ``strict``, a lift whose exchange cells are not identities)."""
     homcat = build_hom_category(X, Y, weakness)
     theory2 = X.theory
     objects, arrows = homcat.objects, homcat.arrows
@@ -816,7 +815,9 @@ def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,
         for o in range(hpow.n_objects):
             idxs = hpow.decode_obj(o)
             tup = tuple_homs([objects[i] for i in idxs], ypow_model, X, weakness)
-            obj_map.append(homcat.object_index(compose_homs(tup, lifted)))
+            if (i := homcat.find_object(compose_homs(tup, lifted))) is None:
+                return NOT_AN_OBJECT
+            obj_map.append(i)
         # An arrow of H^n is a tuple of modifications; its image runs between
         # the images of its endpoints, with lifted(f1) of the tuple of
         # components at each x.
@@ -856,16 +857,17 @@ def convolution_algebra(model: CatModel, algebra: LaxHom, coalgebra: LaxHom):
 
     Each n-ary operation sends (f_1,...,f_n) to
     o_coalgebra ; X(op)(f_1,...,f_n) ; o_algebra.
-    Returns (FinSetModel on the hom-set, list of carrier arrow ids).
+    Returns (FinSetModel on the hom-set, list of carrier arrow ids), or the
+    reason there is none: an empty hom-set, or tables that break an equation.
     """
     if algebra.weakness != "lax" or coalgebra.weakness != "colax":
-        raise CellError("convolution needs a lax algebra and a colax coalgebra")
+        raise ValueError("convolution needs a lax algebra and a colax coalgebra")
     cat = model.carrier
     a = algebra.point()
     c = coalgebra.point()
     hom = cat.hom(c, a)
     if not hom:
-        raise CellError("empty hom-set: no convolution carrier")
+        return "empty hom-set: no convolution carrier"
     index = {arrow: i for i, arrow in enumerate(hom)}
     base = model.theory.base
     tables = {}
@@ -880,11 +882,11 @@ def convolution_algebra(model: CatModel, algebra: LaxHom, coalgebra: LaxHom):
             mid = fun.arr_map[model.power(n).encode_arr(arrows)]
             value = cat.then(cat.then(o_c, mid), o_a)
             if value not in index:
-                raise CellError("convolution value escaped the hom-set")
+                raise ValueError("convolution value escaped the hom-set")
             table.append(index[value])
         tables[g.name] = tuple(table)
     result = finset.validate_model(base, len(hom), tables)
     if not isinstance(result, finset.FinSetModel):
-        raise CellError(f"convolution tables violate {result.equation} at {result.env}")
+        return f"convolution tables violate {result.equation} at {result.env}"
     return result, hom
 

@@ -20,7 +20,9 @@ component of a morphism), ``model._encoder(f, arrows)`` (the row-major code
 of their values) and ``model._rows``, a dict in which each node's rows are
 kept.  ``evaluate_pasting`` also reads ``model.functor_of(morphism)`` for the
 boundaries; it builds the cells of a power model.  Validating a model reads
-components only (``catmodels.validate_cat_model``).
+components only (``catmodels.validate_cat_model``); ``dsl.Document.cat_model``
+refuses a model that fails it short of the cell equations, so a pasting is
+evaluated on a model of its theory.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ from . import theory as _theory
 from .fincat import FinNat, encode
 from .search import EnumerationBound
 from .theory import (
-    WEAKNESSES,
     Apply,
-    CellError,
     InputError,
     Morphism,
     Proj,
@@ -190,7 +190,7 @@ def _parts(p: Pasting) -> tuple[Pasting, ...]:
         return (p.first, p.second)
     if isinstance(p, Par):
         return p.parts
-    raise CellError(f"unknown pasting node {p!r}")
+    raise TypeError(f"unknown pasting node {p!r}")
 
 
 def _with_parts(p: Pasting, new: tuple[Pasting, ...]) -> Pasting:
@@ -203,7 +203,7 @@ def _with_parts(p: Pasting, new: tuple[Pasting, ...]) -> Pasting:
         return Vert(*new)
     if isinstance(p, Par):
         return Par(tuple(new))
-    raise CellError(f"unknown pasting node {p!r}")
+    raise TypeError(f"unknown pasting node {p!r}")
 
 
 def is_invertible_pasting(p: Pasting) -> bool:
@@ -345,7 +345,7 @@ def _vert_rows(p, model):
     s, first = _rows(p.first, model)
     s2, second = _rows(p.second, model)
     if s != s2 or first and len(first[0]) != len(second[0]):
-        raise CellError("the sides of a vertical composite have different contexts")
+        raise ValueError("the sides of a vertical composite have different contexts")
     then = model.carrier.then
     return s, [tuple(map(then, x, y)) for x, y in zip(first, second)]
 
@@ -410,8 +410,8 @@ def power_rows(rows, m: int, k: int, n_objects: int,
 def evaluate_pasting(p: Pasting, model) -> FinNat:
     """Natural-transformation table of a pasting, with evaluated boundaries.
 
-    The model must satisfy the base equations so that the boundary functors
-    of a vertical composite agree on the nose.
+    The boundary functors of a vertical composite agree on the nose, since
+    the model satisfies the base equations.
     """
     return FinNat(model.functor_of(p.source()), model.functor_of(p.target()),
                   pasting_components(p, model))
@@ -419,16 +419,11 @@ def evaluate_pasting(p: Pasting, model) -> FinNat:
 
 # -- exchange tables ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SigmaTable:
+class SigmaTable(NamedTuple):
     name: str
-    weakness: str
+    weakness: str  # one of theory.WEAKNESSES
     entries: tuple[tuple[tuple[str, str], Pasting], ...]
     symmetric: bool = False
-
-    def __post_init__(self):
-        if self.weakness not in WEAKNESSES:
-            raise CellError(f"unknown weakness {self.weakness}")
 
     def entry(self, a: str, b: str) -> Pasting | None:
         for (x, y), p in self.entries:

@@ -5,7 +5,7 @@ Exit codes, each from one source:
   0  every verdict is positive;
   1  a check failed, and the report carries its witness (or, under
      ``convolve``, ``hom-internal`` and ``closed-check``, the reason a
-     construction does not apply);
+     construction does not apply, which the construction returns);
   2  ``search.EnumerationBound``: a declared bound or budget was hit;
   3  ``theory.InputError``, or a command line argparse rejects: the input is
      at fault.  Input is the command line and the files it names: a file
@@ -15,7 +15,8 @@ Exit codes, each from one source:
      model, operation or 2-cell, a model that is not a model of the command's
      theory, a ``yang-baxter`` tensor that is not a binary operation), a pair
      of operations a sigma table has no entry for, or a model whose tables
-     break its theory where a command needs them to hold;
+     break its theory, short of a categorical model's cell equations (at the
+     model's name; ``check-theory`` reports such a model ``Invalid``);
   4  anything else: a lawkit bug.  ``main`` prints the traceback to stderr;
      ``run`` lets the exception propagate.
 
@@ -34,7 +35,7 @@ from pathlib import Path
 
 from . import catmodels, cells, dsl, finset, multimaps, theory
 from .search import EnumerationBound
-from .theory import WEAKNESSES, CellError, InputError
+from .theory import WEAKNESSES, InputError
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -126,20 +127,17 @@ def cmd_check_theory(args, doc):
                 for t in doc.theories]
     failed = False
     for m in doc.models:
-        if m.kind == "finset":
-            try:
+        try:
+            if m.kind == "finset":
                 doc.finset_model(m.name)
-                verdicts.append({"name": m.name, "verdict": "Valid", "detail": None})
-            except dsl.ModelViolation as e:
-                verdicts.append({"name": m.name, "verdict": "Invalid", "detail": str(e)})
-                failed = True
-        else:
-            model = doc.cat_model(m.name)
-            problems = catmodels.validate_cat_model(model)
-            verdicts.append({"name": m.name,
-                             "verdict": "Valid" if not problems else "Invalid",
-                             "detail": _jsonable(problems) or None})
-            failed = failed or bool(problems)
+                detail = None
+            else:  # the lookup checks all but the cell equations
+                detail = _jsonable(catmodels.validate_cat_model(doc.cat_model(m.name))) or None
+        except dsl.ModelViolation as e:
+            detail = _jsonable(e.problems) or str(e)
+        verdicts.append({"name": m.name, "verdict": "Valid" if detail is None else "Invalid",
+                         "detail": detail})
+        failed = failed or detail is not None
     return (EXIT_FAILED if failed else EXIT_OK), verdicts, []
 
 
@@ -302,11 +300,10 @@ def cmd_convolve(args, doc):
                              f"{len(found)} internal {kind}, numbered from 0")
     a = algs[args.algebra]
     c = coalgs[args.coalgebra]
-    try:
-        conv, hom = catmodels.convolution_algebra(model, a, c)
-    except CellError as e:
-        return EXIT_FAILED, [{"name": args.model, "verdict": "Fails",
-                              "detail": str(e)}], []
+    result = catmodels.convolution_algebra(model, a, c)
+    if isinstance(result, str):
+        return EXIT_FAILED, [{"name": args.model, "verdict": "Fails", "detail": result}], []
+    conv, hom = result
     verdicts = [{"name": f"convolution({args.model})", "verdict": "Valid",
                  "detail": f"carrier {conv.size}"}]
     witnesses = [{"tables": _jsonable(dict(conv.tables)), "hom_arrows": list(hom)}]
@@ -318,10 +315,10 @@ def cmd_hom_internal(args, doc):
     X = doc.cat_model(args.source, of=for_theory)
     Y = doc.cat_model(args.target, of=for_theory)
     name = f"Hom({args.source},{args.target})"
-    try:
-        hom_model, homcat = catmodels.internal_hom(X, Y, sigma, args.weakness)
-    except CellError as e:
-        return EXIT_FAILED, [{"name": name, "verdict": "Fails", "detail": str(e)}], []
+    result = catmodels.internal_hom(X, Y, sigma, args.weakness)
+    if isinstance(result, str):
+        return EXIT_FAILED, [{"name": name, "verdict": "Fails", "detail": result}], []
+    hom_model, homcat = result
     problems = catmodels.validate_cat_model(hom_model)
     verdicts = [{"name": name,
                  "verdict": "Valid" if not problems else "Invalid",
@@ -335,10 +332,9 @@ def cmd_closed_check(args, doc):
     for_theory, sigma = _pick_sigma(doc, args.sigma)
     X, Y, Z = (doc.cat_model(name, of=for_theory) for name in (args.x, args.y, args.z))
     name = f"Mul({args.x},{args.y};{args.z})"
-    try:
-        report = multimaps.closed_check(X, Y, Z, sigma, args.weakness)
-    except CellError as e:
-        return EXIT_FAILED, [{"name": name, "verdict": "Fails", "detail": str(e)}], []
+    report = multimaps.closed_check(X, Y, Z, sigma, args.weakness)
+    if isinstance(report, str):
+        return EXIT_FAILED, [{"name": name, "verdict": "Fails", "detail": report}], []
     verdicts = [{"name": name,
                  "verdict": "Bijection" if report.bijection else "Fails",
                  "detail": f"{report.multimap_count} multimaps, {report.hom_count} homs"}]

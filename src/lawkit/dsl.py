@@ -58,7 +58,6 @@ from .finset import FinSetModel, validate_model
 from .theory import (
     WEAKNESSES,
     Apply,
-    CellError,
     Equation,
     InputError,
     Morphism,
@@ -97,7 +96,11 @@ class ParseError(Exception):
 
 
 class ModelViolation(InputError):
-    """A finite-set model whose tables are well-formed but break an equation."""
+    """A model that breaks its theory; ``problems`` lists a categorical model's violations."""
+
+    def __init__(self, message: str, problems: tuple = ()):
+        super().__init__(message)
+        self.problems = problems
 
 
 # -- declarations, as parsed -----------------------------------------------------------
@@ -141,6 +144,7 @@ class ModelDecl(NamedTuple):
     theory: str
     kind: str  # finset | fincat | moncat
     payload: FinSetDecl | FinCatDecl | MonCatDecl
+    token: Token  # the name, where a refusal of the model is reported
 
 
 class Document(NamedTuple):
@@ -185,13 +189,16 @@ class Document(NamedTuple):
         return result
 
     def cat_model(self, name: str, of: str | None = None) -> catmodels.CatModel:
+        """The categorical model ``name``, refused at its name if it has ``CatModel.problems``."""
         decl = self.model_decl(name, of)
-        theory2 = self.theory(decl.theory)
-        if decl.kind == "fincat":
-            return _elaborate_fincat(theory2, decl.payload)  # type: ignore[arg-type]
-        if decl.kind == "moncat":
-            return _elaborate_moncat(theory2, decl.payload)  # type: ignore[arg-type]
-        raise InputError(f"{name} is not a categorical model")
+        elaborate = {"fincat": _elaborate_fincat, "moncat": _elaborate_moncat}.get(decl.kind)
+        if elaborate is None:
+            raise InputError(f"{name} is not a categorical model")
+        model = elaborate(self.theory(decl.theory), decl.payload)
+        if model.problems:
+            raise ModelViolation(f"{decl.token.line}:{decl.token.col}: model {name} is not a model "
+                                 f"of {decl.theory}: {' '.join(model.problems[0])}", model.problems)
+        return model
 
 
 # -- tokenizer ----------------------------------------------------------------------------
@@ -577,10 +584,10 @@ def _parse_theory(p: _Parser) -> TwoTheoryPresentation:
 
 
 def _built_at(p: _Parser, token: Token, make, *args):
-    """``make(*args)``, with its TheoryError or CellError reported at ``token``."""
+    """``make(*args)``, with its TheoryError reported at ``token``."""
     try:
         return make(*args)
-    except (TheoryError, CellError) as e:
+    except TheoryError as e:
         p.fail_at(token, str(e))
 
 
@@ -645,7 +652,8 @@ def _parse_sigma(p: _Parser,
 
 
 def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl:
-    name = p.ident()
+    token = p.expect("ident")
+    name = token.value
     p.expect("ident", "of")
     theory_name = p.ident()
     theory2 = next((t for t in theories if t.base.name == theory_name), None)
@@ -675,7 +683,7 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
                 p.fail_last(f"unknown finset item {kw!r}")
         if size is None:
             p.fail("finset model needs a carrier")
-        return ModelDecl(name, theory_name, "finset", FinSetDecl(size, tuple(tables)))
+        return ModelDecl(name, theory_name, "finset", FinSetDecl(size, tuple(tables)), token)
     if kind == "fincat":
         objects = 0
         arrows = []
@@ -720,7 +728,7 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
                 p.fail_at(t, f"unknown arrow {t.value!r}")
         return ModelDecl(name, theory_name, "fincat",
                          FinCatDecl(objects, tuple(arrows), tuple(composites),
-                                    tuple(functors), tuple(nats)))
+                                    tuple(functors), tuple(nats)), token)
     # kind == "moncat"
     grading = 1
     scalars = 1
@@ -756,7 +764,7 @@ def _parse_model(p: _Parser, theories: list[TwoTheoryPresentation]) -> ModelDecl
             p.fail_last(f"unknown moncat item {kw!r}")
     return ModelDecl(name, theory_name, "moncat",
                      MonCatDecl(grading, scalars, tensor, unit,
-                                tuple(braidings), tuple(functors), tuple(nats)))
+                                tuple(braidings), tuple(functors), tuple(nats)), token)
 
 
 def _parse_functor_decl(p: _Parser, ops) -> FunctorDecl:

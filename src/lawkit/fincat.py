@@ -22,10 +22,6 @@ POWER_BOUND = 1 << 22
 FUNCTOR_ENUMERATION_BOUND = 1 << 22
 
 
-class CatError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class FinCategory:
     n_objects: int
@@ -54,7 +50,7 @@ class FinCategory:
 
     def then(self, f: int, g: int) -> int:
         if self.dst[f] != self.src[g]:
-            raise CatError(f"arrows {f} and {g} are not composable")
+            raise ValueError(f"arrows {f} and {g} are not composable")
         if f == self.identity[self.src[f]]:
             return g
         if g == self.identity[self.dst[f]]:
@@ -64,7 +60,7 @@ class FinCategory:
             return hit
         if self._product is not None:
             return self._product.then_arr(f, g)
-        raise CatError(f"missing composite for ({f}, {g})")
+        raise ValueError(f"missing composite for ({f}, {g})")
 
     def composites(self) -> list[list[tuple[int, int]]]:
         """For each arrow ``f``, the pairs ``(g, f;g)`` over the arrows ``g``
@@ -143,10 +139,10 @@ def validate_category(cat: FinCategory) -> CategoryViolation | None:
         for g in cat.arrows():
             if cat.dst[f] != cat.src[g]:
                 continue
-            try:
-                h = cat.then(f, g)
-            except CatError:
+            # ``build_category`` stores every identity composite; a lazy product has none.
+            if cat._product is None and (f, g) not in cat._comp_map:
                 return CategoryViolation("missing-composite", (f, g))
+            h = cat.then(f, g)
             if cat.src[h] != cat.src[f] or cat.dst[h] != cat.dst[g]:
                 return CategoryViolation("composite-endpoints", (f, g, h))
     for f in cat.arrows():
@@ -326,7 +322,7 @@ def validate_functor(fun: FinFunctor) -> CategoryViolation | None:
 
 def compose_functors(f: FinFunctor, g: FinFunctor) -> FinFunctor:
     if f.target != g.source:
-        raise CatError("functor composition mismatch")
+        raise ValueError("functor composition mismatch")
     return FinFunctor(f.source, g.target,
                       tuple(g.obj_map[o] for o in f.obj_map),
                       tuple(g.arr_map[a] for a in f.arr_map))
@@ -363,7 +359,7 @@ def identity_nat(fun: FinFunctor) -> FinNat:
 
 def vert_nat(p: FinNat, q: FinNat) -> FinNat:
     if p.target != q.source:
-        raise CatError("vertical composition mismatch")
+        raise ValueError("vertical composition mismatch")
     d = p.source.target
     comps = tuple(d.then(a, b) for a, b in zip(p.components, q.components))
     return FinNat(p.source, q.target, comps)
@@ -404,7 +400,7 @@ def enumerate_naturals(f: FinFunctor, g: FinFunctor) -> list[FinNat]:
     """All transformations f => g, one search slot per object; the naturality
     square at an arrow is checked once both of its endpoints are assigned."""
     if f.source != g.source or f.target != g.target:
-        raise CatError("natural transformations need parallel functors")
+        raise ValueError("natural transformations need parallel functors")
     c, d = f.source, f.target
     choices = [d.hom(f.obj_map[a], g.obj_map[a]) for a in range(c.n_objects)]
 

@@ -44,7 +44,7 @@ from .cells import (
 )
 from .fincat import FinFunctor, FinNat, enumerate_functors
 from .search import EnumerationBound, search
-from .theory import CellError, Equal, TwoTheoryPresentation, check_unital, generator_morphism
+from .theory import Equal, TwoTheoryPresentation, check_unital, generator_morphism
 
 
 class BinaryMultimap(NamedTuple):
@@ -52,12 +52,6 @@ class BinaryMultimap(NamedTuple):
     f11: FinFunctor  # (X x Y)-carrier -> Z-carrier
     cells_left: tuple[tuple[str, tuple[int, ...]], ...]   # f_{a,1}, indexed (x-power, y)
     cells_right: tuple[tuple[str, tuple[int, ...]], ...]  # f_{1,a}, indexed (x, y-power)
-
-    def left(self, name: str) -> tuple[int, ...]:
-        for n, c in self.cells_left:
-            if n == name:
-                return c
-        raise CellError(f"no left cell for {name}")
 
 
 def _pair(y_count: int, x_idx: int, y_idx: int) -> int:
@@ -220,8 +214,9 @@ def _cell_candidates(X: CatModel, Y: CatModel, Z: CatModel,
 # -- currying --------------------------------------------------------------------------
 
 def curry(mul: BinaryMultimap, X: CatModel, Y: CatModel, Z: CatModel,
-          hom_model: CatModel, homcat: HomCategory) -> LaxHom:
-    """Transpose a binary multimap to a homomorphism into the internal hom."""
+          hom_model: CatModel, homcat: HomCategory) -> LaxHom | str:
+    """Transpose a binary multimap to a homomorphism into the internal hom,
+    or give the reason it does not: a family of its arrows is no modification."""
     weakness = mul.weakness
     prod = fincat.product([X.carrier, Y.carrier])
     obj_map = []
@@ -234,11 +229,11 @@ def curry(mul: BinaryMultimap, X: CatModel, Y: CatModel, Z: CatModel,
         tgt_h = homcat.objects[obj_map[X.carrier.dst[a]]]
         comps = tuple(mul.f11.arr_map[prod.encode_arr((a, Y.carrier.identity[y]))]
                       for y in range(Y.carrier.n_objects))
-        arr_map.append(homcat.arrow_index(
+        arr_map.append(homcat.find_arrow(
             Modification(src_h, tgt_h, FinNat(src_h.f1, tgt_h.f1, comps))))
-    g1 = FinFunctor(X.carrier, homcat.cat, tuple(obj_map), tuple(arr_map))
     tables = []
     ny = Y.carrier.n_objects
+    cells_left = dict(mul.cells_left)
     for g in X.theory.base.generators:
         n = g.arity
         comps = []
@@ -247,10 +242,13 @@ def curry(mul: BinaryMultimap, X: CatModel, Y: CatModel, Z: CatModel,
                 fincat.power(homcat.cat, n).encode_obj(
                     tuple(obj_map[x] for x in X.power(n).decode_obj(xet)))]]
             tgt_h = homcat.objects[obj_map[X.op_functor(g.name).obj_map[xet]]]
-            mod_comps = tuple(mul.left(g.name)[_pair(ny, xet, y)] for y in range(ny))
-            comps.append(homcat.arrow_index(
+            mod_comps = tuple(cells_left[g.name][_pair(ny, xet, y)] for y in range(ny))
+            comps.append(homcat.find_arrow(
                 Modification(src_h, tgt_h, FinNat(src_h.f1, tgt_h.f1, mod_comps))))
         tables.append(comps)
+    if None in arr_map or any(None in t for t in tables):
+        return catmodels.NOT_AN_ARROW
+    g1 = FinFunctor(X.carrier, homcat.cat, tuple(obj_map), tuple(arr_map))
     return hom_from_components(X, hom_model, weakness, g1, tables)
 
 
@@ -296,16 +294,22 @@ class ClosedStructureReport(NamedTuple):
 
 
 def closed_check(X: CatModel, Y: CatModel, Z: CatModel, sigma: SigmaTable,
-                 weakness: str = "lax") -> ClosedStructureReport:
+                 weakness: str = "lax") -> ClosedStructureReport | str:
     """Verify that currying is a bijection between binary multimaps X,Y -> Z
-    and homomorphisms X -> Hom(Y, Z), element by element."""
-    hom_model, homcat = internal_hom(Y, Z, sigma, weakness)
+    and homomorphisms X -> Hom(Y, Z), element by element; or the reason Hom(Y, Z)
+    or a curried multimap does not exist."""
+    internal = internal_hom(Y, Z, sigma, weakness)
+    if isinstance(internal, str):
+        return internal
+    hom_model, homcat = internal
     muls = enumerate_binary_multimaps(X, Y, Z, sigma, weakness)
     homs = enumerate_homs_w(X, hom_model, weakness)
     issues = []
     curried = []
     for mul in muls:
         gg = curry(mul, X, Y, Z, hom_model, homcat)
+        if isinstance(gg, str):
+            return gg
         if validate_lax_hom(gg):
             issues.append("curried multimap fails homomorphism validation")
             continue
@@ -341,7 +345,10 @@ class FoxModelReport(NamedTuple):
 
 
 def _intalg_model(X: CatModel, sigma: SigmaTable) -> tuple[CatModel, HomCategory]:
-    return internal_hom(terminal_model(X.theory), X, sigma, "lax")
+    internal = internal_hom(terminal_model(X.theory), X, sigma, "lax")
+    if isinstance(internal, str):  # the comonad report has no verdict for it
+        raise ValueError(f"internal algebras: {internal}")
+    return internal
 
 
 def _delta_object(A_idx: int, H_model: CatModel, homcat: HomCategory,

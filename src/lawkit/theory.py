@@ -337,11 +337,6 @@ def _check_ops_declared(t: Term, byname: dict[str, OpSymbol]) -> None:
 # Pure data: parsing a theory reads nothing of ``cells``, which evaluates
 # pastings, so a one-dimensional file never loads it.
 
-class CellError(Exception):
-    """Malformed 2-cell, pasting or exchange table, or a 2-dimensional
-    construction that does not apply."""
-
-
 # How strictly a hom or an exchange table preserves the operations.
 WEAKNESSES = ("strict", "pseudo", "lax", "colax")
 
@@ -355,7 +350,7 @@ class TwoCellSymbol:
 
     def __post_init__(self):
         if (self.source.source, self.source.target) != (self.target.source, self.target.target):
-            raise CellError(f"2-cell {self.name}: boundary morphisms not parallel")
+            raise TheoryError(f"2-cell {self.name}: boundary morphisms not parallel")
 
 
 class TwoTheoryPresentation(NamedTuple):
@@ -367,7 +362,7 @@ class TwoTheoryPresentation(NamedTuple):
         for c in self.cells:
             if c.name == name:
                 return c
-        raise CellError(f"unknown 2-cell {name}")
+        raise LookupError(f"unknown 2-cell {name}")
 
 
 # -- rewriting ---------------------------------------------------------------

@@ -9,7 +9,6 @@ import itertools
 from lawkit.catmodels import CatModel, LaxHom, hom_from_components
 from lawkit.fincat import (
     CategoryViolation,
-    CatError,
     FinCategory,
     FinFunctor,
     FinNat,
@@ -111,7 +110,7 @@ def poset_category(relation: list[tuple[int, int]], n: int) -> FinCategory:
             if b2 != b:
                 continue
             if (a, c) not in idx:
-                raise CatError("relation is not transitive")
+                raise ValueError("relation is not transitive")
             comp[(idx[(a, b)], idx[(b, c)])] = idx[(a, c)]
     return build_category(n, src, dst, identity, comp)
 
@@ -150,7 +149,7 @@ def reference_validate_functor(fun: FinFunctor) -> CategoryViolation | None:
 def whisker_left(fun: FinFunctor, nat: FinNat) -> FinNat:
     """Precompose: the transformation fun;nat with components at fun-images."""
     if fun.target != nat.source.source:
-        raise CatError("left whisker mismatch")
+        raise ValueError("left whisker mismatch")
     comps = tuple(nat.components[fun.obj_map[a]] for a in range(fun.source.n_objects))
     return FinNat(compose_functors(fun, nat.source), compose_functors(fun, nat.target), comps)
 
@@ -158,7 +157,7 @@ def whisker_left(fun: FinFunctor, nat: FinNat) -> FinNat:
 def whisker_right(nat: FinNat, fun: FinFunctor) -> FinNat:
     """Postcompose: apply fun to every component."""
     if nat.source.target != fun.source:
-        raise CatError("right whisker mismatch")
+        raise ValueError("right whisker mismatch")
     comps = tuple(fun.arr_map[c] for c in nat.components)
     return FinNat(compose_functors(nat.source, fun), compose_functors(nat.target, fun), comps)
 

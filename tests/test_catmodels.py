@@ -8,7 +8,7 @@ import pytest
 import oracles
 import fixtures as fx
 from fixtures import shipped_models
-from lawkit import catmodels, fincat
+from lawkit import catmodels, dsl, fincat
 from lawkit.catmodels import (
     CatModel,
     HomCategory,
@@ -63,7 +63,6 @@ from lawkit.fincat import (
 from lawkit.search import EnumerationBound
 from lawkit.theory import (
     Apply,
-    CellError,
     InputError,
     Morphism,
     Proj,
@@ -558,7 +557,7 @@ def scan_index(items, item):
     for i, x in enumerate(items):
         if x == item:
             return i
-    raise CellError("not found by the scan")
+    raise LookupError("not found by the scan")
 
 
 def reference_build_hom_category(X, Y, weakness):
@@ -653,10 +652,10 @@ def test_internal_hom_matches_linear_scan_reference(sigma_name, names, refused):
             for weakness in WEAKNESSES:
                 try:
                     expected_model, expected = reference_internal_hom(X, Y, sigma, weakness)
-                except CellError:
+                except LookupError:
                     # An image that is not an object is refused on both sides.
-                    with pytest.raises(CellError):
-                        internal_hom(X, Y, sigma, weakness)
+                    assert internal_hom(X, Y, sigma, weakness) == \
+                        "hom is not an object of this category"
                     found.append((x, y, weakness))
                     continue
                 hom_model, homcat = internal_hom(X, Y, sigma, weakness)
@@ -689,15 +688,19 @@ def test_hom_category_lookups_confirm_their_hits():
     homcat = build_hom_category(X, X, "lax")
     h, m = homcat.objects[0], homcat.arrows[0]
     # The same tables with another weakness: the key hits, the check refuses.
-    with pytest.raises(CellError, match="not an object"):
-        homcat.object_index(h._replace(weakness="colax"))
-    with pytest.raises(CellError, match="not an object"):
-        homcat.object_index(h._replace(cells=h.cells[::-1]))
-    with pytest.raises(CellError, match="not an arrow"):
-        homcat.arrow_index(Modification(m.source, m.target,
-                                        m.component._replace(components=(99,))))
-    with pytest.raises(CellError, match="not an object"):
-        homcat.arrow_index(m._replace(source=h._replace(weakness="colax")))
+    # A find gives None; an index, which expects a hit, raises.
+    strangers = [(homcat.find_object, homcat.object_index, "not an object",
+                  h._replace(weakness="colax")),
+                 (homcat.find_object, homcat.object_index, "not an object",
+                  h._replace(cells=h.cells[::-1])),
+                 (homcat.find_arrow, homcat.arrow_index, "not an arrow",
+                  Modification(m.source, m.target, m.component._replace(components=(99,)))),
+                 (homcat.find_arrow, homcat.arrow_index, "not an arrow",
+                  m._replace(source=h._replace(weakness="colax")))]
+    for find, index, message, stranger in strangers:
+        assert find(stranger) is None
+        with pytest.raises(LookupError, match=message):
+            index(stranger)
 
     # Objects that differ only in the arrow map, or only in a cell, are told apart.
     f1 = replace(h.f1, arr_map=h.f1.arr_map[::-1])
@@ -751,11 +754,7 @@ def reference_validate_lax_hom(hom, scratch):
     if validate_functor(hom.f1) is not None:
         return [ModelViolation("hom-functor", "underlying map")]
     for g in X.theory.base.generators:
-        try:
-            nat = hom.cell(g.name)
-        except CellError:
-            problems.append(ModelViolation("hom-missing-cell", g.name))
-            continue
+        nat = hom.cell(g.name)
         src, tgt = scratch.boundary(X, Y, hom.f1, generator_morphism(g), hom.weakness)
         if nat.source != src or nat.target != tgt:
             problems.append(ModelViolation("hom-cell-boundary", g.name))
@@ -826,10 +825,9 @@ def reference_candidates(X, Y, weakness):
 
 
 def _variants(hom):
-    """The hom under every weakness, without its last cell, and with one
-    component of one cell swapped for another arrow between its endpoints."""
+    """The hom under every weakness, and with one component of one cell
+    swapped for another arrow between its endpoints."""
     yield from (hom._replace(weakness=w) for w in WEAKNESSES)
-    yield hom._replace(cells=hom.cells[:-1])
     carrier = hom.target.carrier
     for i, (name, nat) in enumerate(hom.cells):
         for o, c in enumerate(nat.components):
@@ -871,7 +869,7 @@ def test_pruned_hom_search_matches_product_reference():
                             kinds.update(p.kind for p in v)
     assert searched > 100 and refused > 0
     # Every violation kind but an invalid underlying functor showed up.
-    assert set(kinds) == {"hom-missing-cell", "hom-cell-boundary", "hom-cell-naturality",
+    assert set(kinds) == {"hom-cell-boundary", "hom-cell-naturality",
                           "hom-not-strict", "hom-cell-invertibility", "hom-strict-cells",
                           "hom-equation", "hom-cell-compat"}
 
@@ -988,8 +986,13 @@ model collapsing_involution of t_inv in fincat {
 
 
 def test_equation_sides_with_unequal_boundaries_fail_the_equation():
-    X = fx.parse(BROKEN_INVOLUTION).cat_model("collapsing_involution")
-    assert ModelViolation("equation", "invol") in validate_cat_model(X)
+    # The lookup refuses the model; the homs are checked on it as elaborated.
+    doc = fx.parse(BROKEN_INVOLUTION)
+    with pytest.raises(dsl.ModelViolation) as refused:
+        doc.cat_model("collapsing_involution")
+    assert ModelViolation("equation", "invol") in refused.value.problems
+    decl = doc.model_decl("collapsing_involution")
+    X = dsl._elaborate_fincat(doc.theory(decl.theory), decl.payload)
     scratch = FromScratch()
     failed = 0
     for weakness in WEAKNESSES:
@@ -1023,11 +1026,7 @@ def reference_validate_cat_model(model):
     problems = []
     base = model.theory.base
     for g in base.generators:
-        try:
-            fun = model.op_functor(g.name)
-        except CellError:
-            problems.append(ModelViolation("missing-op", g.name))
-            continue
+        fun = model.op_functor(g.name)
         if fun.source != model.power(g.arity).cat or fun.target != model.carrier:
             problems.append(ModelViolation("op-shape", g.name))
         elif reference_validate_functor(fun) is not None:
@@ -1035,7 +1034,6 @@ def reference_validate_cat_model(model):
     for eq in base.equations:
         if model.functor_of(eq.lhs) != model.functor_of(eq.rhs):
             problems.append(ModelViolation("equation", eq.name))
-    cells_from = len(problems)
     for cell in model.theory.cells:
         try:
             nat = model.cell_nat(cell.name)
@@ -1049,7 +1047,7 @@ def reference_validate_cat_model(model):
             problems.append(ModelViolation("cell-naturality", cell.name))
         if cell.invertible and any(model.carrier.inverse(c) is None for c in nat.components):
             problems.append(ModelViolation("cell-invertibility", cell.name))
-    if len(problems) > cells_from:
+    if problems:
         return problems
     for name, lhs, rhs in model.theory.cell_equations:
         if evaluate_pasting(lhs, model) != evaluate_pasting(rhs, model):
@@ -1147,8 +1145,8 @@ def test_validate_cat_model_matches_the_tabulating_reference():
         kinds["valid"] += want == []
     assert {"valid", "op-functor", "equation", "cell-boundary", "cell-naturality",
             "cell-invertibility", "cell-equation"} <= set(kinds), kinds
-    # Cell equations are evaluated only on cells that passed their checks.
-    assert "CatError" not in kinds, kinds
+    # Cell equations are evaluated only on models that passed every other check.
+    assert "ValueError" not in kinds, kinds
 
 
 def test_validating_the_graded_hom_model_composes_no_power_arrows(monkeypatch):

@@ -39,7 +39,6 @@ from lawkit.cells import (
 )
 from lawkit.theory import (
     Apply,
-    CellError,
     InputError,
     Morphism,
     Proj,
@@ -317,7 +316,7 @@ def _ladder_is_invertible(p):
         return _ladder_is_invertible(p.inner)
     if isinstance(p, Par):
         return all(_ladder_is_invertible(q) for q in p.parts)
-    raise CellError(f"unknown pasting node {p!r}")
+    raise TypeError(f"unknown pasting node {p!r}")
 
 
 def _ladder_is_identity(p):
@@ -333,7 +332,7 @@ def _ladder_is_identity(p):
         return _ladder_is_identity(p.inner)
     if isinstance(p, Par):
         return all(_ladder_is_identity(q) for q in p.parts)
-    raise CellError(f"unknown pasting node {p!r}")
+    raise TypeError(f"unknown pasting node {p!r}")
 
 
 def _ladder_simplify(p):
@@ -571,7 +570,7 @@ def _outcome(f, *args):
     """f(*args), or the type and message of the exception it raises."""
     try:
         return f(*args)
-    except (TheoryError, CellError) as e:
+    except TheoryError as e:
         return type(e), str(e)
 
 
@@ -594,12 +593,12 @@ def test_parts_and_with_parts_rebuild_every_node():
         assert cells._with_parts(p, cells._parts(p)) == p
 
 
-def test_unknown_pasting_node_is_a_cell_error():
+def test_unknown_pasting_node_is_a_type_error():
     class Stray(Pasting):
         pass
 
     for traversal in (is_invertible_pasting, is_identity_pasting, simplify_pasting):
-        with pytest.raises(CellError, match="unknown pasting node"):
+        with pytest.raises(TypeError, match="unknown pasting node"):
             traversal(Stray())
 
 
@@ -634,7 +633,7 @@ def _ladder_components(p, model):
             for a in cod.decode_arr(c):
                 ia = model.carrier.inverse(a)
                 if ia is None:
-                    raise CellError("pasting inverse of a non-invertible component")
+                    raise InputError("pasting inverse of a non-invertible component")
                 inv.append(ia)
             out.append(cod.encode_arr(tuple(inv)))
         return tuple(out)
@@ -701,7 +700,7 @@ def _ladder_components(p, model):
                 arrow_parts.extend(model.power(s.target).decode_arr(c))
             out.append(cod.encode_arr(tuple(arrow_parts)))
         return tuple(out)
-    raise CellError(f"unknown pasting node {p!r}")
+    raise TypeError(f"unknown pasting node {p!r}")
 
 
 def _vert_sides_differ(p):
@@ -725,7 +724,7 @@ def test_row_evaluator_matches_the_ladder(corpus):
     """On every (pasting, model of its theory) pair, ``pasting_components``
     gives the ladder's table, or raises what the ladder raises, except that
     an ill-typed boundary is a ``TheoryError`` and a vertical composite of
-    sides with different contexts is a ``CellError``: the ladder truncated
+    sides with different contexts is a ``ValueError``: the ladder truncated
     such a composite to its shorter side, or decoded it at the wrong
     context, and often returned a table."""
     outcomes = Counter()
@@ -738,7 +737,7 @@ def test_row_evaluator_matches_the_ladder(corpus):
                 assert got is TheoryError, p
                 outcomes["ill-typed"] += 1
             elif _vert_sides_differ(p):
-                assert got is CellError, p
+                assert got is ValueError, p
                 outcomes["vertical sides differ"] += 1
             else:
                 assert got == want, (p, model.carrier)

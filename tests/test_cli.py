@@ -171,15 +171,16 @@ def test_bad_model_tables_are_input_errors(tmp_path, old, new, message, name):
     assert message in text
 
 
-@pytest.mark.parametrize("new, problems", [
-    ("", [{"kind": "missing-cell", "detail": "c"}]),
-    ("  nat c = [2, 0, 0, 1];\n", [{"kind": "cell-naturality", "detail": "c"},
-                                    {"kind": "cell-invertibility", "detail": "c"}]),
-], ids=["missing", "unnatural"])
-def test_check_theory_reports_a_model_whose_cell_is_bad_as_invalid(tmp_path, new, problems):
-    # The cell equations are not evaluated on a cell that failed its checks.
-    path = _mutant(tmp_path, "t_comm_flat.law", "  nat c auto;\n", new)
-    code, text = invoke(["--format", "json", "check-theory", path])
+@pytest.mark.parametrize("fault, problems", [
+    ("no-nat", [{"kind": "missing-cell", "detail": "c"}]),
+    ("unnatural", [{"kind": "cell-naturality", "detail": "c"},
+                   {"kind": "cell-invertibility", "detail": "c"}]),
+    ("x21", [{"kind": "equation", "detail": "lunit"}]),
+], ids=["missing", "unnatural", "x21"])
+def test_check_theory_reports_a_model_whose_cell_is_bad_as_invalid(tmp_path, fault, problems):
+    # The lookup refuses each model; check-theory reports the violations it
+    # refused it for, and evaluates no cell equation on it.
+    code, text = invoke(["--format", "json", "check-theory", _faulty_file(tmp_path, fault)])
     assert code == EXIT_FAILED
     verdicts = {v["name"]: v for v in json.loads(text)["verdicts"]}
     assert verdicts["poset_meet"]["verdict"] == "Invalid"
@@ -363,14 +364,22 @@ def test_huge_equation_arity_over_a_finite_set_gets_a_verdict(tmp_path, old, new
     assert "violates assoc" in done.stdout
 
 
+# A model that breaks its theory is refused at its name wherever it is looked up.
+POSET_MEET_IS_NOT = "24:7: model poset_meet is not a model of t_comm_flat: "
+UNNATURAL = POSET_MEET_IS_NOT + "cell-naturality c"
+LUNIT_X21 = POSET_MEET_IS_NOT + "equation lunit"
+
+
 @pytest.mark.parametrize("argv, code, verdict", [
     (["commutative"], EXIT_INCONCLUSIVE, "(m,m): Unknown"),
     (["eh", "--dim", "1"], EXIT_FAILED, "'non_unital': ['m']"),
-    (["eh", "--dim", "2"], EXIT_FAILED, "'unital': [['m', False]]"),
+    (["eh", "--dim", "2"], EXIT_INPUT, LUNIT_X21),
 ], ids=["commutative", "eh-dim1", "eh-dim2"])
 def test_model_search_enumerates_only_occurring_variables(tmp_path, argv, code, verdict):
     # A one-character mutant of t_comm_flat.law whose lunit reads x21: model
     # search used to compile one instance of it per input, 2^21 at size 2.
+    # ``eh --dim 2`` decides its preconditions, then looks up its probe
+    # models, which break lunit.
     path = _mutant(tmp_path, "t_comm_flat.law", "m(u,x1) = x1;", "m(u,x1) = x21;")
     done = _child("-m", "lawkit.cli", argv[0], path, *argv[1:], timeout=10)
     assert done.returncode == code, done.stderr
@@ -511,6 +520,8 @@ _FAULTS = {
     "no-uu-entry": ("t_comm_flat.law", "  (u, u) = id([0] u);\n", ""),
     "symmetry": ("t_comm_flat.law", "vert(c, whiskL(swap(1,2), c))", "vert(c, c)"),
     "no-nat": ("t_comm_flat.law", "  nat c auto;\n", ""),
+    "unnatural": ("t_comm_flat.law", "  nat c auto;\n", "  nat c = [2, 0, 0, 1];\n"),
+    "x21": ("t_comm_flat.law", "m(u,x1) = x1;", "m(u,x1) = x21;"),
     "imports-1d": 'import "t_comm.law";\nimport "t_inv.law";\n',
     "imports-2d": 'import "t_comm_flat.law";\nimport "t_inv.law";\n',
     "self-import": 'import "self-import.law";\n',
@@ -549,7 +560,7 @@ INPUT_FAULTS = [
     ("symmetry", ["check-theory"], ILL_TYPED),
     ("symmetry", ["sigma-check"], ILL_TYPED),
     ("symmetry", ["hom-internal", *POSET_MEET], ILL_TYPED),
-    ("no-nat", ["sigma-check"], "model has no 2-cell c"),
+    ("no-nat", ["sigma-check"], POSET_MEET_IS_NOT + "missing-cell c"),
     ("shipped", ["yang-baxter", "--model", "graded_lines", "--braiding", "cc"],
      "model has no 2-cell cc"),
     ("shipped", ["yang-baxter", "--model", "graded_lines", "--tensor", "u", "--braiding", "c"],
@@ -570,6 +581,15 @@ INPUT_FAULTS = [
     ("self-import", ["check-theory"], "1:1: import cycle through self-import.law"),
     ("missing-import", ["check-theory"],
      "1:1: cannot read {path.parent}/absent.law: No such file or directory"),
+    ("unnatural", ["sigma-check"], UNNATURAL),
+    ("unnatural", ["fox"], UNNATURAL),
+    ("unnatural", ["intalg", "--model", "poset_meet"], UNNATURAL),
+    ("unnatural", ["hom-internal", *POSET_MEET], UNNATURAL),
+    ("unnatural", ["eh", "--dim", "2"], UNNATURAL),
+    ("unnatural", ["closed-check", *MEET_CUBE], UNNATURAL),
+    ("unnatural", ["yang-baxter", "--model", "poset_meet", "--braiding", "c"], UNNATURAL),
+    ("x21", ["sigma-check"], LUNIT_X21),
+    ("x21", ["assoc-derived"], LUNIT_X21),
 ]
 
 

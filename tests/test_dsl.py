@@ -290,6 +290,12 @@ def test_unresolved_reference_diagnostic():
     assert "missing" in src.diagnostics[0].message
 
 
+def _unplaced(doc):
+    """``doc`` without the positions of its model blocks, which the
+    serializer lays out anew."""
+    return doc._replace(models=tuple(m._replace(token=None) for m in doc.models))
+
+
 def test_every_fixture_file_round_trips():
     for path in fx.law_files():
         doc, src = dsl.parse_file(path)
@@ -297,7 +303,7 @@ def test_every_fixture_file_round_trips():
         text = serialize(doc)
         doc2, src2 = dsl.parse(text)
         assert doc2 is not None, (path, src2.diagnostics)
-        assert doc2 == doc, path
+        assert _unplaced(doc2) == _unplaced(doc), path
         assert serialize(doc2) == text, path
 
 

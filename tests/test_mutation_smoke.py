@@ -6,7 +6,8 @@ exit code from {0, 1, 2, 3} and print no traceback: a mutant may be valid,
 violated, bounded or malformed, never a crash or a hang.  Sigma entries and
 cell equations of ``t_comm_flat.law`` mutated to the wrong boundaries, at the
 root or at an inner vertical composite, are malformed input under every
-command that reads the file.  Only a lawkit bug exits 4.
+command that reads the file; so is a model block edited so that it is no
+longer a model.  Only a lawkit bug exits 4.
 """
 
 import os
@@ -108,6 +109,30 @@ def test_ill_typed_cell_equation_is_malformed_input(tmp_path, line, equation, co
     done = _mutated_line(tmp_path, line, equation, command)
     assert done.returncode == 3, (done.stdout, done.stderr)
     assert f"input: Error  {line}:10: cell equation symmetry (lhs): " in done.stdout
+    assert "Traceback" not in done.stderr, done.stderr
+
+
+# Model blocks of t_comm_flat.law edited structurally: a nat table's entry
+# changed (poset_meet's c is no longer natural), an op functor's object
+# changed (u = 0 breaks lunit), a functor table shortened, and an equation's
+# variable renamed (lunit reads x21, which every model breaks).
+MODEL_MUTANTS = (
+    pytest.param("  nat c auto;\n", "  nat c = [2, 0, 0, 1];\n", id="nat-entry"),
+    pytest.param("functor u { obj [1]", "functor u { obj [0]", id="functor-entry"),
+    pytest.param("functor m { obj [0, 0, 0, 1]", "functor m { obj [0, 0, 0]", id="functor-short"),
+    pytest.param("m(u,x1) = x1;", "m(u,x1) = x21;", id="lunit-x21"),
+)
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS, ids=[c[0] for c in TABLE_COMMANDS])
+@pytest.mark.parametrize("old, new", MODEL_MUTANTS)
+def test_model_mutant_ends_with_a_truthful_exit_code(tmp_path, old, new, command):
+    text = law_path("t_comm_flat.law").read_text()
+    assert old in text
+    path = tmp_path / "t_comm_flat.law"
+    path.write_text(text.replace(old, new, 1))
+    done = _lawkit(command[0], path, *command[1:])
+    assert done.returncode in (0, 1, 2, 3), (done.stdout, done.stderr)
     assert "Traceback" not in done.stderr, done.stderr
 
 

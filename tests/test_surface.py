@@ -1,6 +1,7 @@
 """Every public function, class, method and property in ``src/lawkit`` has a
-caller in ``src/lawkit``, no module imports a name it never uses, and every
-``@dataclass`` uses something a ``typing.NamedTuple`` cannot give.
+caller in ``src/lawkit``, no module imports a name it never uses, every
+``@dataclass`` uses something a ``typing.NamedTuple`` cannot give, and
+lawkit's own exceptions are the five it reports.
 
 A name that only tests reach belongs in the tests; a name nothing reaches
 belongs nowhere.  The one exemption is ``cli.main``, the ``lawkit`` console
@@ -23,6 +24,7 @@ References inside a definition itself (recursion) do not count.
 """
 
 import ast
+import builtins
 from collections import Counter, defaultdict
 
 from conftest import ROOT
@@ -351,3 +353,70 @@ def test_module_qualified_references_resolve_to_their_module():
 def test_every_import_is_used():
     assert unused_imports(_parse(SRC)) == []
     assert unused_imports(_parse(TESTS)) == []
+
+
+# The exceptions lawkit defines: each is reported, by an exit code of
+# ``cli.run`` or as a positioned diagnostic (``dsl.ParseError``).  Whatever
+# else is raised is a built-in exception, and signals a lawkit bug.
+EXCEPTIONS = {"TheoryError", "InputError", "ModelViolation", "EnumerationBound", "ParseError"}
+# Besides those, an ``except`` may name a file that cannot be read or
+# decoded, and argparse's exit; ``cli.main`` alone catches every exception,
+# to report a bug.
+CAUGHT_BUILTINS = {"OSError", "UnicodeDecodeError", "SystemExit"}
+CATCH_ALL = ("cli.main", "Exception")
+
+
+def exception_classes(trees: dict[str, ast.Module]) -> set[str]:
+    """The classes defined in ``trees`` that derive from a built-in
+    exception, directly or through one another."""
+    bases = {node.name: [ast.unparse(b).rpartition(".")[2] for b in node.bases]
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+
+    def is_exception(name: str) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(map(is_exception, bases.get(name, ())))
+
+    return {name for name in bases if is_exception(name)}
+
+
+def caught(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """``(module.definition, name)`` for each exception an ``except`` names,
+    by the top-level definition it is in; a bare ``except`` names ``""``."""
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            where = f"{module}.{getattr(node, 'name', '<module>')}"
+            for handler in ast.walk(node):
+                if not isinstance(handler, ast.ExceptHandler):
+                    continue
+                kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+                    else [handler.type] if handler.type is not None else []
+                out += [(where, ast.unparse(k).rpartition(".")[2]) for k in kinds] or [(where, "")]
+    return out
+
+
+def test_lawkit_defines_only_the_exceptions_it_reports():
+    assert exception_classes(_parse(SRC)) == EXCEPTIONS
+
+
+def test_every_except_names_a_reported_exception():
+    allowed = EXCEPTIONS | CAUGHT_BUILTINS
+    stray = [f"{where}: {name or 'bare except'}" for where, name in caught(_parse(SRC))
+             if name not in allowed and (where, name) != CATCH_ALL]
+    assert stray == []
+
+
+def test_the_exception_scan_sees_subclasses_tuples_and_bare_excepts():
+    trees = {"m": ast.parse("class A(Exception): pass\n"
+                            "class B(A): pass\n"
+                            "class C(errors.ValueError): pass\n"
+                            "class D: pass\n"
+                            "def f():\n"
+                            "    try: pass\n"
+                            "    except (B, dsl.C): pass\n"
+                            "    except: pass\n")}
+    assert exception_classes(trees) == {"A", "B", "C"}
+    assert caught(trees) == [("m.f", "B"), ("m.f", "C"), ("m.f", "")]
