@@ -11,6 +11,13 @@ a: n -> 1 for a homomorphism f: X -> Y points
 identities).  The lift of an operation along an exchange table
 (``lift_hom``) is such a homomorphism whose cells are the evaluated
 exchange cells.
+
+Every 2-cell here, a model's cell, a hom's structure cell or a
+modification, is stored as its component table, one arrow per object of
+its source, in code order.  Its boundary functors are fixed by the 1-cells
+around it, so they are not stored: ``CatModel.functor_of`` of the cell's
+sides, ``cell_boundary`` or the two homs' underlying functors give them
+where a naturality check needs a ``fincat.FinNat``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from . import fincat, finset
@@ -31,7 +38,6 @@ from .cells import (
     _decompose,
     _is_plain_generator,
     derive_sigma,
-    evaluate_pasting,
     pasting_components,
     power_rows,
 )
@@ -43,10 +49,9 @@ from .fincat import (
     compose_functors,
     enumerate_functors,
     enumerate_naturals,
-    identity_nat,
+    identity_components,
     validate_functor,
     validate_nat,
-    vert_nat,
 )
 from .search import EnumerationBound, search
 from .theory import (
@@ -72,7 +77,9 @@ class CatModel:
     theory: TwoTheoryPresentation
     carrier: FinCategory
     op_functors: tuple[tuple[str, FinFunctor], ...]
-    cell_nats: tuple[tuple[str, FinNat], ...] = ()
+    # Each 2-cell's components, one arrow of C^b per object of C^a; its
+    # boundary functors are those of the cell's source and target.
+    cell_tables: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
     _powers: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _functors: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
@@ -93,12 +100,13 @@ class CatModel:
                 return f
         raise LookupError(f"model has no operation {name}")
 
-    def cell_nat(self, name: str) -> FinNat:
-        """Reading a 2-cell the model has no ``nat`` for is an input fault: a
-        looked-up model has one for each 2-cell of its theory (``problems``)."""
-        for n, f in self.cell_nats:
+    def cell(self, name: str) -> tuple[int, ...]:
+        """The components of a 2-cell.  Reading one the model has no ``nat``
+        for is an input fault: a looked-up model has one for each 2-cell of
+        its theory (``problems``)."""
+        for n, table in self.cell_tables:
             if n == name:
-                return f
+                return table
         raise InputError(f"model has no 2-cell {name}")
 
     @functools.cached_property
@@ -119,24 +127,26 @@ class CatModel:
     def problems(self) -> tuple[ModelViolation, ...]:
         """The model's violations short of its cell equations: its op
         functors', then each base equation's and each cell's, in the
-        theory's order.  Equations are compared by ``functors_agree``.
+        theory's order.  Equations are compared by ``functors_agree``; a
+        cell's table is checked for naturality between the functors of its
+        source and target, which are functors once the op functors are.
         ``dsl.Document.cat_model`` refuses a model that has any."""
         problems = list(self.op_problems)
         for eq in self.theory.base.equations:
             if not self.functors_agree(eq.lhs, eq.rhs):
                 problems.append(ModelViolation("equation", eq.name))
-        nats = dict(self.cell_nats)
+        tables = dict(self.cell_tables)
         for cell in self.theory.cells:
-            nat = nats.get(cell.name)
-            if nat is None:
+            table = tables.get(cell.name)
+            if table is None:
                 problems.append(ModelViolation("missing-cell", cell.name))
-            elif nat.source != self.functor_of(cell.source) or nat.target != self.functor_of(cell.target):
-                problems.append(ModelViolation("cell-boundary", cell.name))
-            else:
+                continue
+            if not self.op_problems:
+                nat = FinNat(self.functor_of(cell.source), self.functor_of(cell.target), table)
                 if validate_nat(nat) is not None:
                     problems.append(ModelViolation("cell-naturality", cell.name))
-                if cell.invertible and any(self.carrier.inverse(c) is None for c in nat.components):
-                    problems.append(ModelViolation("cell-invertibility", cell.name))
+            if cell.invertible and any(self.carrier.inverse(c) is None for c in table):
+                problems.append(ModelViolation("cell-invertibility", cell.name))
         return tuple(problems)
 
     def functor_of(self, f: Morphism) -> FinFunctor:
@@ -257,12 +267,7 @@ def terminal_model(theory2: TwoTheoryPresentation) -> CatModel:
         (g.name, FinFunctor(fincat.power(term, g.arity).cat, term, (0,), (0,)))
         for g in theory2.base.generators
     )
-    skeleton = CatModel(theory2, term, ops)
-    cells = tuple(
-        (c.name, FinNat(skeleton.functor_of(c.source), skeleton.functor_of(c.target), (0,)))
-        for c in theory2.cells
-    )
-    return CatModel(theory2, term, ops, cells)
+    return CatModel(theory2, term, ops, tuple((c.name, (0,)) for c in theory2.cells))
 
 
 def power_cat_model(model: CatModel, n: int) -> CatModel:
@@ -273,7 +278,7 @@ def power_cat_model(model: CatModel, n: int) -> CatModel:
         for g in model.theory.base.generators
     )
     cells = tuple(
-        (c.name, evaluate_pasting(PowerR(Gen(c), n), model))
+        (c.name, pasting_components(PowerR(Gen(c), n), model))
         for c in model.theory.cells
     )
     return CatModel(model.theory, carrier, ops, cells)
@@ -286,9 +291,11 @@ class LaxHom(NamedTuple):
     target: CatModel
     weakness: str  # strict | pseudo | lax | colax
     f1: FinFunctor
-    cells: tuple[tuple[str, FinNat], ...]
+    # Each generator's structure cell, as its components: one arrow of Y per
+    # object of X^a, between the functors ``cell_boundary`` gives.
+    cells: tuple[tuple[str, tuple[int, ...]], ...]
 
-    def cell(self, name: str) -> FinNat:
+    def cell(self, name: str) -> tuple[int, ...]:
         for n, c in self.cells:
             if n == name:
                 return c
@@ -310,13 +317,7 @@ def functor_power(fun: FinFunctor, n: int, src_pow: ProductCategory,
     return fun._powers[n]
 
 
-def hom_cell_boundary(hom_src: CatModel, hom_dst: CatModel, f1: FinFunctor,
-                      gen_name: str, weakness: str) -> tuple[FinFunctor, FinFunctor]:
-    g = generator_morphism(hom_src.theory.base.op(gen_name))
-    return _cell_boundary(hom_src, hom_dst, f1, g, weakness)
-
-
-def _cell_boundary(X: CatModel, Y: CatModel, f1: FinFunctor, f: Morphism,
+def cell_boundary(X: CatModel, Y: CatModel, f1: FinFunctor, f: Morphism,
                   weakness: str) -> tuple[FinFunctor, FinFunctor]:
     """Source and target of the structure cell at ``f: a -> b`` of a hom
     ``X -> Y`` with underlying functor ``f1``: ``F^a ; Y(f)`` and
@@ -343,18 +344,18 @@ def _cell_boundary(X: CatModel, Y: CatModel, f1: FinFunctor, f: Morphism,
 def hom_from_components(X: CatModel, Y: CatModel, weakness: str, f1: FinFunctor,
                         tables: Sequence[Sequence[int]] | None = None) -> LaxHom:
     """The hom ``X -> Y`` of the given weakness over ``f1`` whose cell at the
-    ``i``-th generator has the component table ``tables[i]``, between the
-    boundary functors ``hom_cell_boundary`` gives.  With no tables each cell
-    is an identity, which needs its two boundary functors to be equal."""
+    ``i``-th generator has the component table ``tables[i]``.  With no tables
+    each cell is an identity, which needs its two boundary functors
+    (``cell_boundary``) to be equal."""
+    gens = X.theory.base.generators
+    if tables is not None:
+        return LaxHom(X, Y, weakness, f1, tuple((g.name, tuple(t)) for g, t in zip(gens, tables)))
     cells = []
-    for i, g in enumerate(X.theory.base.generators):
-        src, tgt = hom_cell_boundary(X, Y, f1, g.name, weakness)
-        if tables is not None:
-            cells.append((g.name, FinNat(src, tgt, tuple(tables[i]))))
-        elif src != tgt:
+    for g in gens:
+        src, tgt = cell_boundary(X, Y, f1, generator_morphism(g), weakness)
+        if src != tgt:
             raise ValueError(f"expected a strict homomorphism at {g.name}")
-        else:
-            cells.append((g.name, identity_nat(src)))
+        cells.append((g.name, identity_components(src)))
     return LaxHom(X, Y, weakness, f1, tuple(cells))
 
 
@@ -366,7 +367,7 @@ class CoherenceCheck(NamedTuple):
     ``slot`` is -1), and a failure is reported as ``violation``."""
     slot: int
     violation: ModelViolation
-    holds: Callable[[Sequence[FinNat]], bool]
+    holds: Callable[[Sequence[tuple[int, ...]]], bool]
 
 
 class HomCoherence:
@@ -374,46 +375,45 @@ class HomCoherence:
     underlying functor ``f1``, as checks on their structure cells listed in
     generator order.
 
-    ``cell_violations(i, nat)`` checks generator ``i``'s own cell: its
-    boundary first (the other checks assume it), then naturality, then
+    ``cell_violations(i, comps)`` checks generator ``i``'s own cell, given
+    as its components: its naturality between the boundary functors, then
     strictness and invertibility where ``w`` asks for them.  ``laws`` are
     every base equation, then every 2-cell compatibility, each tagged with
     the last generator slot it reads.  A law compares extended cells
     computed on components from the hom's cells and the models' tables; the
     boundary functors of an equation's two sides come from the
-    ``_cell_boundary`` memo and are compared once, when the law is built.
+    ``cell_boundary`` memo and are compared once, when the law is built.
     """
 
     def __init__(self, X: CatModel, Y: CatModel, weakness: str, f1: FinFunctor):
         self.X, self.Y, self.weakness, self.f1 = X, Y, weakness, f1
         gens = X.theory.base.generators
         self._slots = {g.name: i for i, g in enumerate(gens)}
-        self.boundaries = [hom_cell_boundary(X, Y, f1, g.name, weakness) for g in gens]
+        self.boundaries = [cell_boundary(X, Y, f1, generator_morphism(g), weakness)
+                           for g in gens]
         self._extensions: dict = {}
         self._laws: list[CoherenceCheck] | None = None
 
-    def cell_violations(self, i: int, nat: FinNat) -> list[ModelViolation]:
+    def cell_violations(self, i: int, comps: tuple[int, ...]) -> list[ModelViolation]:
         name = self.X.theory.base.generators[i].name
         src, tgt = self.boundaries[i]
-        if nat.source != src or nat.target != tgt:
-            return [ModelViolation("hom-cell-boundary", name)]
         problems = []
-        if validate_nat(nat) is not None:
+        if validate_nat(FinNat(src, tgt, comps)) is not None:
             problems.append(ModelViolation("hom-cell-naturality", name))
         carrier = self.Y.carrier
         if self.weakness == "strict" and src != tgt:
             problems.append(ModelViolation("hom-not-strict", name))
         if self.weakness in ("strict", "pseudo") and \
-           any(carrier.inverse(c) is None for c in nat.components):
+           any(carrier.inverse(c) is None for c in comps):
             problems.append(ModelViolation("hom-cell-invertibility", name))
         if self.weakness == "strict" and \
-           any(not carrier.is_identity(c) for c in nat.components):
+           any(not carrier.is_identity(c) for c in comps):
             problems.append(ModelViolation("hom-strict-cells", name))
         return problems
 
-    def admissible(self, i: int, nats) -> list[FinNat]:
+    def admissible(self, i: int, candidates) -> list[tuple[int, ...]]:
         """The candidates for generator ``i``'s cell that pass its own checks."""
-        return [nat for nat in nats if not self.cell_violations(i, nat)]
+        return [comps for comps in candidates if not self.cell_violations(i, comps)]
 
     @property
     def laws(self) -> list[CoherenceCheck]:
@@ -423,7 +423,7 @@ class HomCoherence:
             self._laws += [self._compatibility_law(cell) for cell in theory2.cells]
         return self._laws
 
-    def assignments(self, domains: list[list[FinNat]]):
+    def assignments(self, domains: list[list[tuple[int, ...]]]):
         """Every tuple of cells, the ``i``-th from ``domains[i]``, that passes
         every law, in lexicographic order; each law is tried as soon as its
         slot is assigned, so a failure prunes every completion of the prefix.
@@ -455,7 +455,7 @@ class HomCoherence:
             return -1, lambda cells: comps
         if _is_plain_generator(f):
             i = self._slots[f.components[0].op.name]  # type: ignore[union-attr]
-            return i, lambda cells: cells[i].components
+            return i, lambda cells: cells[i]
         # f = u ; v with v = par(heads): at o, the cell at u pushed along Y(v),
         # then the heads' cells stacked at X(u)(o) (the reverse for colax).
         # blocks[k][o] indexes head k's block of X(u)(o) in its power.
@@ -492,7 +492,7 @@ class HomCoherence:
         X, Y, f1, w = self.X, self.Y, self.f1, self.weakness
         # Sides equal in both models have equal boundaries over every f1.
         if not (X.functors_agree(eq.lhs, eq.rhs) and Y.functors_agree(eq.lhs, eq.rhs)) and \
-           _cell_boundary(X, Y, f1, eq.lhs, w) != _cell_boundary(X, Y, f1, eq.rhs, w):
+           cell_boundary(X, Y, f1, eq.lhs, w) != cell_boundary(X, Y, f1, eq.rhs, w):
             return CoherenceCheck(-1, violation, lambda cells: False)
         l_slot, lhs = self.extension(eq.lhs)
         r_slot, rhs = self.extension(eq.rhs)
@@ -506,8 +506,7 @@ class HomCoherence:
         Both sides run between the same boundary functors by construction."""
         X, Y = self.X, self.Y
         a, b = cell.source.source, cell.source.target
-        xs = X.cell_nat(cell.name).components
-        ys = Y.cell_nat(cell.name).components
+        xs, ys = X.cell(cell.name), Y.cell(cell.name)
         fa = functor_power(self.f1, a, X.power(a), Y.power(a)).obj_map
         fb = functor_power(self.f1, b, X.power(b), Y.power(b)).arr_map
         then = Y.power(b).cat.then
@@ -532,7 +531,7 @@ def validate_lax_hom(hom: LaxHom) -> list[ModelViolation]:
         return [ModelViolation("hom-functor", "underlying map")]
     coherence = HomCoherence(hom.source, hom.target, hom.weakness, hom.f1)
     cells = [hom.cell(g.name) for g in hom.source.theory.base.generators]
-    problems = [p for i, nat in enumerate(cells) for p in coherence.cell_violations(i, nat)]
+    problems = [p for i, comps in enumerate(cells) for p in coherence.cell_violations(i, comps)]
     if problems:
         return problems
     return [law.violation for law in coherence.laws if not law.holds(cells)]
@@ -554,8 +553,7 @@ def compose_homs(f: LaxHom, g: LaxHom) -> LaxHom:
     for gen in f.source.theory.base.generators:
         n = gen.arity
         fpow = functor_power(f.f1, n, f.source.power(n), f.target.power(n)).obj_map
-        f_cell = f.cell(gen.name).components
-        g_cell = g.cell(gen.name).components
+        f_cell, g_cell = f.cell(gen.name), g.cell(gen.name)
         if f.weakness == "colax":
             tables.append([then(g_arr[c], g_cell[fpow[o]]) for o, c in enumerate(f_cell)])
         else:
@@ -579,7 +577,7 @@ def tuple_homs(homs: list[LaxHom], target_power: CatModel, source_model: CatMode
                     for a in range(X.carrier.n_arrows))
     f1 = FinFunctor(X.carrier, target_power.carrier, obj_map, arr_map)
     tables = [[ypow.encode_arr(comps)
-               for comps in zip(*(h.cell(gen.name).components for h in homs))]
+               for comps in zip(*(h.cell(gen.name) for h in homs))]
               for gen in X.theory.base.generators]
     return hom_from_components(X, target_power, weakness, f1, tables)
 
@@ -592,7 +590,7 @@ def power_hom(hom: LaxHom, n: int, src_power: CatModel, dst_power: CatModel) -> 
     f1 = functor_power(hom.f1, n, X.power(n), Y.power(n))
     f1 = FinFunctor(src_power.carrier, dst_power.carrier, f1.obj_map, f1.arr_map)
     encode = Y.power(n).encode_arr
-    tables = [list(map(encode, power_rows([(c,) for c in hom.cell(gen.name).components],
+    tables = [list(map(encode, power_rows([(c,) for c in hom.cell(gen.name)],
                                           gen.arity, n, X.carrier.n_objects, True)))
               for gen in X.theory.base.generators]
     return hom_from_components(src_power, dst_power, hom.weakness, f1, tables)
@@ -611,16 +609,16 @@ def enumerate_homs_w(X: CatModel, Y: CatModel, weakness: str) -> list[LaxHom]:
     out = []
     for f1 in enumerate_functors(X.carrier, Y.carrier):
         coherence = HomCoherence(X, Y, weakness, f1)
-        domains: list[list[FinNat]] = []
+        domains: list[list[tuple[int, ...]]] = []
         total = 1
         for i, (src, tgt) in enumerate(coherence.boundaries):
-            candidates = [identity_nat(src)] if weakness == "strict" \
-                else enumerate_naturals(src, tgt)
-            nats = coherence.admissible(i, candidates)
-            if not nats:
+            candidates = [identity_components(src)] if weakness == "strict" \
+                else [nat.components for nat in enumerate_naturals(src, tgt)]
+            tables = coherence.admissible(i, candidates)
+            if not tables:
                 break
-            domains.append(nats)
-            total *= len(nats)
+            domains.append(tables)
+            total *= len(tables)
             if total > HOM_ENUMERATION_BOUND:
                 raise EnumerationBound(f"{total} candidate structure-cell assignments "
                                        f"exceed bound {HOM_ENUMERATION_BOUND}")
@@ -635,31 +633,34 @@ def enumerate_homs_w(X: CatModel, Y: CatModel, weakness: str) -> list[LaxHom]:
 class Modification(NamedTuple):
     source: LaxHom
     target: LaxHom
-    component: FinNat  # between the underlying functors
+    components: tuple[int, ...]  # from f1 to g1, one arrow of Y per object of X
 
 
 def validate_modification(mod: Modification) -> list[ModelViolation]:
-    """The modification's checks, on components: its boundary, then its
-    naturality, then at each generator ``g`` and each object ``o`` of
-    ``X^n`` the square ``Y(g)(t^n o) ; g_cell[o] == f_cell[o] ; t[X(g) o]``
-    (``f_cell[o] ; Y(g)(t^n o) == t[X(g) o] ; g_cell[o]`` for colax)."""
+    """The modification's checks, on components: that its homs are parallel,
+    then its naturality from ``f1`` to ``g1``, then at each generator ``g``
+    and each object ``o`` of ``X^n`` the square
+    ``Y(g)(t^n o) ; g_cell[o] == f_cell[o] ; t[X(g) o]``
+    (``f_cell[o] ; Y(g)(t^n o) == t[X(g) o] ; g_cell[o]`` for colax).  The
+    squares are not formed when a component does not run ``f1(o) -> g1(o)``."""
     f, g = mod.source, mod.target
     problems = []
     if f.source != g.source or f.target != g.target or f.weakness != g.weakness:
         return [ModelViolation("modification-boundary", "homs not parallel")]
-    if mod.component.source != f.f1 or mod.component.target != g.f1:
-        return [ModelViolation("modification-component", "wrong boundary")]
-    if validate_nat(mod.component) is not None:
+    t = mod.components
+    violation = validate_nat(FinNat(f.f1, g.f1, t))
+    if violation is not None:
         problems.append(ModelViolation("modification-naturality", ""))
+        if violation.kind == "nat-component":
+            return problems
     X, Y = f.source, f.target
-    t = mod.component.components
     then = Y.carrier.then
     for gen in X.theory.base.generators:
         n = gen.arity
         tpow = fincat.row_major([t] * n, [Y.carrier.n_arrows] * n)
         op = generator_morphism(gen)
         xg, yg = X.functor_of(op).obj_map, Y.functor_of(op).arr_map
-        f_cell, g_cell = f.cell(gen.name).components, g.cell(gen.name).components
+        f_cell, g_cell = f.cell(gen.name), g.cell(gen.name)
         if f.weakness == "colax":
             holds = all(then(f_cell[o], yg[tpow[o]]) == then(t[xg[o]], g_cell[o])
                         for o in range(len(xg)))
@@ -674,20 +675,21 @@ def validate_modification(mod: Modification) -> list[ModelViolation]:
 def enumerate_modifications(f: LaxHom, g: LaxHom) -> list[Modification]:
     out = []
     for nat in enumerate_naturals(f.f1, g.f1):
-        mod = Modification(f, g, nat)
+        mod = Modification(f, g, nat.components)
         if not validate_modification(mod):
             out.append(mod)
     return out
 
 
 def identity_modification(f: LaxHom) -> Modification:
-    return Modification(f, f, identity_nat(f.f1))
+    return Modification(f, f, identity_components(f.f1))
 
 
 def compose_modifications(s: Modification, t: Modification) -> Modification:
     if s.target != t.source:
         raise ValueError("modification composition mismatch")
-    return Modification(s.source, t.target, vert_nat(s.component, t.component))
+    then = s.source.target.carrier.then
+    return Modification(s.source, t.target, tuple(map(then, s.components, t.components)))
 
 
 # -- homomorphism categories ----------------------------------------------------------
@@ -706,7 +708,7 @@ class HomCategory:
         for i, h in enumerate(self.objects):
             self._index.setdefault(_object_key(h), i)
         for i, m in enumerate(self.arrows):
-            self._index.setdefault((self.cat.src[i], self.cat.dst[i], m.component.components), i)
+            self._index.setdefault((self.cat.src[i], self.cat.dst[i], m.components), i)
 
     def find_object(self, hom: LaxHom) -> int | None:
         """The index of the object ``hom``, or None if it is none."""
@@ -716,7 +718,7 @@ class HomCategory:
     def find_arrow(self, mod: Modification) -> int | None:
         """The index of the arrow ``mod``, or None if it is none."""
         i = self._index.get((self.find_object(mod.source), self.find_object(mod.target),
-                             mod.component.components))
+                             mod.components))
         return i if i is not None and self.arrows[i] == mod else None
 
     def object_index(self, hom: LaxHom) -> int:
@@ -731,7 +733,7 @@ class HomCategory:
 
 
 def _object_key(hom: LaxHom) -> tuple:
-    return (hom.f1.obj_map, hom.f1.arr_map, tuple(c.components for _, c in hom.cells))
+    return (hom.f1.obj_map, hom.f1.arr_map, tuple(table for _, table in hom.cells))
 
 
 def build_hom_category(X: CatModel, Y: CatModel, weakness: str) -> HomCategory:
@@ -743,10 +745,10 @@ def build_hom_category(X: CatModel, Y: CatModel, weakness: str) -> HomCategory:
             # Each modification found runs from f itself to g itself.
             for m in enumerate_modifications(f, g):
                 arrows.append(m)
-                keys.append((i, j, m.component.components))
+                keys.append((i, j, m.components))
     cat = fincat.category_from_keys(
-        len(homs), keys, lambda i: identity_modification(homs[i]).component.components,
-        lambda x, y: compose_modifications(arrows[x], arrows[y]).component.components)
+        len(homs), keys, lambda i: identity_modification(homs[i]).components,
+        lambda x, y: compose_modifications(arrows[x], arrows[y]).components)
     return HomCategory(cat, tuple(homs), tuple(arrows))
 
 
@@ -762,7 +764,7 @@ def internal_coalgebras(model: CatModel) -> HomCategory:
 def algebra_view(hom: LaxHom) -> dict:
     """A hom's underlying object and, per generator, its structure arrow."""
     return {"obj": hom.point(),
-            "structure": tuple((name, nat.components[0]) for name, nat in hom.cells)}
+            "structure": tuple((name, table[0]) for name, table in hom.cells)}
 
 
 # -- lifting along an exchange table --------------------------------------------------
@@ -800,9 +802,7 @@ def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,
     n_x = X.carrier.n_objects
 
     def arrow_index(s: int, t: int, comps: tuple[int, ...]) -> int:
-        mod = Modification(objects[s], objects[t],
-                           FinNat(objects[s].f1, objects[t].f1, comps))
-        return homcat.arrow_index(mod)
+        return homcat.arrow_index(Modification(objects[s], objects[t], comps))
 
     ops = []
     for gen in theory2.base.generators:
@@ -823,18 +823,21 @@ def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,
         # components at each x.
         arr_map = []
         for a in range(hpow.n_arrows):
-            mods = [arrows[i].component.components for i in hpow.decode_arr(a)]
+            mods = [arrows[i].components for i in hpow.decode_arr(a)]
             comps = tuple(lifted.f1.arr_map[ypow.encode_arr(tuple(m[x] for m in mods))]
                           for x in range(n_x))
             arr_map.append(arrow_index(obj_map[hpow.arr_src(a)],
                                        obj_map[hpow.arr_dst(a)], comps))
         ops.append((gen.name, FinFunctor(hpow.cat, homcat.cat, tuple(obj_map), tuple(arr_map))))
 
+    # The cells' boundary functors are read on the model without cells, and
+    # the model with them shares its memos: a model without cells evaluates
+    # no pasting, and every other memo depends on the operations alone.
     hommodel = CatModel(theory2, homcat.cat, tuple(ops))
-    cell_nats = []
+    tables = []
     for cellsym in theory2.cells:
         a = cellsym.source.source
-        ycomps = Y.cell_nat(cellsym.name).components
+        ycomps = Y.cell(cellsym.name)
         hpow = fincat.power(homcat.cat, a)
         src_fun = hommodel.functor_of(cellsym.source)
         tgt_fun = hommodel.functor_of(cellsym.target)
@@ -845,9 +848,8 @@ def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,
                 ycomps[Y.power(a).encode_obj(tuple(h.f1.obj_map[x] for h in homs))]
                 for x in range(n_x))
             comps.append(arrow_index(src_fun.obj_map[o], tgt_fun.obj_map[o], mod_comps))
-        cell_nats.append((cellsym.name, FinNat(src_fun, tgt_fun, tuple(comps))))
-    hommodel = CatModel(theory2, homcat.cat, tuple(ops), tuple(cell_nats))
-    return hommodel, homcat
+        tables.append((cellsym.name, tuple(comps)))
+    return replace(hommodel, cell_tables=tuple(tables)), homcat
 
 
 # -- convolution -----------------------------------------------------------------------
@@ -874,8 +876,8 @@ def convolution_algebra(model: CatModel, algebra: LaxHom, coalgebra: LaxHom):
     for g in base.generators:
         n = g.arity
         fun = model.op_functor(g.name)
-        o_a = algebra.cell(g.name).components[0]
-        o_c = coalgebra.cell(g.name).components[0]
+        o_a = algebra.cell(g.name)[0]
+        o_c = coalgebra.cell(g.name)[0]
         table = []
         for args in itertools.product(range(len(hom)), repeat=n):
             arrows = tuple(hom[i] for i in args)

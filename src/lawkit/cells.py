@@ -14,12 +14,12 @@ models, which is where non-coherent tables (e.g. a braiding that is not a
 symmetry) fail.
 
 Pasting evaluation is written against a small model protocol:
-``model.carrier``, ``model.cell_nat(name)``, ``model.power(n)`` (a
-fincat.ProductCategory), ``model._compiled(f, arrows)`` (one closure per
-component of a morphism), ``model._encoder(f, arrows)`` (the row-major code
-of their values) and ``model._rows``, a dict in which each node's rows are
-kept.  ``evaluate_pasting`` also reads ``model.functor_of(morphism)`` for the
-boundaries; it builds the cells of a power model.  Validating a model reads
+``model.carrier``, ``model.cell(name)`` (a 2-cell's component table),
+``model.power(n)`` (a fincat.ProductCategory), ``model._compiled(f,
+arrows)`` (one closure per component of a morphism), ``model._encoder(f,
+arrows)`` (the row-major code of their values) and ``model._rows``, a dict in
+which each node's rows are kept.  A pasting evaluates to its component
+table only; no boundary functor is built.  Validating a model reads
 components only (``catmodels.validate_cat_model``); ``dsl.Document.cat_model``
 refuses a model that fails it short of the cell equations, so a pasting is
 evaluated on a model of its theory.
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import theory as _theory
-from .fincat import FinNat, encode
+from .fincat import encode
 from .search import EnumerationBound
 from .theory import (
     Apply,
@@ -329,8 +329,7 @@ def _id_rows(p, model):
 
 def _gen_rows(p, model):
     cod = model.power(p.cell.source.target)
-    return p.cell.source.source, list(map(cod.decode_arr,
-                                          model.cell_nat(p.cell.name).components))
+    return p.cell.source.source, list(map(cod.decode_arr, model.cell(p.cell.name)))
 
 
 def _inverse_rows(p, model):
@@ -405,16 +404,6 @@ def power_rows(rows, m: int, k: int, n_objects: int,
         columns = [rows[encode(objs[j::k], radices)] for j in range(k)]
         out.append(tuple(itertools.chain.from_iterable(zip(*columns))))
     return out
-
-
-def evaluate_pasting(p: Pasting, model) -> FinNat:
-    """Natural-transformation table of a pasting, with evaluated boundaries.
-
-    The boundary functors of a vertical composite agree on the nose, since
-    the model satisfies the base equations.
-    """
-    return FinNat(model.functor_of(p.source()), model.functor_of(p.target()),
-                  pasting_components(p, model))
 
 
 # -- exchange tables ---------------------------------------------------------------
@@ -757,7 +746,7 @@ def yang_baxter_check(model, tensor_op: str = "m", braiding_cell: str = "b") -> 
         raise InputError(f"tensor {tensor_op} is not a binary operation of {base.name}")
     cat = model.carrier
     tensor = model.op_functor(tensor_op)
-    braid = model.cell_nat(braiding_cell)
+    braid = model.cell(braiding_cell)
     sq = model.power(2)
 
     def t_obj(x, y):
@@ -767,7 +756,7 @@ def yang_baxter_check(model, tensor_op: str = "m", braiding_cell: str = "b") -> 
         return tensor.arr_map[sq.encode_arr((f, g))]
 
     def c(x, y):
-        return braid.components[sq.encode_obj((x, y))]
+        return braid[sq.encode_obj((x, y))]
 
     issues = []
     count = 0

@@ -50,7 +50,7 @@ the input raises ``theory.InputError``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from . import catmodels, cells, fincat
@@ -145,6 +145,9 @@ class ModelDecl(NamedTuple):
     kind: str  # finset | fincat | moncat
     payload: FinSetDecl | FinCatDecl | MonCatDecl
     token: Token  # the name, where a refusal of the model is reported
+    # "a.law: " for a model imported from a.law, as an import's parse
+    # diagnostics are prefixed; "" for a model of the file named.
+    origin: str = ""
 
 
 class Document(NamedTuple):
@@ -196,8 +199,9 @@ class Document(NamedTuple):
             raise InputError(f"{name} is not a categorical model")
         model = elaborate(self.theory(decl.theory), decl.payload)
         if model.problems:
-            raise ModelViolation(f"{decl.token.line}:{decl.token.col}: model {name} is not a model "
-                                 f"of {decl.theory}: {' '.join(model.problems[0])}", model.problems)
+            raise ModelViolation(f"{decl.token.line}:{decl.token.col}: {decl.origin}model {name} "
+                                 f"is not a model of {decl.theory}: {' '.join(model.problems[0])}",
+                                 model.problems)
         return model
 
 
@@ -839,7 +843,7 @@ def parse(text: str, path: str = "<string>",
                     p.fail_at(import_token, str(e))
                 theories.extend(sub_doc.theories)
                 sigmas.extend(sub_doc.sigmas)
-                models.extend(sub_doc.models)
+                models.extend(m._replace(origin=f"{fname}: {m.origin}") for m in sub_doc.models)
                 checks.extend(sub_doc.checks)
             else:
                 p.fail_last(f"unknown top-level keyword {kw!r}")
@@ -903,8 +907,16 @@ def _elaborate_fincat(theory2: TwoTheoryPresentation, decl: FinCatDecl) -> catmo
 
 def _elaborate_moncat(theory2: TwoTheoryPresentation, decl: MonCatDecl) -> catmodels.CatModel:
     cat = fincat.graded_scalar_category(decl.grading, decl.scalars)
-    functors = list(decl.functors)
     nats = list(decl.nats)
+    # A braiding is a nat whose component at the pair of grades (x, y), in
+    # row-major order, is the scalar rows[x][y] on the grade x + y.
+    for bname, rows in decl.braidings:
+        if len(rows) != decl.grading or any(len(r) != decl.grading for r in rows):
+            raise InputError(f"braiding {bname}: matrix is not "
+                              f"{decl.grading} x {decl.grading}")
+        nats.append(NatDecl(bname, tuple(
+            ((x + y) % decl.grading) * decl.scalars + rows[x][y] % decl.scalars
+            for x in range(decl.grading) for y in range(decl.grading))))
     ops: list[tuple[str, fincat.FinFunctor]] = []
     if decl.tensor is not None:
         sq = fincat.power(cat, 2)
@@ -922,26 +934,7 @@ def _elaborate_moncat(theory2: TwoTheoryPresentation, decl: MonCatDecl) -> catmo
     if decl.unit is not None:
         ops.append((decl.unit, fincat.FinFunctor(fincat.power(cat, 0).cat, cat,
                                                  (0,), (cat.identity[0],))))
-    model = _attach_tables(theory2, cat, tuple(functors), tuple(nats), extra_ops=tuple(ops))
-    if decl.braidings:
-        sq = fincat.power(cat, 2)
-        braid_cells = []
-        for bname, rows in decl.braidings:
-            if len(rows) != decl.grading or any(len(r) != decl.grading for r in rows):
-                raise InputError(f"braiding {bname}: matrix is not "
-                                  f"{decl.grading} x {decl.grading}")
-            cellsym = theory2.cell(bname)
-            comps = []
-            for o in range(sq.n_objects):
-                x, y = sq.decode_obj(o)
-                comps.append(((x + y) % decl.grading) * decl.scalars
-                             + rows[x][y] % decl.scalars)
-            braid_cells.append((bname, fincat.FinNat(model.functor_of(cellsym.source),
-                                                     model.functor_of(cellsym.target),
-                                                     tuple(comps))))
-        model = catmodels.CatModel(theory2, cat, model.op_functors,
-                                   model.cell_nats + tuple(braid_cells))
-    return model
+    return _attach_tables(theory2, cat, decl.functors, tuple(nats), extra_ops=tuple(ops))
 
 
 def _attach_tables(theory2: TwoTheoryPresentation, cat: fincat.FinCategory,
@@ -977,13 +970,17 @@ def _attach_tables(theory2: TwoTheoryPresentation, cat: fincat.FinCategory,
     for g in theory2.base.generators:
         if g.name not in have:
             raise InputError(f"model gives no table for operation {g.name}")
-    skeleton = catmodels.CatModel(theory2, cat, tuple(ops))
-    cell_nats = []
+    # An ``auto`` nat reads its cell's boundary functors on the model without
+    # cells, and the model with them shares its memos: a model without cells
+    # evaluates no pasting, and every other memo depends on the operations
+    # alone, so ``CatModel.problems`` reads the same functors again.
+    model = catmodels.CatModel(theory2, cat, tuple(ops))
+    tables = []
     for decl in nats:
         cellsym = theory2.cell(decl.name)
-        fsrc = skeleton.functor_of(cellsym.source)
-        ftgt = skeleton.functor_of(cellsym.target)
         if decl.components is None:
+            fsrc = model.functor_of(cellsym.source)
+            ftgt = model.functor_of(cellsym.target)
             comps = []
             for o in range(fsrc.source.n_objects):
                 hom = cat.hom(fsrc.obj_map[o], ftgt.obj_map[o])
@@ -993,9 +990,9 @@ def _attach_tables(theory2: TwoTheoryPresentation, cat: fincat.FinCategory,
             comps = tuple(comps)
         else:
             comps = decl.components
-            if len(comps) != fsrc.source.n_objects:
+            if len(comps) != model.power(cellsym.source.source).n_objects:
                 raise InputError(f"nat {decl.name}: component table has the wrong size")
             if any(c >= cat.n_arrows for c in comps):
                 raise InputError(f"nat {decl.name}: component out of range")
-        cell_nats.append((decl.name, fincat.FinNat(fsrc, ftgt, comps)))
-    return catmodels.CatModel(theory2, cat, tuple(ops), tuple(cell_nats))
+        tables.append((decl.name, comps))
+    return replace(model, cell_tables=tuple(tables))

@@ -352,17 +352,9 @@ def validate_nat(nat: FinNat) -> CategoryViolation | None:
     return None
 
 
-def identity_nat(fun: FinFunctor) -> FinNat:
-    comps = tuple(fun.target.identity[fun.obj_map[a]] for a in range(fun.source.n_objects))
-    return FinNat(fun, fun, comps)
-
-
-def vert_nat(p: FinNat, q: FinNat) -> FinNat:
-    if p.target != q.source:
-        raise ValueError("vertical composition mismatch")
-    d = p.source.target
-    comps = tuple(d.then(a, b) for a, b in zip(p.components, q.components))
-    return FinNat(p.source, q.target, comps)
+def identity_components(fun: FinFunctor) -> tuple[int, ...]:
+    """The components of the identity transformation on ``fun``."""
+    return tuple(fun.target.identity[o] for o in fun.obj_map)
 
 
 def enumerate_functors(c: FinCategory, d: FinCategory) -> list[FinFunctor]:

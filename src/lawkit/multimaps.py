@@ -42,7 +42,7 @@ from .cells import (
     is_invertible_pasting,
     pasting_components,
 )
-from .fincat import FinFunctor, FinNat, enumerate_functors
+from .fincat import FinFunctor, enumerate_functors
 from .search import EnumerationBound, search
 from .theory import Equal, TwoTheoryPresentation, check_unital, generator_morphism
 
@@ -229,8 +229,7 @@ def curry(mul: BinaryMultimap, X: CatModel, Y: CatModel, Z: CatModel,
         tgt_h = homcat.objects[obj_map[X.carrier.dst[a]]]
         comps = tuple(mul.f11.arr_map[prod.encode_arr((a, Y.carrier.identity[y]))]
                       for y in range(Y.carrier.n_objects))
-        arr_map.append(homcat.find_arrow(
-            Modification(src_h, tgt_h, FinNat(src_h.f1, tgt_h.f1, comps))))
+        arr_map.append(homcat.find_arrow(Modification(src_h, tgt_h, comps)))
     tables = []
     ny = Y.carrier.n_objects
     cells_left = dict(mul.cells_left)
@@ -243,8 +242,7 @@ def curry(mul: BinaryMultimap, X: CatModel, Y: CatModel, Z: CatModel,
                     tuple(obj_map[x] for x in X.power(n).decode_obj(xet)))]]
             tgt_h = homcat.objects[obj_map[X.op_functor(g.name).obj_map[xet]]]
             mod_comps = tuple(cells_left[g.name][_pair(ny, xet, y)] for y in range(ny))
-            comps.append(homcat.find_arrow(
-                Modification(src_h, tgt_h, FinNat(src_h.f1, tgt_h.f1, mod_comps))))
+            comps.append(homcat.find_arrow(Modification(src_h, tgt_h, mod_comps)))
         tables.append(comps)
     if None in arr_map or any(None in t for t in tables):
         return catmodels.NOT_AN_ARROW
@@ -265,23 +263,21 @@ def uncurry(g: LaxHom, X: CatModel, Y: CatModel, Z: CatModel,
     for a in range(prod.n_arrows):
         fx, fy = prod.decode_arr(a)
         mod = homcat.arrows[g.f1.arr_map[fx]]
-        step1 = mod.component.components[Y.carrier.src[fy]]
+        step1 = mod.components[Y.carrier.src[fy]]
         step2 = homcat.objects[g.f1.obj_map[X.carrier.dst[fx]]].f1.arr_map[fy]
         arr_map.append(Z.carrier.then(step1, step2))
     f11 = FinFunctor(prod.cat, Z.carrier, tuple(obj_map), tuple(arr_map))
     cells_left = []
     cells_right = []
     for gen in X.theory.base.generators:
-        n = gen.arity
         comps_l = []
-        for xet in range(X.power(n).n_objects):
-            mod = homcat.arrows[g.cell(gen.name).components[xet]]
-            comps_l.extend(mod.component.components)
+        for i in g.cell(gen.name):
+            comps_l.extend(homcat.arrows[i].components)
         cells_left.append((gen.name, tuple(comps_l)))
         comps_r = []
         for x in range(X.carrier.n_objects):
             hom = homcat.objects[g.f1.obj_map[x]]
-            comps_r.extend(hom.cell(gen.name).components)
+            comps_r.extend(hom.cell(gen.name))
         cells_right.append((gen.name, tuple(comps_r)))
     return BinaryMultimap(weakness, f11, tuple(cells_left), tuple(cells_right))
 
@@ -363,9 +359,7 @@ def _delta_object(A_idx: int, H_model: CatModel, homcat: HomCategory,
         powered = H_model.op_functor(g.name).obj_map[
             fincat.power(homcat.cat, g.arity).encode_obj((A_idx,) * g.arity)]
         src_h = homcat.objects[powered]
-        mod = Modification(src_h, A,
-                           FinNat(src_h.f1, A.f1, A.cell(g.name).components))
-        tables.append((homcat.arrow_index(mod),))
+        tables.append((homcat.arrow_index(Modification(src_h, A, A.cell(g.name))),))
     return H2cat.object_index(hom_from_components(term, H_model, "lax", f1, tables))
 
 
@@ -385,17 +379,15 @@ def fox_comonad(sigma: SigmaTable,
         for j, mod in enumerate(homcat.arrows):
             src_i = delta_obj[homcat.object_index(mod.source)]
             dst_i = delta_obj[homcat.object_index(mod.target)]
-            lifted = Modification(
-                h2cat.objects[src_i], h2cat.objects[dst_i],
-                FinNat(h2cat.objects[src_i].f1, h2cat.objects[dst_i].f1,
-                       (homcat.arrow_index(mod),)))
+            lifted = Modification(h2cat.objects[src_i], h2cat.objects[dst_i],
+                                  (homcat.arrow_index(mod),))
             delta_arr.append(h2cat.arrow_index(lifted))
 
         # counit on the double: evaluate the underlying algebra
         counit_underlying = all(
             h2cat.objects[delta_obj[i]].point() == i for i in range(len(homcat.objects))
         ) and all(
-            h2cat.arrows[delta_arr[j]].component.components[0] == j
+            h2cat.arrows[delta_arr[j]].components[0] == j
             for j in range(len(homcat.arrows)))
 
         # counit through the functor induced by evaluating each algebra
@@ -505,10 +497,8 @@ def eh_local_iso_probe(X: CatModel, Y: CatModel, sigma: SigmaTable) -> LocalIsoR
         for i, (g, (xpow, ypow, y_lift, x_lift)) in enumerate(zip(gens, lifts)):
             P = compose_homs(power_hom(f, g.arity, xpow, ypow), y_lift)
             Q = compose_homs(x_lift, f)
-            src, tgt = coherence.boundaries[i]
             domains.append(coherence.admissible(
-                i, [FinNat(src, tgt, mod.component.components)
-                    for mod in enumerate_modifications(P, Q)]))
+                i, [mod.components for mod in enumerate_modifications(P, Q)]))
         count_here = 0
         for cells in coherence.assignments(domains):
             count_here += 1
@@ -553,16 +543,14 @@ def bilax_check(fbar: LaxHom, funder: LaxHom, sigma: SigmaTable) -> BilaxReport:
         U = compose_homs(power_hom(funder, n, xpow, ypow),
                          lift_hom(Y, sigma, generator_morphism(g), "colax", ypow))
         V = compose_homs(lift_hom(X, sigma, generator_morphism(g), "colax", xpow), funder)
-        nat = FinNat(U.f1, V.f1, fbar.cell(g.name).components)
-        if validate_modification(Modification(U, V, nat)):
+        if validate_modification(Modification(U, V, fbar.cell(g.name))):
             cond1 = False
             issues.append(f"lax cell at {g.name} is not a modification of colax lifts")
         # (2) the colax cells are modifications between the lax composites
         Vp = compose_homs(lift_hom(X, sigma, generator_morphism(g), "lax", xpow), fbar)
         Up = compose_homs(power_hom(fbar, n, xpow, ypow),
                           lift_hom(Y, sigma, generator_morphism(g), "lax", ypow))
-        nat = FinNat(Vp.f1, Up.f1, funder.cell(g.name).components)
-        if validate_modification(Modification(Vp, Up, nat)):
+        if validate_modification(Modification(Vp, Up, funder.cell(g.name))):
             cond2 = False
             issues.append(f"colax cell at {g.name} is not a modification of lax lifts")
     verdict = "Bilax" if cond1 and cond2 else "Fails"
@@ -585,10 +573,9 @@ def internal_bialgebras(model: CatModel, sigma: SigmaTable) -> tuple[HomCategory
     for i, (a1, c1) in enumerate(pairs):
         for j, (a2, c2) in enumerate(pairs):
             for h in model.carrier.hom(a1.point(), a2.point()):
-                nat = FinNat(a1.f1, a2.f1, (h,))
-                if validate_modification(Modification(a1, a2, nat)):
+                if validate_modification(Modification(a1, a2, (h,))):
                     continue
-                if validate_modification(Modification(c1, c2, FinNat(c1.f1, c2.f1, (h,)))):
+                if validate_modification(Modification(c1, c2, (h,))):
                     continue
                 arrows.append((i, j, h))
     cat = fincat.category_from_keys(

@@ -1,6 +1,7 @@
 """Constructions that tests build on and no command runs: a term evaluator,
 first-order matching and model validation by full scan, small categories,
-whiskering, identity homomorphisms, and morphism builders.  Tests compare
+whiskering and vertical composition of transformations, identity
+homomorphisms, and morphism builders.  Tests compare
 production paths against these or use them to set up inputs.
 """
 
@@ -160,6 +161,14 @@ def whisker_right(nat: FinNat, fun: FinFunctor) -> FinNat:
         raise ValueError("right whisker mismatch")
     comps = tuple(fun.arr_map[c] for c in nat.components)
     return FinNat(compose_functors(nat.source, fun), compose_functors(nat.target, fun), comps)
+
+
+def vert_nat(p: FinNat, q: FinNat) -> FinNat:
+    """The vertical composite ``p`` then ``q``, componentwise."""
+    if p.target != q.source:
+        raise ValueError("vertical composition mismatch")
+    d = p.source.target
+    return FinNat(p.source, q.target, tuple(map(d.then, p.components, q.components)))
 
 
 def identity_hom(model: CatModel, weakness: str) -> LaxHom:

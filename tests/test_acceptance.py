@@ -148,8 +148,8 @@ def test_criterion_06_convolution():
     model = fx.model("delooping_z2")
     algs = internal_algebras(model).objects
     coalgs = internal_coalgebras(model).objects
-    a = [h for h in algs if h.cell("m").components[0] == 1][0]
-    c = [h for h in coalgs if h.cell("m").components[0] == 1][0]
+    a = [h for h in algs if h.cell("m")[0] == 1][0]
+    c = [h for h in coalgs if h.cell("m")[0] == 1][0]
     conv, hom = convolution_algebra(model, a, c)
     assert conv.size == 2
     assert conv.table("m") == (0, 1, 1, 0)  # f*g = f+g

@@ -16,16 +16,15 @@ from lawkit.catmodels import (
     LaxHom,
     Modification,
     ModelViolation,
-    _cell_boundary,
     algebra_view,
     build_hom_category,
+    cell_boundary,
     compose_homs,
     compose_modifications,
     convolution_algebra,
     enumerate_homs_w,
     enumerate_modifications,
     functor_power,
-    hom_cell_boundary,
     hom_from_components,
     identity_modification,
     internal_algebras,
@@ -45,7 +44,7 @@ from lawkit.cells import (
     Id,
     _decompose,
     _is_plain_generator,
-    evaluate_pasting,
+    pasting_components,
 )
 from lawkit.fincat import (
     FinFunctor,
@@ -54,11 +53,10 @@ from lawkit.fincat import (
     compose_functors,
     enumerate_functors,
     enumerate_naturals,
-    identity_nat,
+    identity_components,
     power,
     validate_functor,
     validate_nat,
-    vert_nat,
 )
 from lawkit.search import EnumerationBound
 from lawkit.theory import (
@@ -75,6 +73,7 @@ from references import (
     discrete_category,
     identity_hom,
     reference_validate_functor,
+    vert_nat,
     whisker_left,
     whisker_right,
 )
@@ -113,13 +112,14 @@ def test_identity_hom_valid_every_weakness():
 
 def test_wrong_direction_cell_is_rejected():
     # the coalgebra at the bottom has a genuinely one-way unit cell: re-tagging
-    # the colax homomorphism as lax must fail the boundary check
+    # the colax homomorphism as lax must fail the naturality check, whose
+    # boundaries follow the weakness
     model = fx.model("poset_meet")
     coalgs = enumerate_homs_w(terminal_model(fx.theory("t_comm_flat")), model, "colax")
     bottom = [h for h in coalgs if h.point() == 0][0]
-    assert not model.carrier.is_identity(bottom.cell("u").components[0])
+    assert not model.carrier.is_identity(bottom.cell("u")[0])
     bad = LaxHom(bottom.source, bottom.target, "lax", bottom.f1, bottom.cells)
-    assert validate_lax_hom(bad) != []
+    assert ModelViolation("hom-cell-naturality", "u") in validate_lax_hom(bad)
 
 
 def test_internal_algebra_counts_match_oracle():
@@ -164,8 +164,8 @@ def test_convolution_examples():
     model = fx.model("delooping_z2")
     algs = internal_algebras(model).objects
     coalgs = internal_coalgebras(model).objects
-    a1 = [h for h in algs if h.cell("m").components[0] == 1][0]
-    c1 = [h for h in coalgs if h.cell("m").components[0] == 1][0]
+    a1 = [h for h in algs if h.cell("m")[0] == 1][0]
+    c1 = [h for h in coalgs if h.cell("m")[0] == 1][0]
     conv, hom = convolution_algebra(model, a1, c1)
     assert conv.table("m") == (0, 1, 1, 0) and conv.table("u") == (0,)
 
@@ -232,7 +232,7 @@ def test_modifications_lift_uniquely():
     for f in homs:
         for g in homs:
             mods = enumerate_modifications(f, g)
-            assert len({m.component.components for m in mods}) == len(mods)
+            assert len({m.components for m in mods}) == len(mods)
 
 
 def test_power_model_consistency():
@@ -258,7 +258,7 @@ def reference_power_hom(hom, n, src_power, dst_power):
             arrows = [0] * n
             for j in range(n):
                 col = tuple(objs[i * n + j] for i in range(m))
-                arrows[j] = hom.cell(gen.name).components[X.power(m).encode_obj(col)]
+                arrows[j] = hom.cell(gen.name)[X.power(m).encode_obj(col)]
             comps.append(Y.power(n).encode_arr(tuple(arrows)))
         tables.append(comps)
     return hom_from_components(src_power, dst_power, hom.weakness, f1, tables)
@@ -324,7 +324,7 @@ def test_lift_cells_carry_the_braiding_sign():
     dom = model.power(4)
     for o in range(dom.n_objects):
         a, b, c, d = dom.decode_obj(o)
-        scalar = cell.components[o]
+        scalar = cell[o]
         assert scalar % 2 == (b * c) % 2
 
 
@@ -445,7 +445,7 @@ class FromScratch:
                           tuple(product_identity(Y.power(f.target), outer_src.obj_map[o])
                                 for o in range(outer_src.source.n_objects)))
         if _is_plain_generator(f):
-            return hom.cell(f.components[0].op.name)
+            return FinNat(outer_src, outer_tgt, hom.cell(f.components[0].op.name))
         u, heads = _decompose(f)
         dom = X.power(sum(h.source for h in heads))
         head_nats = [self.extend(hom, h) for h in heads]
@@ -468,12 +468,23 @@ class FromScratch:
 
 def extend_hom_cell(hom: LaxHom, f: Morphism) -> FinNat:
     """Canonical structure cell of a homomorphism at an arbitrary morphism."""
-    if _is_plain_generator(f):
-        return hom.cell(f.components[0].op.name)  # type: ignore[union-attr]
     X, Y = hom.source, hom.target
     cells = [hom.cell(g.name) for g in X.theory.base.generators]
     _, comps = HomCoherence(X, Y, hom.weakness, hom.f1).extension(f)
-    return FinNat(*_cell_boundary(X, Y, hom.f1, f, hom.weakness), comps(cells))
+    return FinNat(*cell_boundary(X, Y, hom.f1, f, hom.weakness), comps(cells))
+
+
+def structure_nat(hom: LaxHom, gen) -> FinNat:
+    """A hom's structure cell at the generator ``gen``, between its boundary functors."""
+    f = generator_morphism(gen)
+    return FinNat(*cell_boundary(hom.source, hom.target, hom.f1, f, hom.weakness),
+                  hom.cell(gen.name))
+
+
+def tabulated_pasting(p, model) -> FinNat:
+    """A pasting's components between its tabulated boundary functors."""
+    return FinNat(model.functor_of(p.source()), model.functor_of(p.target()),
+                  pasting_components(p, model))
 
 
 def _models_by_theory():
@@ -515,7 +526,8 @@ def test_boundary_memo_matches_from_scratch_composition():
                             expected = scratch.boundary(X, Y, hom.f1,
                                                         generator_morphism(g), weakness)
                             for f1 in (hom.f1, twin, hom.f1):
-                                assert hom_cell_boundary(X, Y, f1, g.name, weakness) == expected
+                                assert cell_boundary(X, Y, f1, generator_morphism(g),
+                                                     weakness) == expected
                         for f in morphisms:
                             assert extend_hom_cell(hom, f) == scratch.extend(hom, f)
     assert homs > 100
@@ -527,13 +539,13 @@ def test_boundary_memo_tells_equal_target_models_apart():
     Y2 = fx.parse('import "t_comm_flat.law";').cat_model("graded_lines")
     assert Y1 == Y2 and Y1 is not Y2
     f1 = enumerate_homs_w(X, Y1, "lax")[0].f1
+    m = generator_morphism(X.theory.base.op("m"))
     for Y in (Y1, Y2, Y1, Y2):
-        src, tgt = hom_cell_boundary(X, Y, f1, "m", "lax")
+        src, tgt = cell_boundary(X, Y, f1, m, "lax")
         # F^2 ; Y(m) ends in Y's own carrier power, so a hit stored for the
         # other, equal model would show here.
         assert src.target is Y.power(1).cat
-        assert (src, tgt) == FromScratch().boundary(
-            X, Y, f1, generator_morphism(X.theory.base.op("m")), "lax")
+        assert (src, tgt) == FromScratch().boundary(X, Y, f1, m, "lax")
 
 
 # -- the indexed hom category against linear scans ----------------------------------------
@@ -545,11 +557,11 @@ def reference_compose_homs(f, g):
     for gen in f.source.theory.base.generators:
         n = gen.arity
         fpow = functor_power(f.f1, n, f.source.power(n), f.target.power(n))
-        steps = [whisker_left(fpow, g.cell(gen.name)), whisker_right(f.cell(gen.name), g.f1)]
+        steps = [whisker_left(fpow, structure_nat(g, gen)),
+                 whisker_right(structure_nat(f, gen), g.f1)]
         if f.weakness == "colax":
             steps.reverse()
-        src, tgt = hom_cell_boundary(f.source, g.target, f1, gen.name, f.weakness)
-        cells.append((gen.name, FinNat(src, tgt, vert_nat(*steps).components)))
+        cells.append((gen.name, vert_nat(*steps).components))
     return LaxHom(f.source, g.target, f.weakness, f1, tuple(cells))
 
 
@@ -598,16 +610,15 @@ def reference_internal_hom(X, Y, sigma, weakness):
             mods = [homcat.arrows[i] for i in hpow.decode_arr(a)]
             s, t = image([m.source for m in mods]), image([m.target for m in mods])
             comps = tuple(lifted.f1.arr_map[Y.power(n).encode_arr(
-                tuple(m.component.components[x] for m in mods))]
+                tuple(m.components[x] for m in mods))]
                 for x in range(X.carrier.n_objects))
-            arr_map.append(scan_index(homcat.arrows,
-                                      Modification(s, t, FinNat(s.f1, t.f1, comps))))
+            arr_map.append(scan_index(homcat.arrows, Modification(s, t, comps)))
         ops.append((gen.name, FinFunctor(hpow.cat, homcat.cat, tuple(obj_map), tuple(arr_map))))
     hommodel = CatModel(theory2, homcat.cat, tuple(ops))
-    cell_nats = []
+    cell_tables = []
     for cellsym in theory2.cells:
         a = cellsym.source.source
-        ynat = evaluate_pasting(Gen(cellsym), Y)
+        ycomps = pasting_components(Gen(cellsym), Y)
         hpow = power(homcat.cat, a)
         src_fun = hommodel.functor_of(cellsym.source)
         tgt_fun = hommodel.functor_of(cellsym.target)
@@ -616,12 +627,11 @@ def reference_internal_hom(X, Y, sigma, weakness):
             homs = [homcat.objects[i] for i in hpow.decode_obj(o)]
             s = homcat.objects[src_fun.obj_map[o]]
             t = homcat.objects[tgt_fun.obj_map[o]]
-            mod_comps = tuple(ynat.components[Y.power(a).encode_obj(
+            mod_comps = tuple(ycomps[Y.power(a).encode_obj(
                 tuple(h.f1.obj_map[x] for h in homs))] for x in range(X.carrier.n_objects))
-            comps.append(scan_index(homcat.arrows,
-                                    Modification(s, t, FinNat(s.f1, t.f1, mod_comps))))
-        cell_nats.append((cellsym.name, FinNat(src_fun, tgt_fun, tuple(comps))))
-    return CatModel(theory2, homcat.cat, tuple(ops), tuple(cell_nats)), homcat
+            comps.append(scan_index(homcat.arrows, Modification(s, t, mod_comps)))
+        cell_tables.append((cellsym.name, tuple(comps)))
+    return CatModel(theory2, homcat.cat, tuple(ops), tuple(cell_tables)), homcat
 
 
 def assert_indexed(homcat):
@@ -694,7 +704,7 @@ def test_hom_category_lookups_confirm_their_hits():
                  (homcat.find_object, homcat.object_index, "not an object",
                   h._replace(cells=h.cells[::-1])),
                  (homcat.find_arrow, homcat.arrow_index, "not an arrow",
-                  Modification(m.source, m.target, m.component._replace(components=(99,)))),
+                  m._replace(components=(99,))),
                  (homcat.find_arrow, homcat.arrow_index, "not an arrow",
                   m._replace(source=h._replace(weakness="colax")))]
     for find, index, message, stranger in strangers:
@@ -704,7 +714,7 @@ def test_hom_category_lookups_confirm_their_hits():
 
     # Objects that differ only in the arrow map, or only in a cell, are told apart.
     f1 = replace(h.f1, arr_map=h.f1.arr_map[::-1])
-    cell = h.cells[0][1]._replace(components=h.cells[0][1].components[::-1])
+    cell = h.cells[0][1][::-1]
     for twin in (h._replace(f1=f1), h._replace(cells=((h.cells[0][0], cell),) + h.cells[1:])):
         assert twin != h
         pair = HomCategory(discrete_category(2), (h, twin), ())
@@ -754,11 +764,8 @@ def reference_validate_lax_hom(hom, scratch):
     if validate_functor(hom.f1) is not None:
         return [ModelViolation("hom-functor", "underlying map")]
     for g in X.theory.base.generators:
-        nat = hom.cell(g.name)
         src, tgt = scratch.boundary(X, Y, hom.f1, generator_morphism(g), hom.weakness)
-        if nat.source != src or nat.target != tgt:
-            problems.append(ModelViolation("hom-cell-boundary", g.name))
-            continue
+        nat = FinNat(src, tgt, hom.cell(g.name))
         if validate_nat(nat) is not None:
             problems.append(ModelViolation("hom-cell-naturality", g.name))
         if hom.weakness == "strict" and src != tgt:
@@ -776,8 +783,8 @@ def reference_validate_lax_hom(hom, scratch):
             problems.append(ModelViolation("hom-equation", eq.name))
     for cell in X.theory.cells:
         a, b = cell.source.source, cell.source.target
-        xs = evaluate_pasting(Gen(cell), X)
-        ys = evaluate_pasting(Gen(cell), Y)
+        xs = tabulated_pasting(Gen(cell), X)
+        ys = tabulated_pasting(Gen(cell), Y)
         fpow_a = functor_power(hom.f1, a, X.power(a), Y.power(a))
         fpow_b = functor_power(hom.f1, b, X.power(b), Y.power(b))
         if hom.weakness == "colax":
@@ -800,16 +807,15 @@ def reference_candidates(X, Y, weakness):
         per_gen = []
         total = 1
         for g in X.theory.base.generators:
-            src, tgt = hom_cell_boundary(X, Y, f1, g.name, weakness)
+            src, tgt = cell_boundary(X, Y, f1, generator_morphism(g), weakness)
             if weakness == "strict":
                 if src != tgt:
                     break
-                per_gen.append([identity_nat(src)])
+                per_gen.append([identity_components(src)])
                 continue
-            nats = enumerate_naturals(src, tgt)
+            nats = [n.components for n in enumerate_naturals(src, tgt)]
             if weakness == "pseudo":
-                nats = [n for n in nats
-                        if all(Y.carrier.inverse(c) is not None for c in n.components)]
+                nats = [n for n in nats if all(Y.carrier.inverse(c) is not None for c in n)]
             if not nats:
                 break
             per_gen.append(nats)
@@ -829,13 +835,12 @@ def _variants(hom):
     swapped for another arrow between its endpoints."""
     yield from (hom._replace(weakness=w) for w in WEAKNESSES)
     carrier = hom.target.carrier
-    for i, (name, nat) in enumerate(hom.cells):
-        for o, c in enumerate(nat.components):
+    for i, (name, table) in enumerate(hom.cells):
+        for o, c in enumerate(table):
             for alt in carrier.hom(carrier.src[c], carrier.dst[c]):
                 if alt != c:
-                    comps = nat.components[:o] + (alt,) + nat.components[o + 1:]
                     cells = list(hom.cells)
-                    cells[i] = (name, nat._replace(components=comps))
+                    cells[i] = (name, table[:o] + (alt,) + table[o + 1:])
                     yield hom._replace(cells=tuple(cells))
 
 
@@ -869,9 +874,8 @@ def test_pruned_hom_search_matches_product_reference():
                             kinds.update(p.kind for p in v)
     assert searched > 100 and refused > 0
     # Every violation kind but an invalid underlying functor showed up.
-    assert set(kinds) == {"hom-cell-boundary", "hom-cell-naturality",
-                          "hom-not-strict", "hom-cell-invertibility", "hom-strict-cells",
-                          "hom-equation", "hom-cell-compat"}
+    assert set(kinds) == {"hom-cell-naturality", "hom-not-strict", "hom-cell-invertibility",
+                          "hom-strict-cells", "hom-equation", "hom-cell-compat"}
 
 
 def test_hom_search_checks_coherence_on_components(monkeypatch):
@@ -880,7 +884,7 @@ def test_hom_search_checks_coherence_on_components(monkeypatch):
     for module in (catmodels, fincat):
         assert not hasattr(module, "whisker_left") and not hasattr(module, "whisker_right")
     calls = Counter()
-    for name in ("vert_nat", "validate_lax_hom"):
+    for name in ("compose_modifications", "validate_lax_hom"):
         def counted(*args, _name=name, _f=getattr(catmodels, name)):
             calls[_name] += 1
             return _f(*args)
@@ -891,9 +895,9 @@ def test_hom_search_checks_coherence_on_components(monkeypatch):
     assert calls == Counter()
     homcat = build_hom_category(Y, Y, "lax")
     cat = homcat.cat
-    # vert_nat only composes modifications, once per composable pair.
+    # Modifications are composed once per composable pair.
     composable = sum(cat.dst[a] == cat.src[b] for a in cat.arrows() for b in cat.arrows())
-    assert composable > 0 and calls == Counter({"vert_nat": composable})
+    assert composable > 0 and calls == Counter({"compose_modifications": composable})
 
 
 # -- modifications on components against the whiskered check ----------------------------
@@ -905,29 +909,33 @@ def reference_validate_modification(mod):
     problems = []
     if f.source != g.source or f.target != g.target or f.weakness != g.weakness:
         return [ModelViolation("modification-boundary", "homs not parallel")]
-    if mod.component.source != f.f1 or mod.component.target != g.f1:
-        return [ModelViolation("modification-component", "wrong boundary")]
-    if validate_nat(mod.component) is not None:
-        problems.append(ModelViolation("modification-naturality", ""))
     X, Y = f.source, f.target
+    t = FinNat(f.f1, g.f1, mod.components)
+    if validate_nat(t) is not None:
+        problems.append(ModelViolation("modification-naturality", ""))
+        # Components off f1(o) -> g1(o) form no squares.
+        if any((Y.carrier.src[c], Y.carrier.dst[c]) != ends
+               for c, ends in zip(t.components, zip(f.f1.obj_map, g.f1.obj_map))):
+            return problems
     for gen in X.theory.base.generators:
         n = gen.arity
         tpow_comps = []
         for o in range(X.power(n).n_objects):
             objs = X.power(n).decode_obj(o)
             tpow_comps.append(Y.power(n).encode_arr(
-                tuple(mod.component.components[p] for p in objs)))
+                tuple(t.components[p] for p in objs)))
         fpow = functor_power(f.f1, n, X.power(n), Y.power(n))
         gpow = functor_power(g.f1, n, X.power(n), Y.power(n))
         tpow = FinNat(fpow, gpow, tuple(tpow_comps))
         op = X.functor_of(generator_morphism(gen))
         yop = Y.functor_of(generator_morphism(gen))
+        f_cell, g_cell = structure_nat(f, gen), structure_nat(g, gen)
         if f.weakness == "colax":
-            lhs = vert_nat(f.cell(gen.name), whisker_right(tpow, yop))
-            rhs = vert_nat(whisker_left(op, mod.component), g.cell(gen.name))
+            lhs = vert_nat(f_cell, whisker_right(tpow, yop))
+            rhs = vert_nat(whisker_left(op, t), g_cell)
         else:
-            lhs = vert_nat(whisker_right(tpow, yop), g.cell(gen.name))
-            rhs = vert_nat(f.cell(gen.name), whisker_left(op, mod.component))
+            lhs = vert_nat(whisker_right(tpow, yop), g_cell)
+            rhs = vert_nat(f_cell, whisker_left(op, t))
         if lhs != rhs:
             problems.append(ModelViolation("modification-structure", gen.name))
     return problems
@@ -939,12 +947,11 @@ def _modification_candidates(f, g):
     homs the other way round."""
     carrier = f.target.carrier
     homsets = [carrier.hom(a, b) for a, b in zip(f.f1.obj_map, g.f1.obj_map)]
-    mods = [Modification(f, g, FinNat(f.f1, g.f1, comps))
-            for comps in itertools.product(*homsets)]
+    mods = [Modification(f, g, comps) for comps in itertools.product(*homsets)]
     if mods:
         other = "colax" if f.weakness == "lax" else "lax"
-        mods += [Modification(f, g._replace(weakness=other), mods[0].component),
-                 Modification(g, f, mods[0].component)]
+        mods += [Modification(f, g._replace(weakness=other), mods[0].components),
+                 Modification(g, f, mods[0].components)]
     return mods
 
 
@@ -966,8 +973,8 @@ def test_modification_check_matches_whiskered_reference():
                             kinds.update(p.kind for p in v)
                             checked += 1
     assert checked > 3000
-    assert set(kinds) == {"modification-boundary", "modification-component",
-                          "modification-naturality", "modification-structure"}
+    assert set(kinds) == {"modification-boundary", "modification-naturality",
+                          "modification-structure"}
 
 
 # Z/3 with an operation that kills every arrow, so inv(inv(x1)) = x1 fails on
@@ -1021,8 +1028,8 @@ model negation_z3 of t_inv in moncat {
 
 def reference_validate_cat_model(model):
     """Every op functor scanned over all pairs of arrows of its source power,
-    and every equation, cell boundary and cell equation compared on tabulated
-    functors over the whole power: the reference for ``validate_cat_model``."""
+    and every equation, cell and cell equation compared on tabulated functors
+    over the whole power: the reference for ``validate_cat_model``."""
     problems = []
     base = model.theory.base
     for g in base.generators:
@@ -1031,26 +1038,25 @@ def reference_validate_cat_model(model):
             problems.append(ModelViolation("op-shape", g.name))
         elif reference_validate_functor(fun) is not None:
             problems.append(ModelViolation("op-functor", g.name))
+    functors = not problems  # a cell's boundaries are functors
     for eq in base.equations:
         if model.functor_of(eq.lhs) != model.functor_of(eq.rhs):
             problems.append(ModelViolation("equation", eq.name))
     for cell in model.theory.cells:
         try:
-            nat = model.cell_nat(cell.name)
+            nat = FinNat(model.functor_of(cell.source), model.functor_of(cell.target),
+                         model.cell(cell.name))
         except InputError:
             problems.append(ModelViolation("missing-cell", cell.name))
             continue
-        if nat.source != model.functor_of(cell.source) or nat.target != model.functor_of(cell.target):
-            problems.append(ModelViolation("cell-boundary", cell.name))
-            continue
-        if validate_nat(nat) is not None:
+        if functors and validate_nat(nat) is not None:
             problems.append(ModelViolation("cell-naturality", cell.name))
         if cell.invertible and any(model.carrier.inverse(c) is None for c in nat.components):
             problems.append(ModelViolation("cell-invertibility", cell.name))
     if problems:
         return problems
     for name, lhs, rhs in model.theory.cell_equations:
-        if evaluate_pasting(lhs, model) != evaluate_pasting(rhs, model):
+        if tabulated_pasting(lhs, model) != tabulated_pasting(rhs, model):
             problems.append(ModelViolation("cell-equation", name))
     return problems
 
@@ -1058,7 +1064,7 @@ def reference_validate_cat_model(model):
 def _fresh(model, **changes):
     """A copy of ``model`` with empty memos and the given fields replaced."""
     fields = {name: getattr(model, name)
-              for name in ("theory", "carrier", "op_functors", "cell_nats")}
+              for name in ("theory", "carrier", "op_functors", "cell_tables")}
     return CatModel(**{**fields, **changes})
 
 
@@ -1075,15 +1081,14 @@ def _corruptions(model, rng):
         ops = list(model.op_functors)
         ops[i] = (name, replace(fun, arr_map=arr_map))
         out.append(_fresh(model, op_functors=tuple(ops)))
-        if model.cell_nats:
-            i = rng.randrange(len(model.cell_nats))
-            name, nat = model.cell_nats[i]
-            o = rng.randrange(len(nat.components))
-            wrong = rng.choice([f for f in model.carrier.arrows() if f != nat.components[o]])
-            cells = list(model.cell_nats)
-            cells[i] = (name, nat._replace(components=nat.components[:o] + (wrong,)
-                                           + nat.components[o + 1:]))
-            out.append(_fresh(model, cell_nats=tuple(cells)))
+        if model.cell_tables:
+            i = rng.randrange(len(model.cell_tables))
+            name, table = model.cell_tables[i]
+            o = rng.randrange(len(table))
+            wrong = rng.choice([f for f in model.carrier.arrows() if f != table[o]])
+            cells = list(model.cell_tables)
+            cells[i] = (name, table[:o] + (wrong,) + table[o + 1:])
+            out.append(_fresh(model, cell_tables=tuple(cells)))
     theory2 = model.theory
     base = theory2.base
     if base.equations:
@@ -1143,7 +1148,7 @@ def test_validate_cat_model_matches_the_tabulating_reference():
         assert got == want, model.carrier
         kinds.update([v.kind for v in want] if isinstance(want, list) else [want.__name__])
         kinds["valid"] += want == []
-    assert {"valid", "op-functor", "equation", "cell-boundary", "cell-naturality",
+    assert {"valid", "op-functor", "equation", "cell-naturality",
             "cell-invertibility", "cell-equation"} <= set(kinds), kinds
     # Cell equations are evaluated only on models that passed every other check.
     assert "ValueError" not in kinds, kinds

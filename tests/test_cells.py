@@ -25,7 +25,6 @@ from lawkit.cells import (
     derive_sigma,
     derived_associativity_check,
     boundaries_agree,
-    evaluate_pasting,
     gray2_column_instance,
     gray2_row_instance,
     is_identity_pasting,
@@ -68,8 +67,8 @@ def test_pasting_boundaries():
 def test_evaluate_identity_pasting():
     model = fx.model("poset_meet")
     m = generator_morphism(fx.theory("t_comm_flat").base.op("m"))
-    nat = evaluate_pasting(Id(m), model)
-    assert all(model.carrier.is_identity(c) for c in nat.components)
+    comps = pasting_components(Id(m), model)
+    assert all(model.carrier.is_identity(c) for c in comps)
 
 
 def test_braiding_evaluates_to_signs():
@@ -179,8 +178,8 @@ def test_vertical_composition_respected_by_evaluation():
     model = fx.model("graded_lines")
     c = Gen(fx.theory("t_comm_flat").cells[0])
     double = Vert(c, Inverse(c))
-    nat = evaluate_pasting(double, model)
-    assert all(model.carrier.is_identity(x) for x in nat.components)
+    comps = pasting_components(double, model)
+    assert all(model.carrier.is_identity(x) for x in comps)
 
 
 def test_par_evaluation_blocks():
@@ -239,11 +238,9 @@ def test_coherence_refutes_twisted_exchange_scalar():
     # flipping the exchange scalar at one object keeps the model valid but
     # destroys the exchange property; the probe-relative checks catch it
     from lawkit.catmodels import CatModel, validate_cat_model
-    from lawkit.fincat import FinNat
     base = fx.model("gl2_action")
-    rr = base.cell_nat("c11")
-    twisted = FinNat(rr.source, rr.target, (1, 2))
-    mutant = CatModel(fx.theory("t_gl2"), base.carrier, base.op_functors, (("c11", twisted),))
+    assert base.cell("c11") != (1, 2)
+    mutant = CatModel(fx.theory("t_gl2"), base.carrier, base.op_functors, (("c11", (1, 2)),))
     assert validate_cat_model(mutant) == []
     report = check_sigma_coherence(fx.theory("t_gl2"), fx.sigma("sigma_gl"), [mutant])
     assert report.verdict == "Incoherent"
@@ -623,7 +620,7 @@ def _ladder_components(p, model):
             out.append(cod.encode_arr(tuple(model.carrier.identity[x] for x in objs)))
         return tuple(out)
     if isinstance(p, Gen):
-        return model.cell_nat(p.cell.name).components
+        return model.cell(p.cell.name)
     if isinstance(p, Inverse):
         comps = _ladder_components(p.inner, model)
         cod = model.power(p.inner.source().target)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fixtures as fx
 from conftest import ROOT
 from fixtures import law_files, law_path
 from lawkit import cli
@@ -21,6 +22,11 @@ from lawkit.cli import (
     _parser,
     run,
 )
+from lawkit.cells import Gen, gray2_column_instance, gray2_row_instance
+from lawkit.finset import FinSetModel
+from lawkit.theory import commutativity_square, generator_morphism
+from references import reference_eval_morphism, reference_validate_model
+from test_cells import _ladder_components
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -158,6 +164,11 @@ def test_out_of_range_arrow_endpoint_is_input_error(tmp_path):
      "t_gl2.law"),
     ("[[0, 0, 0], [0, 1, 2], [0, 2, 1]]", "[[0, 0, 0], [0, 1]]",
      "braiding b: matrix is not 3 x 3", "t_braid.law"),
+    # A braiding is a nat of 2-variable components: a unary cell's has too many.
+    ("grading 1; scalars 2;\n  functor inv { obj [0]; arr [0, 1]; }\n  nat iota = [0];",
+     "grading 2; scalars 1;\n  functor inv { obj [0, 1]; arr [0, 1]; }\n"
+     "  braiding iota = [[0, 0], [0, 0]];",
+     "nat iota: component table has the wrong size", "t_inv.law"),
     ("arrow le : 0 -> 1;", "arrow le : 0 -> 1;\n  arrow eg : 1 -> 0;",
      "not a category: missing-composite at (le, eg)", "t_comm_flat.law"),
     ("table m = [0, 1, 1, 0];", "table m = [0, 1, 1];",
@@ -522,6 +533,8 @@ _FAULTS = {
     "no-nat": ("t_comm_flat.law", "  nat c auto;\n", ""),
     "unnatural": ("t_comm_flat.law", "  nat c auto;\n", "  nat c = [2, 0, 0, 1];\n"),
     "x21": ("t_comm_flat.law", "m(u,x1) = x1;", "m(u,x1) = x21;"),
+    "not-a-functor": ("t_comm_flat.law", "functor m { obj [0, 0, 0, 1]; arr auto; }",
+                      "functor m { obj [0, 0, 0, 1]; arr [0, 0, 0, 0, 0, 0, 0, 0, 0]; }"),
     "imports-1d": 'import "t_comm.law";\nimport "t_inv.law";\n',
     "imports-2d": 'import "t_comm_flat.law";\nimport "t_inv.law";\n',
     "self-import": 'import "self-import.law";\n',
@@ -537,6 +550,9 @@ def _faulty_file(tmp_path, fault):
     if fault == "directory":
         (tmp_path / fault).mkdir()
         return tmp_path / fault
+    if fault == "x21-imported":
+        _faulty_file(tmp_path, "x21")
+        return tmp_path / "graded_lines_mutant.law"
     if isinstance(_FAULTS[fault], str):
         path = tmp_path / f"{fault}.law"
         path.write_text(_FAULTS[fault])
@@ -590,6 +606,8 @@ INPUT_FAULTS = [
     ("unnatural", ["yang-baxter", "--model", "poset_meet", "--braiding", "c"], UNNATURAL),
     ("x21", ["sigma-check"], LUNIT_X21),
     ("x21", ["assoc-derived"], LUNIT_X21),
+    ("x21-imported", ["sigma-check"], LUNIT_X21.replace("24:7: ", "24:7: t_comm_flat.law: ")),
+    ("not-a-functor", ["intalg", "--model", "poset_meet"], POSET_MEET_IS_NOT + "op-functor m"),
 ]
 
 
@@ -707,6 +725,75 @@ def test_every_failure_report_carries_a_witness():
         assert code == EXIT_FAILED
         report = json.loads(text)
         assert report["witnesses"], argv
+
+
+# -- every witness of an exit-1 golden, recomputed without lawkit's evaluators -----------
+
+def _replay_distinguished(witness):
+    """The two sides of the named gray2 instance, evaluated by the test
+    ladder on the probe, first differ at the witness object, as it says."""
+    theory2, probe = fx.theory("t_braid"), fx.model("graded_lines_z3")
+    detail = witness["detail"]
+    t = Gen(theory2.cell(detail.split()[1]))
+    (g,) = [generator_morphism(op) for op in theory2.base.basis_ops()
+            if detail.endswith(repr(generator_morphism(op)))]
+    if witness["check"] == "gray2-vertical":
+        lhs, rhs = gray2_column_instance(theory2, fx.sigma("sigma_braid"), t, g)
+    else:
+        assert witness["check"] == "gray2-horizontal"
+        lhs, rhs = gray2_row_instance(theory2, fx.sigma("sigma_braid"), g, t)
+    v = witness["verdict"]
+    assert v["probe"] == 0  # the file's one model of t_braid
+    left, right = _ladder_components(lhs, probe), _ladder_components(rhs, probe)
+    o = v["obj"]
+    assert left[:o] == right[:o] and (left[o], right[o]) == (v["left"], v["right"])
+    assert v["left"] != v["right"]
+
+
+def _replay_hexagon(witness):
+    """The left hexagon at the witness triple, read off the tables of
+    graded_lines_mutant row-major: ``c(x@y, z) != (1x @ c(y,z)) ; (c(x,z) @ 1y)``."""
+    model = fx.model("graded_lines_mutant")
+    cat, tensor, braid = model.carrier, model.op_functor("m"), model.cell("c")
+    n, a = cat.n_objects, cat.n_arrows
+    assert witness["check"] == "hexagon-left"
+    x, y, z = witness["triple"]
+    xy = tensor.obj_map[x * n + y]
+    via_tensor = braid[xy * n + z]
+    stepwise = cat.then(tensor.arr_map[cat.identity[x] * a + braid[y * n + z]],
+                        tensor.arr_map[braid[x * n + z] * a + cat.identity[y]])
+    assert via_tensor != stepwise
+
+
+def _replay_separating_input(witness):
+    """The tables are a model of t_ass, found by a full scan, and the input
+    gives the two sides of the pair's commutativity square different values."""
+    base = fx.theory("t_ass").base
+    model = reference_validate_model(base, witness["model_size"], witness["tables"])
+    assert isinstance(model, FinSetModel)
+    a, b = (generator_morphism(base.op(name)) for name in witness["pair"])
+    env = witness.get("input", witness.get("matrix"))
+    row_first, col_first = commutativity_square(a, b)
+    assert reference_eval_morphism(model, row_first, env) != \
+        reference_eval_morphism(model, col_first, env)
+
+
+REPLAYS = {
+    "sigma_check_t_braid": _replay_distinguished,
+    "yang_baxter_mutant": _replay_hexagon,
+    "commutative_t_ass": _replay_separating_input,
+    "commutative_t_ass_semantic": _replay_separating_input,
+}
+
+
+def test_every_exit_1_golden_witness_replays():
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    with_witnesses = {name for name, code in codes.items() if code == EXIT_FAILED
+                      and json.loads((GOLDEN / f"{name}.json").read_text())["witnesses"]}
+    assert with_witnesses == REPLAYS.keys()
+    for name, replay in REPLAYS.items():
+        for witness in json.loads((GOLDEN / f"{name}.json").read_text())["witnesses"]:
+            replay(witness)
 
 
 def test_validate_report_rejects_missing_verdicts():

@@ -7,20 +7,20 @@ from lawkit.fincat import (
     enumerate_functors,
     enumerate_naturals,
     graded_scalar_category,
-    identity_nat,
+    identity_components,
     product,
     power,
     terminal_category,
     validate_category,
     validate_functor,
     validate_nat,
-    vert_nat,
 )
 from references import (
     group_delooping,
     identity_functor,
     poset_category,
     reference_validate_functor,
+    vert_nat,
     whisker_left,
     whisker_right,
 )
@@ -130,8 +130,8 @@ def test_functor_validation_flags_bad_arrow():
 def test_nat_validation_flags_bad_component():
     p = chain2()
     ident = identity_functor(p)
-    bad_nat = identity_nat(ident)
     from lawkit.fincat import FinNat
+    assert validate_nat(FinNat(ident, ident, identity_components(ident))) is None
     assert validate_nat(FinNat(ident, ident, (2, 1))) is not None
 
 

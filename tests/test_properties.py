@@ -12,7 +12,6 @@ from lawkit.fincat import (
     enumerate_functors,
     enumerate_naturals,
     graded_scalar_category,
-    vert_nat,
 )
 from lawkit.finset import FinSetModel, all_tuples, make_model, validate_model
 from lawkit.theory import (
@@ -33,6 +32,7 @@ from references import (
     poset_category,
     reference_eval_morphism,
     reference_value,
+    vert_nat,
     whisker_left,
     whisker_right,
 )

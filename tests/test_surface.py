@@ -1,7 +1,8 @@
 """Every public function, class, method and property in ``src/lawkit`` has a
 caller in ``src/lawkit``, no module imports a name it never uses, every
-``@dataclass`` uses something a ``typing.NamedTuple`` cannot give, and
-lawkit's own exceptions are the five it reports.
+``@dataclass`` uses something a ``typing.NamedTuple`` cannot give, no record
+stores a 2-cell with its boundary functors, and lawkit's own exceptions are
+the five it reports.
 
 A name that only tests reach belongs in the tests; a name nothing reaches
 belongs nowhere.  The one exemption is ``cli.main``, the ``lawkit`` console
@@ -328,6 +329,35 @@ def test_records_that_could_be_tuples_sees_each_dataclass_feature():
                      "@dataclass\nclass Derived(Base):\n    y: int = 0\n"
                      "class Record(NamedTuple):\n    z: int\n")
     assert records_that_could_be_tuples({"m": tree}) == ["m.Plain"]
+
+
+def fields_naming(trees: dict[str, ast.Module], type_name: str) -> list[str]:
+    """``module.Class.field`` for each field of a class whose annotation
+    names ``type_name``, bare, qualified or nested in another type."""
+    def names(annotation) -> bool:
+        return any(isinstance(n, ast.Name) and n.id == type_name
+                   or isinstance(n, ast.Attribute) and n.attr == type_name
+                   for n in ast.walk(annotation))
+    return [f"{module}.{node.name}.{item.target.id}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and names(item.annotation)]
+
+
+def test_no_record_stores_a_natural_transformation():
+    # A 2-cell is stored as its component table: its boundary functors are
+    # fixed by the 1-cells around it, and a ``FinNat`` is built only where a
+    # naturality check reads them.
+    assert fields_naming(_parse(SRC), "FinNat") == []
+
+
+def test_the_field_scan_sees_nested_and_qualified_annotations():
+    tree = ast.parse("class A:\n    x: tuple[tuple[str, FinNat], ...]\n    y: int\n"
+                     "class B(NamedTuple):\n    z: fincat.FinNat\n"
+                     "    def f(self) -> FinNat: pass\n")
+    assert fields_naming({"m": tree}, "FinNat") == ["m.A.x", "m.B.z"]
 
 
 def test_every_public_name_has_a_caller_in_src():
