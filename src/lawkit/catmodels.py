@@ -830,24 +830,27 @@ def internal_hom(X: CatModel, Y: CatModel, sigma: SigmaTable,
                                        obj_map[hpow.arr_dst(a)], comps))
         ops.append((gen.name, FinFunctor(hpow.cat, homcat.cat, tuple(obj_map), tuple(arr_map))))
 
-    # The cells' boundary functors are read on the model without cells, and
+    # The cells' boundaries are evaluated on the model without cells, and
     # the model with them shares its memos: a model without cells evaluates
-    # no pasting, and every other memo depends on the operations alone.
+    # no pasting, and every other memo depends on the operations alone.  A
+    # hom cell runs between the boundaries' objects, so only their object
+    # codes are read.
     hommodel = CatModel(theory2, homcat.cat, tuple(ops))
     tables = []
     for cellsym in theory2.cells:
         a = cellsym.source.source
         ycomps = Y.cell(cellsym.name)
         hpow = fincat.power(homcat.cat, a)
-        src_fun = hommodel.functor_of(cellsym.source)
-        tgt_fun = hommodel.functor_of(cellsym.target)
+        src_obj = hommodel._encoder(cellsym.source, False)
+        tgt_obj = hommodel._encoder(cellsym.target, False)
         comps = []
         for o in range(hpow.n_objects):
-            homs = [objects[i] for i in hpow.decode_obj(o)]
+            idxs = hpow.decode_obj(o)
+            homs = [objects[i] for i in idxs]
             mod_comps = tuple(
                 ycomps[Y.power(a).encode_obj(tuple(h.f1.obj_map[x] for h in homs))]
                 for x in range(n_x))
-            comps.append(arrow_index(src_fun.obj_map[o], tgt_fun.obj_map[o], mod_comps))
+            comps.append(arrow_index(src_obj(idxs), tgt_obj(idxs), mod_comps))
         tables.append((cellsym.name, tuple(comps)))
     return replace(hommodel, cell_tables=tuple(tables)), homcat
 

@@ -162,7 +162,7 @@ def cmd_commutative(args, doc):
     verdicts = []
     failed = False
     for size in range(1, args.max_size + 1):
-        for model in finset.enumerate_models(base, size):
+        for model in base.models(size):
             sem = finset.semantic_commutativity_check(model)
             if sem.verdict != "Passes":
                 failed = True
@@ -238,7 +238,7 @@ def cmd_models(args, doc):
     _at_least_one("--max-size", args.max_size)
     if args.size > args.max_size:
         raise EnumerationBound(f"size {args.size} exceeds bound {args.max_size}")
-    models = list(finset.enumerate_models(theory2.base, args.size))
+    models = list(theory2.base.models(args.size))
     verdicts = [{"name": f"{theory2.base.name}/size-{args.size}",
                  "verdict": str(len(models)),
                  "detail": None}]

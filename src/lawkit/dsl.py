@@ -911,6 +911,8 @@ def _elaborate_moncat(theory2: TwoTheoryPresentation, decl: MonCatDecl) -> catmo
     # A braiding is a nat whose component at the pair of grades (x, y), in
     # row-major order, is the scalar rows[x][y] on the grade x + y.
     for bname, rows in decl.braidings:
+        if theory2.cell(bname).source.source != 2:
+            raise InputError(f"braiding {bname}: the 2-cell is not binary")
         if len(rows) != decl.grading or any(len(r) != decl.grading for r in rows):
             raise InputError(f"braiding {bname}: matrix is not "
                               f"{decl.grading} x {decl.grading}")

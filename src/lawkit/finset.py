@@ -92,20 +92,23 @@ def validate_model(theory: TheoryPresentation, size: int,
     return model
 
 
-def _inputs(size: int, f: Morphism, g: Morphism):
-    """The input tuples of the parallel ``f`` and ``g`` on a carrier of
-    ``size``, in lexicographic order, over the variables that occur in them
-    (``theory.occurring_variables``), with 0 in the others."""
-    read = occurring_variables(f, g)
-    return itertools.product(*(range(size) if i in read else (0,) for i in range(f.source)))
+def _inputs(size: int, arity: int, read: tuple[int, ...]):
+    """The input tuples of ``arity`` variables on a carrier of ``size``, in
+    lexicographic order, over the variables in ``read``, with 0 in the
+    others."""
+    return itertools.product(*(range(size) if i in read else (0,) for i in range(arity)))
 
 
-def separating_input(model: FinSetModel, f: Morphism, g: Morphism) -> tuple[int, ...] | None:
+def separating_input(model: FinSetModel, f: Morphism, g: Morphism,
+                     read: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
     """The first input tuple, in lexicographic order, at which the parallel
-    ``f`` and ``g`` differ, or None."""
+    ``f`` and ``g`` differ, or None.  Only the variables that occur in them
+    (``read``, else ``theory.occurring_variables``) vary."""
+    if read is None:
+        read = occurring_variables(f, g)
     sides = [(compile_term(lhs, model.table, model.size), compile_term(rhs, model.table, model.size))
              for lhs, rhs in zip(f.components, g.components)]
-    for env in _inputs(model.size, f, g):
+    for env in _inputs(model.size, f.source, read):
         for lhs, rhs in sides:
             if lhs(env) != rhs(env):
                 return env
@@ -120,7 +123,8 @@ def enumerate_models(theory: TheoryPresentation, size: int):
     There is one search slot per table cell, generators in order.  Each
     component of an equation instance is first checked at the last slot among
     its innermost cells, and prunes the branch as soon as both sides are
-    defined and disagree.  An equation's instances are its ``_inputs``.
+    defined and disagree.  An equation's instances are its ``_inputs`` over
+    the variables that occur in it (``theory.occurring_variables``).
     """
     if size < 1:
         raise TheoryError("carrier size must be >= 1")
@@ -167,8 +171,9 @@ def enumerate_models(theory: TheoryPresentation, size: int):
 
     checks: list[list] = [[] for _ in range(total_cells)]
     for eq in theory.equations:
+        read = occurring_variables(eq.lhs, eq.rhs)
         for lhs, rhs in zip(eq.lhs.components, eq.rhs.components):
-            for env in _inputs(size, eq.lhs, eq.rhs):
+            for env in _inputs(size, eq.lhs.source, read):
                 fixed: list[int] = []
                 check = holds(compile_instance(lhs, env, fixed), compile_instance(rhs, env, fixed))
                 if fixed:

@@ -323,6 +323,41 @@ class TheoryPresentation:
         return {key: tuple(rule for head, rule in rules if head in (key, None))
                 for key in {head for head, _ in rules}}
 
+    @functools.cached_property
+    def _model_replays(self) -> dict[int, tuple[list, object]]:
+        """Per carrier size: the models enumerated so far, and the
+        enumeration that yields the rest."""
+        return {}
+
+    def models(self, size: int):
+        """Every model of carrier ``size``, in the order of
+        ``finset.enumerate_models``, which runs once per theory and size.
+
+        Each model is enumerated when a consumer first reaches it and kept on
+        the theory for as long as the theory lives, so a consumer that stops
+        early enumerates no further, and consumers that interleave, or come
+        later, replay the same sequence.  An enumeration that raises (a size
+        over ``finset.MODEL_CELL_LIMIT``) is dropped, so every call raises.
+        """
+        from . import finset
+        replays = self._model_replays
+        i = 0
+        while True:
+            if size not in replays:
+                replays[size] = ([], finset.enumerate_models(self, size))
+            seen, rest = replays[size]
+            if i == len(seen):
+                # Off the theory while it runs, so one that raises is not
+                # kept as a finished, truncated enumeration.
+                del replays[size]
+                model = next(rest, None)
+                replays[size] = seen, rest
+                if model is None:
+                    return
+                seen.append(model)
+            yield seen[i]
+            i += 1
+
 
 def _check_ops_declared(t: Term, byname: dict[str, OpSymbol]) -> None:
     if isinstance(t, Apply):
@@ -648,9 +683,10 @@ def decide_equal(theory: TheoryPresentation, f: Morphism, g: Morphism,
         return Equal(tuple(tuple(t) for t in ftr), tuple(tuple(t) for t in gtr), nf)
 
     from . import finset
+    read = occurring_variables(f, g)
     for size in range(1, model_bound + 1):
-        for model in finset.enumerate_models(theory, size):
-            hit = finset.separating_input(model, f, g)
+        for model in theory.models(size):
+            hit = finset.separating_input(model, f, g, read)
             if hit is not None:
                 return NotEqual(model, hit)
     reason = "normal forms differ; no counter-model up to bound" if (fok and gok) \

@@ -164,11 +164,6 @@ def test_out_of_range_arrow_endpoint_is_input_error(tmp_path):
      "t_gl2.law"),
     ("[[0, 0, 0], [0, 1, 2], [0, 2, 1]]", "[[0, 0, 0], [0, 1]]",
      "braiding b: matrix is not 3 x 3", "t_braid.law"),
-    # A braiding is a nat of 2-variable components: a unary cell's has too many.
-    ("grading 1; scalars 2;\n  functor inv { obj [0]; arr [0, 1]; }\n  nat iota = [0];",
-     "grading 2; scalars 1;\n  functor inv { obj [0, 1]; arr [0, 1]; }\n"
-     "  braiding iota = [[0, 0], [0, 0]];",
-     "nat iota: component table has the wrong size", "t_inv.law"),
     ("arrow le : 0 -> 1;", "arrow le : 0 -> 1;\n  arrow eg : 1 -> 0;",
      "not a category: missing-composite at (le, eg)", "t_comm_flat.law"),
     ("table m = [0, 1, 1, 0];", "table m = [0, 1, 1];",
@@ -535,6 +530,12 @@ _FAULTS = {
     "x21": ("t_comm_flat.law", "m(u,x1) = x1;", "m(u,x1) = x21;"),
     "not-a-functor": ("t_comm_flat.law", "functor m { obj [0, 0, 0, 1]; arr auto; }",
                       "functor m { obj [0, 0, 0, 1]; arr [0, 0, 0, 0, 0, 0, 0, 0, 0]; }"),
+    # A braiding is a nat of 2-variable components, so only a binary cell has one.
+    "unary-braiding": ("t_inv.law",
+                       "  grading 1; scalars 2;\n  functor inv { obj [0]; arr [0, 1]; }\n"
+                       "  nat iota = [0];\n",
+                       "  grading 2; scalars 1;\n  functor inv { obj [0, 1]; arr [0, 1]; }\n"
+                       "  braiding iota = [[0, 0], [0, 0]];\n"),
     "imports-1d": 'import "t_comm.law";\nimport "t_inv.law";\n',
     "imports-2d": 'import "t_comm_flat.law";\nimport "t_inv.law";\n',
     "self-import": 'import "self-import.law";\n',
@@ -608,6 +609,7 @@ INPUT_FAULTS = [
     ("x21", ["assoc-derived"], LUNIT_X21),
     ("x21-imported", ["sigma-check"], LUNIT_X21.replace("24:7: ", "24:7: t_comm_flat.law: ")),
     ("not-a-functor", ["intalg", "--model", "poset_meet"], POSET_MEET_IS_NOT + "op-functor m"),
+    ("unary-braiding", ["check-theory"], "braiding iota: the 2-cell is not binary"),
 ]
 
 

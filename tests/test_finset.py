@@ -335,6 +335,65 @@ def test_semantic_check_builds_each_square_once_per_theory(monkeypatch):
     assert len(models) > 1 and len(built) == len(fresh.basis_ops()) ** 2
 
 
+def _counting_enumeration(monkeypatch):
+    """Patch ``finset.enumerate_models`` to log each call's size in ``calls``
+    and each model it yields in ``yielded``."""
+    calls, yielded = [], []
+    real = finset.enumerate_models
+
+    def counting(theory, size):
+        calls.append(size)
+        for model in real(theory, size):
+            yielded.append(model)
+            yield model
+    monkeypatch.setattr(finset, "enumerate_models", counting)
+    return calls, yielded
+
+
+def test_interleaved_replays_see_the_fresh_sequence():
+    fresh = dataclasses.replace(T_ASS)
+    want = list(enumerate_models(T_ASS, 3))
+    a, b = fresh.models(3), fresh.models(3)
+    got_a, got_b = [], []
+    for turn in itertools.count():
+        step_a = list(itertools.islice(a, 2))
+        step_b = list(itertools.islice(b, 1 + turn % 3))
+        if not step_a and not step_b:
+            break
+        got_a += step_a
+        got_b += step_b
+    assert len(want) > 3 and got_a == want and got_b == want
+    assert list(fresh.models(3)) == want
+
+
+def test_a_partly_consumed_size_resumes(monkeypatch):
+    calls, yielded = _counting_enumeration(monkeypatch)
+    fresh = dataclasses.replace(T_ASS)
+    first = next(fresh.models(3))
+    assert calls == [3] and yielded == [first]
+    assert next(fresh.models(3)) is first
+    models = list(fresh.models(3))
+    assert calls == [3] and yielded == models and models[0] is first
+    assert list(fresh.models(3)) == models and calls == [3]
+    assert [m for size in (1, 2) for m in fresh.models(size)] and calls == [3, 1, 2]
+    # The replays live on the theory object: another one enumerates again.
+    list(dataclasses.replace(T_ASS).models(3))
+    assert calls == [3, 1, 2, 3]
+
+
+def test_an_enumeration_over_the_cell_limit_raises_on_every_call(monkeypatch):
+    calls, _ = _counting_enumeration(monkeypatch)
+    fresh = dataclasses.replace(T_ASS)
+    size = 16  # 16 ** 2 + 1 cells
+    assert size ** 2 + 1 > finset.MODEL_CELL_LIMIT
+    for _ in range(3):
+        with pytest.raises(EnumerationBound):
+            next(fresh.models(size))
+    with pytest.raises(EnumerationBound):
+        list(fresh.models(size))
+    assert calls == [size] * 4
+
+
 def test_enumerate_homs_examples():
     z2 = validate_model(T_COMM, 2, Z2)
     one = validate_model(T_COMM, 1, {"m": (0,), "u": (0,)})

@@ -1,8 +1,9 @@
 """Every public function, class, method and property in ``src/lawkit`` has a
 caller in ``src/lawkit``, no module imports a name it never uses, every
 ``@dataclass`` uses something a ``typing.NamedTuple`` cannot give, no record
-stores a 2-cell with its boundary functors, and lawkit's own exceptions are
-the five it reports.
+stores a 2-cell with its boundary functors, lawkit's own exceptions are the
+five it reports, and ``finset.enumerate_models`` runs only in the replay of a
+theory's models.
 
 A name that only tests reach belongs in the tests; a name nothing reaches
 belongs nowhere.  The one exemption is ``cli.main``, the ``lawkit`` console
@@ -450,3 +451,39 @@ def test_the_exception_scan_sees_subclasses_tuples_and_bare_excepts():
                             "    except: pass\n")}
     assert exception_classes(trees) == {"A", "B", "C"}
     assert caught(trees) == [("m.f", "B"), ("m.f", "C"), ("m.f", "")]
+
+
+def references_to(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """``module.definition`` for each use of ``name`` (a bare name, an
+    attribute or an import), by the innermost function it is in."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Name) and child.id == name \
+                    or isinstance(child, ast.Attribute) and child.attr == name \
+                    or isinstance(child, ast.alias) and child.name == name:
+                out.append(where)
+            visit(child, where)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return out
+
+
+def test_a_theorys_models_come_only_from_its_replay():
+    """Every command takes a theory's models from ``TheoryPresentation.models``,
+    so each (theory, size) is enumerated once."""
+    assert references_to(_parse(SRC), "enumerate_models") == ["theory.TheoryPresentation.models"]
+
+
+def test_the_reference_scan_sees_names_attributes_and_imports():
+    trees = {"m": ast.parse("from .f import g\n"
+                            "class C:\n"
+                            "    def h(self):\n"
+                            "        return f.g(g)\n"
+                            "def g(): pass\n")}
+    assert references_to(trees, "g") == ["m", "m.C.h", "m.C.h"]

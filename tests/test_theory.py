@@ -1,10 +1,13 @@
+import dataclasses
+import itertools
 import random
+from collections import Counter
 from dataclasses import asdict, fields
 
 import pytest
 
 import fixtures as fx
-from lawkit.finset import FinSetModel, validate_model
+from lawkit.finset import FinSetModel, enumerate_models, validate_model
 from lawkit.theory import (
     Apply,
     Equal,
@@ -652,3 +655,51 @@ def test_decide_equal_witnesses_replay():
                         assert replay_trace(c, list(component_trace)) == \
                             v.normal_form.components[0]
     assert verdicts[Equal] > 10 and verdicts[NotEqual] > 10
+
+
+def _reference_decide_equal(theory, f, g, model_bound):
+    """The verdict of ``decide_equal`` by its type, with each size's models
+    enumerated afresh for the pair and every input tuple scanned."""
+    nf, _, fok = normalize_morphism(theory, f)
+    ng, _, gok = normalize_morphism(theory, g)
+    if fok and gok and nf == ng:
+        return Equal
+    for size in range(1, model_bound + 1):
+        for model in enumerate_models(theory, size):
+            for env in itertools.product(range(size), repeat=f.source):
+                if reference_eval_morphism(model, f, env) != reference_eval_morphism(model, g, env):
+                    return NotEqual(model, env)
+    return Unknown
+
+
+@pytest.mark.parametrize("model_bound", [3, 4])
+def test_decide_equal_replays_what_a_fresh_search_finds(model_bound):
+    rng = random.Random(25)
+    seen = Counter()
+    for theory in (dataclasses.replace(T_ASS), dataclasses.replace(T_COMM)):
+        pairs = []
+        for _ in range(12):
+            arity = rng.randrange(2, 5)
+            word = [rng.randrange(arity) for _ in range(rng.randrange(2, 7))]
+            if rng.random() < 0.3:
+                other = rng.sample(word, len(word)) if theory.name == "t_comm" else word
+            else:
+                other = [rng.randrange(arity) for _ in range(len(word) + 1)]
+            pairs.append((arity, word, other))
+        # x^6 and x^12 first differ in the cyclic group of order 4; x^6 and
+        # x^18 agree in every monoid up to size 4.
+        pairs += [(1, [0] * 6, [0] * 12), (1, [0] * 6, [0] * 18)]
+        for arity, word, other in pairs:
+            f = Morphism(arity, 1, (_word(rng, theory, word, arity),))
+            g = Morphism(arity, 1, (_word(rng, theory, other, arity),))
+            v = decide_equal(theory, f, g, model_bound)
+            want = _reference_decide_equal(theory, f, g, model_bound)
+            seen[type(v).__name__, v.model.size if isinstance(v, NotEqual) else None] += 1
+            if isinstance(v, NotEqual):
+                assert (v.model.size, v.model.tables, v.witness) == \
+                    (want.model.size, want.model.tables, want.witness)
+            else:
+                assert type(v) is want
+    sizes = {size for kind, size in seen if kind == "NotEqual"}
+    assert seen["Equal", None] and seen["Unknown", None] and 2 in sizes
+    assert (4 in sizes) == (model_bound == 4)
